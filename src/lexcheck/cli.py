@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .collect import CollectResult, ConfigError, EndpointConfig, collect
 from .dsl import ParseError, PatternError, ValidityError, parse_rule
-from .engine import loose_variants, verify_rule
+from .engine import _verdict
 from .generate import BucketError, GenConfig, LexiconError, generate_dataset
 from .records import DataError, read_instructions, write_instructions
 from .report import (
@@ -53,19 +53,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (ParseError, PatternError, ValidityError) as exc:
         _err(f"bad rule expression: {exc}")
         return EXIT_DATA
-    text = sys.stdin.read()
-    strict = verify_rule(rule, text, args.lang)
-    print(f"strict: {'pass' if strict else 'fail'}")
-    if not args.strict_only:
-        variant = None
-        for vid, candidate in loose_variants(text):
-            if verify_rule(rule, candidate, args.lang):
-                variant = vid
-                break
-        if variant is None:
-            print("loose: fail")
-        else:
-            print(f"loose: pass ({variant})")
+    # parse_rule has already rejected invalid rules
+    verdict = _verdict((rule,), sys.stdin.read(), args.lang, loose=not args.strict_only)
+    print(f"strict: {'pass' if verdict.strict_pass else 'fail'}")
+    if verdict.loose_pass is not None:
+        print(f"loose: pass ({verdict.loose_variant})" if verdict.loose_pass else "loose: fail")
     return EXIT_OK
 
 

@@ -8,7 +8,7 @@ per-segment count) must satisfy the relation, and an empty selection fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .rules import (
     Instruction,
@@ -18,7 +18,7 @@ from .rules import (
     Rule,
     check_validity,
 )
-from .segment import Element, gaps, segment
+from .segment import _Span, _split
 
 
 @dataclass(frozen=True)
@@ -33,10 +33,22 @@ class ScopeSegment:
 class Scope:
     segments: tuple[ScopeSegment, ...]
     language: str
+    #: Elements already split during this verification, keyed by
+    #: (text, level, pattern); shared by every scope refined from one initial
+    #: scope, so a text is split at most once per level and pattern.
+    splits: dict[tuple, list[_Span]] = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def initial(cls, full_text: str, language: str) -> Scope:
         return cls((ScopeSegment(full_text, "answer"),), language)
+
+    def elements(self, text: str, step: ProcedureStep) -> list[_Span]:
+        """`text` split at the step's level, as (content, start, end) tuples."""
+        key = (text, step.level, step.pattern)
+        found = self.splits.get(key)
+        if found is None:
+            found = self.splits[key] = _split(text, step.level, self.language, step.pattern)
+        return found
 
 
 @dataclass(frozen=True)
@@ -59,7 +71,7 @@ class Target:
         return not (self.counts or self.texts)
 
 
-def _select(elements: list[Element], n: int) -> Element | None:
+def _select(elements: list[_Span], n: int) -> _Span | None:
     if n == -1:
         return elements[-1] if elements else None
     return elements[n - 1] if 1 <= n <= len(elements) else None
@@ -78,31 +90,31 @@ def refine_scope(scope: Scope, step: ProcedureStep) -> Scope:
     out: list[ScopeSegment] = []
     tag = step.level.value
     for seg in scope.segments:
-        elements = segment(seg.text, step.level, scope.language, step.pattern)
+        elements = scope.elements(seg.text, step)
         kind = step.predicate.kind
         if kind is PredicateKind.INDEX:
             el = _select(elements, step.predicate.n or 0)
             if el is not None:
-                out.append(ScopeSegment(el.text, f"{seg.path}/{tag}[{step.predicate.n}]"))
+                out.append(ScopeSegment(el[0], f"{seg.path}/{tag}[{step.predicate.n}]"))
         elif kind is PredicateKind.ALL:
             out.extend(
-                ScopeSegment(el.text, f"{seg.path}/{tag}[{i}]")
+                ScopeSegment(el[0], f"{seg.path}/{tag}[{i}]")
                 for i, el in enumerate(elements, 1)
             )
         elif kind is PredicateKind.BEFORE:
             el = _select(elements, step.predicate.n or 0)
             if el is not None:
-                out.append(ScopeSegment(seg.text[: el.start], f"{seg.path}/{tag}!{step.predicate.n}"))
+                out.append(ScopeSegment(seg.text[: el[1]], f"{seg.path}/{tag}!{step.predicate.n}"))
         elif kind is PredicateKind.AFTER:
             el = _select(elements, step.predicate.n or 0)
             if el is not None:
-                out.append(ScopeSegment(seg.text[el.end :], f"{seg.path}/{tag}${step.predicate.n}"))
-        else:  # BETWEEN
+                out.append(ScopeSegment(seg.text[el[2] :], f"{seg.path}/{tag}${step.predicate.n}"))
+        else:  # BETWEEN: the raw text separating consecutive elements
             out.extend(
-                ScopeSegment(gap.text, f"{seg.path}/{tag}%[{j}]")
-                for j, gap in enumerate(gaps(elements, seg.text), 1)
+                ScopeSegment(seg.text[left[2] : right[1]], f"{seg.path}/{tag}%[{j}]")
+                for j, (left, right) in enumerate(zip(elements, elements[1:]), 1)
             )
-    return Scope(tuple(out), scope.language)
+    return Scope(tuple(out), scope.language, scope.splits)
 
 
 def identify_target(scope: Scope, rule: Rule) -> Target:
@@ -115,10 +127,7 @@ def identify_target(scope: Scope, rule: Rule) -> Target:
             if len(rule.procedure) == 1:
                 return Target.of_counts((0,))
             return Target.of_counts(())
-        counts = tuple(
-            len(segment(seg.text, terminal.level, scope.language, terminal.pattern))
-            for seg in scope.segments
-        )
+        counts = tuple(len(scope.elements(seg.text, terminal)) for seg in scope.segments)
         return Target.of_counts(counts)
     return Target.of_texts(tuple(seg.text for seg in scope.segments))
 
@@ -163,13 +172,22 @@ def adjudicate(target: Target, relation: Relation, value: int | str) -> bool:
     return all(_compare_text(t, relation, value) for t in texts)  # type: ignore[arg-type]
 
 
-def verify_rule(rule: Rule, full_text: str, language: str = "en") -> bool:
-    """Run the full pipeline for one rule against one answer text."""
+def _require_valid(rule: Rule) -> None:
     violations = check_validity(rule)
     if violations:
         codes = ", ".join(v.value for v in violations)
         raise ValueError(f"cannot verify an invalid rule: {codes}")
-    scope = Scope.initial(full_text, language)
+
+
+def verify_rule(rule: Rule, full_text: str, language: str = "en") -> bool:
+    """Run the full pipeline for one rule against one answer text."""
+    _require_valid(rule)
+    return _holds(rule, full_text, language, {})
+
+
+def _holds(rule: Rule, full_text: str, language: str, splits: dict) -> bool:
+    """verify_rule for a rule already known to be valid, reusing `splits`."""
+    scope = Scope((ScopeSegment(full_text, "answer"),), language, splits)
     steps = rule.procedure
     counting = steps[-1].predicate.kind is PredicateKind.COUNT
     for step in steps[:-1] if counting else steps:
@@ -238,19 +256,24 @@ def verify_instruction(instruction: Instruction, response: str, loose: bool = Tr
     A relaxed rewrite counts only if it satisfies *all* rules jointly; the
     first passing variant in the fixed order is recorded.
     """
-    results = tuple(
-        (rule, verify_rule(rule, response, instruction.language)) for rule in instruction.rules
-    )
+    for rule in instruction.rules:
+        _require_valid(rule)
+    return _verdict(instruction.rules, response, instruction.language, loose)
+
+
+def _verdict(rules: tuple[Rule, ...], response: str, language: str, loose: bool) -> Verdict:
+    """verify_instruction for rules already known to be valid.
+
+    The strict pass and every rewrite share one split cache, which is dropped
+    on return.
+    """
+    splits: dict = {}
+    results = tuple((rule, _holds(rule, response, language, splits)) for rule in rules)
     strict = all(ok for _, ok in results)
     if not loose:
         return Verdict(results, strict, None, None)
-    variant_id: str | None = None
     for vid, text in loose_variants(response):
-        if vid == "identity":
-            ok = strict
-        else:
-            ok = all(verify_rule(rule, text, instruction.language) for rule in instruction.rules)
+        ok = strict if vid == "identity" else all(_holds(rule, text, language, splits) for rule in rules)
         if ok:
-            variant_id = vid
-            break
-    return Verdict(results, strict, variant_id is not None, variant_id)
+            return Verdict(results, strict, True, vid)
+    return Verdict(results, strict, False, None)

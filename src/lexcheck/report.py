@@ -192,11 +192,8 @@ def merge(reports: Sequence[EvalReport]) -> EvalReport:
         cells[key] = CellStats(n, strict)
 
     first = reports[0]
-    verdicts = tuple(
-        row
-        for row in first.verdicts
-        if all(row in r.verdicts for r in reports[1:])
-    )
+    others = [set(r.verdicts) for r in reports[1:]]
+    verdicts = tuple(row for row in first.verdicts if all(row in rows for rows in others))
     if all(r.unscored == first.unscored for r in reports[1:]):
         unscored = first.unscored
     else:

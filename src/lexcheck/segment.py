@@ -13,7 +13,7 @@ import functools
 import re
 import unicodedata
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .rules import LANGUAGES, Level
 
@@ -31,6 +31,17 @@ EN_ABBREVIATIONS = frozenset(
 
 _CJK_RANGES = ((0x4E00, 0x9FFF), (0x3400, 0x4DBF))
 _EXTRA_PUNCT = frozenset({"～"})  # fullwidth tilde has category Sm but reads as punctuation
+
+# Character classes for the per-character levels.  The CJK and letter classes
+# accept exactly what is_cjk_char and is_ascii_letter accept; the punctuation
+# class is a superset of is_punct_char (no punctuation is alphanumeric or
+# whitespace), so each of its matches is confirmed with the predicate.
+_CJK_CHAR = re.compile(r"[\u4e00-\u9fff\u3400-\u4dbf]")
+_ASCII_LETTER = re.compile(r"[A-Za-z]")
+_PUNCT_CANDIDATE = re.compile(r"[^\w\s]|_")
+
+# One element as (content, start, end): what the splitters build.
+_Span = tuple[str, int, int]
 
 
 @dataclass(frozen=True)
@@ -64,14 +75,14 @@ def _compiled(pattern: str) -> re.Pattern[str]:
     return re.compile(pattern)
 
 
-def _paragraphs(text: str) -> list[Element]:
-    out: list[Element] = []
+def _paragraphs(text: str) -> list[_Span]:
+    out: list[_Span] = []
     prev = 0
     for m in _PARAGRAPH_BREAK.finditer(text):
-        out.append(Element(text[prev : m.start()].strip(), prev, m.start()))
+        out.append((text[prev : m.start()].strip(), prev, m.start()))
         prev = m.end()
-    out.append(Element(text[prev:].strip(), prev, len(text)))
-    return [el for el in out if el.text]
+    out.append((text[prev:].strip(), prev, len(text)))
+    return [el for el in out if el[0]]
 
 
 def _line_regions(text: str) -> list[tuple[int, int]]:
@@ -87,26 +98,26 @@ def _line_regions(text: str) -> list[tuple[int, int]]:
     return regions
 
 
-def _lines(text: str) -> list[Element]:
+def _lines(text: str) -> list[_Span]:
     out = []
     for a, b in _line_regions(text):
         raw = text[a:b]
         if raw.strip():
-            out.append(Element(raw, a, b))
+            out.append((raw, a, b))
     return out
 
 
-def _bullets(text: str) -> list[Element]:
+def _bullets(text: str) -> list[_Span]:
     out = []
     for a, b in _line_regions(text):
         raw = text[a:b]
         m = _BULLET_MARKER.match(raw)
         if m:
-            out.append(Element(raw[m.end() :], a, b))
+            out.append((raw[m.end() :], a, b))
     return out
 
 
-def _sentences(text: str, run_re: re.Pattern[str], require_trailing_space: bool) -> list[Element]:
+def _sentences(text: str, run_re: re.Pattern[str], require_trailing_space: bool) -> list[_Span]:
     boundaries: list[int] = []
     for m in run_re.finditer(text):
         if require_trailing_space:
@@ -118,17 +129,17 @@ def _sentences(text: str, run_re: re.Pattern[str], require_trailing_space: bool)
             if text[token_start : m.end()] in EN_ABBREVIATIONS:
                 continue
         boundaries.append(m.end())
-    out: list[Element] = []
+    out: list[_Span] = []
     start = _skip_space(text, 0)
     for b in boundaries:
         if start < b:
-            out.append(Element(text[start:b], start, b))
+            out.append((text[start:b], start, b))
         start = _skip_space(text, b)
     end = len(text)
     while end > start and text[end - 1].isspace():
         end -= 1
     if start < end:
-        out.append(Element(text[start:end], start, end))
+        out.append((text[start:end], start, end))
     return out
 
 
@@ -138,7 +149,7 @@ def _skip_space(text: str, pos: int) -> int:
     return pos
 
 
-def _words(text: str) -> list[Element]:
+def _words(text: str) -> list[_Span]:
     out = []
     for m in _WORD_TOKEN.finditer(text):
         token = m.group()
@@ -148,31 +159,24 @@ def _words(text: str) -> list[Element]:
         while b > a and is_punct_char(token[b - 1]):
             b -= 1
         if a < b:
-            out.append(Element(token[a:b], m.start(), m.end()))
+            out.append((token[a:b], m.start(), m.end()))
     return out
 
 
-def _char_class(text: str, keep: Callable[[str], bool]) -> list[Element]:
-    return [Element(ch, i, i + 1) for i, ch in enumerate(text) if keep(ch)]
+def _matches(regex: re.Pattern[str], text: str) -> list[_Span]:
+    return [(m.group(), m.start(), m.end()) for m in regex.finditer(text)]
 
 
-def _pattern_matches(text: str, pattern: str) -> list[Element]:
-    return [Element(m.group(0), m.start(), m.end()) for m in _compiled(pattern).finditer(text)]
+def _split(text: str, level: Level, language: str, pattern: str | None) -> list[_Span]:
+    """The elements :func:`segment` returns, as (content, start, end) tuples.
 
-
-def segment(text: str, level: Level, language: str = "en", pattern: str | None = None) -> list[Element]:
-    """Split `text` into elements of `level`, ordered by position.
-
-    `pattern` must be supplied exactly when `level` is the regex level.
-    Sentence behavior depends on `language`; the remaining levels are
-    language-independent.
+    `pattern` is not checked: every procedure step carries one exactly when
+    its level needs it.
     """
     if language not in LANGUAGES:
         raise ValueError(f"unknown language {language!r}")
-    if (pattern is None) == (level is Level.PATTERN):
-        raise ValueError("a regex is required for the pattern level and only there")
     if level is Level.ANSWER:
-        return [Element(text, 0, len(text))] if text else []
+        return [(text, 0, len(text))] if text else []
     if level is Level.PARAGRAPH:
         return _paragraphs(text)
     if level is Level.LINE:
@@ -186,12 +190,24 @@ def segment(text: str, level: Level, language: str = "en", pattern: str | None =
     if level is Level.WORD:
         return _words(text)
     if level is Level.CHARACTER:
-        return _char_class(text, is_cjk_char)
+        return _matches(_CJK_CHAR, text)
     if level is Level.LETTER:
-        return _char_class(text, is_ascii_letter)
+        return _matches(_ASCII_LETTER, text)
     if level is Level.PUNC:
-        return _char_class(text, is_punct_char)
-    return _pattern_matches(text, pattern or "")
+        return [el for el in _matches(_PUNCT_CANDIDATE, text) if is_punct_char(el[0])]
+    return _matches(_compiled(pattern or ""), text)
+
+
+def segment(text: str, level: Level, language: str = "en", pattern: str | None = None) -> list[Element]:
+    """Split `text` into elements of `level`, ordered by position.
+
+    `pattern` must be supplied exactly when `level` is the regex level.
+    Sentence behavior depends on `language`; the remaining levels are
+    language-independent.
+    """
+    if (pattern is None) == (level is Level.PATTERN):
+        raise ValueError("a regex is required for the pattern level and only there")
+    return [Element(*el) for el in _split(text, level, language, pattern)]
 
 
 def gaps(elements: Sequence[Element], parent_text: str) -> list[Element]:

@@ -157,6 +157,10 @@ class TestVerifyRule:
         with pytest.raises(ValueError, match="invalid rule"):
             verify_rule(bad, "text")
 
+    def test_unknown_language_rejected(self):
+        with pytest.raises(ValueError, match="unknown language"):
+            verify_rule(parse_rule("sentence# = 1"), "text", "fr")
+
     def test_between_on_lines(self):
         assert verify_rule(parse_rule('line% equal "\\n"'), "a\nb\nc")
         assert not verify_rule(parse_rule('line% equal "\\n"'), "a\n\nb")
@@ -289,3 +293,81 @@ def test_engine_matches_brute_force_oracle(seed, language):
     for rule in rules:
         text = make_text(rng, language)
         assert verify_rule(rule, text, language) == brute_verify(rule, text, language)
+
+
+# Rules that share a level chain and differ only in their pattern(/…/) step,
+# so a split cache keyed without the pattern would hand one rule's matches
+# to another.
+_SHARED_LEVEL_RULES = {
+    "en": (
+        r"pattern(/[a-z]+/)# >= 40",
+        r"pattern(/[0-9]/)# >= 3",
+        r"pattern(/\*/)# = 0",
+        r'pattern(/[a-z]+/)@1 startswith "h"',
+        r'pattern(/[A-Z][a-z]+/)@1 startswith "T"',
+        r"line@1.pattern(/[a-z]/)# >= 1",
+        r"line@1.pattern(/\t/)# = 0",
+        r"line@-1.pattern(/\r/)# = 0",
+        r"paragraph@.pattern(/[\u3000\u00a0]/)# <= 2",
+        r"paragraph@.pattern(/[，。！？]/)# <= 3",
+        r"sentence@-1.word# >= 1",
+        r"sentence@-1.punc# >= 1",
+    ),
+    "zh": (
+        r"pattern(/[。！？]/)# >= 10",
+        r"pattern(/[一-龥]/)# >= 200",
+        r"pattern(/\*/)# = 0",
+        r'pattern(/[一-龥]+/)@1 startswith "今"',
+        r"line@1.pattern(/[，。]/)# >= 1",
+        r"line@1.pattern(/\t/)# = 0",
+        r"line@-1.pattern(/\r/)# = 0",
+        r"paragraph@.pattern(/\u3000/)# <= 2",
+        r"paragraph@.pattern(/\u00a0/)# <= 2",
+        r"sentence@-1.character# >= 2",
+        r"sentence@-1.punc# >= 1",
+    ),
+}
+_MESSY_PIECES = ("\r\n", "\t", "\u00a0", "\u3000", "，", "。", "！", "？", "：", "（", "）", "～", "\r\n\r\n", "**")
+
+
+def _long_messy_text(rng: random.Random, language: str) -> str:
+    """2,000+ characters mixing make_text output with CRLF, tabs, NBSP,
+    U+3000 and fullwidth punctuation."""
+    pieces = list(_MESSY_PIECES) * 3
+    rng.shuffle(pieces)
+    parts: list[str] = []
+    while pieces or sum(map(len, parts)) < 2000:
+        parts.append(make_text(rng, language))
+        parts.append(pieces.pop() if pieces else rng.choice(_MESSY_PIECES))
+    return "".join(parts)
+
+
+def _shared_level_cases():
+    for language, rules in _SHARED_LEVEL_RULES.items():
+        for seed in range(6):
+            rng = random.Random(f"{language}:{seed}")
+            chosen = rng.sample(rules, 4)
+            yield language, chosen, _long_messy_text(rng, language)
+
+
+def test_rules_sharing_a_level_match_the_oracle_strict_and_loose():
+    outcomes = set()
+    for language, rule_texts, response in _shared_level_cases():
+        assert len(response) >= 2000
+        ins = instruction(rule_texts, language)
+        verdict = verify_instruction(ins, response)
+        expected = [brute_verify(rule, response, language) for rule in ins.rules]
+        assert [ok for _, ok in verdict.rule_results] == expected
+        loose = next(
+            (
+                vid
+                for vid, text in loose_variants(response)
+                if all(brute_verify(rule, text, language) for rule in ins.rules)
+            ),
+            None,
+        )
+        assert verdict.loose_variant == loose
+        assert verdict.loose_pass is (loose is not None)
+        outcomes.add((verdict.strict_pass, verdict.loose_pass))
+    # the cases must exercise strict passes, loose-only rescues and failures
+    assert outcomes == {(True, True), (False, True), (False, False)}

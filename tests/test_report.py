@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import time
 
 import pytest
 
@@ -186,6 +187,21 @@ class TestMerge:
     def test_empty_merge_rejected(self):
         with pytest.raises(ValueError):
             merge([])
+
+    def test_merge_time_grows_linearly_with_rows(self):
+        def best_merge_s(n: int) -> float:
+            # equal but distinct rows in each run, as when loaded from files
+            reports = [aggregate([row(f"r{k}", strict=k % 2 == 0) for k in range(n)]) for _ in range(3)]
+            times = []
+            for _ in range(5):
+                start = time.perf_counter()
+                merged = merge(reports)
+                times.append(time.perf_counter() - start)
+            assert len(merged.verdicts) == n
+            return min(times)
+
+        # linear growth gives about 4x; scanning the other runs' rows per row gives about 16x
+        assert best_merge_s(4000) < 8 * best_merge_s(1000)
 
 
 class TestStructuredRoundTrip:

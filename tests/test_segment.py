@@ -201,6 +201,16 @@ class TestCharClasses:
         els = segment("a.b", Level.PUNC)
         assert els == [Element(".", 1, 2)]
 
+    def test_levels_agree_with_predicates_on_every_code_point(self):
+        every = "".join(map(chr, range(0x110000)))
+        for level, keep in (
+            (Level.CHARACTER, is_cjk_char),
+            (Level.LETTER, is_ascii_letter),
+            (Level.PUNC, is_punct_char),
+        ):
+            got = [el.start for el in segment(every, level)]
+            assert got == [cp for cp in range(0x110000) if keep(chr(cp))], level
+
 
 class TestPattern:
     def test_matches_in_order(self):
