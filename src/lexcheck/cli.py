@@ -15,7 +15,7 @@ from .collect import CollectResult, ConfigError, EndpointConfig, collect
 from .dsl import ParseError, PatternError, ValidityError, parse_rule
 from .engine import _verdict
 from .generate import BucketError, GenConfig, LexiconError, generate_dataset
-from .records import DataError, read_instructions, write_instructions
+from .records import DataError, write_instructions
 from .report import (
     REPORT_FORMATS,
     load_report,

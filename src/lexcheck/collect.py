@@ -1,7 +1,8 @@
 """Collecting model responses over a chat-completions style HTTP endpoint.
 
 The output file doubles as the resume journal: records are appended as they
-arrive, and a rerun only requests the ids that are not already present.
+arrive, one write per line, and a rerun only requests the ids that are not
+already present.  A last line cut off by a killed run is mended on resume.
 Failures are retried with exponential backoff, then recorded in a sidecar
 errors file without stopping the run.
 """
@@ -134,6 +135,30 @@ def _request_with_retries(config: EndpointConfig, key: str, instruction: Instruc
     raise RuntimeError(f"gave up after {MAX_ATTEMPTS} attempts: {last_error}")
 
 
+def _mend_journal(path: Path) -> None:
+    """Finish or drop a last line that a killed run left without its newline.
+
+    A tail that parses is a whole record and only gets its newline; any other
+    tail is cut off, so its id is requested again.
+    """
+    with open(path, "rb+") as fh:
+        size = fh.seek(0, os.SEEK_END)
+        if size == 0:
+            return
+        fh.seek(size - 1)
+        if fh.read(1) == b"\n":
+            return
+        fh.seek(0)
+        data = fh.read()
+        cut = data.rfind(b"\n") + 1
+        try:
+            json.loads(data[cut:])
+        except ValueError:
+            fh.truncate(cut)
+        else:
+            fh.write(b"\n")
+
+
 def collect(
     instructions_path: str | Path,
     config: EndpointConfig,
@@ -150,6 +175,7 @@ def collect(
     output_path = Path(output_path)
     done: set[str] = set()
     if output_path.exists():
+        _mend_journal(output_path)
         done = set(read_responses(output_path))
     pending = [i for i in instructions if i.id not in done]
 
@@ -167,14 +193,12 @@ def collect(
             with write_lock:
                 failed.append(instruction.id)
                 with open(errors_path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps({"id": instruction.id, "error": str(exc)}, ensure_ascii=False))
-                    fh.write("\n")
+                    fh.write(json.dumps({"id": instruction.id, "error": str(exc)}, ensure_ascii=False) + "\n")
             return
         record = {"id": instruction.id, "response": text, "latency_s": round(latency, 4)}
         with write_lock:
             with open(output_path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True))
-                fh.write("\n")
+                fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
 
     if pending:
         with ThreadPoolExecutor(max_workers=max(1, config.max_in_flight)) as pool:

@@ -18,14 +18,17 @@ between consecutive elements, and ``#`` counts elements.  String values escape
 
 from __future__ import annotations
 
+import re
+
 from .rules import (
     Level,
     Predicate,
+    PredicateKind,
     ProcedureStep,
     Relation,
     Rule,
-    Violation,
-    check_validity,
+    ValidityError,
+    require_valid,
 )
 
 
@@ -47,28 +50,8 @@ class PatternError(ValueError):
         super().__init__(f"bad regex at position {pos}: {reason}")
 
 
-class ValidityError(ValueError):
-    """Expression parsed but the rule breaks predicate/relation pairing rules."""
-
-    def __init__(self, violations: list[Violation]):
-        self.violations = violations
-        codes = ", ".join(v.value for v in violations)
-        super().__init__(f"invalid rule: {codes}")
-
-
 _LEVEL_NAMES = {lv.value: lv for lv in Level}
-_TEXT_RELATION_NAMES = {
-    r.value: r
-    for r in (
-        Relation.STARTSWITH,
-        Relation.ENDSWITH,
-        Relation.EQUAL,
-        Relation.CONTAIN,
-        Relation.NOTSTARTSWITH,
-        Relation.NOTENDSWITH,
-        Relation.NOTCONTAIN,
-    )
-}
+_TEXT_RELATION_NAMES = {r.value: r for r in Relation if not r.is_numerical}
 # longest symbols first so ">=" wins over ">"
 _NUM_RELATION_SYMBOLS = (
     (">=", Relation.GTE),
@@ -109,7 +92,7 @@ def _read_name(cur: _Cursor) -> str:
     return cur.text[start : cur.pos]
 
 
-def _read_int(cur: _Cursor, what: str, allow_minus_one: bool = False) -> int:
+def _read_int(cur: _Cursor, what: str) -> int:
     start = cur.pos
     negative = False
     if cur.peek() == "-":
@@ -274,28 +257,15 @@ def parse_rule(source: str) -> Rule:
     cur.skip_ws()
     if not cur.at_end():
         raise ParseError(cur.pos, "end of expression")
-    rule = Rule(tuple(steps), relation, value)
-    violations = check_validity(rule)
-    if violations:
-        raise ValidityError(violations)
-    return rule
+    return require_valid(Rule(tuple(steps), relation, value))
+
+
+_ESCAPE_PAIR_OR_SLASH = re.compile(r"\\.|/", re.DOTALL)
 
 
 def _escape_regex_body(body: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\" and i + 1 < len(body):
-            out.append(body[i : i + 2])
-            i += 2
-        elif ch == "/":
-            out.append("\\/")
-            i += 1
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    """Escape bare slashes so the body cannot end early; keep escape pairs."""
+    return _ESCAPE_PAIR_OR_SLASH.sub(lambda m: "\\/" if m.group(0) == "/" else m.group(0), body)
 
 
 def _escape_value(value: str) -> str:
@@ -303,21 +273,22 @@ def _escape_value(value: str) -> str:
     return f'"{escaped}"'
 
 
+_PREDICATE_SYMBOL = {
+    PredicateKind.INDEX: "@",
+    PredicateKind.ALL: "@",
+    PredicateKind.BEFORE: "!",
+    PredicateKind.AFTER: "$",
+    PredicateKind.BETWEEN: "%",
+    PredicateKind.COUNT: "#",
+}
+
+
 def _format_predicate(step: ProcedureStep) -> str:
     pred = step.predicate
-    kind = pred.kind.value
-    if kind == "index":
-        return f"@{pred.n}"
-    if kind == "all":
-        # answer always means the whole text; writing "@" there is redundant
-        return "" if step.level is Level.ANSWER else "@"
-    if kind == "before":
-        return f"!{pred.n}"
-    if kind == "after":
-        return f"${pred.n}"
-    if kind == "between":
-        return "%"
-    return "#"
+    if pred.kind is PredicateKind.ALL and step.level is Level.ANSWER:
+        return ""  # answer always means the whole text; writing "@" there is redundant
+    symbol = _PREDICATE_SYMBOL[pred.kind]
+    return symbol if pred.n is None else f"{symbol}{pred.n}"
 
 
 def format_rule(rule: Rule) -> str:

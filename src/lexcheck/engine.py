@@ -8,6 +8,7 @@ per-segment count) must satisfy the relation, and an empty selection fails.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from .rules import (
@@ -16,7 +17,7 @@ from .rules import (
     ProcedureStep,
     Relation,
     Rule,
-    check_validity,
+    require_valid,
 )
 from .segment import _Span, _split
 
@@ -65,10 +66,6 @@ class Target:
     @classmethod
     def of_texts(cls, texts: tuple[str, ...]) -> Target:
         return cls(texts=texts)
-
-    @property
-    def is_empty(self) -> bool:
-        return not (self.counts or self.texts)
 
 
 def _select(elements: list[_Span], n: int) -> _Span | None:
@@ -132,56 +129,35 @@ def identify_target(scope: Scope, rule: Rule) -> Target:
     return Target.of_texts(tuple(seg.text for seg in scope.segments))
 
 
-def _compare_count(count: int, relation: Relation, value: int) -> bool:
-    ops = {
-        Relation.EQ: count == value,
-        Relation.NEQ: count != value,
-        Relation.GT: count > value,
-        Relation.GTE: count >= value,
-        Relation.LT: count < value,
-        Relation.LTE: count <= value,
-    }
-    return ops[relation]
-
-
-def _compare_text(text: str, relation: Relation, value: str) -> bool:
-    if relation is Relation.STARTSWITH:
-        return text.startswith(value)
-    if relation is Relation.ENDSWITH:
-        return text.endswith(value)
-    if relation is Relation.EQUAL:
-        return text == value
-    if relation is Relation.CONTAIN:
-        return value in text
-    if relation is Relation.NOTSTARTSWITH:
-        return not text.startswith(value)
-    if relation is Relation.NOTENDSWITH:
-        return not text.endswith(value)
-    return value not in text  # NOTCONTAIN
+#: relation -> test(observed, value): a count against an integer, or a
+#: selected text against a string
+_COMPARE = {
+    Relation.EQ: operator.eq,
+    Relation.NEQ: operator.ne,
+    Relation.GT: operator.gt,
+    Relation.GTE: operator.ge,
+    Relation.LT: operator.lt,
+    Relation.LTE: operator.le,
+    Relation.STARTSWITH: str.startswith,
+    Relation.ENDSWITH: str.endswith,
+    Relation.EQUAL: operator.eq,
+    Relation.CONTAIN: operator.contains,
+    Relation.NOTSTARTSWITH: lambda text, value: not text.startswith(value),
+    Relation.NOTENDSWITH: lambda text, value: not text.endswith(value),
+    Relation.NOTCONTAIN: lambda text, value: value not in text,
+}
 
 
 def adjudicate(target: Target, relation: Relation, value: int | str) -> bool:
     """True iff every target entry satisfies the relation; empty targets fail."""
-    if target.counts is not None:
-        if not target.counts:
-            return False
-        return all(_compare_count(c, relation, value) for c in target.counts)  # type: ignore[arg-type]
-    texts = target.texts or ()
-    if not texts:
-        return False
-    return all(_compare_text(t, relation, value) for t in texts)  # type: ignore[arg-type]
-
-
-def _require_valid(rule: Rule) -> None:
-    violations = check_validity(rule)
-    if violations:
-        codes = ", ".join(v.value for v in violations)
-        raise ValueError(f"cannot verify an invalid rule: {codes}")
+    observed = target.counts if target.counts is not None else target.texts or ()
+    test = _COMPARE[relation]
+    return bool(observed) and all(test(x, value) for x in observed)
 
 
 def verify_rule(rule: Rule, full_text: str, language: str = "en") -> bool:
     """Run the full pipeline for one rule against one answer text."""
-    _require_valid(rule)
+    require_valid(rule)
     return _holds(rule, full_text, language, {})
 
 
@@ -257,7 +233,7 @@ def verify_instruction(instruction: Instruction, response: str, loose: bool = Tr
     first passing variant in the fixed order is recorded.
     """
     for rule in instruction.rules:
-        _require_valid(rule)
+        require_valid(rule)
     return _verdict(instruction.rules, response, instruction.language, loose)
 
 

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
-from .grading import grade_difficulty
+from .grading import _grade, grade_difficulty
 from .rules import (
     ALLOWED_RELATIONS,
     DIFFICULTIES,
     LANGUAGES,
+    LEVEL_RANK,
     Instruction,
     Level,
     Predicate,
@@ -27,6 +28,7 @@ from .rules import (
     Rule,
     check_validity,
 )
+from .segment import is_ascii_letter, is_cjk_char, is_punct_char
 from .templates import TemplateKey, render_prompt
 
 MAX_DEPTH_LIMIT = 4
@@ -141,16 +143,6 @@ _SAMPLED_LEVELS: dict[str, tuple[Level, ...]] = {
 _ANCESTOR_LEVELS: dict[str, tuple[Level, ...]] = {
     "en": (Level.PARAGRAPH, Level.LINE, Level.BULLET, Level.SENTENCE, Level.WORD),
     "zh": (Level.PARAGRAPH, Level.LINE, Level.BULLET, Level.SENTENCE),
-}
-_LEVEL_RANK = {
-    Level.PARAGRAPH: 1,
-    Level.LINE: 2,
-    Level.BULLET: 2,
-    Level.SENTENCE: 3,
-    Level.WORD: 4,
-    Level.CHARACTER: 5,
-    Level.LETTER: 5,
-    Level.PUNC: 5,
 }
 
 # Values that can actually appear between consecutive elements of a level;
@@ -284,17 +276,16 @@ def _make_step(level: Level, predicate: Predicate, lexicon: Lexicon, rng: random
     return ProcedureStep(level, predicate)
 
 
-def _char_pool(level: Level, lexicon: Lexicon) -> tuple[str, ...]:
-    from .segment import is_ascii_letter, is_cjk_char, is_punct_char
+_CHAR_LEVEL_TESTS = {
+    Level.LETTER: is_ascii_letter,
+    Level.CHARACTER: is_cjk_char,
+    Level.PUNC: is_punct_char,
+}
 
-    if level is Level.LETTER:
-        pool = tuple(c for c in lexicon.characters if len(c) == 1 and is_ascii_letter(c))
-    elif level is Level.CHARACTER:
-        pool = tuple(c for c in lexicon.characters if len(c) == 1 and is_cjk_char(c))
-    elif level is Level.PUNC:
-        pool = tuple(c for c in lexicon.characters if len(c) == 1 and is_punct_char(c))
-    else:
-        pool = lexicon.characters
+
+def _char_pool(level: Level, lexicon: Lexicon) -> tuple[str, ...]:
+    test = _CHAR_LEVEL_TESTS[level]
+    pool = tuple(c for c in lexicon.characters if len(c) == 1 and test(c))
     if not pool:
         raise LexiconError(f"lexicon has no single characters usable at level {level.value}")
     return pool
@@ -305,7 +296,7 @@ def _text_value(
 ) -> str:
     if terminal.predicate.kind is PredicateKind.BETWEEN:
         return rng.choice(_GAP_VALUES[language][terminal.level])
-    if terminal.level in (Level.CHARACTER, Level.LETTER, Level.PUNC):
+    if terminal.level in _CHAR_LEVEL_TESTS:
         return rng.choice(_char_pool(terminal.level, lexicon))
     pool = lexicon.words + lexicon.characters
     if not pool:
@@ -326,18 +317,18 @@ def _try_chain(
     if depth == 1:
         return [terminal_level]
     if terminal_level is Level.PATTERN:
-        candidate_ranks = sorted({_LEVEL_RANK[lv] for lv in _ANCESTOR_LEVELS[language]})
+        candidate_ranks = sorted({LEVEL_RANK[lv] for lv in _ANCESTOR_LEVELS[language]})
     else:
-        limit = _LEVEL_RANK[terminal_level]
+        limit = LEVEL_RANK[terminal_level]
         candidate_ranks = sorted(
-            {_LEVEL_RANK[lv] for lv in _ANCESTOR_LEVELS[language] if _LEVEL_RANK[lv] < limit}
+            {LEVEL_RANK[lv] for lv in _ANCESTOR_LEVELS[language] if LEVEL_RANK[lv] < limit}
         )
     if len(candidate_ranks) < depth - 1:
         return None
     ranks = sorted(rng.sample(candidate_ranks, depth - 1))
     chain = []
     for rank in ranks:
-        options = [lv for lv in _ANCESTOR_LEVELS[language] if _LEVEL_RANK[lv] == rank]
+        options = [lv for lv in _ANCESTOR_LEVELS[language] if LEVEL_RANK[lv] == rank]
         chain.append(rng.choice(options))
     chain.append(terminal_level)
     return chain
@@ -358,17 +349,7 @@ def sample_rule(config: GenConfig, rng: random.Random) -> Rule:
             candidates.append(Level.ANSWER)
         terminal_level = rng.choice(candidates)
 
-        if terminal_level is Level.ANSWER:
-            steps = [ProcedureStep(Level.ANSWER, Predicate.all())]
-            value: int | str = (
-                _int_value(relation, rng)
-                if relation.is_numerical
-                else _text_value(steps[-1], config.language, config.lexicon, rng)
-            )
-            rule = Rule(tuple(steps), relation, value)
-            assert not check_validity(rule)
-            return rule
-
+        # an answer terminal only comes with depth 1, so its chain is [answer]
         chain = _try_chain(terminal_level, depth, config.language, rng)
         if chain is None:
             continue
@@ -378,6 +359,7 @@ def sample_rule(config: GenConfig, rng: random.Random) -> Rule:
             steps.append(_make_step(level, predicate, config.lexicon, rng))
         steps.append(_make_step(terminal_level, _make_predicate(kind, rng), config.lexicon, rng))
 
+        value: int | str
         if relation.is_numerical:
             value = _int_value(relation, rng)
         else:
@@ -444,8 +426,8 @@ def generate_dataset(
             for attempt in range(ATTEMPTS_PER_SLOT):
                 k = _propose_constraint_count(grade, config, rng)
                 rules = tuple(sample_rule(config, rng) for _ in range(k))
-                score = grade_difficulty(rules)
-                if score.grade != grade:
+                # sample_rule emits only valid rules
+                if _grade(rules).grade != grade:
                     continue
                 key = tuple(sorted(format_rule(r) for r in rules))
                 if key in seen:

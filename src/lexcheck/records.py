@@ -12,8 +12,8 @@ import json
 from pathlib import Path
 from typing import Any, Iterable
 
-from .dsl import format_rule, parse_rule
-from .grading import grade_difficulty
+from .dsl import parse_rule
+from .grading import _grade
 from .rules import (
     Instruction,
     Level,
@@ -22,7 +22,7 @@ from .rules import (
     ProcedureStep,
     Relation,
     Rule,
-    check_validity,
+    require_valid,
 )
 
 
@@ -75,12 +75,7 @@ def rule_from_dict(data: dict[str, Any] | str) -> Rule:
         )
         for entry in data["procedure"]
     )
-    rule = Rule(steps, Relation(data["relation"]), data["value"])
-    violations = check_validity(rule)
-    if violations:
-        codes = ", ".join(v.value for v in violations)
-        raise ValueError(f"invalid rule ({codes}): {format_rule(rule)}")
-    return rule
+    return require_valid(Rule(steps, Relation(data["relation"]), data["value"]))
 
 
 def instruction_to_dict(instruction: Instruction) -> dict[str, Any]:
@@ -106,7 +101,7 @@ def instruction_from_dict(data: dict[str, Any]) -> Instruction:
         depth=data["depth"],
         count=data["count"],
     )
-    graded = grade_difficulty(rules).grade
+    graded = _grade(rules).grade  # rule_from_dict has validated every rule
     if graded != instruction.difficulty:
         raise ValueError(
             f"difficulty {instruction.difficulty!r} does not match the rules (graded {graded!r})"
@@ -147,8 +142,7 @@ def read_instructions(path: str | Path) -> list[Instruction]:
 def write_instructions(path: str | Path, instructions: Iterable[Instruction]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for instruction in instructions:
-            fh.write(json.dumps(instruction_to_dict(instruction), ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
+            fh.write(json.dumps(instruction_to_dict(instruction), ensure_ascii=False, sort_keys=True) + "\n")
 
 
 def read_responses(path: str | Path) -> dict[str, str]:
@@ -170,5 +164,4 @@ def read_responses(path: str | Path) -> dict[str, str]:
 def write_responses(path: str | Path, responses: Iterable[dict[str, Any]]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for record in responses:
-            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
+            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")

@@ -15,7 +15,7 @@ import json
 import multiprocessing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from .engine import verify_instruction
 from .records import DataError, read_instructions, read_responses
@@ -290,36 +290,24 @@ def render_table(report: EvalReport) -> str:
     """Plain-text tables: language rows, difficulty rows, then the depth/count grid."""
     lines: list[str] = []
     width = 10
+
+    def row(label: str, stats: SliceStats | None) -> str:
+        cells = ("-", "-", "-") if stats is None else (_pct(stats.strict), _pct(stats.loose), _gain(stats))
+        return f"{label:<10}" + "".join(f"{c:>{width}}" for c in cells)
+
     header = f"{'':<10}" + "".join(f"{h:>{width}}" for h in ("Strict", "Loose", "Gain"))
     lines.append("Accuracy by language (%)")
     lines.append(header)
     for lang in ("zh", "en"):
-        stats = report.by_language.get(lang)
-        label = _LANGUAGE_HEADINGS[lang]
-        if stats is None:
-            row = f"{label:<10}" + "".join(f"{'-':>{width}}" for _ in range(3))
-        else:
-            row = (
-                f"{label:<10}"
-                f"{_pct(stats.strict):>{width}}{_pct(stats.loose):>{width}}{_gain(stats):>{width}}"
-            )
-        lines.append(row)
-    stats = report.overall
-    lines.append(
-        f"{'Overall':<10}"
-        f"{_pct(stats.strict):>{width}}{_pct(stats.loose):>{width}}{_gain(stats):>{width}}"
-    )
+        lines.append(row(_LANGUAGE_HEADINGS[lang], report.by_language.get(lang)))
+    lines.append(row("Overall", report.overall))
     if report.by_difficulty:
         lines.append("")
         lines.append("Accuracy by difficulty (%)")
         lines.append(header)
         for grade in DIFFICULTIES:
             if grade in report.by_difficulty:
-                stats = report.by_difficulty[grade]
-                lines.append(
-                    f"{grade:<10}"
-                    f"{_pct(stats.strict):>{width}}{_pct(stats.loose):>{width}}{_gain(stats):>{width}}"
-                )
+                lines.append(row(grade, report.by_difficulty[grade]))
     if report.cells:
         lines.append("")
         lines.append("Strict accuracy by procedure depth and constraint count (%)")

@@ -4,14 +4,15 @@ A rule pairs a *procedure* (a chain of level-addressing steps that narrows the
 answer down to some elements) with a *relation* and a *value* to compare the
 selected elements against.  Rules are plain immutable data; semantic conflicts
 between the terminal predicate and the relation are reported by
-``check_validity`` as a stable list of violation codes.
+``check_validity`` as a stable list of violation codes, and ``require_valid``
+raises them as one ``ValidityError`` wherever a rule enters the system.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 LANGUAGES = ("en", "zh")
 DIFFICULTIES = ("easy", "medium", "hard")
@@ -34,7 +35,7 @@ class Level(str, enum.Enum):
 
 # Granularity ranks.  line/bullet and character/letter/punc share a rank and are
 # mutually incomparable, so neither may follow the other in a procedure.
-_RANK = {
+LEVEL_RANK = {
     Level.ANSWER: 0,
     Level.PARAGRAPH: 1,
     Level.LINE: 2,
@@ -53,7 +54,7 @@ def descends(outer: Level, inner: Level) -> bool:
         return False  # nothing is finer than a regex match
     if inner is Level.PATTERN:
         return True  # a regex step may follow any other level
-    return _RANK[inner] > _RANK[outer]
+    return LEVEL_RANK[inner] > LEVEL_RANK[outer]
 
 
 class PredicateKind(str, enum.Enum):
@@ -132,26 +133,8 @@ class Relation(str, enum.Enum):
 
     @property
     def is_numerical(self) -> bool:
-        return self in _NUMERICAL_RELATIONS
+        return self in ALLOWED_RELATIONS[PredicateKind.COUNT]
 
-
-_NUMERICAL_RELATIONS = frozenset(
-    {Relation.EQ, Relation.NEQ, Relation.GT, Relation.GTE, Relation.LT, Relation.LTE}
-)
-_TEXTUAL_RELATIONS = frozenset(
-    {
-        Relation.STARTSWITH,
-        Relation.ENDSWITH,
-        Relation.EQUAL,
-        Relation.CONTAIN,
-        Relation.NOTSTARTSWITH,
-        Relation.NOTENDSWITH,
-        Relation.NOTCONTAIN,
-    }
-)
-_BEFORE_RELATIONS = frozenset({Relation.CONTAIN, Relation.NOTCONTAIN})
-_AFTER_RELATIONS = frozenset({Relation.CONTAIN, Relation.NOTCONTAIN, Relation.EQUAL})
-_BETWEEN_RELATIONS = frozenset({Relation.EQUAL})
 
 #: Relations admitted for each terminal predicate kind, in a fixed order so
 #: samplers and docs enumerate them deterministically.
@@ -188,24 +171,12 @@ ALLOWED_RELATIONS: dict[PredicateKind, tuple[Relation, ...]] = {
 }
 
 
+_ESCAPE_PAIR = re.compile(r"\\(.)", re.DOTALL)
+
+
 def _canonical_regex(source: str) -> str:
     """Rewrite escaped slashes to bare slashes; the two spell the same regex."""
-    out: list[str] = []
-    i = 0
-    while i < len(source):
-        ch = source[i]
-        if ch == "\\" and i + 1 < len(source):
-            nxt = source[i + 1]
-            if nxt == "/":
-                out.append("/")
-            else:
-                out.append(ch)
-                out.append(nxt)
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    return _ESCAPE_PAIR.sub(lambda m: "/" if m.group(1) == "/" else m.group(0), source)
 
 
 @dataclass(frozen=True)
@@ -273,6 +244,15 @@ class Violation(str, enum.Enum):
     COUNT_NOT_TERMINAL = "count-not-terminal"
 
 
+#: The code reported when a textual relation is not allowed for the terminal
+#: predicate; index and all admit every textual relation.
+_PAIRING_VIOLATION = {
+    PredicateKind.BEFORE: Violation.BEFORE_RELATION,
+    PredicateKind.AFTER: Violation.AFTER_RELATION,
+    PredicateKind.BETWEEN: Violation.BETWEEN_RELATION,
+}
+
+
 def check_validity(rule: Rule) -> list[Violation]:
     """Return every violation code that applies to `rule` (empty list = valid).
 
@@ -283,21 +263,16 @@ def check_validity(rule: Rule) -> list[Violation]:
     if not steps:
         return [Violation.EMPTY_PROCEDURE]
     found: list[Violation] = []
-    terminal = steps[-1]
-    counting = terminal.predicate.kind is PredicateKind.COUNT
+    kind = steps[-1].predicate.kind
+    counting = kind is PredicateKind.COUNT
 
     if rule.relation.is_numerical:
         if not counting:
             found.append(Violation.NUMERIC_WITHOUT_COUNT)
-    else:
-        if counting:
-            found.append(Violation.TEXT_WITH_COUNT)
-        elif terminal.predicate.kind is PredicateKind.BEFORE and rule.relation not in _BEFORE_RELATIONS:
-            found.append(Violation.BEFORE_RELATION)
-        elif terminal.predicate.kind is PredicateKind.AFTER and rule.relation not in _AFTER_RELATIONS:
-            found.append(Violation.AFTER_RELATION)
-        elif terminal.predicate.kind is PredicateKind.BETWEEN and rule.relation not in _BETWEEN_RELATIONS:
-            found.append(Violation.BETWEEN_RELATION)
+    elif counting:
+        found.append(Violation.TEXT_WITH_COUNT)
+    elif rule.relation not in ALLOWED_RELATIONS[kind]:
+        found.append(_PAIRING_VIOLATION[kind])
 
     if rule.relation.is_numerical != isinstance(rule.value, int):
         found.append(Violation.VALUE_TYPE_MISMATCH)
@@ -321,6 +296,23 @@ def check_validity(rule: Rule) -> list[Violation]:
 
 def is_valid(rule: Rule) -> bool:
     return not check_validity(rule)
+
+
+class ValidityError(ValueError):
+    """A rule breaks the validity constraints; `violations` lists their codes."""
+
+    def __init__(self, violations: list[Violation]):
+        self.violations = violations
+        codes = ", ".join(v.value for v in violations)
+        super().__init__(f"invalid rule: {codes}")
+
+
+def require_valid(rule: Rule) -> Rule:
+    """Return `rule` unchanged, or raise ValidityError with its violation codes."""
+    violations = check_validity(rule)
+    if violations:
+        raise ValidityError(violations)
+    return rule
 
 
 @dataclass(frozen=True)

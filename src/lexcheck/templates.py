@@ -22,7 +22,7 @@ from .rules import (
     ProcedureStep,
     Relation,
     Rule,
-    check_validity,
+    require_valid,
 )
 
 TemplateKey = tuple[str, str, str]  # (predicate kind, relation, language)
@@ -227,9 +227,7 @@ def render_rule_sentence(rule: Rule, language: str, registry: dict[TemplateKey, 
     """One self-contained requirement sentence for a single rule."""
     if language not in LANGUAGES:
         raise ValueError(f"unknown language {language!r}")
-    violations = check_validity(rule)
-    if violations:
-        raise ValueError(f"cannot render an invalid rule: {[v.value for v in violations]}")
+    require_valid(rule)
     reg = DEFAULT_TEMPLATES if registry is None else registry
     steps = rule.procedure
     terminal = steps[-1]
@@ -246,23 +244,19 @@ def render_rule_sentence(rule: Rule, language: str, registry: dict[TemplateKey, 
         fields["n"] = str(rule.value)
         fields["value"] = str(rule.value)
 
+    prefixes = [_step_phrase(s, language) for s in steps[:-1]]
     if kind is PredicateKind.COUNT:
-        containers = steps[:-1]
-        if containers:
-            prefixes = [_step_phrase(s, language) for s in containers[:-1]]
-            fields["position"] = _step_phrase(containers[-1], language)
+        # the innermost container is the position being counted in
+        if prefixes:
+            fields["position"] = prefixes.pop()
         else:
-            prefixes = []
             fields["position"] = "回答" if language == "zh" else "the response"
         fields["level"] = _counted_noun(terminal, int(rule.value), rule.relation, language)
     elif kind in (PredicateKind.INDEX, PredicateKind.ALL):
-        prefixes = [_step_phrase(s, language) for s in steps[:-1]]
         fields["position"] = _step_phrase(terminal, language)
     elif kind in (PredicateKind.BEFORE, PredicateKind.AFTER):
-        prefixes = [_step_phrase(s, language) for s in steps[:-1]]
         fields["position"] = _ref_phrase(terminal, terminal.predicate.n or 1, language)
     else:  # BETWEEN
-        prefixes = [_step_phrase(s, language) for s in steps[:-1]]
         fields["level"] = _between_noun(terminal, language)
 
     core = template.format(**fields)

@@ -17,7 +17,7 @@ from lexcheck.collect import (
 )
 from lexcheck.dsl import parse_rule
 from lexcheck.generate import build_instruction
-from lexcheck.records import read_responses, write_instructions
+from lexcheck.records import DataError, read_responses, write_instructions
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -239,3 +239,56 @@ class TestCollect:
         make_instructions(ins_path, ["Unreachable."])
         result = collect(ins_path, dead, tmp_path / "out.jsonl")
         assert result.failed == ("en-0000",)
+
+
+class TestTornJournal:
+    """A collector killed mid-write leaves a last line without its newline."""
+
+    def _journal(self, path, text):
+        path.write_bytes(text.encode("utf-8"))
+
+    def test_unparsable_tail_is_dropped_and_requested_again(self, stub_server, config, tmp_path):
+        ins_path = tmp_path / "ins.jsonl"
+        out_path = tmp_path / "out.jsonl"
+        make_instructions(ins_path, ["One.", "Two.", "Three."])
+        whole = json.dumps({"id": "en-0000", "response": "kept"}) + "\n"
+        self._journal(out_path, whole + '{"id": "en-0001", "resp')
+        result = collect(ins_path, config, out_path)
+        assert result == CollectResult(requested=2, completed=2, skipped=1, failed=())
+        assert read_responses(out_path) == {
+            "en-0000": "kept",
+            "en-0001": "echo:Two.",
+            "en-0002": "echo:Three.",
+        }
+        assert out_path.read_text(encoding="utf-8").startswith(whole)
+        assert stub_server.counts["Two."] == 1
+
+    def test_parsable_tail_gets_its_newline(self, stub_server, config, tmp_path):
+        ins_path = tmp_path / "ins.jsonl"
+        out_path = tmp_path / "out.jsonl"
+        make_instructions(ins_path, ["One.", "Two."])
+        tail = json.dumps({"id": "en-0000", "response": "kept"})
+        self._journal(out_path, tail)
+        result = collect(ins_path, config, out_path)
+        assert result == CollectResult(requested=1, completed=1, skipped=1, failed=())
+        lines = out_path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == tail
+        assert read_responses(out_path) == {"en-0000": "kept", "en-0001": "echo:Two."}
+        assert "One." not in stub_server.counts
+
+    def test_torn_line_mid_file_still_fails(self, stub_server, config, tmp_path):
+        ins_path = tmp_path / "ins.jsonl"
+        out_path = tmp_path / "out.jsonl"
+        make_instructions(ins_path, ["One.", "Two."])
+        whole = json.dumps({"id": "en-0001", "response": "kept"}) + "\n"
+        self._journal(out_path, '{"id": "en-0000", "resp\n' + whole)
+        with pytest.raises(DataError, match=r"out\.jsonl:1: malformed JSON"):
+            collect(ins_path, config, out_path)
+        assert stub_server.requests == []
+
+    def test_scoring_does_not_mend(self, tmp_path):
+        out_path = tmp_path / "out.jsonl"
+        self._journal(out_path, '{"id": "en-0000", "resp')
+        with pytest.raises(DataError, match=r"out\.jsonl:1: malformed JSON"):
+            read_responses(out_path)
+        assert out_path.read_text(encoding="utf-8") == '{"id": "en-0000", "resp'
