@@ -3,13 +3,8 @@
 from .dsl import ParseError, PatternError, ValidityError, format_rule, parse_rule
 from .engine import (
     LOOSE_VARIANT_IDS,
-    Scope,
-    Target,
     Verdict,
-    adjudicate,
-    identify_target,
     loose_variants,
-    refine_scope,
     verify_instruction,
     verify_rule,
 )
@@ -75,12 +70,9 @@ __all__ = [
     "ProcedureStep",
     "Relation",
     "Rule",
-    "Scope",
-    "Target",
     "ValidityError",
     "Verdict",
     "Violation",
-    "adjudicate",
     "aggregate",
     "check_validity",
     "format_rule",
@@ -88,7 +80,6 @@ __all__ = [
     "generate_dataset",
     "grade_difficulty",
     "heatmap",
-    "identify_target",
     "is_valid",
     "load_report",
     "load_templates",
@@ -97,7 +88,6 @@ __all__ = [
     "parse_rule",
     "read_instructions",
     "read_responses",
-    "refine_scope",
     "render_prompt",
     "render_report",
     "render_rule_sentence",

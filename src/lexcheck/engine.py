@@ -1,15 +1,16 @@
 """Rule verification: scope refinement, target extraction, adjudication.
 
-Verification starts from the whole answer as a single scope segment, applies
+Verification starts from the whole answer as the only selected text, applies
 each selection step in order, and finally compares what survives against the
-rule's value.  Comparisons quantify universally: every surviving segment (or
-per-segment count) must satisfy the relation, and an empty selection fails.
+rule's value.  Comparisons quantify universally: every selected text (or
+per-text count) must satisfy the relation, and an empty selection fails.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 from .rules import (
     Instruction,
@@ -17,55 +18,10 @@ from .rules import (
     ProcedureStep,
     Relation,
     Rule,
+    require_language,
     require_valid,
 )
 from .segment import _Span, _split
-
-
-@dataclass(frozen=True)
-class ScopeSegment:
-    """A surviving piece of text plus the selection path that produced it."""
-
-    text: str
-    path: str
-
-
-@dataclass(frozen=True)
-class Scope:
-    segments: tuple[ScopeSegment, ...]
-    language: str
-    #: Elements already split during this verification, keyed by
-    #: (text, level, pattern); shared by every scope refined from one initial
-    #: scope, so a text is split at most once per level and pattern.
-    splits: dict[tuple, list[_Span]] = field(default_factory=dict, compare=False, repr=False)
-
-    @classmethod
-    def initial(cls, full_text: str, language: str) -> Scope:
-        return cls((ScopeSegment(full_text, "answer"),), language)
-
-    def elements(self, text: str, step: ProcedureStep) -> list[_Span]:
-        """`text` split at the step's level, as (content, start, end) tuples."""
-        key = (text, step.level, step.pattern)
-        found = self.splits.get(key)
-        if found is None:
-            found = self.splits[key] = _split(text, step.level, self.language, step.pattern)
-        return found
-
-
-@dataclass(frozen=True)
-class Target:
-    """What adjudication compares: per-segment counts or segment texts."""
-
-    counts: tuple[int, ...] | None = None
-    texts: tuple[str, ...] | None = None
-
-    @classmethod
-    def of_counts(cls, counts: tuple[int, ...]) -> Target:
-        return cls(counts=counts)
-
-    @classmethod
-    def of_texts(cls, texts: tuple[str, ...]) -> Target:
-        return cls(texts=texts)
 
 
 def _select(elements: list[_Span], n: int) -> _Span | None:
@@ -74,59 +30,35 @@ def _select(elements: list[_Span], n: int) -> _Span | None:
     return elements[n - 1] if 1 <= n <= len(elements) else None
 
 
-def refine_scope(scope: Scope, step: ProcedureStep) -> Scope:
-    """Apply one non-count step to every segment, preserving order.
+def _refine(
+    texts: list[str], step: ProcedureStep, split: Callable[[str, ProcedureStep], list[_Span]]
+) -> list[str]:
+    """Apply one non-count step to every text, preserving order.
 
-    Out-of-range ordinals simply contribute no sub-segments; they are not
-    errors.  `before`/`after` keep the raw text on the named side of the
-    element's span; `between` keeps the raw text separating consecutive
-    elements.
+    `split(text, step)` gives the text's elements at the step's level.
+    Out-of-range ordinals simply contribute no texts; they are not errors.
+    `before`/`after` keep the raw text on the named side of the element's
+    span; `between` keeps the raw text separating consecutive elements.
     """
-    if step.predicate.kind is PredicateKind.COUNT:
-        raise ValueError("count is a terminal predicate; it does not refine a scope")
-    out: list[ScopeSegment] = []
-    tag = step.level.value
-    for seg in scope.segments:
-        elements = scope.elements(seg.text, step)
-        kind = step.predicate.kind
-        if kind is PredicateKind.INDEX:
-            el = _select(elements, step.predicate.n or 0)
-            if el is not None:
-                out.append(ScopeSegment(el[0], f"{seg.path}/{tag}[{step.predicate.n}]"))
-        elif kind is PredicateKind.ALL:
-            out.extend(
-                ScopeSegment(el[0], f"{seg.path}/{tag}[{i}]")
-                for i, el in enumerate(elements, 1)
-            )
-        elif kind is PredicateKind.BEFORE:
-            el = _select(elements, step.predicate.n or 0)
-            if el is not None:
-                out.append(ScopeSegment(seg.text[: el[1]], f"{seg.path}/{tag}!{step.predicate.n}"))
-        elif kind is PredicateKind.AFTER:
-            el = _select(elements, step.predicate.n or 0)
-            if el is not None:
-                out.append(ScopeSegment(seg.text[el[2] :], f"{seg.path}/{tag}${step.predicate.n}"))
-        else:  # BETWEEN: the raw text separating consecutive elements
-            out.extend(
-                ScopeSegment(seg.text[left[2] : right[1]], f"{seg.path}/{tag}%[{j}]")
-                for j, (left, right) in enumerate(zip(elements, elements[1:]), 1)
-            )
-    return Scope(tuple(out), scope.language, scope.splits)
-
-
-def identify_target(scope: Scope, rule: Rule) -> Target:
-    """Build the comparison target after all refinement steps have run."""
-    terminal = rule.procedure[-1]
-    if terminal.predicate.kind is PredicateKind.COUNT:
-        if not scope.segments:
-            # counting over nothing: a bare one-step count still counts the
-            # (empty) answer and yields 0; deeper procedures yield no counts
-            if len(rule.procedure) == 1:
-                return Target.of_counts((0,))
-            return Target.of_counts(())
-        counts = tuple(len(scope.elements(seg.text, terminal)) for seg in scope.segments)
-        return Target.of_counts(counts)
-    return Target.of_texts(tuple(seg.text for seg in scope.segments))
+    kind = step.predicate.kind
+    out: list[str] = []
+    for text in texts:
+        elements = split(text, step)
+        if kind is PredicateKind.ALL:
+            out.extend(el[0] for el in elements)
+        elif kind is PredicateKind.BETWEEN:
+            out.extend(text[left[2] : right[1]] for left, right in zip(elements, elements[1:]))
+        else:
+            el = _select(elements, step.predicate.n)
+            if el is None:
+                continue
+            if kind is PredicateKind.INDEX:
+                out.append(el[0])
+            elif kind is PredicateKind.BEFORE:
+                out.append(text[: el[1]])
+            else:  # AFTER
+                out.append(text[el[2] :])
+    return out
 
 
 #: relation -> test(observed, value): a count against an integer, or a
@@ -148,28 +80,37 @@ _COMPARE = {
 }
 
 
-def adjudicate(target: Target, relation: Relation, value: int | str) -> bool:
-    """True iff every target entry satisfies the relation; empty targets fail."""
-    observed = target.counts if target.counts is not None else target.texts or ()
-    test = _COMPARE[relation]
-    return bool(observed) and all(test(x, value) for x in observed)
-
-
 def verify_rule(rule: Rule, full_text: str, language: str = "en") -> bool:
     """Run the full pipeline for one rule against one answer text."""
     require_valid(rule)
+    require_language(language)
     return _holds(rule, full_text, language, {})
 
 
 def _holds(rule: Rule, full_text: str, language: str, splits: dict) -> bool:
-    """verify_rule for a rule already known to be valid, reusing `splits`."""
-    scope = Scope((ScopeSegment(full_text, "answer"),), language, splits)
-    steps = rule.procedure
-    counting = steps[-1].predicate.kind is PredicateKind.COUNT
-    for step in steps[:-1] if counting else steps:
-        scope = refine_scope(scope, step)
-    target = identify_target(scope, rule)
-    return adjudicate(target, rule.relation, rule.value)
+    """verify_rule for a valid rule and a known language.
+
+    `splits` caches elements by (text, level, pattern), so callers that pass
+    one dict split each text at most once per level and pattern.
+    """
+
+    def split(text: str, step: ProcedureStep) -> list[_Span]:
+        key = (text, step.level, step.pattern)
+        found = splits.get(key)
+        if found is None:
+            found = splits[key] = _split(text, step.level, language, step.pattern)
+        return found
+
+    *steps, terminal = rule.procedure
+    texts = [full_text]
+    for step in steps:
+        texts = _refine(texts, step, split)
+    if terminal.predicate.kind is PredicateKind.COUNT:
+        observed: list = [len(split(text, terminal)) for text in texts]
+    else:
+        observed = _refine(texts, terminal, split)
+    test = _COMPARE[rule.relation]
+    return bool(observed) and all(test(x, rule.value) for x in observed)
 
 
 def _strip_asterisks(text: str) -> str:

@@ -13,11 +13,10 @@ import random
 from dataclasses import dataclass
 from typing import Any
 
-from .grading import _grade, grade_difficulty
+from .grading import _grade
 from .rules import (
     ALLOWED_RELATIONS,
     DIFFICULTIES,
-    LANGUAGES,
     LEVEL_RANK,
     Instruction,
     Level,
@@ -27,6 +26,7 @@ from .rules import (
     Relation,
     Rule,
     check_validity,
+    require_language,
 )
 from .segment import is_ascii_letter, is_cjk_char, is_punct_char
 from .templates import TemplateKey, render_prompt
@@ -195,8 +195,7 @@ class GenConfig:
     seed_tasks: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.language not in LANGUAGES:
-            raise ValueError(f"unknown language {self.language!r}")
+        require_language(self.language)
         if not 1 <= self.max_depth <= MAX_DEPTH_LIMIT:
             raise ValueError(f"max_depth must be in 1..{MAX_DEPTH_LIMIT}")
         if not 1 <= self.max_constraints <= MAX_CONSTRAINTS_LIMIT:
@@ -383,24 +382,6 @@ def _propose_constraint_count(grade: str, config: GenConfig, rng: random.Random)
 def stable_id(language: str, seed: int, index: int) -> str:
     digest = hashlib.sha256(f"{seed}:{index}".encode("utf-8")).hexdigest()[:12]
     return f"{language}-{digest}"
-
-
-def build_instruction(
-    instruction_id: str,
-    language: str,
-    prompt: str,
-    rules: tuple[Rule, ...],
-) -> Instruction:
-    score = grade_difficulty(rules)
-    return Instruction(
-        id=instruction_id,
-        language=language,
-        prompt=prompt,
-        rules=tuple(rules),
-        difficulty=score.grade,
-        depth=max(len(r.procedure) for r in rules),
-        count=len(rules),
-    )
 
 
 def generate_dataset(

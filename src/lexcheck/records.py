@@ -111,16 +111,31 @@ def instruction_from_dict(data: dict[str, Any]) -> Instruction:
 
 def _iter_jsonl(path: str | Path) -> Iterable[tuple[int, dict[str, Any]]]:
     with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    data = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"malformed JSON ({exc.msg})", path, lineno) from exc
+                if not isinstance(data, dict):
+                    raise DataError("record is not a JSON object", path, lineno)
+                yield lineno, data
+        except UnicodeDecodeError as exc:
+            raise DataError("not valid UTF-8", path, _undecodable_line(path)) from exc
+
+
+def _undecodable_line(path: str | Path) -> int | None:
+    """Number of the first line that is not valid UTF-8, counted as reading counts it."""
+    # undecodable bytes become lone surrogates, which valid UTF-8 never yields
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
             try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"malformed JSON ({exc.msg})", path, lineno) from exc
-            if not isinstance(data, dict):
-                raise DataError("record is not a JSON object", path, lineno)
-            yield lineno, data
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                return lineno
+    return None
 
 
 def read_instructions(path: str | Path) -> list[Instruction]:

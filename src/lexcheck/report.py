@@ -331,11 +331,10 @@ _CSV_COLUMNS = (
 
 
 def render_csv(report: EvalReport) -> str:
-    """Per-instruction rows; aggregates are recomputed on load.
+    """Per-instruction rows, an export format like the table.
 
-    Lossless for single-run reports.  Merged reports keep only verdict rows
-    that were identical across runs, so export those as structured JSON
-    instead.
+    Only structured JSON reads back; a merged report keeps only verdict rows
+    that were identical across runs, so its CSV lists those rows alone.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -360,38 +359,6 @@ def render_csv(report: EvalReport) -> str:
     return buf.getvalue()
 
 
-def load_csv(text: str) -> EvalReport:
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration as exc:
-        raise DataError("empty csv report") from exc
-    if tuple(header) != _CSV_COLUMNS:
-        raise DataError(f"unexpected csv header: {header}")
-    rows: list[InstructionVerdict] = []
-    unscored: list[str] = []
-    for record in reader:
-        if not record:
-            continue
-        if record[5] == "0":
-            unscored.append(record[0])
-            continue
-        rows.append(
-            InstructionVerdict(
-                id=record[0],
-                language=record[1],
-                difficulty=record[2],
-                depth=int(record[3]),
-                count=int(record[4]),
-                strict=record[6] == "T",
-                loose=None if record[7] == "" else record[7] == "T",
-                loose_variant=record[8] or None,
-                rule_passes=tuple(ch == "T" for ch in record[9]),
-            )
-        )
-    return aggregate(rows, unscored)
-
-
 def render_report(report: EvalReport, fmt: str = "structured") -> str:
     if fmt == "structured":
         return json.dumps(report_to_dict(report), ensure_ascii=False, sort_keys=True, indent=2) + "\n"
@@ -406,9 +373,11 @@ def load_report(path: str | Path) -> EvalReport:
     """Read back a structured (JSON) report file."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"report is not valid UTF-8 (byte {exc.start})", path) from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"malformed report JSON: {exc.msg}", path) from exc
     try:
         return report_from_dict(data)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise DataError(f"bad report structure: {exc!r}", path) from exc

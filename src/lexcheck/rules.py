@@ -315,6 +315,12 @@ def require_valid(rule: Rule) -> Rule:
     return rule
 
 
+def require_language(language: str) -> None:
+    """Raise ValueError unless `language` is one of LANGUAGES."""
+    if language not in LANGUAGES:
+        raise ValueError(f"unknown language {language!r}")
+
+
 @dataclass(frozen=True)
 class Instruction:
     """A prompt bundled with the rules a response to it must satisfy."""
@@ -330,8 +336,7 @@ class Instruction:
     def __post_init__(self) -> None:
         if not isinstance(self.rules, tuple):
             object.__setattr__(self, "rules", tuple(self.rules))
-        if self.language not in LANGUAGES:
-            raise ValueError(f"unknown language {self.language!r}")
+        require_language(self.language)
         if self.difficulty not in DIFFICULTIES:
             raise ValueError(f"unknown difficulty {self.difficulty!r}")
         if not self.rules:

@@ -15,7 +15,7 @@ import unicodedata
 from dataclasses import dataclass
 from typing import Sequence
 
-from .rules import LANGUAGES, Level
+from .rules import Level, require_language
 
 _PARAGRAPH_BREAK = re.compile(r"\n{2,}")
 _BULLET_MARKER = re.compile(r"^\s*(?:[*+-]|[0-9]+[.)])\s+")
@@ -170,11 +170,10 @@ def _matches(regex: re.Pattern[str], text: str) -> list[_Span]:
 def _split(text: str, level: Level, language: str, pattern: str | None) -> list[_Span]:
     """The elements :func:`segment` returns, as (content, start, end) tuples.
 
-    `pattern` is not checked: every procedure step carries one exactly when
+    Neither `language` nor `pattern` is checked: callers validate the
+    language once, and every procedure step carries a pattern exactly when
     its level needs it.
     """
-    if language not in LANGUAGES:
-        raise ValueError(f"unknown language {language!r}")
     if level is Level.ANSWER:
         return [(text, 0, len(text))] if text else []
     if level is Level.PARAGRAPH:
@@ -207,6 +206,7 @@ def segment(text: str, level: Level, language: str = "en", pattern: str | None =
     """
     if (pattern is None) == (level is Level.PATTERN):
         raise ValueError("a regex is required for the pattern level and only there")
+    require_language(language)
     return [Element(*el) for el in _split(text, level, language, pattern)]
 
 

@@ -22,6 +22,7 @@ from .rules import (
     ProcedureStep,
     Relation,
     Rule,
+    require_language,
     require_valid,
 )
 
@@ -225,8 +226,7 @@ def _assemble(prefixes: list[str], core: str, language: str) -> str:
 
 def render_rule_sentence(rule: Rule, language: str, registry: dict[TemplateKey, str] | None = None) -> str:
     """One self-contained requirement sentence for a single rule."""
-    if language not in LANGUAGES:
-        raise ValueError(f"unknown language {language!r}")
+    require_language(language)
     require_valid(rule)
     reg = DEFAULT_TEMPLATES if registry is None else registry
     steps = rule.procedure

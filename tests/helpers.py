@@ -1,4 +1,5 @@
-"""Deterministic builders for test inputs: messy texts and sampled rules.
+"""Deterministic builders for test inputs: messy texts, sampled rules and
+instructions.
 
 Texts mix paragraphs, bullet lines, abbreviation-laden sentences, asterisk
 emphasis, digits and CJK terminators so that segmentation edge cases actually
@@ -11,7 +12,8 @@ from __future__ import annotations
 import random
 
 from lexcheck.generate import GenConfig, sample_rule
-from lexcheck.rules import Rule
+from lexcheck.grading import grade_difficulty
+from lexcheck.rules import Instruction, Rule
 
 EN_WORDS = (
     "The", "quick", "brown", "fox", "jumps", "over", "a", "lazy", "dog",
@@ -77,3 +79,18 @@ def sample_rules(language: str, seed: int, n: int, max_depth: int = 3) -> list[R
     config = GenConfig(seed=0, language=language, max_depth=max_depth)
     rng = random.Random(seed)
     return [sample_rule(config, rng) for _ in range(n)]
+
+
+def build_instruction(
+    instruction_id: str, language: str, prompt: str, rules: tuple[Rule, ...]
+) -> Instruction:
+    """An instruction whose difficulty, depth and count are derived from `rules`."""
+    return Instruction(
+        id=instruction_id,
+        language=language,
+        prompt=prompt,
+        rules=tuple(rules),
+        difficulty=grade_difficulty(rules).grade,
+        depth=max(len(r.procedure) for r in rules),
+        count=len(rules),
+    )

@@ -7,9 +7,9 @@ import json
 
 import pytest
 
+from helpers import build_instruction
 from lexcheck.cli import EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
 from lexcheck.dsl import parse_rule
-from lexcheck.generate import build_instruction
 from lexcheck.records import write_instructions, write_responses
 
 
@@ -224,6 +224,13 @@ class TestScore:
         ins_path, _ = scoring_files
         assert main(["score", str(ins_path), str(tmp_path / "nope.jsonl")]) == EXIT_DATA
 
+    @pytest.mark.parametrize("which", ["instructions", "responses"])
+    def test_non_utf8_input_is_data_error(self, scoring_files, capsys, which):
+        path = scoring_files[("instructions", "responses").index(which)]
+        path.write_bytes(path.read_bytes().replace(b'"en-bbb"', b'"en-\xff\xfe"'))
+        assert main(["score", *map(str, scoring_files)]) == EXIT_DATA
+        assert f"{path}:2: not valid UTF-8" in capsys.readouterr().err
+
 
 class TestReport:
     def make_report(self, scoring_files, tmp_path, name):
@@ -254,6 +261,21 @@ class TestReport:
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
         assert main(["report", str(path)]) == EXIT_DATA
+
+    @pytest.mark.parametrize("key", ["by_language", "by_difficulty"])
+    def test_slice_map_given_as_list(self, scoring_files, tmp_path, capsys, key):
+        path = self.make_report(scoring_files, tmp_path, "r1.json")
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data[key] = list(data[key].values())
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["report", str(path)]) == EXIT_DATA
+        assert f"{path}: bad report structure" in capsys.readouterr().err
+
+    def test_non_utf8_report_file(self, scoring_files, tmp_path, capsys):
+        path = self.make_report(scoring_files, tmp_path, "r1.json")
+        path.write_bytes(path.read_bytes().replace(b'"en-bbb"', b'"en-\xff"'))
+        assert main(["report", str(path)]) == EXIT_DATA
+        assert f"{path}: report is not valid UTF-8" in capsys.readouterr().err
 
 
 class TestCollectCommand:

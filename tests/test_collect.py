@@ -8,6 +8,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from helpers import build_instruction
 from lexcheck.collect import (
     MAX_ATTEMPTS,
     CollectResult,
@@ -16,7 +17,6 @@ from lexcheck.collect import (
     collect,
 )
 from lexcheck.dsl import parse_rule
-from lexcheck.generate import build_instruction
 from lexcheck.records import DataError, read_responses, write_instructions
 
 

@@ -1,4 +1,8 @@
-"""Verification engine: refinement, target extraction, adjudication, loose pass."""
+"""Verification engine: refinement, target extraction, adjudication, loose pass.
+
+The stage classes check each stage of the pipeline through `verify_rule`;
+only the refinement property below calls the private `_refine` directly.
+"""
 
 from __future__ import annotations
 
@@ -7,28 +11,26 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import make_text, sample_rules
+from helpers import build_instruction, make_text, sample_rules
 from oracle import brute_verify
 from lexcheck.dsl import parse_rule
 from lexcheck.engine import (
     LOOSE_VARIANT_IDS,
-    Scope,
-    Target,
-    adjudicate,
-    identify_target,
+    _refine,
     loose_variants,
-    refine_scope,
     verify_instruction,
     verify_rule,
 )
-from lexcheck.generate import build_instruction, stable_id
+from lexcheck.generate import stable_id
 from lexcheck.rules import (
     Level,
     Predicate,
+    PredicateKind,
     ProcedureStep,
     Relation,
     Rule,
 )
+from lexcheck.segment import _split
 
 TEXT = "First one. Second one.\n\nLast bit."
 
@@ -38,94 +40,115 @@ def instruction(rule_texts: list[str], language: str = "en"):
     return build_instruction(stable_id(language, 0, 0), language, "p", rules)
 
 
+def holds(rule_text: str, text: str, language: str = "en") -> bool:
+    return verify_rule(parse_rule(rule_text), text, language)
+
+
 class TestRefineScope:
     def test_index_selects_one_element(self):
-        scope = Scope.initial(TEXT, "en")
-        out = refine_scope(scope, ProcedureStep(Level.PARAGRAPH, Predicate.index(2)))
-        assert [s.text for s in out.segments] == ["Last bit."]
-        assert out.segments[0].path == "answer/paragraph[2]"
+        assert holds('paragraph@2 equal "Last bit."', TEXT)
+        assert not holds('paragraph@2 contain "First"', TEXT)
 
     def test_all_fans_out_in_order(self):
-        scope = Scope.initial(TEXT, "en")
-        out = refine_scope(scope, ProcedureStep(Level.PARAGRAPH, Predicate.all()))
-        out = refine_scope(out, ProcedureStep(Level.SENTENCE, Predicate.index(1)))
-        assert [s.text for s in out.segments] == ["First one.", "Last bit."]
-        assert out.segments[0].path == "answer/paragraph[1]/sentence[1]"
+        assert holds('paragraph@1.sentence@1 equal "First one."', TEXT)
+        assert holds('paragraph@2.sentence@1 equal "Last bit."', TEXT)
+        assert holds('paragraph@.sentence@1 endswith "."', TEXT)
+        assert not holds('paragraph@.sentence@1 endswith " one."', TEXT)
 
     def test_out_of_range_index_contributes_nothing(self):
-        scope = Scope.initial(TEXT, "en")
-        out = refine_scope(scope, ProcedureStep(Level.PARAGRAPH, Predicate.index(5)))
-        assert out.segments == ()
+        assert not holds('paragraph@5 notcontain "zzz"', TEXT)
+        assert not holds("paragraph@5.word# >= 0", TEXT)
+        assert not holds('word!9 notcontain "zzz"', "a b c")
+        assert not holds('word$9 notcontain "zzz"', "a b c")
 
     def test_last_element(self):
-        scope = Scope.initial("a b c", "en")
-        out = refine_scope(scope, ProcedureStep(Level.WORD, Predicate.index(-1)))
-        assert [s.text for s in out.segments] == ["c"]
+        assert holds('word@-1 equal "c"', "a b c")
+        assert holds('paragraph@-1 equal "Last bit."', TEXT)
+        assert not holds('word@-1 notcontain "zzz"', "")
 
     def test_before_keeps_raw_prefix(self):
-        scope = Scope.initial("a, b, c", "en")
-        out = refine_scope(scope, ProcedureStep(Level.WORD, Predicate.before(2)))
-        assert [s.text for s in out.segments] == ["a, "]
-        assert out.segments[0].path == "answer/word!2"
+        # the selected text is the raw prefix, separators and punctuation included
+        assert holds('word!2 contain "a, "', "a, b, c")
+        assert holds(r"word!2.pattern(/^a, $/)# = 1", "a, b, c")
+        assert holds('word!3 notcontain "c"', "a, b, c")
 
     def test_after_keeps_raw_suffix(self):
-        scope = Scope.initial("a, b, c", "en")
-        out = refine_scope(scope, ProcedureStep(Level.WORD, Predicate.after(2)))
-        assert [s.text for s in out.segments] == [" c"]
+        assert holds('word$2 equal " c"', "a, b, c")
+        assert holds('word$1 equal " b"', "a, b")
+        assert not holds('word$2 contain "b"', "a, b, c")
 
     def test_between_keeps_separators(self):
-        scope = Scope.initial("a  b c", "en")
-        out = refine_scope(scope, ProcedureStep(Level.WORD, Predicate.between()))
-        assert [s.text for s in out.segments] == ["  ", " "]
+        assert holds(r"word%.pattern(/^ {1,2}$/)# = 1", "a  b c")
+        assert not holds('word% equal " "', "a  b c")
+        assert holds('word% equal "  "', "a  b  c")
+        # word spans cover the raw token, so trailing commas are not separators
+        assert holds('word% equal " "', "a, b, c")
 
     def test_count_step_refuses_to_refine(self):
-        scope = Scope.initial(TEXT, "en")
-        with pytest.raises(ValueError):
-            refine_scope(scope, ProcedureStep(Level.WORD, Predicate.count()))
+        # a count step is only valid as the final step, so it never refines
+        counting_first = Rule(
+            (ProcedureStep(Level.PARAGRAPH, Predicate.count()), ProcedureStep(Level.WORD, Predicate.index(1))),
+            Relation.EQUAL,
+            "x",
+        )
+        with pytest.raises(ValueError, match="invalid rule"):
+            verify_rule(counting_first, TEXT)
 
 
 class TestIdentifyTarget:
     def test_counts_per_segment(self):
-        scope = Scope.initial(TEXT, "en")
-        scope = refine_scope(scope, ProcedureStep(Level.PARAGRAPH, Predicate.all()))
-        rule = parse_rule("paragraph.sentence# = 1")
-        target = identify_target(scope, rule)
-        assert target.counts == (2, 1)
+        # the paragraphs of TEXT hold 2 and 1 sentences
+        assert holds("paragraph@.sentence# >= 1", TEXT)
+        assert holds("paragraph@.sentence# <= 2", TEXT)
+        assert not holds("paragraph@.sentence# = 1", TEXT)
+        assert not holds("paragraph@.sentence# = 2", TEXT)
+        assert holds("paragraph@1.sentence# = 2", TEXT)
+        assert holds("paragraph@2.sentence# = 1", TEXT)
 
     def test_texts_for_textual_terminal(self):
-        scope = Scope.initial("a b", "en")
-        scope = refine_scope(scope, ProcedureStep(Level.WORD, Predicate.all()))
-        rule = parse_rule('word contain "a"')
-        assert identify_target(scope, rule).texts == ("a", "b")
+        # the terminal step selects the texts "a" and "b"
+        assert holds('word@1 equal "a"', "a b")
+        assert holds('word@2 equal "b"', "a b")
+        assert not holds('word contain "a"', "a b")
+        assert holds('word notcontain " "', "a b")
 
     def test_single_step_count_of_empty_answer_is_zero(self):
-        rule = parse_rule("sentence# = 0")
-        scope = Scope.initial("", "en")
-        assert identify_target(scope, rule).counts == (0,)
+        levels = (
+            "paragraph", "line", "bullet", "sentence", "word", "character", "letter", "punc", "pattern(/x/)",
+        )
+        for language in ("en", "zh"):
+            for level in levels:
+                assert holds(f"{level}# = 0", "", language)
+                assert not holds(f"{level}# > 0", "", language)
 
     def test_deep_count_with_empty_scope_has_no_counts(self):
-        rule = parse_rule("paragraph@2.sentence# = 0")
-        empty = Scope((), "en")
-        assert identify_target(empty, rule).counts == ()
+        # no second paragraph: no count at all, so even ">= 0" fails
+        assert not holds("paragraph@2.sentence# >= 0", "one paragraph only.")
+        assert not holds("paragraph@.sentence# >= 0", "")
 
 
 class TestAdjudicate:
     def test_universal_over_counts(self):
-        assert adjudicate(Target.of_counts((2, 2)), Relation.EQ, 2)
-        assert not adjudicate(Target.of_counts((2, 3)), Relation.EQ, 2)
+        assert holds("paragraph@.sentence# = 2", "A. B.\n\nC. D.")
+        assert not holds("paragraph@.sentence# = 2", "A. B.\n\nC. D. E.")
 
     def test_universal_over_texts(self):
-        assert adjudicate(Target.of_texts(("ab", "ac")), Relation.STARTSWITH, "a")
-        assert not adjudicate(Target.of_texts(("ab", "cb")), Relation.STARTSWITH, "a")
+        assert holds('word@ startswith "a"', "ab ac")
+        assert not holds('word@ startswith "a"', "ab cb")
 
     def test_empty_targets_fail(self):
-        assert not adjudicate(Target.of_counts(()), Relation.EQ, 0)
-        assert not adjudicate(Target.of_texts(()), Relation.NOTCONTAIN, "x")
+        assert not holds("paragraph@3.word# = 0", TEXT)
+        assert not holds('sentence@5 notcontain "x"', TEXT)
+        assert not holds('word% equal " "', "single")
+        assert not holds('word notcontain "x"', "")
 
     def test_negated_relations(self):
-        assert adjudicate(Target.of_texts(("abc",)), Relation.NOTSTARTSWITH, "b")
-        assert adjudicate(Target.of_texts(("abc",)), Relation.NOTENDSWITH, "b")
-        assert adjudicate(Target.of_texts(("abc",)), Relation.NOTCONTAIN, "z")
+        assert holds('answer notstartswith "b"', "abc")
+        assert holds('answer notendswith "b"', "abc")
+        assert holds('answer notcontain "z"', "abc")
+        assert not holds('answer notstartswith "a"', "abc")
+        assert not holds('answer notendswith "c"', "abc")
+        assert not holds('answer notcontain "b"', "abc")
 
 
 class TestVerifyRule:
@@ -273,16 +296,19 @@ def test_refinement_never_grows_total_text(seed, language):
     rng = random.Random(seed)
     text = make_text(rng, language)
     rules = sample_rules(language, seed, 3, max_depth=3)
+
+    def split(t, step):
+        return _split(t, step.level, language, step.pattern)
+
     for rule in rules:
-        scope = Scope.initial(text, language)
+        texts = [text]
         steps = rule.procedure
-        if steps[-1].predicate.kind.value == "count":
+        if steps[-1].predicate.kind is PredicateKind.COUNT:
             steps = steps[:-1]
         for step in steps:
-            before = sum(len(s.text) for s in scope.segments)
-            scope = refine_scope(scope, step)
-            after = sum(len(s.text) for s in scope.segments)
-            assert after <= before
+            before = sum(map(len, texts))
+            texts = _refine(texts, step, split)
+            assert sum(map(len, texts)) <= before
 
 
 @settings(max_examples=40, deadline=None)
@@ -293,6 +319,35 @@ def test_engine_matches_brute_force_oracle(seed, language):
     for rule in rules:
         text = make_text(rng, language)
         assert verify_rule(rule, text, language) == brute_verify(rule, text, language)
+
+
+# Pieces of hostile text: Unicode line and space characters that str.split
+# and str.isspace treat differently, fullwidth punctuation, mixed en/zh
+# words, abbreviations, list markers and markdown emphasis.
+_HOSTILE_PIECES = (
+    "\r", "\n", "\r\n", "\n\n", "\t", " ", "  ", "\u00a0", "\u3000", "\u0085", "\x0b", "\x0c",
+    "，", "。", "！", "？", "：", "；", "（", "）", "～", "……", ".", "!", "?", "...", ",",
+    "e.g.", "Dr.", "*", "**", "- ", "1. ", "The", "fox", "a", "data-set", "42", "Smith",
+    "今天", "天气很好", "山水", "我们", "例如",
+)
+
+
+def _hostile_text(seed: int, length: int) -> str:
+    rng = random.Random(seed)
+    parts: list[str] = []
+    size = 0
+    while size < length:
+        parts.append(rng.choice(_HOSTILE_PIECES))
+        size += len(parts[-1])
+    return "".join(parts)[:length]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2000), st.sampled_from(["en", "zh"]))
+def test_engine_matches_oracle_on_hostile_text(seed, length, language):
+    text = _hostile_text(seed, length)
+    for rule in sample_rules(language, seed, 4):
+        assert verify_rule(rule, text, language) == brute_verify(rule, text, language), rule
 
 
 # Rules that share a level chain and differ only in their pattern(/…/) step,

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from helpers import build_instruction
 from lexcheck.dsl import format_rule
 from lexcheck.generate import (
     ATTEMPTS_PER_SLOT,
@@ -16,7 +17,6 @@ from lexcheck.generate import (
     GenConfig,
     Lexicon,
     LexiconError,
-    build_instruction,
     generate_dataset,
     sample_rule,
     stable_id,

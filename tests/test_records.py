@@ -136,6 +136,18 @@ class TestInstructionFiles:
 
 
 class TestResponseFiles:
+    def test_non_utf8_line_is_named(self, tmp_path):
+        # the bad line lies well past the first block the reader decodes
+        path = tmp_path / "res.jsonl"
+        write_responses(path, [{"id": str(k), "response": "二" * 40} for k in range(400)])
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[299] = lines[299].replace("二".encode("utf-8"), b"\xe4\xba", 1)
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(DataError) as info:
+            read_responses(path)
+        assert info.value.line == 300
+        assert str(info.value) == f"{path}:300: not valid UTF-8"
+
     def test_round_trip(self, tmp_path):
         path = tmp_path / "res.jsonl"
         write_responses(path, [
