@@ -149,10 +149,7 @@ def cmd_score(args: argparse.Namespace) -> int:
             jobs=args.jobs or 1,
             loose=not args.strict_only,
         )
-    except DataError as exc:
-        _err(str(exc))
-        return EXIT_DATA
-    except OSError as exc:
+    except (OSError, DataError) as exc:
         _err(str(exc))
         return EXIT_DATA
     _write_output(render_report(report, args.format), args.output)

@@ -20,7 +20,7 @@ from typing import Any
 
 import requests
 
-from .records import read_instructions, read_responses
+from .records import missing_fields, read_fields, read_instructions, read_responses
 from .rules import Instruction
 
 TRANSIENT_STATUS = frozenset({429, 500, 502, 503, 504})
@@ -45,14 +45,13 @@ class EndpointConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> EndpointConfig:
-        missing = {"base_url", "model", "credential_env"} - data.keys()
+        missing = missing_fields(cls, data)
         if missing:
-            raise ConfigError(f"endpoint config is missing keys: {sorted(missing)}")
-        allowed = {
-            "base_url", "model", "credential_env", "temperature", "top_p",
-            "max_tokens", "timeout_s", "max_in_flight", "retry_backoff_s",
-        }
-        return cls(**{k: v for k, v in data.items() if k in allowed})
+            raise ConfigError(f"endpoint config is missing keys: {missing}")
+        try:
+            return cls(**read_fields(cls, data))
+        except ValueError as exc:
+            raise ConfigError(f"endpoint config: {exc}") from exc
 
     @classmethod
     def from_file(cls, path: str | Path) -> EndpointConfig:

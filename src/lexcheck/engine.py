@@ -113,21 +113,19 @@ def _holds(rule: Rule, full_text: str, language: str, splits: dict) -> bool:
     return bool(observed) and all(test(x, rule.value) for x in observed)
 
 
-def _strip_asterisks(text: str) -> str:
-    return text.replace("*", "")
-
-
-#: Identifiers of the relaxed rewrites, in the order they are tried.
-LOOSE_VARIANT_IDS = (
-    "identity",
-    "strip-asterisks",
-    "drop-first-line",
-    "drop-last-line",
-    "drop-first-last-lines",
-    "strip-asterisks+drop-first-line",
-    "strip-asterisks+drop-last-line",
-    "strip-asterisks+drop-first-last-lines",
-)
+#: The relaxed rewrites in the order they are tried: id -> (strip asterisks,
+#: lines dropped from the start, lines dropped from the end).
+_LOOSE_REWRITES = {
+    "identity": (False, 0, 0),
+    "strip-asterisks": (True, 0, 0),
+    "drop-first-line": (False, 1, 0),
+    "drop-last-line": (False, 0, 1),
+    "drop-first-last-lines": (False, 1, 1),
+    "strip-asterisks+drop-first-line": (True, 1, 0),
+    "strip-asterisks+drop-last-line": (True, 0, 1),
+    "strip-asterisks+drop-first-last-lines": (True, 1, 1),
+}
+LOOSE_VARIANT_IDS = tuple(_LOOSE_REWRITES)
 
 
 def loose_variants(full_text: str) -> list[tuple[str, str]]:
@@ -137,18 +135,10 @@ def loose_variants(full_text: str) -> list[tuple[str, str]]:
     line from a text with at most one line leaves the empty string.
     """
     lines = full_text.split("\n")
-    drop_first = "\n".join(lines[1:])
-    drop_last = "\n".join(lines[:-1])
-    drop_both = "\n".join(lines[1:-1])
+    kept = {(head, tail): "\n".join(lines[head : len(lines) - tail]) for head in (0, 1) for tail in (0, 1)}
     return [
-        ("identity", full_text),
-        ("strip-asterisks", _strip_asterisks(full_text)),
-        ("drop-first-line", drop_first),
-        ("drop-last-line", drop_last),
-        ("drop-first-last-lines", drop_both),
-        ("strip-asterisks+drop-first-line", _strip_asterisks(drop_first)),
-        ("strip-asterisks+drop-last-line", _strip_asterisks(drop_last)),
-        ("strip-asterisks+drop-first-last-lines", _strip_asterisks(drop_both)),
+        (vid, kept[head, tail].replace("*", "") if strip else kept[head, tail])
+        for vid, (strip, head, tail) in _LOOSE_REWRITES.items()
     ]
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .grading import _grade
+from .records import missing_fields, read_fields
 from .rules import (
     ALLOWED_RELATIONS,
     DIFFICULTIES,
@@ -57,24 +58,9 @@ class BucketError(RuntimeError):
 class Lexicon:
     """Candidate comparison values: whole words, single characters, regexes."""
 
-    words: tuple[str, ...]
-    characters: tuple[str, ...]
-    regexes: tuple[str, ...]
-
-    def to_dict(self) -> dict[str, list[str]]:
-        return {
-            "words": list(self.words),
-            "characters": list(self.characters),
-            "regexes": list(self.regexes),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> Lexicon:
-        return cls(
-            words=tuple(data.get("words", ())),
-            characters=tuple(data.get("characters", ())),
-            regexes=tuple(data.get("regexes", ())),
-        )
+    words: tuple[str, ...] = ()
+    characters: tuple[str, ...] = ()
+    regexes: tuple[str, ...] = ()
 
 
 DEFAULT_LEXICONS: dict[str, Lexicon] = {
@@ -209,32 +195,13 @@ class GenConfig:
         else:
             self.seed_tasks = tuple(self.seed_tasks)
 
-    def to_dict(self) -> dict[str, Any]:
-        assert self.lexicon is not None
-        return {
-            "seed": self.seed,
-            "language": self.language,
-            "easy": self.easy,
-            "medium": self.medium,
-            "hard": self.hard,
-            "max_depth": self.max_depth,
-            "max_constraints": self.max_constraints,
-            "lexicon": self.lexicon.to_dict(),
-            "seed_tasks": list(self.seed_tasks),
-        }
-
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> GenConfig:
-        known = {"seed", "language", "easy", "medium", "hard", "max_depth", "max_constraints"}
-        kwargs: dict[str, Any] = {k: data[k] for k in known if k in data}
-        if "lexicon" in data:
-            kwargs["lexicon"] = Lexicon.from_dict(data["lexicon"])
-        if "seed_tasks" in data:
-            kwargs["seed_tasks"] = tuple(data["seed_tasks"])
-        missing = {"seed", "language"} - data.keys()
+        """Read a JSON config; a value of the wrong type raises ValueError."""
+        missing = missing_fields(cls, data)
         if missing:
-            raise ValueError(f"config is missing required keys: {sorted(missing)}")
-        return cls(**kwargs)
+            raise ValueError(f"config is missing required keys: {missing}")
+        return cls(**read_fields(cls, data))
 
 
 def _weighted_kind(rng: random.Random, table: tuple[tuple[PredicateKind, int], ...]) -> PredicateKind:

@@ -4,13 +4,18 @@ Instruction files hold one JSON object per line with the fields id, language,
 prompt, rules, difficulty, depth and count; rules may be structured objects or
 one-line rule expressions.  Response files pair ids with response texts.
 Loaders validate as they read and report the offending line on failure.
+`read_fields` type-checks a JSON object against a dataclass's own fields, for
+report files and config files alike.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
+import typing
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from .dsl import parse_rule
 from .grading import _grade
@@ -37,6 +42,80 @@ class DataError(ValueError):
             prefix = self.path if line is None else f"{self.path}:{line}"
             prefix += ": "
         super().__init__(prefix + reason)
+
+
+class _Mismatch(Exception):
+    """A value does not have the type its field declares."""
+
+
+def read_fields(cls: type, data: Any) -> dict[str, Any]:
+    """The entries of a JSON object that name fields of dataclass `cls`, each
+    checked against the field's annotation.
+
+    An integer is not a bool, a float field takes any number, `X | None`
+    takes null, `tuple[X, ...]` takes a list of X, `dict[K, V]` an object,
+    and a dataclass an object read the same way.  Unknown keys are ignored
+    and missing ones left to the constructor; a value of the wrong type
+    raises ValueError.
+    """
+    if type(data) is not dict:
+        raise ValueError(f"{cls.__name__} must be an object, not {data!r:.60}")
+    out = {}
+    try:
+        for name, annotation, kinds, convert in _field_types(cls):
+            if name in data:
+                value = data[name]
+                if type(value) not in kinds:
+                    raise _Mismatch
+                out[name] = value if convert is None else convert(value)
+    except _Mismatch:
+        raise ValueError(f"{name} must be {annotation}, not {value!r:.60}") from None
+    return out
+
+
+def missing_fields(cls: type, data: dict[str, Any]) -> list[str]:
+    """Sorted names of the fields of dataclass `cls` with no default and no
+    entry in `data`."""
+    return sorted(
+        f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING and f.name not in data
+    )
+
+
+_Accepts = tuple[frozenset, Callable[[Any], Any] | None]
+
+
+@functools.cache
+def _field_types(cls: type) -> tuple[tuple[Any, ...], ...]:
+    """(name, annotation text, accepted types, convert) for each field."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, f.type, *_accepts(hints[f.name])) for f in dataclasses.fields(cls))
+
+
+def _accepts(hint: Any) -> _Accepts:
+    """The types a JSON value for `hint` may have, and a function that checks
+    and converts its contents (None when the type alone decides)."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        (inner,) = set(args) - {type(None)}
+        kinds, convert = _accepts(inner)
+        return kinds | {type(None)}, convert and (lambda v: v if v is None else convert(v))
+    if dataclasses.is_dataclass(hint):
+        return frozenset({dict, hint}), lambda v: hint(**read_fields(hint, v)) if type(v) is dict else v
+    origin = typing.get_origin(hint)
+    if origin is tuple:
+        item = _accepts(args[0])
+        return frozenset({list, tuple}), lambda v: tuple(_each(item, v))
+    if origin is dict:
+        key, value = map(_accepts, args)
+        return frozenset({dict}), lambda v: dict(zip(_each(key, v), _each(value, v.values())))
+    return frozenset({int, float} if hint is float else {hint}), None
+
+
+def _each(accepts: _Accepts, values: Any) -> Iterable[Any]:
+    kinds, convert = accepts
+    if not kinds.issuperset(map(type, values)):
+        raise _Mismatch
+    return values if convert is None else map(convert, values)
 
 
 def predicate_to_dict(pred: Predicate) -> dict[str, Any]:

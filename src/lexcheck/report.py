@@ -13,20 +13,23 @@ import csv
 import io
 import json
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from .engine import verify_instruction
-from .records import DataError, read_instructions, read_responses
+from .records import DataError, read_fields, read_instructions, read_responses
 from .rules import DIFFICULTIES, Instruction
-
-REPORT_FORMATS = ("structured", "table", "csv")
 
 
 @dataclass(frozen=True)
 class SliceStats:
-    """Accuracy of one slice of the scored set."""
+    """Accuracy of one slice of the scored set.
+
+    As in CellStats, `n` counts the slice's verdict rows and each other field
+    is the mean of the verdict field of that name (None if no row has one).
+    """
 
     n: float
     strict: float | None
@@ -67,40 +70,49 @@ class EvalReport:
     runs: int = field(default=1, compare=False)
 
 
-def _mean_bool(values: Sequence[bool]) -> float:
-    return sum(1 for v in values if v) / len(values)
+#: the verdict fields that key a cell, in key order
+_CELL_KEY = ("depth", "count")
+
+#: slice section of a report -> (its stats type, the key of a verdict row)
+_SECTIONS = {
+    "by_language": (SliceStats, attrgetter("language")),
+    "by_difficulty": (SliceStats, attrgetter("difficulty")),
+    "cells": (CellStats, attrgetter(*_CELL_KEY)),
+}
 
 
-def _slice_stats(rows: Sequence[InstructionVerdict]) -> SliceStats:
-    if not rows:
-        return SliceStats(0, None, None)
-    strict = _mean_bool([r.strict for r in rows])
-    loose_flags = [r.loose for r in rows]
-    loose = None if any(v is None for v in loose_flags) else _mean_bool(loose_flags)  # type: ignore[arg-type]
-    return SliceStats(len(rows), strict, loose)
+def _group(pairs: Iterable[tuple[Any, Any]]) -> dict[Any, list]:
+    groups: dict[Any, list] = {}
+    for key, value in pairs:
+        groups.setdefault(key, []).append(value)
+    return groups
+
+
+def _mean(values: Sequence[float | None]) -> float | None:
+    present = [v for v in values if v is not None]
+    return sum(present) / len(present) if present else None
+
+
+def _summary(cls: type, rows: Sequence[InstructionVerdict]) -> Any:
+    """`cls` stats over verdict rows: their count, then the mean of each row
+    field that `cls` names."""
+    return cls(len(rows), *(_mean([getattr(r, f.name) for r in rows]) for f in fields(cls)[1:]))
+
+
+def _merged(stats: Sequence[Any]) -> Any:
+    """Field-by-field mean of stats of one type; None values are skipped."""
+    cls = type(stats[0])
+    return cls(*(_mean([getattr(s, f.name) for s in stats]) for f in fields(cls)))
 
 
 def aggregate(rows: Sequence[InstructionVerdict], unscored: Sequence[str] = ()) -> EvalReport:
     """Build a report from verdict rows; every aggregate is recomputed here."""
-    by_language: dict[str, SliceStats] = {}
-    for lang in sorted({r.language for r in rows}):
-        by_language[lang] = _slice_stats([r for r in rows if r.language == lang])
-    by_difficulty: dict[str, SliceStats] = {}
-    for grade in DIFFICULTIES:
-        grade_rows = [r for r in rows if r.difficulty == grade]
-        if grade_rows:
-            by_difficulty[grade] = _slice_stats(grade_rows)
-    cells: dict[tuple[int, int], CellStats] = {}
-    for key in sorted({(r.depth, r.count) for r in rows}):
-        cell_rows = [r for r in rows if (r.depth, r.count) == key]
-        cells[key] = CellStats(len(cell_rows), _mean_bool([r.strict for r in cell_rows]))
+    sections = {}
+    for name, (cls, key_of) in _SECTIONS.items():
+        groups = _group((key_of(r), r) for r in rows)
+        sections[name] = {key: _summary(cls, group) for key, group in groups.items()}
     return EvalReport(
-        overall=_slice_stats(rows),
-        by_language=by_language,
-        by_difficulty=by_difficulty,
-        cells=cells,
-        verdicts=tuple(rows),
-        unscored=tuple(unscored),
+        overall=_summary(SliceStats, rows), **sections, verdicts=tuple(rows), unscored=tuple(unscored)
     )
 
 
@@ -164,33 +176,10 @@ def merge(reports: Sequence[EvalReport]) -> EvalReport:
         raise ValueError("merge needs at least one report")
     if len(reports) == 1:
         return reports[0]
-
-    def avg(values: list[float | None]) -> float | None:
-        present = [v for v in values if v is not None]
-        if not present:
-            return None
-        return sum(present) / len(present)
-
-    def merge_slices(slices: list[SliceStats]) -> SliceStats:
-        n = sum(s.n for s in slices) / len(slices)
-        return SliceStats(n, avg([s.strict for s in slices]), avg([s.loose for s in slices]))
-
-    overall = merge_slices([r.overall for r in reports])
-    by_language = {}
-    for lang in sorted({k for r in reports for k in r.by_language}):
-        by_language[lang] = merge_slices([r.by_language[lang] for r in reports if lang in r.by_language])
-    by_difficulty = {}
-    for grade in DIFFICULTIES:
-        present = [r.by_difficulty[grade] for r in reports if grade in r.by_difficulty]
-        if present:
-            by_difficulty[grade] = merge_slices(present)
-    cells = {}
-    for key in sorted({k for r in reports for k in r.cells}):
-        present_cells = [r.cells[key] for r in reports if key in r.cells]
-        n = sum(c.n for c in present_cells) / len(present_cells)
-        strict = sum(c.strict for c in present_cells) / len(present_cells)
-        cells[key] = CellStats(n, strict)
-
+    sections = {}
+    for name in _SECTIONS:
+        groups = _group(item for r in reports for item in getattr(r, name).items())
+        sections[name] = {key: _merged(group) for key, group in groups.items()}
     first = reports[0]
     others = [set(r.verdicts) for r in reports[1:]]
     verdicts = tuple(row for row in first.verdicts if all(row in rows for rows in others))
@@ -199,78 +188,38 @@ def merge(reports: Sequence[EvalReport]) -> EvalReport:
     else:
         unscored = tuple(sorted({u for r in reports for u in r.unscored}))
     return EvalReport(
-        overall=overall,
-        by_language=by_language,
-        by_difficulty=by_difficulty,
-        cells=cells,
+        overall=_merged([r.overall for r in reports]),
+        **sections,
         verdicts=verdicts,
         unscored=unscored,
         runs=sum(r.runs for r in reports),
     )
 
 
-def _slice_to_dict(stats: SliceStats) -> dict[str, Any]:
-    return {"n": stats.n, "strict": stats.strict, "loose": stats.loose}
-
-
-def _slice_from_dict(data: dict[str, Any]) -> SliceStats:
-    return SliceStats(data["n"], data["strict"], data["loose"])
-
-
 def report_to_dict(report: EvalReport) -> dict[str, Any]:
     return {
         "runs": report.runs,
-        "overall": _slice_to_dict(report.overall),
-        "by_language": {k: _slice_to_dict(v) for k, v in report.by_language.items()},
-        "by_difficulty": {k: _slice_to_dict(v) for k, v in report.by_difficulty.items()},
-        "cells": [
-            {"depth": d, "count": c, "n": cell.n, "strict": cell.strict}
-            for (d, c), cell in sorted(report.cells.items())
-        ],
-        "verdicts": [
-            {
-                "id": r.id,
-                "language": r.language,
-                "difficulty": r.difficulty,
-                "depth": r.depth,
-                "count": r.count,
-                "strict": r.strict,
-                "loose": r.loose,
-                "loose_variant": r.loose_variant,
-                "rule_passes": list(r.rule_passes),
-            }
-            for r in report.verdicts
-        ],
+        "overall": dict(vars(report.overall)),
+        "by_language": {k: dict(vars(v)) for k, v in report.by_language.items()},
+        "by_difficulty": {k: dict(vars(v)) for k, v in report.by_difficulty.items()},
+        "cells": [dict(zip(_CELL_KEY, key), **vars(cell)) for key, cell in sorted(report.cells.items())],
+        "verdicts": [dict(vars(r)) for r in report.verdicts],
         "unscored": list(report.unscored),
     }
 
 
 def report_from_dict(data: dict[str, Any]) -> EvalReport:
-    return EvalReport(
-        overall=_slice_from_dict(data["overall"]),
-        by_language={k: _slice_from_dict(v) for k, v in data["by_language"].items()},
-        by_difficulty={k: _slice_from_dict(v) for k, v in data["by_difficulty"].items()},
-        cells={
-            (entry["depth"], entry["count"]): CellStats(entry["n"], entry["strict"])
-            for entry in data["cells"]
-        },
-        verdicts=tuple(
-            InstructionVerdict(
-                id=r["id"],
-                language=r["language"],
-                difficulty=r["difficulty"],
-                depth=r["depth"],
-                count=r["count"],
-                strict=r["strict"],
-                loose=r["loose"],
-                loose_variant=r["loose_variant"],
-                rule_passes=tuple(r["rule_passes"]),
-            )
-            for r in data["verdicts"]
-        ),
-        unscored=tuple(data["unscored"]),
-        runs=data.get("runs", 1),
-    )
+    """Read back `report_to_dict` output; a value of the wrong type raises
+    ValueError, a missing key KeyError or TypeError."""
+    cells = {}
+    for entry in data["cells"]:
+        key = read_fields(InstructionVerdict, {k: entry[k] for k in _CELL_KEY})
+        cells[tuple(key.values())] = CellStats(**read_fields(CellStats, entry))
+    rest = read_fields(EvalReport, {k: v for k, v in data.items() if k != "cells"})
+    report = EvalReport(cells=cells, **rest)
+    if report.runs < 1:
+        raise ValueError(f"runs must be at least 1, not {report.runs}")
+    return report
 
 
 def _pct(value: float | None) -> str:
@@ -359,14 +308,18 @@ def render_csv(report: EvalReport) -> str:
     return buf.getvalue()
 
 
+def _render_structured(report: EvalReport) -> str:
+    return json.dumps(report_to_dict(report), ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+
+
+_RENDERERS = {"structured": _render_structured, "table": render_table, "csv": render_csv}
+REPORT_FORMATS = tuple(_RENDERERS)
+
+
 def render_report(report: EvalReport, fmt: str = "structured") -> str:
-    if fmt == "structured":
-        return json.dumps(report_to_dict(report), ensure_ascii=False, sort_keys=True, indent=2) + "\n"
-    if fmt == "table":
-        return render_table(report)
-    if fmt == "csv":
-        return render_csv(report)
-    raise ValueError(f"unknown report format {fmt!r} (expected one of {REPORT_FORMATS})")
+    if fmt not in _RENDERERS:
+        raise ValueError(f"unknown report format {fmt!r} (expected one of {REPORT_FORMATS})")
+    return _RENDERERS[fmt](report)
 
 
 def load_report(path: str | Path) -> EvalReport:
@@ -379,5 +332,5 @@ def load_report(path: str | Path) -> EvalReport:
         raise DataError(f"malformed report JSON: {exc.msg}", path) from exc
     try:
         return report_from_dict(data)
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad report structure: {exc!r}", path) from exc

@@ -130,6 +130,19 @@ class TestGenerate:
         assert main(["generate", str(path), "-o", str(tmp_path / "o")]) == EXIT_USAGE
         assert "missing required keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"max_depth": "3"}, {"easy": "2"}, {"seed": True}, {"lexicon": {"words": [1]}}, {"seed_tasks": "Hi."}],
+    )
+    def test_value_of_wrong_type(self, tmp_path, capsys, overrides):
+        config = self.write_config(tmp_path, **overrides)
+        assert main(["generate", str(config), "-o", str(tmp_path / "o")]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: cannot load generation config: ")
+
+    def test_unknown_keys_ignored(self, tmp_path, capsys):
+        config = self.write_config(tmp_path, comment="not a config field")
+        assert main(["generate", str(config), "-o", str(tmp_path / "o")]) == EXIT_OK
+
     def test_unfillable_bucket(self, tmp_path, capsys):
         config = self.write_config(
             tmp_path,
@@ -271,6 +284,30 @@ class TestReport:
         assert main(["report", str(path)]) == EXIT_DATA
         assert f"{path}: bad report structure" in capsys.readouterr().err
 
+    BAD_VALUES = {
+        "overall-strict": lambda d: d["overall"].update(strict="x"),
+        "unscored-ints": lambda d: d.update(unscored=[1, 2]),
+        "runs-string": lambda d: d.update(runs="2"),
+        "runs-zero": lambda d: d.update(runs=0),
+        "rule-passes-string": lambda d: d["verdicts"][0].update(rule_passes="TF"),
+        "verdict-strict-string": lambda d: d["verdicts"][0].update(strict="no"),
+        "cell-depth-string": lambda d: d["cells"][0].update(depth="1"),
+        "slice-n-bool": lambda d: d["by_language"]["en"].update(n=True),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_VALUES))
+    @pytest.mark.parametrize("merged", [False, True])
+    def test_value_of_wrong_type(self, scoring_files, tmp_path, capsys, case, merged):
+        good = self.make_report(scoring_files, tmp_path, "good.json")
+        path = tmp_path / "bad.json"
+        data = json.loads(good.read_text(encoding="utf-8"))
+        self.BAD_VALUES[case](data)
+        path.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        paths = [str(good), str(path)] if merged else [str(path)]
+        assert main(["report", *paths]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: {path}: bad report structure")
+
     def test_non_utf8_report_file(self, scoring_files, tmp_path, capsys):
         path = self.make_report(scoring_files, tmp_path, "r1.json")
         path.write_bytes(path.read_bytes().replace(b'"en-bbb"', b'"en-\xff"'))
@@ -304,6 +341,15 @@ class TestCollectCommand:
         ins_path = tmp_path / "ins.jsonl"
         write_instructions(ins_path, [])
         assert main(["collect", str(ins_path), str(config), "-o", str(tmp_path / "o")]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("overrides", [{"max_in_flight": "4"}, {"timeout_s": None}, {"model": 3}])
+    def test_value_of_wrong_type(self, tmp_path, monkeypatch, capsys, overrides):
+        monkeypatch.setenv("LEX_CLI_KEY", "k")
+        config = self.write_endpoint(tmp_path, **overrides)
+        ins_path = tmp_path / "ins.jsonl"
+        write_instructions(ins_path, [])
+        assert main(["collect", str(ins_path), str(config), "-o", str(tmp_path / "o")]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: endpoint config: ")
 
     def test_partial_collection_exit_code(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LEX_CLI_KEY", "k")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 
@@ -46,7 +47,7 @@ class TestGenConfig:
 
     def test_dict_round_trip(self):
         config = GenConfig(seed=9, language="zh", easy=2, medium=1, hard=1, max_depth=2)
-        again = GenConfig.from_dict(config.to_dict())
+        again = GenConfig.from_dict(dataclasses.asdict(config))
         assert again == config
 
     def test_from_dict_requires_seed_and_language(self):

@@ -1,10 +1,11 @@
 """Byte-for-byte pins on the program's outputs.
 
 Each digest is the sha256 of an output produced from fixed seeds: small en
-and zh datasets, the three score report formats (loose and strict-only), one
-rendered prompt per language, and `lexcheck verify` stdout.  A change that
-is meant to keep every output the same must leave these digests alone; a
-change that alters an output on purpose updates the digest and says why.
+and zh datasets, the three score report formats (loose and strict-only), the
+three `lexcheck report` formats over merged runs, one rendered prompt per
+language, and `lexcheck verify` stdout.  A change that is meant to keep every
+output the same must leave these digests alone; a change that alters an
+output on purpose updates the digest and says why.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ GOLDEN = {
     "prompt-en": "da5baeef2011b9e37c547f957798649adce48037fcb3c895220355d614333b33",
     "prompt-zh": "883497ab2dc9e24ef84fc01277843d7ffac1fb189a50959b9c6727f4510bb6dc",
     "verify": "201390c09de1a097befd14d529d2fb84bff9dc06ef8b2b9a528e5360d31d97e4",
+    "report-merged-structured": "af561dc22a7eb7e7f66879821e5b7bfcd5428cc39ac5075bbb555b53a181b987",
+    "report-merged-table": "d43f1a5e337e80f8bcc3883c116fba93bd4e3fcf42bbd14625241a57992fed54",
+    "report-merged-csv": "b5b770f73d04ab9c1e4038002e52bd4674f4df6d4f233289f828610af2d19e2f",
 }
 
 PROMPT_RULES = {
@@ -82,6 +86,25 @@ def _digests(tmp_path, capsys, monkeypatch) -> dict[str, str]:
         report = score(instructions, responses, loose=loose)
         for fmt in ("structured", "table", "csv"):
             out[f"{prefix}-{fmt}"] = _sha(render_report(report, fmt))
+
+    # three runs to merge: loose, strict-only, and loose on other responses
+    # with the first two instructions unanswered instead of the last
+    rng = random.Random(6)
+    other = {i.id: make_text(rng, i.language) for i in instructions[2:]}
+    runs = []
+    for name, answers, loose in (("a", responses, True), ("b", responses, False), ("c", other, True)):
+        path = tmp_path / f"run-{name}.json"
+        path.write_text(render_report(score(instructions, answers, loose=loose), "structured"), encoding="utf-8")
+        runs.append(str(path))
+    for fmt in ("structured", "table", "csv"):
+        stdout = []
+        # all three runs (no verdict row survives the strict-only one), then
+        # the two loose runs, which keep only the rows they agree on
+        for paths in (runs, [runs[2], runs[0]]):
+            capsys.readouterr()
+            code = main(["report", *paths, "--format", fmt])
+            stdout.append(f"{code}:{capsys.readouterr().out}")
+        out[f"report-merged-{fmt}"] = _sha("".join(stdout))
 
     for language, lines in PROMPT_RULES.items():
         rules = [parse_rule(line) for line in lines]

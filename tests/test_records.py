@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+from dataclasses import dataclass
 
 import pytest
 
@@ -12,8 +14,10 @@ from lexcheck.records import (
     DataError,
     instruction_from_dict,
     instruction_to_dict,
+    missing_fields,
     predicate_from_dict,
     predicate_to_dict,
+    read_fields,
     read_instructions,
     read_responses,
     rule_from_dict,
@@ -27,6 +31,59 @@ from lexcheck.rules import Predicate
 @pytest.fixture(scope="module")
 def dataset():
     return generate_dataset(GenConfig(seed=21, language="zh", easy=3, medium=3, hard=3))
+
+
+@dataclass(frozen=True)
+class Inner:
+    flags: tuple[bool, ...] = ()
+
+
+@dataclass(frozen=True)
+class Outer:
+    count: int
+    ratio: float
+    label: str | None = None
+    inner: Inner | None = None
+    table: dict[str, Inner] | None = None
+
+
+class TestReadFields:
+    def test_values_checked_and_converted(self):
+        data = {
+            "count": 2,
+            "ratio": 1,
+            "label": None,
+            "inner": {"flags": [True, False]},
+            "table": {"a": {}},
+            "other": "ignored",
+        }
+        assert Outer(**read_fields(Outer, data)) == Outer(2, 1, None, Inner((True, False)), {"a": Inner()})
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"count": True}, "count must be int, not True"),
+            ({"count": 2.0}, "count must be int, not 2.0"),
+            ({"ratio": "1"}, "ratio must be float, not '1'"),
+            ({"ratio": False}, "ratio must be float, not False"),
+            ({"label": 3}, "label must be str | None, not 3"),
+            ({"inner": {"flags": "TF"}}, "flags must be tuple[bool, ...], not 'TF'"),
+            ({"inner": {"flags": [1]}}, "flags must be tuple[bool, ...], not [1]"),
+            ({"inner": []}, "inner must be Inner | None, not []"),
+            ({"table": {"a": 1}}, "table must be dict[str, Inner] | None, not {'a': 1}"),
+        ],
+    )
+    def test_wrong_type_is_value_error(self, data, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_fields(Outer, data)
+
+    def test_not_an_object(self):
+        with pytest.raises(ValueError, match="Outer must be an object"):
+            read_fields(Outer, [1])
+
+    def test_missing_fields_sorted(self):
+        assert missing_fields(Outer, {"label": "x"}) == ["count", "ratio"]
+        assert missing_fields(Outer, {"count": 1, "ratio": 0.5}) == []
 
 
 class TestPredicateCodec:
