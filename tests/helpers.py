@@ -74,6 +74,21 @@ def make_text(rng: random.Random, language: str = "en") -> str:
     return text[:500]
 
 
+_MESSY_PIECES = ("\r\n", "\t", "\u00a0", "\u3000", "，", "。", "！", "？", "：", "（", "）", "～", "\r\n\r\n", "**")
+
+
+def make_long_text(rng: random.Random, language: str) -> str:
+    """2,000+ characters mixing make_text output with CRLF, tabs, NBSP,
+    U+3000, fullwidth punctuation and bold markers."""
+    pieces = list(_MESSY_PIECES) * 3
+    rng.shuffle(pieces)
+    parts: list[str] = []
+    while pieces or sum(map(len, parts)) < 2000:
+        parts.append(make_text(rng, language))
+        parts.append(pieces.pop() if pieces else rng.choice(_MESSY_PIECES))
+    return "".join(parts)
+
+
 def sample_rules(language: str, seed: int, n: int, max_depth: int = 3) -> list[Rule]:
     """n independently sampled valid rules for one language."""
     config = GenConfig(seed=0, language=language, max_depth=max_depth)

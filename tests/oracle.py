@@ -308,3 +308,55 @@ def brute_verify(rule: Rule, full_text: str, language: str) -> bool:
     if not scope:
         return False
     return all(compare_text(s, rule.relation, rule.value) for s in scope)
+
+
+#: The README's relaxed rewrites in evaluation order: (id, strip asterisks,
+#: drop the first line, drop the last line).
+LOOSE_REWRITES = (
+    ("identity", False, False, False),
+    ("strip-asterisks", True, False, False),
+    ("drop-first-line", False, True, False),
+    ("drop-last-line", False, False, True),
+    ("drop-first-last-lines", False, True, True),
+    ("strip-asterisks+drop-first-line", True, True, False),
+    ("strip-asterisks+drop-last-line", True, False, True),
+    ("strip-asterisks+drop-first-last-lines", True, True, True),
+)
+
+
+def _without_asterisks(text: str) -> str:
+    return "".join(ch for ch in text if ch != "*")
+
+
+def _drop_lines(text: str, first: bool, last: bool) -> str:
+    """Remove the first and/or last newline-delimited line; a text with too
+    few lines leaves nothing."""
+    starts, ends = [0], []
+    for i, ch in enumerate(text):
+        if ch == "\n":
+            ends.append(i)
+            starts.append(i + 1)
+    ends.append(len(text))
+    lines = [text[a:b] for a, b in zip(starts, ends)]
+    if first:
+        lines = lines[1:]
+    if last:
+        lines = lines[:-1]
+    return "\n".join(lines)
+
+
+def loose_rewrites(text: str) -> list[tuple[str, str]]:
+    """The eight relaxed rewrites of `text`, in evaluation order."""
+    out = []
+    for rewrite_id, strip, first, last in LOOSE_REWRITES:
+        base = _without_asterisks(text) if strip else text
+        out.append((rewrite_id, _drop_lines(base, first, last)))
+    return out
+
+
+def brute_loose_variant(rules, text: str, language: str) -> str | None:
+    """The first rewrite on which every rule passes, or None."""
+    for rewrite_id, rewrite in loose_rewrites(text):
+        if all(brute_verify(rule, rewrite, language) for rule in rules):
+            return rewrite_id
+    return None

@@ -11,8 +11,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import build_instruction, make_text, sample_rules
-from oracle import brute_verify
+from helpers import build_instruction, make_long_text, make_text, sample_rules
+from oracle import brute_loose_variant, brute_verify
 from lexcheck.dsl import parse_rule
 from lexcheck.engine import (
     LOOSE_VARIANT_IDS,
@@ -332,12 +332,12 @@ _HOSTILE_PIECES = (
 )
 
 
-def _hostile_text(seed: int, length: int) -> str:
+def _hostile_text(seed: int, length: int, pieces: tuple[str, ...] = _HOSTILE_PIECES) -> str:
     rng = random.Random(seed)
     parts: list[str] = []
     size = 0
     while size < length:
-        parts.append(rng.choice(_HOSTILE_PIECES))
+        parts.append(rng.choice(pieces))
         size += len(parts[-1])
     return "".join(parts)[:length]
 
@@ -382,19 +382,6 @@ _SHARED_LEVEL_RULES = {
         r"sentence@-1.punc# >= 1",
     ),
 }
-_MESSY_PIECES = ("\r\n", "\t", "\u00a0", "\u3000", "，", "。", "！", "？", "：", "（", "）", "～", "\r\n\r\n", "**")
-
-
-def _long_messy_text(rng: random.Random, language: str) -> str:
-    """2,000+ characters mixing make_text output with CRLF, tabs, NBSP,
-    U+3000 and fullwidth punctuation."""
-    pieces = list(_MESSY_PIECES) * 3
-    rng.shuffle(pieces)
-    parts: list[str] = []
-    while pieces or sum(map(len, parts)) < 2000:
-        parts.append(make_text(rng, language))
-        parts.append(pieces.pop() if pieces else rng.choice(_MESSY_PIECES))
-    return "".join(parts)
 
 
 def _shared_level_cases():
@@ -402,7 +389,7 @@ def _shared_level_cases():
         for seed in range(6):
             rng = random.Random(f"{language}:{seed}")
             chosen = rng.sample(rules, 4)
-            yield language, chosen, _long_messy_text(rng, language)
+            yield language, chosen, make_long_text(rng, language)
 
 
 def test_rules_sharing_a_level_match_the_oracle_strict_and_loose():
@@ -426,3 +413,54 @@ def test_rules_sharing_a_level_match_the_oracle_strict_and_loose():
         outcomes.add((verdict.strict_pass, verdict.loose_pass))
     # the cases must exercise strict passes, loose-only rescues and failures
     assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+# Hostile-text shapes for the relaxed pass: asterisk-heavy text exercises the
+# stripped rewrites, many-line text the line drops.
+_LOOSE_SHAPES = {
+    "plain": _HOSTILE_PIECES,
+    "asterisks": _HOSTILE_PIECES + ("*",) * 8 + ("**",) * 6 + ("***", "*a*", "**The fox**"),
+    "lines": _HOSTILE_PIECES + ("\n",) * 10 + ("\n\n", "\r\n", "- ", "1. ") * 3,
+}
+# Rules that one rewrite can satisfy and another not, so the search stops at
+# different rewrites.
+_LOOSE_SENSITIVE_RULES = {
+    "en": (
+        r"pattern(/\*/)# = 0",
+        "line# <= 12",
+        "line@1.word# <= 3",
+        "line@-1.word# <= 3",
+        'answer notstartswith "*"',
+        'answer notendswith "*"',
+        'word@1 notcontain "a"',
+        "paragraph@1.word# >= 2",
+    ),
+    "zh": (
+        r"pattern(/\*/)# = 0",
+        "line# <= 12",
+        "line@1.character# <= 4",
+        "line@-1.character# <= 4",
+        'answer notstartswith "*"',
+        'answer notendswith "*"',
+        "sentence@1.character# >= 2",
+        "paragraph@-1.punc# >= 1",
+    ),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 12_000),
+    st.sampled_from(sorted(_LOOSE_SHAPES)),
+    st.sampled_from(["en", "zh"]),
+)
+def test_loose_pass_matches_oracle_on_hostile_text(seed, length, shape, language):
+    text = _hostile_text(seed, length, _LOOSE_SHAPES[shape])
+    rng = random.Random(seed)
+    rule_texts = rng.sample(_LOOSE_SENSITIVE_RULES[language], rng.randint(1, 3))
+    rules = tuple(parse_rule(t) for t in rule_texts) + tuple(sample_rules(language, seed, rng.randint(0, 2)))
+    verdict = verify_instruction(build_instruction("x", language, "p", rules), text)
+    expected = brute_loose_variant(rules, text, language)
+    assert verdict.loose_variant == expected, rules
+    assert verdict.loose_pass is (expected is not None)

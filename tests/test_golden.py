@@ -14,7 +14,7 @@ import hashlib
 import io
 import random
 
-from helpers import make_text
+from helpers import make_long_text, make_text
 from lexcheck.cli import main
 from lexcheck.dsl import parse_rule
 from lexcheck.generate import GenConfig, generate_dataset
@@ -38,6 +38,11 @@ GOLDEN = {
     "report-merged-table": "d43f1a5e337e80f8bcc3883c116fba93bd4e3fcf42bbd14625241a57992fed54",
     "report-merged-csv": "b5b770f73d04ab9c1e4038002e52bd4674f4df6d4f233289f828610af2d19e2f",
 }
+
+#: sha256 of the structured `score` report over 300 generated en and zh
+#: instructions answered with 2,000+-character multi-line texts that hold
+#: bold markers, so the relaxed rewrites have lines and asterisks to remove.
+LONG_SCORE_STRUCTURED = "9712d4f53d742b7f50726b0cae835e5715381135ec1e5094cf62c5199bbef5bc"
 
 PROMPT_RULES = {
     "en": (
@@ -123,3 +128,13 @@ def _digests(tmp_path, capsys, monkeypatch) -> dict[str, str]:
 
 def test_outputs_match_golden_digests(tmp_path, capsys, monkeypatch):
     assert _digests(tmp_path, capsys, monkeypatch) == GOLDEN
+
+
+def test_long_response_report_matches_golden_digest():
+    instructions = []
+    for language, seed in (("en", 21), ("zh", 22)):
+        instructions.extend(generate_dataset(GenConfig(seed=seed, language=language, easy=50, medium=50, hard=50)))
+    rng = random.Random(23)
+    responses = {i.id: make_long_text(rng, i.language) for i in instructions}
+    report = score(instructions, responses)
+    assert _sha(render_report(report, "structured")) == LONG_SCORE_STRUCTURED
