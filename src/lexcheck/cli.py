@@ -43,6 +43,17 @@ def _write_output(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _positive_int(value: str) -> int:
+    """argparse type for --jobs: an integer of at least 1."""
+    try:
+        n = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {value!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
+
+
 def _load_rule_lines(source: str) -> list[str]:
     return [line for line in source.splitlines() if line.strip()]
 
@@ -146,7 +157,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         report = score(
             args.instructions,
             args.responses,
-            jobs=args.jobs or 1,
+            jobs=args.jobs,
             loose=not args.strict_only,
         )
     except (OSError, DataError) as exc:
@@ -199,13 +210,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instructions", help="instruction file (JSONL)")
     p.add_argument("config", help="endpoint config (JSON)")
     p.add_argument("-o", "--output", required=True, help="response journal to append to (JSONL)")
-    p.add_argument("--jobs", type=int, help="maximum requests in flight")
+    p.add_argument("--jobs", type=_positive_int, help="maximum requests in flight")
     p.set_defaults(func=cmd_collect)
 
     p = sub.add_parser("score", help="score responses against instructions")
     p.add_argument("instructions", help="instruction file (JSONL)")
     p.add_argument("responses", help="response file (JSONL)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (default 1)")
     p.add_argument("--strict-only", action="store_true", help="skip the relaxed pass")
     p.add_argument("--format", choices=REPORT_FORMATS, default="structured")
     p.add_argument("-o", "--output", help="write the report here instead of stdout")

@@ -28,7 +28,8 @@ MAX_ATTEMPTS = 3
 
 
 class ConfigError(ValueError):
-    """The endpoint configuration is unusable (missing keys, no credential)."""
+    """The endpoint configuration is unusable (missing keys, a value of the
+    wrong type or out of range, no credential)."""
 
 
 @dataclass
@@ -42,6 +43,13 @@ class EndpointConfig:
     timeout_s: float = 60.0
     max_in_flight: int = 4
     retry_backoff_s: float = 0.5
+
+    def __post_init__(self) -> None:
+        for name in ("timeout_s", "max_tokens", "max_in_flight"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be > 0, not {getattr(self, name)}")
+        if self.retry_backoff_s < 0:
+            raise ConfigError(f"retry_backoff_s must be >= 0, not {self.retry_backoff_s}")
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> EndpointConfig:
@@ -200,7 +208,7 @@ def collect(
                 fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
 
     if pending:
-        with ThreadPoolExecutor(max_workers=max(1, config.max_in_flight)) as pool:
+        with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
             futures = [pool.submit(fetch, instruction) for instruction in pending]
             for future in as_completed(futures):
                 future.result()

@@ -9,11 +9,13 @@ per-text count) must satisfy the relation, and an empty selection fails.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
 from .rules import (
     Instruction,
+    Level,
     PredicateKind,
     ProcedureStep,
     Relation,
@@ -84,22 +86,66 @@ def verify_rule(rule: Rule, full_text: str, language: str = "en") -> bool:
     """Run the full pipeline for one rule against one answer text."""
     require_valid(rule)
     require_language(language)
-    return _holds(rule, full_text, language, {})
+    return _holds(rule, full_text, _Splits(language))
 
 
-def _holds(rule: Rule, full_text: str, language: str, splits: dict) -> bool:
-    """verify_rule for a valid rule and a known language.
+#: Levels whose elements never cross a newline.
+_LINE_LOCAL = frozenset({Level.LINE, Level.BULLET, Level.WORD, Level.CHARACTER, Level.LETTER, Level.PUNC})
+_START = operator.itemgetter(1)
+_END = operator.itemgetter(2)
 
-    `splits` caches elements by (text, level, pattern), so callers that pass
-    one dict split each text at most once per level and pattern.
+
+class _Splits(dict):
+    """Elements by (text, level, pattern), each split on first use.
+
+    `cuts` maps a text to (base, a, b) when the text is ``base[a:b]``, with
+    `a` at 0 or just after a newline and `b` at a newline or the end.  At a
+    line-local level such a text's elements are the base's elements inside
+    [a, b] shifted by -a, so they are taken from the base's split.  The
+    base's split is read from the dict itself, never through a closure, so
+    the cache holds no reference cycle and is freed on return.
+    """
+
+    __slots__ = ("language", "cuts")
+
+    def __init__(self, language: str):
+        super().__init__()
+        self.language = language
+        self.cuts: dict[str, tuple[str, int, int]] = {}
+
+    def __missing__(self, key: tuple[str, Level, str | None]) -> list[_Span]:
+        text, level, pattern = key
+        cut = self.cuts.get(text) if level in _LINE_LOCAL else None
+        if cut is None:
+            found = _split(text, level, self.language, pattern)
+        else:
+            base, a, b = cut
+            elements = self.get((base, level, None))
+            if elements is None:
+                elements = self[base, level, None] = _split(base, level, self.language, None)
+            found = _inside(elements, a, b)
+        self[key] = found
+        return found
+
+
+def _inside(elements: list[_Span], a: int, b: int) -> list[_Span]:
+    """The ordered, disjoint `elements` lying within [a, b], shifted by -a."""
+    hi = bisect_right(elements, b, key=_END)
+    if a == 0:
+        return elements[:hi]
+    lo = bisect_left(elements, a, key=_START)
+    return [(content, start - a, end - a) for content, start, end in elements[lo:hi]]
+
+
+def _holds(rule: Rule, full_text: str, splits: _Splits) -> bool:
+    """verify_rule for a valid rule, with the language held by `splits`.
+
+    Callers that pass one `splits` split each text at most once per level
+    and pattern.
     """
 
     def split(text: str, step: ProcedureStep) -> list[_Span]:
-        key = (text, step.level, step.pattern)
-        found = splits.get(key)
-        if found is None:
-            found = splits[key] = _split(text, step.level, language, step.pattern)
-        return found
+        return splits[text, step.level, step.pattern]
 
     *steps, terminal = rule.procedure
     texts = [full_text]
@@ -128,18 +174,30 @@ _LOOSE_REWRITES = {
 LOOSE_VARIANT_IDS = tuple(_LOOSE_REWRITES)
 
 
+def _cut(base: str, head: int, tail: int) -> tuple[int, int]:
+    """(a, b) such that ``base[a:b]`` is `base` without its first `head` and
+    last `tail` newline-delimited lines.
+
+    `a` is 0 or just after the first newline, `b` the end or at the last
+    newline; a text with too few lines gives ``a >= b``, an empty slice.
+    """
+    a = (base.find("\n") + 1 or len(base)) if head else 0
+    b = max(base.rfind("\n"), 0) if tail else len(base)
+    return a, b
+
+
 def loose_variants(full_text: str) -> list[tuple[str, str]]:
     """The eight relaxed rewrites of an answer, in fixed evaluation order.
 
     Line removal works on newline-delimited lines of the raw text; removing a
     line from a text with at most one line leaves the empty string.
     """
-    lines = full_text.split("\n")
-    kept = {(head, tail): "\n".join(lines[head : len(lines) - tail]) for head in (0, 1) for tail in (0, 1)}
-    return [
-        (vid, kept[head, tail].replace("*", "") if strip else kept[head, tail])
-        for vid, (strip, head, tail) in _LOOSE_REWRITES.items()
-    ]
+    bases = (full_text, full_text.replace("*", ""))
+    out = []
+    for vid, (strip, head, tail) in _LOOSE_REWRITES.items():
+        a, b = _cut(bases[strip], head, tail)
+        out.append((vid, bases[strip][a:b]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -172,15 +230,34 @@ def _verdict(rules: tuple[Rule, ...], response: str, language: str, loose: bool)
     """verify_instruction for rules already known to be valid.
 
     The strict pass and every rewrite share one split cache, which is dropped
-    on return.
+    on return.  The search skips what is already decided: the identity
+    rewrite is the strict pass, and a rewrite equal to one tried before
+    fails again.  Each drop-line rewrite is registered as a cut of its base
+    (the response or its asterisk-stripped copy), so its line-local splits
+    come from the base's.  In each rewrite the rule that failed last is
+    checked first; `all()` is a conjunction, so the order changes no verdict.
     """
-    splits: dict = {}
-    results = tuple((rule, _holds(rule, response, language, splits)) for rule in rules)
+    splits = _Splits(language)
+    results = tuple((rule, _holds(rule, response, splits)) for rule in rules)
     strict = all(ok for _, ok in results)
     if not loose:
         return Verdict(results, strict, None, None)
-    for vid, text in loose_variants(response):
-        ok = strict if vid == "identity" else all(_holds(rule, text, language, splits) for rule in rules)
-        if ok:
-            return Verdict(results, strict, True, vid)
-    return Verdict(results, strict, False, None)
+    if strict:  # the first rewrite, identity, is the response itself
+        return Verdict(results, True, True, LOOSE_VARIANT_IDS[0])
+    order = [rule for rule, ok in results if not ok] + [rule for rule, ok in results if ok]
+    variants = list(zip(loose_variants(response), _LOOSE_REWRITES.values()))
+    bases = {strip: text for (_, text), (strip, head, tail) in variants if not head and not tail}
+    tried = {response}
+    for (vid, text), (strip, head, tail) in variants:
+        if text in tried:
+            continue
+        tried.add(text)
+        if head or tail:
+            splits.cuts[text] = (bases[strip], *_cut(bases[strip], head, tail))
+        for i, rule in enumerate(order):
+            if not _holds(rule, text, splits):
+                order.insert(0, order.pop(i))
+                break
+        else:
+            return Verdict(results, False, True, vid)
+    return Verdict(results, False, False, None)

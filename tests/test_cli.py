@@ -227,6 +227,14 @@ class TestScore:
         assert main(["score", str(ins_path), str(res_path), "--jobs", "2"]) == EXIT_OK
         assert capsys.readouterr().out == serial
 
+    @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+    def test_jobs_below_one_rejected(self, scoring_files, capsys, jobs):
+        ins_path, res_path = scoring_files
+        assert main(["score", str(ins_path), str(res_path), "--jobs", jobs]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --jobs" in captured.err
+
     def test_unknown_response_id(self, scoring_files, tmp_path, capsys):
         ins_path, _ = scoring_files
         res_path = tmp_path / "bad.jsonl"
@@ -350,6 +358,30 @@ class TestCollectCommand:
         write_instructions(ins_path, [])
         assert main(["collect", str(ins_path), str(config), "-o", str(tmp_path / "o")]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: endpoint config: ")
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"retry_backoff_s": -1}, {"timeout_s": 0}, {"max_tokens": 0}, {"max_in_flight": 0}, {"max_in_flight": -2}],
+    )
+    def test_value_out_of_range(self, tmp_path, monkeypatch, capsys, overrides):
+        monkeypatch.setenv("LEX_CLI_KEY", "k")
+        config = self.write_endpoint(tmp_path, **overrides)
+        ins_path = tmp_path / "ins.jsonl"
+        write_instructions(ins_path, [])
+        assert main(["collect", str(ins_path), str(config), "-o", str(tmp_path / "o")]) == EXIT_USAGE
+        (name,) = overrides
+        assert capsys.readouterr().err.startswith(f"error: endpoint config: {name} must be ")
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_rejected(self, tmp_path, monkeypatch, capsys, jobs):
+        monkeypatch.setenv("LEX_CLI_KEY", "k")
+        config = self.write_endpoint(tmp_path)
+        ins_path = tmp_path / "ins.jsonl"
+        write_instructions(ins_path, [])
+        argv = ["collect", str(ins_path), str(config), "-o", str(tmp_path / "o"), "--jobs", jobs]
+        assert main(argv) == EXIT_USAGE
+        assert "argument --jobs: must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_partial_collection_exit_code(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LEX_CLI_KEY", "k")

@@ -122,6 +122,23 @@ class TestEndpointConfig:
         with pytest.raises(ConfigError, match="not valid JSON"):
             EndpointConfig.from_file(bad)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"retry_backoff_s": -0.5}, "retry_backoff_s must be >= 0"),
+            ({"timeout_s": 0.0}, "timeout_s must be > 0"),
+            ({"max_tokens": -1}, "max_tokens must be > 0"),
+            ({"max_in_flight": 0}, "max_in_flight must be > 0"),
+        ],
+    )
+    def test_values_range_checked(self, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            EndpointConfig(base_url="http://x", model="m", credential_env="E", **overrides)
+
+    def test_zero_backoff_allowed(self):
+        config = EndpointConfig(base_url="http://x", model="m", credential_env="E", retry_backoff_s=0)
+        assert config.retry_backoff_s == 0
+
     def test_credential_missing(self, monkeypatch):
         monkeypatch.delenv("LEX_NOPE", raising=False)
         config = EndpointConfig(base_url="http://x", model="m", credential_env="LEX_NOPE")

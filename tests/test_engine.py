@@ -6,6 +6,7 @@ only the refinement property below calls the private `_refine` directly.
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import build_instruction, make_long_text, make_text, sample_rules
 from oracle import brute_loose_variant, brute_verify
+from lexcheck import engine
 from lexcheck.dsl import parse_rule
 from lexcheck.engine import (
     LOOSE_VARIANT_IDS,
@@ -464,3 +466,70 @@ def test_loose_pass_matches_oracle_on_hostile_text(seed, length, shape, language
     expected = brute_loose_variant(rules, text, language)
     assert verdict.loose_variant == expected, rules
     assert verdict.loose_pass is (expected is not None)
+
+
+# Every level but the regex one: the line-local levels are derived from the
+# base's split, the others must still be split in full.
+_PLAIN_LEVELS = tuple(level for level in Level if level is not Level.PATTERN)
+_EDGE_TEXTS = ("", "\n", "a", "a\n", "\na", "\n\n", "a\r\nb\r\n", "- no\nasterisks here.\n1. 今天", "*", "***\n**\n*")
+
+
+def _rewrite_splits(text: str, language: str, monkeypatch) -> dict:
+    """The split cache `_verdict` builds when every rewrite fails."""
+    made = []
+
+    def recording(lang):
+        made.append(real(lang))
+        return made[-1]
+
+    real = engine._Splits
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_Splits", recording)
+        verdict = engine._verdict((parse_rule("line# < 0"),), text, language, True)
+    assert verdict.loose_pass is False
+    return made[0]
+
+
+def _check_derived_splits(text: str, language: str, monkeypatch) -> None:
+    splits = _rewrite_splits(text, language, monkeypatch)
+    variants = dict(loose_variants(text))
+    bases = {text, variants["strip-asterisks"]}
+    drops = {t for vid, t in variants.items() if "drop" in vid}
+    # every drop-line rewrite not equal to a base is derived from its base
+    assert drops - bases <= set(splits.cuts)
+    for rewrite in set(variants.values()):
+        for level in _PLAIN_LEVELS:
+            assert splits[rewrite, level, None] == _split(rewrite, level, language, None), (rewrite, level)
+
+
+@pytest.mark.parametrize("language", ["en", "zh"])
+@pytest.mark.parametrize("text", _EDGE_TEXTS)
+def test_derived_splits_equal_full_splits_on_edge_texts(text, language, monkeypatch):
+    _check_derived_splits(text, language, monkeypatch)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 12_000),
+    st.sampled_from(sorted(_LOOSE_SHAPES)),
+    st.sampled_from(["en", "zh"]),
+)
+def test_derived_splits_equal_full_splits_on_hostile_text(seed, length, shape, language):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _check_derived_splits(_hostile_text(seed, length, _LOOSE_SHAPES[shape]), language, monkeypatch)
+
+
+def test_verdict_leaves_no_reference_cycles():
+    text = "\n".join(make_long_text(random.Random(seed), "en") for seed in range(3))
+    rules = tuple(parse_rule(t) for t in ("line# < 0", "word# < 0", "paragraph@.sentence@1 contain \"zz\""))
+    engine._verdict(rules, text, "en", True)  # compile and cache the regexes first
+    gc.collect()
+    gc.disable()
+    try:
+        verdict = engine._verdict(rules, text, "en", True)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert verdict.loose_pass is False
+    assert unreachable == 0
