@@ -235,7 +235,8 @@ def _verdict(rules: tuple[Rule, ...], response: str, language: str, loose: bool)
     fails again.  Each drop-line rewrite is registered as a cut of its base
     (the response or its asterisk-stripped copy), so its line-local splits
     come from the base's.  In each rewrite the rule that failed last is
-    checked first; `all()` is a conjunction, so the order changes no verdict.
+    checked first; a rewrite must pass every rule, so the order changes no
+    verdict.
     """
     splits = _Splits(language)
     results = tuple((rule, _holds(rule, response, splits)) for rule in rules)

@@ -424,6 +424,13 @@ _LOOSE_SHAPES = {
     "asterisks": _HOSTILE_PIECES + ("*",) * 8 + ("**",) * 6 + ("***", "*a*", "**The fox**"),
     "lines": _HOSTILE_PIECES + ("\n",) * 10 + ("\n\n", "\r\n", "- ", "1. ") * 3,
 }
+# (seed, length, shape, language) of one hostile text
+_LOOSE_CASES = (
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 12_000),
+    st.sampled_from(sorted(_LOOSE_SHAPES)),
+    st.sampled_from(["en", "zh"]),
+)
 # Rules that one rewrite can satisfy and another not, so the search stops at
 # different rewrites.
 _LOOSE_SENSITIVE_RULES = {
@@ -451,12 +458,7 @@ _LOOSE_SENSITIVE_RULES = {
 
 
 @settings(max_examples=30, deadline=None)
-@given(
-    st.integers(0, 2**32 - 1),
-    st.integers(0, 12_000),
-    st.sampled_from(sorted(_LOOSE_SHAPES)),
-    st.sampled_from(["en", "zh"]),
-)
+@given(*_LOOSE_CASES)
 def test_loose_pass_matches_oracle_on_hostile_text(seed, length, shape, language):
     text = _hostile_text(seed, length, _LOOSE_SHAPES[shape])
     rng = random.Random(seed)
@@ -474,7 +476,7 @@ _PLAIN_LEVELS = tuple(level for level in Level if level is not Level.PATTERN)
 _EDGE_TEXTS = ("", "\n", "a", "a\n", "\na", "\n\n", "a\r\nb\r\n", "- no\nasterisks here.\n1. 今天", "*", "***\n**\n*")
 
 
-def _rewrite_splits(text: str, language: str, monkeypatch) -> dict:
+def _rewrite_splits(text: str, language: str) -> dict:
     """The split cache `_verdict` builds when every rewrite fails."""
     made = []
 
@@ -483,15 +485,15 @@ def _rewrite_splits(text: str, language: str, monkeypatch) -> dict:
         return made[-1]
 
     real = engine._Splits
-    with monkeypatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "_Splits", recording)
         verdict = engine._verdict((parse_rule("line# < 0"),), text, language, True)
     assert verdict.loose_pass is False
     return made[0]
 
 
-def _check_derived_splits(text: str, language: str, monkeypatch) -> None:
-    splits = _rewrite_splits(text, language, monkeypatch)
+def _check_derived_splits(text: str, language: str) -> None:
+    splits = _rewrite_splits(text, language)
     variants = dict(loose_variants(text))
     bases = {text, variants["strip-asterisks"]}
     drops = {t for vid, t in variants.items() if "drop" in vid}
@@ -504,25 +506,19 @@ def _check_derived_splits(text: str, language: str, monkeypatch) -> None:
 
 @pytest.mark.parametrize("language", ["en", "zh"])
 @pytest.mark.parametrize("text", _EDGE_TEXTS)
-def test_derived_splits_equal_full_splits_on_edge_texts(text, language, monkeypatch):
-    _check_derived_splits(text, language, monkeypatch)
+def test_derived_splits_equal_full_splits_on_edge_texts(text, language):
+    _check_derived_splits(text, language)
 
 
 @settings(max_examples=25, deadline=None)
-@given(
-    st.integers(0, 2**32 - 1),
-    st.integers(0, 12_000),
-    st.sampled_from(sorted(_LOOSE_SHAPES)),
-    st.sampled_from(["en", "zh"]),
-)
+@given(*_LOOSE_CASES)
 def test_derived_splits_equal_full_splits_on_hostile_text(seed, length, shape, language):
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        _check_derived_splits(_hostile_text(seed, length, _LOOSE_SHAPES[shape]), language, monkeypatch)
+    _check_derived_splits(_hostile_text(seed, length, _LOOSE_SHAPES[shape]), language)
 
 
 def test_verdict_leaves_no_reference_cycles():
     text = "\n".join(make_long_text(random.Random(seed), "en") for seed in range(3))
-    rules = tuple(parse_rule(t) for t in ("line# < 0", "word# < 0", "paragraph@.sentence@1 contain \"zz\""))
+    rules = tuple(parse_rule(t) for t in ("line# < 0", "word# < 0", 'paragraph@.sentence@1 contain "zz"'))
     engine._verdict(rules, text, "en", True)  # compile and cache the regexes first
     gc.collect()
     gc.disable()
