@@ -22,7 +22,6 @@ from .records import (
     read_instructions,
     read_responses,
     write_instructions,
-    write_responses,
 )
 from .report import (
     EvalReport,
@@ -43,9 +42,8 @@ from .rules import (
     Rule,
     Violation,
     check_validity,
-    is_valid,
 )
-from .segment import Element, gaps, segment
+from .segment import split
 from .templates import MissingTemplateError, load_templates, render_prompt, render_rule_sentence
 
 __version__ = "0.1.0"
@@ -54,7 +52,6 @@ __all__ = [
     "BucketError",
     "DataError",
     "DifficultyScore",
-    "Element",
     "EvalReport",
     "GenConfig",
     "Instruction",
@@ -76,11 +73,9 @@ __all__ = [
     "aggregate",
     "check_validity",
     "format_rule",
-    "gaps",
     "generate_dataset",
     "grade_difficulty",
     "heatmap",
-    "is_valid",
     "load_report",
     "load_templates",
     "loose_variants",
@@ -94,9 +89,8 @@ __all__ = [
     "sample_rule",
     "score",
     "score_rule",
-    "segment",
+    "split",
     "verify_instruction",
     "verify_rule",
     "write_instructions",
-    "write_responses",
 ]

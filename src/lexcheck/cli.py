@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: verify, generate, render, collect, score, report.  Exit codes:
-0 success, 1 usage or configuration error, 2 data error, 3 partial collection.
+0 success, 1 usage or configuration error or an unwritable output, 2 data
+error, 3 partial collection.
 """
 
 from __future__ import annotations
@@ -103,6 +104,9 @@ def cmd_render(args: argparse.Namespace) -> int:
         except OSError as exc:
             _err(str(exc))
             return EXIT_DATA
+        except UnicodeDecodeError as exc:
+            _err(f"{args.rules_file} is not valid UTF-8 (byte {exc.start})")
+            return EXIT_DATA
     else:
         source = sys.stdin.read()
     lines = _load_rule_lines(source)
@@ -134,7 +138,7 @@ def cmd_collect(args: argparse.Namespace) -> int:
         if args.jobs is not None:
             config.max_in_flight = args.jobs
         config.credential()
-    except (OSError, ConfigError) as exc:
+    except ConfigError as exc:
         _err(str(exc))
         return EXIT_USAGE
     try:
@@ -238,7 +242,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage problems and 0 for --help
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # an input that vanished, an output that cannot be written
+        _err(str(exc))
+        return EXIT_USAGE
 
 
 def entrypoint() -> None:

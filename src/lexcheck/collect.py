@@ -67,6 +67,8 @@ class EndpointConfig:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"endpoint config is not valid JSON: {exc.msg}") from exc
+        except ValueError as exc:  # bytes that are not UTF-8
+            raise ConfigError(f"endpoint config cannot be decoded: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("endpoint config must be a JSON object")
         return cls.from_dict(data)
@@ -180,10 +182,9 @@ def collect(
     key = config.credential()
     instructions = read_instructions(instructions_path)
     output_path = Path(output_path)
-    done: set[str] = set()
-    if output_path.exists():
-        _mend_journal(output_path)
-        done = set(read_responses(output_path))
+    output_path.touch()  # an unwritable journal fails here, before any request
+    _mend_journal(output_path)
+    done = set(read_responses(output_path))
     pending = [i for i in instructions if i.id not in done]
 
     errors_path = output_path.with_name(output_path.name + ".errors.jsonl")
@@ -207,13 +208,10 @@ def collect(
             with open(output_path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
 
-    if pending:
-        with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
-            futures = [pool.submit(fetch, instruction) for instruction in pending]
-            for future in as_completed(futures):
-                future.result()
-    else:
-        output_path.touch()
+    with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
+        futures = [pool.submit(fetch, instruction) for instruction in pending]
+        for future in as_completed(futures):
+            future.result()
 
     return CollectResult(
         requested=len(pending),

@@ -11,7 +11,6 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable
 
 from .rules import (
     Instruction,
@@ -32,20 +31,18 @@ def _select(elements: list[_Span], n: int) -> _Span | None:
     return elements[n - 1] if 1 <= n <= len(elements) else None
 
 
-def _refine(
-    texts: list[str], step: ProcedureStep, split: Callable[[str, ProcedureStep], list[_Span]]
-) -> list[str]:
+def _refine(texts: list[str], step: ProcedureStep, splits: _Splits) -> list[str]:
     """Apply one non-count step to every text, preserving order.
 
-    `split(text, step)` gives the text's elements at the step's level.
-    Out-of-range ordinals simply contribute no texts; they are not errors.
+    `splits` gives each text's elements at the step's level.  Out-of-range
+    ordinals simply contribute no texts; they are not errors.
     `before`/`after` keep the raw text on the named side of the element's
     span; `between` keeps the raw text separating consecutive elements.
     """
     kind = step.predicate.kind
     out: list[str] = []
     for text in texts:
-        elements = split(text, step)
+        elements = splits[text, step.level, step.pattern]
         if kind is PredicateKind.ALL:
             out.extend(el[0] for el in elements)
         elif kind is PredicateKind.BETWEEN:
@@ -143,18 +140,14 @@ def _holds(rule: Rule, full_text: str, splits: _Splits) -> bool:
     Callers that pass one `splits` split each text at most once per level
     and pattern.
     """
-
-    def split(text: str, step: ProcedureStep) -> list[_Span]:
-        return splits[text, step.level, step.pattern]
-
     *steps, terminal = rule.procedure
     texts = [full_text]
     for step in steps:
-        texts = _refine(texts, step, split)
+        texts = _refine(texts, step, splits)
     if terminal.predicate.kind is PredicateKind.COUNT:
-        observed: list = [len(split(text, terminal)) for text in texts]
+        observed: list = [len(splits[text, terminal.level, terminal.pattern]) for text in texts]
     else:
-        observed = _refine(texts, terminal, split)
+        observed = _refine(texts, terminal, splits)
     test = _COMPARE[rule.relation]
     return bool(observed) and all(test(x, rule.value) for x in observed)
 

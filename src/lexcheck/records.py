@@ -254,8 +254,3 @@ def read_responses(path: str | Path) -> dict[str, str]:
         out[rid] = response
     return out
 
-
-def write_responses(path: str | Path, responses: Iterable[dict[str, Any]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in responses:
-            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")

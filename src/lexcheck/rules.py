@@ -294,10 +294,6 @@ def check_validity(rule: Rule) -> list[Violation]:
     return found
 
 
-def is_valid(rule: Rule) -> bool:
-    return not check_validity(rule)
-
-
 class ValidityError(ValueError):
     """A rule breaks the validity constraints; `violations` lists their codes."""
 

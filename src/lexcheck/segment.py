@@ -12,8 +12,6 @@ from __future__ import annotations
 import functools
 import re
 import unicodedata
-from dataclasses import dataclass
-from typing import Sequence
 
 from .rules import Level, require_language
 
@@ -29,13 +27,12 @@ EN_ABBREVIATIONS = frozenset(
     {"Mr.", "Mrs.", "Dr.", "Prof.", "St.", "e.g.", "i.e.", "etc.", "vs.", "Fig.", "Eq."}
 )
 
-_CJK_RANGES = ((0x4E00, 0x9FFF), (0x3400, 0x4DBF))
 _EXTRA_PUNCT = frozenset({"～"})  # fullwidth tilde has category Sm but reads as punctuation
 
-# Character classes for the per-character levels.  The CJK and letter classes
-# accept exactly what is_cjk_char and is_ascii_letter accept; the punctuation
-# class is a superset of is_punct_char (no punctuation is alphanumeric or
-# whitespace), so each of its matches is confirmed with the predicate.
+# Character classes for the per-character levels; is_cjk_char and
+# is_ascii_letter are defined by them.  The punctuation class is a superset of
+# is_punct_char (no punctuation is alphanumeric or whitespace), so each of its
+# matches is confirmed with the predicate.
 _CJK_CHAR = re.compile(r"[\u4e00-\u9fff\u3400-\u4dbf]")
 _ASCII_LETTER = re.compile(r"[A-Za-z]")
 _PUNCT_CANDIDATE = re.compile(r"[^\w\s]|_")
@@ -44,26 +41,12 @@ _PUNCT_CANDIDATE = re.compile(r"[^\w\s]|_")
 _Span = tuple[str, int, int]
 
 
-@dataclass(frozen=True)
-class Element:
-    """One segment: comparison text plus the raw span in its parent."""
-
-    text: str
-    start: int
-    end: int
-
-    @property
-    def span(self) -> tuple[int, int]:
-        return (self.start, self.end)
-
-
 def is_cjk_char(ch: str) -> bool:
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in _CJK_RANGES)
+    return _CJK_CHAR.fullmatch(ch) is not None
 
 
 def is_ascii_letter(ch: str) -> bool:
-    return "A" <= ch <= "Z" or "a" <= ch <= "z"
+    return _ASCII_LETTER.fullmatch(ch) is not None
 
 
 def is_punct_char(ch: str) -> bool:
@@ -167,8 +150,22 @@ def _matches(regex: re.Pattern[str], text: str) -> list[_Span]:
     return [(m.group(), m.start(), m.end()) for m in regex.finditer(text)]
 
 
+def split(text: str, level: Level, language: str = "en", pattern: str | None = None) -> list[_Span]:
+    """Split `text` into elements of `level` as (content, start, end) tuples,
+    ordered by position.
+
+    `pattern` must be supplied exactly when `level` is the regex level.
+    Sentence behavior depends on `language`; the remaining levels are
+    language-independent.
+    """
+    if (pattern is None) == (level is Level.PATTERN):
+        raise ValueError("a regex is required for the pattern level and only there")
+    require_language(language)
+    return _split(text, level, language, pattern)
+
+
 def _split(text: str, level: Level, language: str, pattern: str | None) -> list[_Span]:
-    """The elements :func:`segment` returns, as (content, start, end) tuples.
+    """:func:`split` without its checks.
 
     Neither `language` nor `pattern` is checked: callers validate the
     language once, and every procedure step carries a pattern exactly when
@@ -195,24 +192,3 @@ def _split(text: str, level: Level, language: str, pattern: str | None) -> list[
     if level is Level.PUNC:
         return [el for el in _matches(_PUNCT_CANDIDATE, text) if is_punct_char(el[0])]
     return _matches(_compiled(pattern or ""), text)
-
-
-def segment(text: str, level: Level, language: str = "en", pattern: str | None = None) -> list[Element]:
-    """Split `text` into elements of `level`, ordered by position.
-
-    `pattern` must be supplied exactly when `level` is the regex level.
-    Sentence behavior depends on `language`; the remaining levels are
-    language-independent.
-    """
-    if (pattern is None) == (level is Level.PATTERN):
-        raise ValueError("a regex is required for the pattern level and only there")
-    require_language(language)
-    return [Element(*el) for el in _split(text, level, language, pattern)]
-
-
-def gaps(elements: Sequence[Element], parent_text: str) -> list[Element]:
-    """Raw substrings strictly between consecutive element spans (k-1 gaps)."""
-    return [
-        Element(parent_text[left.end : right.start], left.end, right.start)
-        for left, right in zip(elements, elements[1:])
-    ]

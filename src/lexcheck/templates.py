@@ -1,11 +1,12 @@
 """Natural-language rendering of rules into numbered prompt requirements.
 
 Templates are keyed by (terminal predicate kind, relation, language) and use
-the placeholders ``{n}``, ``{value}``, ``{level}`` and ``{position}``.  The
-registry below ships a complete default set; a JSON file with the same nested
-shape can overlay individual entries.  Rendering is deterministic and
-self-contained: every sentence names the level, position, relation and value
-it constrains.
+the placeholders that `_PLACEHOLDERS` lists for their kind, out of ``{n}``,
+``{value}``, ``{level}`` and ``{position}``.  The registry below ships a
+complete default set; a JSON file with the same nested shape can overlay
+individual entries, and is checked as it is loaded.  Rendering is
+deterministic and self-contained: every sentence names the level, position,
+relation and value it constrains.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from pathlib import Path
 
 from .dsl import _escape_value
 from .rules import (
-    ALLOWED_RELATIONS,
-    LANGUAGES,
     Level,
     PredicateKind,
     ProcedureStep,
@@ -98,6 +97,16 @@ def _build_defaults() -> dict[TemplateKey, str]:
 
 
 DEFAULT_TEMPLATES: dict[TemplateKey, str] = _build_defaults()
+
+#: predicate kind -> the placeholders render_rule_sentence fills in its templates
+_PLACEHOLDERS: dict[str, tuple[str, ...]] = {
+    "count": ("n", "value", "position", "level"),
+    "index": ("value", "position"),
+    "all": ("value", "position"),
+    "before": ("value", "position"),
+    "after": ("value", "position"),
+    "between": ("value", "level"),
+}
 
 _NOUNS_EN: dict[Level, tuple[str, str]] = {
     Level.ANSWER: ("response", "responses"),
@@ -237,29 +246,25 @@ def render_rule_sentence(rule: Rule, language: str, registry: dict[TemplateKey, 
     if template is None:
         raise MissingTemplateError(*key)
 
-    fields: dict[str, str] = {}
-    if isinstance(rule.value, str):
-        fields["value"] = _escape_value(rule.value)
-    else:
-        fields["n"] = str(rule.value)
-        fields["value"] = str(rule.value)
-
     prefixes = [_step_phrase(s, language) for s in steps[:-1]]
+    position = level = ""
     if kind is PredicateKind.COUNT:
         # the innermost container is the position being counted in
         if prefixes:
-            fields["position"] = prefixes.pop()
+            position = prefixes.pop()
         else:
-            fields["position"] = "回答" if language == "zh" else "the response"
-        fields["level"] = _counted_noun(terminal, int(rule.value), rule.relation, language)
+            position = "回答" if language == "zh" else "the response"
+        level = _counted_noun(terminal, int(rule.value), rule.relation, language)
     elif kind in (PredicateKind.INDEX, PredicateKind.ALL):
-        fields["position"] = _step_phrase(terminal, language)
+        position = _step_phrase(terminal, language)
     elif kind in (PredicateKind.BEFORE, PredicateKind.AFTER):
-        fields["position"] = _ref_phrase(terminal, terminal.predicate.n or 1, language)
+        position = _ref_phrase(terminal, terminal.predicate.n or 1, language)
     else:  # BETWEEN
-        fields["level"] = _between_noun(terminal, language)
+        level = _between_noun(terminal, language)
 
-    core = template.format(**fields)
+    value = _escape_value(rule.value) if isinstance(rule.value, str) else str(rule.value)
+    fields = {"n": str(rule.value), "value": value, "position": position, "level": level}
+    core = template.format_map({name: fields[name] for name in _PLACEHOLDERS[kind.value]})
     return _assemble(prefixes, core, language)
 
 
@@ -278,26 +283,40 @@ def render_prompt(
     return f"{seed_task}\n\n{header}\n{body}"
 
 
-def missing_templates(registry: dict[TemplateKey, str] | None = None) -> list[TemplateKey]:
-    """Valid (predicate, relation, language) combinations absent from a registry."""
-    reg = DEFAULT_TEMPLATES if registry is None else registry
-    missing = []
-    for kind, relations in ALLOWED_RELATIONS.items():
-        for rel in relations:
-            for lang in LANGUAGES:
-                key = (kind.value, rel.value, lang)
-                if key not in reg:
-                    missing.append(key)
-    return sorted(missing)
-
-
 def load_templates(path: str | Path) -> dict[TemplateKey, str]:
     """Overlay a JSON template file ({language: {predicate: {relation: text}}})
-    over the defaults."""
+    over the defaults.
+
+    Raises ValueError naming the entry when a level of the file is not an
+    object, a template is not a string, a predicate kind is unknown, or a
+    template is not a format string over its kind's placeholders.
+    """
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     registry = dict(DEFAULT_TEMPLATES)
-    for language, by_kind in data.items():
-        for kind, by_relation in by_kind.items():
-            for relation, template in by_relation.items():
-                registry[(kind, relation, language)] = str(template)
+    for language, by_kind in _entries(data, "template file"):
+        for kind, by_relation in _entries(by_kind, f"template entry {language}"):
+            if kind not in _PLACEHOLDERS:
+                raise ValueError(f"template entry {language}.{kind}: unknown predicate kind")
+            for relation, template in _entries(by_relation, f"template entry {language}.{kind}"):
+                _check_template(template, kind, f"template {language}.{kind}.{relation}")
+                registry[(kind, relation, language)] = template
     return registry
+
+
+def _entries(data: object, where: str):
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object, not {type(data).__name__}")
+    return data.items()
+
+
+def _check_template(template: object, kind: str, where: str) -> None:
+    """Raise ValueError unless `template` is a string that formats with no
+    placeholder but those `kind` fills."""
+    if not isinstance(template, str):
+        raise ValueError(f"{where} must be a string, not {type(template).__name__}")
+    names = _PLACEHOLDERS[kind]
+    try:
+        template.format_map(dict.fromkeys(names, ""))
+    except (LookupError, AttributeError, ValueError) as exc:
+        allowed = ", ".join(f"{{{name}}}" for name in names)
+        raise ValueError(f"{where}: {exc!r}; {kind} templates may use {allowed}") from None

@@ -1,5 +1,5 @@
-"""Deterministic builders for test inputs: messy texts, sampled rules and
-instructions.
+"""Deterministic builders for test inputs: messy texts, sampled rules,
+instructions and response files.
 
 Texts mix paragraphs, bullet lines, abbreviation-laden sentences, asterisk
 emphasis, digits and CJK terminators so that segmentation edge cases actually
@@ -9,7 +9,10 @@ reproducibility.
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
+from typing import Any, Iterable
 
 from lexcheck.generate import GenConfig, sample_rule
 from lexcheck.grading import grade_difficulty
@@ -109,3 +112,9 @@ def build_instruction(
         depth=max(len(r.procedure) for r in rules),
         count=len(rules),
     )
+
+
+def write_responses(path: str | Path, responses: Iterable[dict[str, Any]]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in responses:
+            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")

@@ -7,10 +7,10 @@ import json
 
 import pytest
 
-from helpers import build_instruction
+from helpers import build_instruction, write_responses
 from lexcheck.cli import EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
 from lexcheck.dsl import parse_rule
-from lexcheck.records import write_instructions, write_responses
+from lexcheck.records import write_instructions
 
 
 def feed_stdin(monkeypatch, text: str) -> None:
@@ -139,6 +139,21 @@ class TestGenerate:
         assert main(["generate", str(config), "-o", str(tmp_path / "o")]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: cannot load generation config: ")
 
+    def test_bad_template_overlay(self, tmp_path, capsys):
+        config = self.write_config(tmp_path)
+        overlay = tmp_path / "tpl.json"
+        overlay.write_text(json.dumps({"en": {"count": {"eq": "{bogus} must"}}}), encoding="utf-8")
+        argv = ["generate", str(config), "-o", str(tmp_path / "o"), "--templates", str(overlay)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load generation config: template en.count.eq: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        config = self.write_config(tmp_path)
+        assert main(["generate", str(config), "-o", str(tmp_path / "no" / "ins.jsonl")]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+
     def test_unknown_keys_ignored(self, tmp_path, capsys):
         config = self.write_config(tmp_path, comment="not a config field")
         assert main(["generate", str(config), "-o", str(tmp_path / "o")]) == EXIT_OK
@@ -184,6 +199,34 @@ class TestRender:
 
     def test_missing_rules_file(self, tmp_path, capsys):
         assert main(["render", str(tmp_path / "nope.txt")]) == EXIT_DATA
+
+    def test_non_utf8_rules_file(self, tmp_path, capsys):
+        rules = tmp_path / "rules.txt"
+        rules.write_bytes(b'word@1 equal "\xff"\n')
+        assert main(["render", str(rules)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {rules} is not valid UTF-8 (byte 14)\n"
+
+    @pytest.mark.parametrize(
+        "overlay, named",
+        [
+            ([1, 2], "template file must be a JSON object"),
+            ({"en": ["x"]}, "template entry en must be a JSON object"),
+            ({"en": {"count": ["x"]}}, "template entry en.count must be a JSON object"),
+            ({"en": {"count": {"eq": 2}}}, "template en.count.eq must be a string"),
+            ({"en": {"size": {"eq": "x"}}}, "template entry en.size: unknown predicate kind"),
+            ({"en": {"count": {"eq": "{bogus} must"}}}, "template en.count.eq: KeyError('bogus')"),
+            ({"en": {"count": {"eq": "{0} must"}}}, "template en.count.eq: ValueError"),
+            ({"en": {"count": {"eq": "{n must"}}}, "template en.count.eq: ValueError"),
+            ({"en": {"index": {"equal": "{level}"}}}, "template en.index.equal: KeyError('level')"),
+        ],
+    )
+    def test_bad_template_overlay(self, tmp_path, capsys, overlay, named):
+        rules = tmp_path / "rules.txt"
+        rules.write_text("sentence# = 2\n", encoding="utf-8")
+        path = tmp_path / "tpl.json"
+        path.write_text(json.dumps(overlay), encoding="utf-8")
+        assert main(["render", str(rules), "--templates", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: cannot load templates: {named}")
 
     def test_template_overlay(self, tmp_path, capsys):
         rules = tmp_path / "rules.txt"
@@ -244,6 +287,11 @@ class TestScore:
     def test_missing_input_file(self, scoring_files, tmp_path, capsys):
         ins_path, _ = scoring_files
         assert main(["score", str(ins_path), str(tmp_path / "nope.jsonl")]) == EXIT_DATA
+
+    def test_unwritable_output(self, scoring_files, tmp_path, capsys):
+        argv = ["score", *map(str, scoring_files), "-o", str(tmp_path / "no" / "r.json")]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
 
     @pytest.mark.parametrize("which", ["instructions", "responses"])
     def test_non_utf8_input_is_data_error(self, scoring_files, capsys, which):
@@ -316,6 +364,11 @@ class TestReport:
         assert main(["report", *paths]) == EXIT_DATA
         assert capsys.readouterr().err.startswith(f"error: {path}: bad report structure")
 
+    def test_unwritable_output(self, scoring_files, tmp_path, capsys):
+        path = self.make_report(scoring_files, tmp_path, "r1.json")
+        assert main(["report", str(path), "-o", str(tmp_path / "no" / "r.txt")]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+
     def test_non_utf8_report_file(self, scoring_files, tmp_path, capsys):
         path = self.make_report(scoring_files, tmp_path, "r1.json")
         path.write_bytes(path.read_bytes().replace(b'"en-bbb"', b'"en-\xff"'))
@@ -349,6 +402,28 @@ class TestCollectCommand:
         ins_path = tmp_path / "ins.jsonl"
         write_instructions(ins_path, [])
         assert main(["collect", str(ins_path), str(config), "-o", str(tmp_path / "o")]) == EXIT_USAGE
+
+    def test_non_utf8_endpoint_config(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("LEX_CLI_KEY", "k")
+        config = self.write_endpoint(tmp_path, model="m\u00e9")
+        config.write_bytes(config.read_bytes().replace(b"\\u00e9", b"\xe9"))
+        ins_path = tmp_path / "ins.jsonl"
+        write_instructions(ins_path, [])
+        assert main(["collect", str(ins_path), str(config), "-o", str(tmp_path / "o")]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: endpoint config cannot be decoded: ")
+
+    def test_unwritable_output_fails_before_any_request(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("LEX_CLI_KEY", "k")
+        sent = []
+        monkeypatch.setattr("lexcheck.collect._post_once", lambda *args: sent.append(args) or "hi")
+        config = self.write_endpoint(tmp_path)
+        ins_path = tmp_path / "ins.jsonl"
+        rules = (parse_rule("word# >= 0"),)
+        write_instructions(ins_path, [build_instruction("en-x", "en", "Hi.", rules)])
+        out = tmp_path / "no" / "o.jsonl"
+        assert main(["collect", str(ins_path), str(config), "-o", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+        assert sent == []
 
     @pytest.mark.parametrize("overrides", [{"max_in_flight": "4"}, {"timeout_s": None}, {"model": 3}])
     def test_value_of_wrong_type(self, tmp_path, monkeypatch, capsys, overrides):

@@ -121,6 +121,9 @@ class TestEndpointConfig:
         bad.write_text("{", encoding="utf-8")
         with pytest.raises(ConfigError, match="not valid JSON"):
             EndpointConfig.from_file(bad)
+        bad.write_bytes(b'{"base_url": "http://x", "model": "\xe9", "credential_env": "E"}')
+        with pytest.raises(ConfigError, match="cannot be decoded"):
+            EndpointConfig.from_file(bad)
 
     @pytest.mark.parametrize(
         "overrides, message",

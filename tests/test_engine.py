@@ -19,6 +19,7 @@ from lexcheck.dsl import parse_rule
 from lexcheck.engine import (
     LOOSE_VARIANT_IDS,
     _refine,
+    _Splits,
     loose_variants,
     verify_instruction,
     verify_rule,
@@ -32,7 +33,7 @@ from lexcheck.rules import (
     Relation,
     Rule,
 )
-from lexcheck.segment import _split
+from lexcheck.segment import split
 
 TEXT = "First one. Second one.\n\nLast bit."
 
@@ -278,9 +279,7 @@ def test_all_is_conjunction_of_indices(seed, language):
     text = make_text(rng, language)
     level = rng.choice(["paragraph", "line", "sentence", "word" if language == "en" else "punc"])
     rule = parse_rule(f'{level}@ contain "a"')
-    from lexcheck.segment import segment as seg
-
-    k = len(seg(text, Level(level), language))
+    k = len(split(text, Level(level), language))
     combined = verify_rule(rule, text, language)
     if k == 0:
         assert not combined
@@ -298,10 +297,7 @@ def test_refinement_never_grows_total_text(seed, language):
     rng = random.Random(seed)
     text = make_text(rng, language)
     rules = sample_rules(language, seed, 3, max_depth=3)
-
-    def split(t, step):
-        return _split(t, step.level, language, step.pattern)
-
+    splits = _Splits(language)
     for rule in rules:
         texts = [text]
         steps = rule.procedure
@@ -309,7 +305,7 @@ def test_refinement_never_grows_total_text(seed, language):
             steps = steps[:-1]
         for step in steps:
             before = sum(map(len, texts))
-            texts = _refine(texts, step, split)
+            texts = _refine(texts, step, splits)
             assert sum(map(len, texts)) <= before
 
 
@@ -501,7 +497,7 @@ def _check_derived_splits(text: str, language: str) -> None:
     assert drops - bases <= set(splits.cuts)
     for rewrite in set(variants.values()):
         for level in _PLAIN_LEVELS:
-            assert splits[rewrite, level, None] == _split(rewrite, level, language, None), (rewrite, level)
+            assert splits[rewrite, level, None] == split(rewrite, level, language), (rewrite, level)
 
 
 @pytest.mark.parametrize("language", ["en", "zh"])

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from helpers import write_responses
 from lexcheck.dsl import parse_rule
 from lexcheck.generate import GenConfig, generate_dataset
 from lexcheck.records import (
@@ -23,7 +24,6 @@ from lexcheck.records import (
     rule_from_dict,
     rule_to_dict,
     write_instructions,
-    write_responses,
 )
 from lexcheck.rules import Predicate
 

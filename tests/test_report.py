@@ -8,9 +8,10 @@ import time
 
 import pytest
 
+from helpers import write_responses
 from lexcheck.engine import verify_instruction
 from lexcheck.generate import GenConfig, generate_dataset
-from lexcheck.records import DataError, write_instructions, write_responses
+from lexcheck.records import DataError, write_instructions
 from lexcheck.report import (
     CellStats,
     EvalReport,

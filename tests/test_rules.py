@@ -18,7 +18,6 @@ from lexcheck.rules import (
     Violation,
     check_validity,
     descends,
-    is_valid,
 )
 
 
@@ -137,7 +136,6 @@ class TestCheckValidity:
             3,
         )
         assert check_validity(rule) == []
-        assert is_valid(rule)
 
     def test_empty_procedure(self):
         rule = Rule((), Relation.EQ, 3)

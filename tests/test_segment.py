@@ -7,16 +7,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle
 from helpers import make_text
+from lexcheck.dsl import parse_rule
+from lexcheck.engine import _refine, _Splits, verify_rule
 from lexcheck.rules import Level
-from lexcheck.segment import (
-    Element,
-    gaps,
-    is_ascii_letter,
-    is_cjk_char,
-    is_punct_char,
-    segment,
-)
+from lexcheck.segment import is_ascii_letter, is_cjk_char, is_punct_char, split
 
 CONTENT_LEVELS = [
     Level.PARAGRAPH,
@@ -31,15 +27,19 @@ CONTENT_LEVELS = [
 
 
 def texts(level: Level, text: str, language: str = "en") -> list[str]:
-    return [el.text for el in segment(text, level, language)]
+    return [el[0] for el in split(text, level, language)]
+
+
+def holds(rule_text: str, text: str) -> bool:
+    return verify_rule(parse_rule(rule_text), text)
 
 
 class TestAnswer:
     def test_whole_text(self):
-        assert segment("ab", Level.ANSWER) == [Element("ab", 0, 2)]
+        assert split("ab", Level.ANSWER) == [("ab", 0, 2)]
 
     def test_empty_text_has_no_elements(self):
-        assert segment("", Level.ANSWER) == []
+        assert split("", Level.ANSWER) == []
 
 
 class TestParagraphs:
@@ -53,8 +53,7 @@ class TestParagraphs:
         assert texts(Level.PARAGRAPH, "A\nB") == ["A\nB"]
 
     def test_content_trimmed_span_untrimmed(self):
-        els = segment("  A  \n\n\nB", Level.PARAGRAPH)
-        assert [(e.text, e.span) for e in els] == [("A", (0, 5)), ("B", (8, 9))]
+        assert split("  A  \n\n\nB", Level.PARAGRAPH) == [("A", 0, 5), ("B", 8, 9)]
 
     def test_blank_pieces_dropped(self):
         assert texts(Level.PARAGRAPH, "\n\nA\n\n \n\nB\n\n") == ["A", "B"]
@@ -66,9 +65,7 @@ class TestLines:
         assert texts(Level.LINE, "a\nb\nc") == ["a", "b", "c"]
 
     def test_blank_lines_dropped_content_raw(self):
-        els = segment(" a \n\n  \nb", Level.LINE)
-        assert [e.text for e in els] == [" a ", "b"]
-        assert [e.span for e in els] == [(0, 3), (8, 9)]
+        assert split(" a \n\n  \nb", Level.LINE) == [(" a ", 0, 3), ("b", 8, 9)]
 
     def test_trailing_newline(self):
         assert texts(Level.LINE, "a\n") == ["a"]
@@ -80,8 +77,7 @@ class TestBullets:
         assert texts(Level.BULLET, text) == ["a", "b", "c", "d", "e"]
 
     def test_span_covers_whole_line(self):
-        els = segment("- a\nx\n* bb", Level.BULLET)
-        assert [(e.text, e.span) for e in els] == [("a", (0, 3)), ("bb", (6, 10))]
+        assert split("- a\nx\n* bb", Level.BULLET) == [("a", 0, 3), ("bb", 6, 10)]
 
     def test_marker_needs_trailing_space(self):
         assert texts(Level.BULLET, "*emphasis*") == []
@@ -128,8 +124,7 @@ class TestSentencesEnglish:
         assert texts(Level.SENTENCE, "just words") == ["just words"]
 
     def test_leading_whitespace_skipped(self):
-        els = segment("  Hi. Yo.", Level.SENTENCE)
-        assert [(e.text, e.span) for e in els] == [("Hi.", (2, 5)), ("Yo.", (6, 9))]
+        assert split("  Hi. Yo.", Level.SENTENCE) == [("Hi.", 2, 5), ("Yo.", 6, 9)]
 
     def test_empty(self):
         assert texts(Level.SENTENCE, "") == []
@@ -161,9 +156,7 @@ class TestSentencesChinese:
 
 class TestWords:
     def test_punctuation_stripped_from_ends(self):
-        els = segment("Hello, world!", Level.WORD)
-        assert [e.text for e in els] == ["Hello", "world"]
-        assert [e.span for e in els] == [(0, 6), (7, 13)]
+        assert split("Hello, world!", Level.WORD) == [("Hello", 0, 6), ("world", 7, 13)]
 
     def test_interior_punctuation_kept(self):
         assert texts(Level.WORD, "it's well-known") == ["it's", "well-known"]
@@ -198,57 +191,65 @@ class TestCharClasses:
         assert is_ascii_letter("Q") and not is_ascii_letter("1")
 
     def test_spans_are_single_positions(self):
-        els = segment("a.b", Level.PUNC)
-        assert els == [Element(".", 1, 2)]
+        assert split("a.b", Level.PUNC) == [(".", 1, 2)]
 
     def test_levels_agree_with_predicates_on_every_code_point(self):
+        """Checked against the oracle's own predicates: the library defines
+        its CJK and letter predicates by the classes these levels use."""
         every = "".join(map(chr, range(0x110000)))
         for level, keep in (
-            (Level.CHARACTER, is_cjk_char),
-            (Level.LETTER, is_ascii_letter),
-            (Level.PUNC, is_punct_char),
+            (Level.CHARACTER, oracle.is_cjk),
+            (Level.LETTER, oracle.is_ascii_letter),
+            (Level.PUNC, oracle.is_punct),
         ):
-            got = [el.start for el in segment(every, level)]
+            got = [el[1] for el in split(every, level)]
             assert got == [cp for cp in range(0x110000) if keep(chr(cp))], level
 
 
 class TestPattern:
     def test_matches_in_order(self):
-        els = segment("a1b22", Level.PATTERN, pattern="[0-9]+")
-        assert [(e.text, e.span) for e in els] == [("1", (1, 2)), ("22", (3, 5))]
+        assert split("a1b22", Level.PATTERN, pattern="[0-9]+") == [("1", 1, 2), ("22", 3, 5)]
 
     def test_no_match(self):
-        assert segment("abc", Level.PATTERN, pattern="[0-9]+") == []
+        assert split("abc", Level.PATTERN, pattern="[0-9]+") == []
 
     def test_pattern_required_exactly_for_pattern_level(self):
         with pytest.raises(ValueError):
-            segment("x", Level.PATTERN)
+            split("x", Level.PATTERN)
         with pytest.raises(ValueError):
-            segment("x", Level.WORD, pattern="a")
+            split("x", Level.WORD, pattern="a")
 
     def test_unknown_language_rejected(self):
         with pytest.raises(ValueError):
-            segment("x", Level.WORD, language="fr")
+            split("x", Level.WORD, language="fr")
 
 
 class TestGaps:
+    """`%` selects the raw text between consecutive elements."""
+
     def test_between_bullets(self):
-        els = segment("- a\n- b", Level.BULLET)
-        assert [g.text for g in gaps(els, "- a\n- b")] == ["\n"]
+        assert holds('bullet% equal "\\n"', "- a\n- b")
 
     def test_between_words(self):
+        # the gaps "  " and " ": spaces only, untrimmed, one of each width
         text = "a  b c"
-        els = segment(text, Level.WORD)
-        assert [g.text for g in gaps(els, text)] == ["  ", " "]
+        assert holds("word%.pattern(/[^ ]/)# = 0", text)
+        assert holds("word%.pattern(/ /)# >= 1", text)
+        assert holds("word%.pattern(/ /)# <= 2", text)
+        assert not holds("word%.pattern(/ /)# = 1", text)
+        assert not holds("word%.pattern(/ /)# = 2", text)
 
     def test_count_is_k_minus_one(self):
         text = "one. two. three."
-        els = segment(text, Level.SENTENCE)
-        assert len(gaps(els, text)) == len(els) - 1
+        assert holds('sentence% equal " "', text)
+        step = parse_rule('sentence% equal " "').procedure[-1]
+        assert len(_refine([text], step, _Splits("en"))) == len(split(text, Level.SENTENCE)) - 1
 
     def test_no_gap_for_zero_or_one_element(self):
-        assert gaps([], "x") == []
-        assert gaps(segment("word", Level.WORD), "word") == []
+        # an empty selection fails even a rule every gap would satisfy
+        assert not holds("word%.pattern(/x/)# >= 0", "")
+        assert not holds("word%.pattern(/x/)# >= 0", "word")
+        assert holds("word%.pattern(/x/)# >= 0", "two words")
 
 
 def _structured_texts():
@@ -261,29 +262,29 @@ def test_span_fidelity(text):
     """Slicing the parent by an element's span reproduces the documented raw region."""
     for language in ("en", "zh"):
         for level in CONTENT_LEVELS:
-            for el in segment(text, level, language):
-                raw = text[el.start : el.end]
+            for content, start, end in split(text, level, language):
+                raw = text[start:end]
                 if level is Level.PARAGRAPH:
-                    assert el.text == raw.strip()
+                    assert content == raw.strip()
                 elif level is Level.WORD:
-                    assert el.text in raw and raw.find(el.text) >= 0
+                    assert content in raw and raw.find(content) >= 0
                 elif level is Level.BULLET:
-                    assert raw.endswith(el.text)
+                    assert raw.endswith(content)
                 else:
-                    assert el.text == raw
-        for el in segment(text, Level.PATTERN, language, pattern="[A-Za-z0-9]+"):
-            assert el.text == text[el.start : el.end]
+                    assert content == raw
+        for content, start, end in split(text, Level.PATTERN, language, pattern="[A-Za-z0-9]+"):
+            assert content == text[start:end]
 
 
 @pytest.mark.parametrize("text", _structured_texts())
 def test_spans_ordered_and_disjoint(text):
     for language in ("en", "zh"):
         for level in CONTENT_LEVELS:
-            els = segment(text, level, language)
+            els = split(text, level, language)
             for a, b in zip(els, els[1:]):
-                assert a.end <= b.start
-            for el in els:
-                assert 0 <= el.start <= el.end <= len(text)
+                assert a[2] <= b[1]
+            for _, start, end in els:
+                assert 0 <= start <= end <= len(text)
 
 
 @settings(max_examples=60, deadline=None)
@@ -305,6 +306,5 @@ def test_resegmenting_an_element_is_idempotent(seed, language):
         Level.LETTER,
         Level.PUNC,
     ]:
-        for el in segment(text, level, language):
-            again = segment(el.text, level, language)
-            assert [e.text for e in again] == [el.text], (level, el.text)
+        for content, _, _ in split(text, level, language):
+            assert texts(level, content, language) == [content], (level, content)

@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import sample_rules
 from lexcheck.dsl import parse_rule
+from lexcheck.rules import ALLOWED_RELATIONS, LANGUAGES
 from lexcheck.templates import (
     DEFAULT_TEMPLATES,
     MissingTemplateError,
     load_templates,
-    missing_templates,
     render_prompt,
     render_rule_sentence,
 )
@@ -149,13 +149,14 @@ class TestChineseRenders:
 
 class TestRegistry:
     def test_default_registry_is_complete(self):
-        assert missing_templates() == []
-        assert missing_templates(DEFAULT_TEMPLATES) == []
-
-    def test_missing_key_reported(self):
-        registry = dict(DEFAULT_TEMPLATES)
-        del registry[("count", "eq", "en")]
-        assert missing_templates(registry) == [("count", "eq", "en")]
+        missing = [
+            (kind.value, relation.value, language)
+            for kind, relations in ALLOWED_RELATIONS.items()
+            for relation in relations
+            for language in LANGUAGES
+            if (kind.value, relation.value, language) not in DEFAULT_TEMPLATES
+        ]
+        assert missing == []
 
     def test_render_with_missing_template_raises(self):
         with pytest.raises(MissingTemplateError) as info:
@@ -176,6 +177,21 @@ class TestRegistry:
         assert render_rule_sentence(parse_rule("sentence# > 5"), "en", registry) == (
             "The response must contain more than 5 sentences."
         )
+
+    def test_overlay_may_use_every_placeholder_its_kind_fills(self, tmp_path):
+        path = tmp_path / "templates.json"
+        overlay = {
+            "en": {
+                "count": {"eq": "{position}: {n} = {value} {level}."},
+                "between": {"equal": "{level} / {value}."},
+            }
+        }
+        path.write_text(json.dumps(overlay), encoding="utf-8")
+        registry = load_templates(path)
+        assert render_rule_sentence(parse_rule("sentence# = 2"), "en", registry) == (
+            "The response: 2 = 2 sentences."
+        )
+        assert render_rule_sentence(parse_rule('line% equal "x"'), "en", registry) == 'Lines / "x".'
 
     def test_invalid_rule_rejected(self):
         from lexcheck.rules import Level, Predicate, ProcedureStep, Relation, Rule
