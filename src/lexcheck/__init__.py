@@ -41,7 +41,6 @@ from .rules import (
     Relation,
     Rule,
     Violation,
-    check_validity,
 )
 from .segment import split
 from .templates import MissingTemplateError, load_templates, render_prompt, render_rule_sentence
@@ -71,7 +70,6 @@ __all__ = [
     "Verdict",
     "Violation",
     "aggregate",
-    "check_validity",
     "format_rule",
     "generate_dataset",
     "grade_difficulty",

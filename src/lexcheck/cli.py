@@ -65,7 +65,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (ParseError, PatternError, ValidityError) as exc:
         _err(f"bad rule expression: {exc}")
         return EXIT_DATA
-    # parse_rule has already rejected invalid rules
     verdict = _verdict((rule,), sys.stdin.read(), args.lang, loose=not args.strict_only)
     print(f"strict: {'pass' if verdict.strict_pass else 'fail'}")
     if verdict.loose_pass is not None:

@@ -19,6 +19,7 @@ between consecutive elements, and ``#`` counts elements.  String values escape
 from __future__ import annotations
 
 import re
+import sys
 
 from .rules import (
     Level,
@@ -28,7 +29,6 @@ from .rules import (
     Relation,
     Rule,
     ValidityError,
-    require_valid,
 )
 
 
@@ -103,7 +103,10 @@ def _read_int(cur: _Cursor, what: str) -> int:
         cur.pos += 1
     if cur.pos == digits_start:
         raise ParseError(start, what)
-    n = int(cur.text[digits_start : cur.pos])
+    try:
+        n = int(cur.text[digits_start : cur.pos])
+    except ValueError:  # more digits than int() converts
+        raise ParseError(start, f"{what} of at most {sys.get_int_max_str_digits()} digits") from None
     return -n if negative else n
 
 
@@ -144,12 +147,11 @@ def _parse_step(cur: _Cursor) -> ProcedureStep:
         cur.pos += 2
         body_pos = cur.pos
         regex = _read_regex_body(cur)
+        predicate = _parse_predicate(cur)
         try:
-            return ProcedureStep(level, _parse_predicate(cur), regex)
-        except ValueError as exc:
-            if "does not compile" in str(exc):
-                raise PatternError(body_pos, str(exc)) from exc
-            raise
+            return ProcedureStep(level, predicate, regex)
+        except ValueError as exc:  # the regex does not compile
+            raise PatternError(body_pos, str(exc)) from exc
     return ProcedureStep(level, _parse_predicate(cur))
 
 
@@ -257,7 +259,7 @@ def parse_rule(source: str) -> Rule:
     cur.skip_ws()
     if not cur.at_end():
         raise ParseError(cur.pos, "end of expression")
-    return require_valid(Rule(tuple(steps), relation, value))
+    return Rule(tuple(steps), relation, value)
 
 
 _ESCAPE_PAIR_OR_SLASH = re.compile(r"\\.|/", re.DOTALL)

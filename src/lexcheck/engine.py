@@ -20,7 +20,6 @@ from .rules import (
     Relation,
     Rule,
     require_language,
-    require_valid,
 )
 from .segment import _Span, _split
 
@@ -81,7 +80,6 @@ _COMPARE = {
 
 def verify_rule(rule: Rule, full_text: str, language: str = "en") -> bool:
     """Run the full pipeline for one rule against one answer text."""
-    require_valid(rule)
     require_language(language)
     return _holds(rule, full_text, _Splits(language))
 
@@ -135,7 +133,7 @@ def _inside(elements: list[_Span], a: int, b: int) -> list[_Span]:
 
 
 def _holds(rule: Rule, full_text: str, splits: _Splits) -> bool:
-    """verify_rule for a valid rule, with the language held by `splits`.
+    """verify_rule with the language held by `splits`.
 
     Callers that pass one `splits` split each text at most once per level
     and pattern.
@@ -214,13 +212,11 @@ def verify_instruction(instruction: Instruction, response: str, loose: bool = Tr
     A relaxed rewrite counts only if it satisfies *all* rules jointly; the
     first passing variant in the fixed order is recorded.
     """
-    for rule in instruction.rules:
-        require_valid(rule)
     return _verdict(instruction.rules, response, instruction.language, loose)
 
 
 def _verdict(rules: tuple[Rule, ...], response: str, language: str, loose: bool) -> Verdict:
-    """verify_instruction for rules already known to be valid.
+    """verify_instruction on the rules and language of an instruction.
 
     The strict pass and every rewrite share one split cache, which is dropped
     on return.  The search skips what is already decided: the identity

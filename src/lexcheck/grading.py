@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .rules import Level, Predicate, PredicateKind, Relation, Rule, require_valid
+from .rules import Level, Predicate, PredicateKind, Relation, Rule
 
 PREDICATE_WEIGHTS = {
     PredicateKind.ALL: 1,
@@ -86,13 +86,6 @@ def grade_difficulty(rules: Iterable[Rule]) -> DifficultyScore:
     rules = tuple(rules)
     if not rules:
         raise ValueError("difficulty grading needs at least one rule")
-    for rule in rules:
-        require_valid(rule)
-    return _grade(rules)
-
-
-def _grade(rules: tuple[Rule, ...]) -> DifficultyScore:
-    """grade_difficulty for a nonempty tuple of rules already known to be valid."""
     scores = tuple(score_rule(r) for r in rules)
     multiplier = 1.0 + EXTRA_CONSTRAINT_MULTIPLIER * (len(rules) - 1)
     total = sum(scores) * multiplier

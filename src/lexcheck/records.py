@@ -13,12 +13,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import sys
 import typing
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
 from .dsl import parse_rule
-from .grading import _grade
+from .grading import grade_difficulty
 from .rules import (
     Instruction,
     Level,
@@ -27,7 +28,6 @@ from .rules import (
     ProcedureStep,
     Relation,
     Rule,
-    require_valid,
 )
 
 
@@ -154,7 +154,7 @@ def rule_from_dict(data: dict[str, Any] | str) -> Rule:
         )
         for entry in data["procedure"]
     )
-    return require_valid(Rule(steps, Relation(data["relation"]), data["value"]))
+    return Rule(steps, Relation(data["relation"]), data["value"])
 
 
 def instruction_to_dict(instruction: Instruction) -> dict[str, Any]:
@@ -171,6 +171,9 @@ def instruction_to_dict(instruction: Instruction) -> dict[str, Any]:
 
 def instruction_from_dict(data: dict[str, Any]) -> Instruction:
     rules = tuple(rule_from_dict(r) for r in data["rules"])
+    for name, kind in (("prompt", str), ("depth", int), ("count", int)):
+        if type(data[name]) is not kind:
+            raise ValueError(f"{name} must be {kind.__name__}, not {data[name]!r:.60}")
     instruction = Instruction(
         id=str(data["id"]),
         language=data["language"],
@@ -180,7 +183,7 @@ def instruction_from_dict(data: dict[str, Any]) -> Instruction:
         depth=data["depth"],
         count=data["count"],
     )
-    graded = _grade(rules).grade  # rule_from_dict has validated every rule
+    graded = grade_difficulty(rules).grade
     if graded != instruction.difficulty:
         raise ValueError(
             f"difficulty {instruction.difficulty!r} does not match the rules (graded {graded!r})"
@@ -198,6 +201,9 @@ def _iter_jsonl(path: str | Path) -> Iterable[tuple[int, dict[str, Any]]]:
                     data = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise DataError(f"malformed JSON ({exc.msg})", path, lineno) from exc
+                except ValueError as exc:  # an integer with more digits than int() converts
+                    reason = f"integer of more than {sys.get_int_max_str_digits()} digits"
+                    raise DataError(reason, path, lineno) from exc
                 if not isinstance(data, dict):
                     raise DataError("record is not a JSON object", path, lineno)
                 yield lineno, data

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import multiprocessing
+import sys
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
@@ -330,6 +331,8 @@ def load_report(path: str | Path) -> EvalReport:
         raise DataError(f"report is not valid UTF-8 (byte {exc.start})", path) from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"malformed report JSON: {exc.msg}", path) from exc
+    except ValueError as exc:  # an integer with more digits than int() converts
+        raise DataError(f"integer of more than {sys.get_int_max_str_digits()} digits", path) from exc
     try:
         return report_from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:

@@ -2,10 +2,11 @@
 
 A rule pairs a *procedure* (a chain of level-addressing steps that narrows the
 answer down to some elements) with a *relation* and a *value* to compare the
-selected elements against.  Rules are plain immutable data; semantic conflicts
-between the terminal predicate and the relation are reported by
-``check_validity`` as a stable list of violation codes, and ``require_valid``
-raises them as one ``ValidityError`` wherever a rule enters the system.
+selected elements against.  Rules are plain immutable data and valid by
+construction: building a ``Rule`` checks the semantic constraints between its
+steps, relation and value once, and raises one ``ValidityError`` carrying a
+stable list of violation codes when any is broken.  No other function checks a
+rule again.
 """
 
 from __future__ import annotations
@@ -207,7 +208,10 @@ class ProcedureStep:
 
 @dataclass(frozen=True)
 class Rule:
-    """A single lexical constraint: procedure, relation, comparison value."""
+    """A single lexical constraint: procedure, relation, comparison value.
+
+    Raises ValidityError when the parts conflict, so every Rule is valid.
+    """
 
     procedure: tuple[ProcedureStep, ...]
     relation: Relation
@@ -226,10 +230,13 @@ class Rule:
                 raise ValueError("text rule value must be a nonempty string")
         else:
             raise ValueError("rule value must be an integer or string")
+        violations = _violations(self)
+        if violations:
+            raise ValidityError(violations)
 
 
 class Violation(str, enum.Enum):
-    """Stable codes for semantic conflicts reported by ``check_validity``."""
+    """Stable codes for the semantic conflicts a ValidityError reports."""
 
     EMPTY_PROCEDURE = "empty-procedure"
     NUMERIC_WITHOUT_COUNT = "numeric-relation-without-count"
@@ -253,12 +260,9 @@ _PAIRING_VIOLATION = {
 }
 
 
-def check_validity(rule: Rule) -> list[Violation]:
-    """Return every violation code that applies to `rule` (empty list = valid).
-
-    Pure: structurally well-formed rules never raise here, and repeated calls
-    return the same codes in the same order.
-    """
+def _violations(rule: Rule) -> list[Violation]:
+    """Every violation code that applies to the rule being built, in a fixed
+    order; empty when it is valid."""
     steps = rule.procedure
     if not steps:
         return [Violation.EMPTY_PROCEDURE]
@@ -301,14 +305,6 @@ class ValidityError(ValueError):
         self.violations = violations
         codes = ", ".join(v.value for v in violations)
         super().__init__(f"invalid rule: {codes}")
-
-
-def require_valid(rule: Rule) -> Rule:
-    """Return `rule` unchanged, or raise ValidityError with its violation codes."""
-    violations = check_validity(rule)
-    if violations:
-        raise ValidityError(violations)
-    return rule
 
 
 def require_language(language: str) -> None:

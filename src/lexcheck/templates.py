@@ -16,13 +16,14 @@ from pathlib import Path
 
 from .dsl import _escape_value
 from .rules import (
+    ALLOWED_RELATIONS,
+    LANGUAGES,
     Level,
     PredicateKind,
     ProcedureStep,
     Relation,
     Rule,
     require_language,
-    require_valid,
 )
 
 TemplateKey = tuple[str, str, str]  # (predicate kind, relation, language)
@@ -236,7 +237,6 @@ def _assemble(prefixes: list[str], core: str, language: str) -> str:
 def render_rule_sentence(rule: Rule, language: str, registry: dict[TemplateKey, str] | None = None) -> str:
     """One self-contained requirement sentence for a single rule."""
     require_language(language)
-    require_valid(rule)
     reg = DEFAULT_TEMPLATES if registry is None else registry
     steps = rule.procedure
     terminal = steps[-1]
@@ -288,16 +288,21 @@ def load_templates(path: str | Path) -> dict[TemplateKey, str]:
     over the defaults.
 
     Raises ValueError naming the entry when a level of the file is not an
-    object, a template is not a string, a predicate kind is unknown, or a
-    template is not a format string over its kind's placeholders.
+    object, a language or predicate kind is unknown, a relation is not
+    allowed for its kind, a template is not a string, or a template is not a
+    format string over its kind's placeholders.
     """
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     registry = dict(DEFAULT_TEMPLATES)
     for language, by_kind in _entries(data, "template file"):
+        if language not in LANGUAGES:
+            raise ValueError(f"template entry {language}: unknown language")
         for kind, by_relation in _entries(by_kind, f"template entry {language}"):
             if kind not in _PLACEHOLDERS:
                 raise ValueError(f"template entry {language}.{kind}: unknown predicate kind")
             for relation, template in _entries(by_relation, f"template entry {language}.{kind}"):
+                if relation not in ALLOWED_RELATIONS[PredicateKind(kind)]:
+                    raise ValueError(f"template entry {language}.{kind}.{relation}: not a {kind} relation")
                 _check_template(template, kind, f"template {language}.{kind}.{relation}")
                 registry[(kind, relation, language)] = template
     return registry

@@ -16,7 +16,7 @@ from typing import Any, Iterable
 
 from lexcheck.generate import GenConfig, sample_rule
 from lexcheck.grading import grade_difficulty
-from lexcheck.rules import Instruction, Rule
+from lexcheck.rules import Instruction, ProcedureStep, Relation, Rule, ValidityError, Violation
 
 EN_WORDS = (
     "The", "quick", "brown", "fox", "jumps", "over", "a", "lazy", "dog",
@@ -97,6 +97,16 @@ def sample_rules(language: str, seed: int, n: int, max_depth: int = 3) -> list[R
     config = GenConfig(seed=0, language=language, max_depth=max_depth)
     rng = random.Random(seed)
     return [sample_rule(config, rng) for _ in range(n)]
+
+
+def violations(procedure: Iterable[ProcedureStep], relation: Relation, value: int | str) -> list[Violation]:
+    """The codes a Rule built from these parts is refused with; empty when
+    it is valid."""
+    try:
+        Rule(tuple(procedure), relation, value)
+    except ValidityError as exc:
+        return exc.violations
+    return []
 
 
 def build_instruction(

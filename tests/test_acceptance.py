@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from helpers import make_text, sample_rules
+from helpers import make_text, sample_rules, violations
 from lexcheck.dsl import format_rule, parse_rule
 from lexcheck.engine import verify_rule
 from lexcheck.generate import GenConfig, generate_dataset
@@ -40,8 +40,7 @@ from lexcheck.rules import (
     PredicateKind,
     ProcedureStep,
     Relation,
-    Rule,
-    check_validity,
+    Violation,
 )
 from oracle import brute_verify
 
@@ -128,51 +127,47 @@ def test_a1_oracle_equivalence():
 _ANSWER = ProcedureStep(Level.ANSWER, Predicate(PredicateKind.ALL))
 
 
-def _forbidden(kind: PredicateKind, n: int | None, relation: Relation, value: int | str) -> Rule:
+def _codes(kind: PredicateKind, n: int | None, relation: Relation, value: int | str) -> list[Violation]:
+    """The codes an answer.sentence rule with this terminal is refused with."""
     step = ProcedureStep(Level.SENTENCE, Predicate(kind, n))
-    return Rule((_ANSWER, step), relation, value)
+    return violations((_ANSWER, step), relation, value)
 
 
 FORBIDDEN_PAIRINGS = [
     # textual relations restricted to index/all: before admits contain family only
-    _forbidden(PredicateKind.BEFORE, 2, Relation.STARTSWITH, "x"),
-    _forbidden(PredicateKind.BEFORE, 2, Relation.ENDSWITH, "x"),
-    _forbidden(PredicateKind.BEFORE, 2, Relation.EQUAL, "x"),
-    _forbidden(PredicateKind.BEFORE, 2, Relation.NOTSTARTSWITH, "x"),
-    _forbidden(PredicateKind.BEFORE, 2, Relation.NOTENDSWITH, "x"),
+    (PredicateKind.BEFORE, 2, Relation.STARTSWITH, "x"),
+    (PredicateKind.BEFORE, 2, Relation.ENDSWITH, "x"),
+    (PredicateKind.BEFORE, 2, Relation.EQUAL, "x"),
+    (PredicateKind.BEFORE, 2, Relation.NOTSTARTSWITH, "x"),
+    (PredicateKind.BEFORE, 2, Relation.NOTENDSWITH, "x"),
     # between admits equal only
-    _forbidden(PredicateKind.BETWEEN, None, Relation.STARTSWITH, "x"),
-    _forbidden(PredicateKind.BETWEEN, None, Relation.ENDSWITH, "x"),
-    _forbidden(PredicateKind.BETWEEN, None, Relation.CONTAIN, "x"),
-    _forbidden(PredicateKind.BETWEEN, None, Relation.NOTSTARTSWITH, "x"),
-    _forbidden(PredicateKind.BETWEEN, None, Relation.NOTENDSWITH, "x"),
-    _forbidden(PredicateKind.BETWEEN, None, Relation.NOTCONTAIN, "x"),
+    (PredicateKind.BETWEEN, None, Relation.STARTSWITH, "x"),
+    (PredicateKind.BETWEEN, None, Relation.ENDSWITH, "x"),
+    (PredicateKind.BETWEEN, None, Relation.CONTAIN, "x"),
+    (PredicateKind.BETWEEN, None, Relation.NOTSTARTSWITH, "x"),
+    (PredicateKind.BETWEEN, None, Relation.NOTENDSWITH, "x"),
+    (PredicateKind.BETWEEN, None, Relation.NOTCONTAIN, "x"),
     # after admits contain, notcontain, equal only
-    _forbidden(PredicateKind.AFTER, 1, Relation.STARTSWITH, "x"),
-    _forbidden(PredicateKind.AFTER, 1, Relation.ENDSWITH, "x"),
-    _forbidden(PredicateKind.AFTER, 1, Relation.NOTSTARTSWITH, "x"),
-    _forbidden(PredicateKind.AFTER, 1, Relation.NOTENDSWITH, "x"),
+    (PredicateKind.AFTER, 1, Relation.STARTSWITH, "x"),
+    (PredicateKind.AFTER, 1, Relation.ENDSWITH, "x"),
+    (PredicateKind.AFTER, 1, Relation.NOTSTARTSWITH, "x"),
+    (PredicateKind.AFTER, 1, Relation.NOTENDSWITH, "x"),
     # numerical relations require a terminal count
-    _forbidden(PredicateKind.INDEX, 1, Relation.EQ, 3),
-    _forbidden(PredicateKind.ALL, None, Relation.GT, 3),
-    _forbidden(PredicateKind.BEFORE, 2, Relation.LT, 3),
-    _forbidden(PredicateKind.AFTER, 1, Relation.GTE, 3),
+    (PredicateKind.INDEX, 1, Relation.EQ, 3),
+    (PredicateKind.ALL, None, Relation.GT, 3),
+    (PredicateKind.BEFORE, 2, Relation.LT, 3),
+    (PredicateKind.AFTER, 1, Relation.GTE, 3),
     # and count admits numerical relations only
-    _forbidden(PredicateKind.COUNT, None, Relation.CONTAIN, "x"),
+    (PredicateKind.COUNT, None, Relation.CONTAIN, "x"),
 ]
 
 
 @criterion("grammar closure")
 def test_a2_grammar_closure(sampled_rules):
-    invalid = [
-        rule
-        for rules in sampled_rules.values()
-        for rule in rules
-        if check_validity(rule)
-    ]
-    assert not invalid, f"{len(invalid)} sampled rules failed validity"
+    # sample_rule builds each rule as a Rule, which raises ValidityError when invalid
+    assert sum(map(len, sampled_rules.values())) == 10_000
     assert len(FORBIDDEN_PAIRINGS) == 20
-    accepted = [rule for rule in FORBIDDEN_PAIRINGS if not check_validity(rule)]
+    accepted = [pairing for pairing in FORBIDDEN_PAIRINGS if not _codes(*pairing)]
     assert not accepted, f"forbidden pairings accepted: {accepted}"
     return "10000 sampled rules valid, 20 forbidden pairings rejected"
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 
 import pytest
 
@@ -11,6 +12,12 @@ from helpers import build_instruction, write_responses
 from lexcheck.cli import EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
 from lexcheck.dsl import parse_rule
 from lexcheck.records import write_instructions
+
+
+# more digits than int() converts, and the error each path reports for it
+LIMIT = sys.get_int_max_str_digits()
+HUGE = "9" * (LIMIT + 700)
+TOO_LONG = f"integer of more than {LIMIT} digits"
 
 
 def feed_stdin(monkeypatch, text: str) -> None:
@@ -84,6 +91,13 @@ class TestVerify:
         feed_stdin(monkeypatch, "text")
         assert main(["verify", "word# startswith 3"]) == EXIT_DATA
         assert capsys.readouterr().err.startswith("error: bad rule expression")
+
+    def test_oversized_integer_is_data_error(self, monkeypatch, capsys):
+        feed_stdin(monkeypatch, "text")
+        assert main(["verify", f"answer.word# = {HUGE}"]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: bad rule expression: syntax error at position 15: expected a value of at most {LIMIT} digits\n"
+        )
 
 
 class TestGenerate:
@@ -192,6 +206,15 @@ class TestRender:
         feed_stdin(monkeypatch, "word## = 1\n")
         assert main(["render"]) == EXIT_DATA
 
+    def test_oversized_integer_is_data_error(self, tmp_path, capsys):
+        rules = tmp_path / "rules.txt"
+        rules.write_text(f"sentence# = 2\nword@{HUGE} equal \"x\"\n", encoding="utf-8")
+        assert main(["render", str(rules)]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: bad rule expression: syntax error at position 5: "
+            f"expected an element ordinal of at most {LIMIT} digits\n"
+        )
+
     def test_empty_input(self, monkeypatch, capsys):
         feed_stdin(monkeypatch, "\n  \n")
         assert main(["render"]) == EXIT_DATA
@@ -218,6 +241,9 @@ class TestRender:
             ({"en": {"count": {"eq": "{0} must"}}}, "template en.count.eq: ValueError"),
             ({"en": {"count": {"eq": "{n must"}}}, "template en.count.eq: ValueError"),
             ({"en": {"index": {"equal": "{level}"}}}, "template en.index.equal: KeyError('level')"),
+            ({"EN": {"count": {"eq": "x"}}}, "template entry EN: unknown language"),
+            ({"en": {"count": {"equals": "x"}}}, "template entry en.count.equals: not a count relation"),
+            ({"en": {"before": {"equal": "x"}}}, "template entry en.before.equal: not a before relation"),
         ],
     )
     def test_bad_template_overlay(self, tmp_path, capsys, overlay, named):
@@ -284,6 +310,22 @@ class TestScore:
         write_responses(res_path, [{"id": "en-zzz", "response": "hi"}])
         assert main(["score", str(ins_path), str(res_path)]) == EXIT_DATA
 
+    def test_oversized_integer_in_responses(self, scoring_files, capsys):
+        ins_path, res_path = scoring_files
+        res_path.write_text(f'{{"id": "en-aaa", "response": "hi", "n": {HUGE}}}\n', encoding="utf-8")
+        assert main(["score", str(ins_path), str(res_path)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {res_path}:1: {TOO_LONG}\n"
+
+    def test_instruction_field_of_wrong_type(self, scoring_files, capsys):
+        # the other mistyped fields are cases of test_records
+        ins_path, res_path = scoring_files
+        lines = ins_path.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[1])
+        record["depth"] = True
+        ins_path.write_text(lines[0] + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+        assert main(["score", str(ins_path), str(res_path)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {ins_path}:2: bad instruction record: depth must be int, not True\n"
+
     def test_missing_input_file(self, scoring_files, tmp_path, capsys):
         ins_path, _ = scoring_files
         assert main(["score", str(ins_path), str(tmp_path / "nope.jsonl")]) == EXIT_DATA
@@ -330,6 +372,12 @@ class TestReport:
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
         assert main(["report", str(path)]) == EXIT_DATA
+
+    def test_oversized_integer_in_report(self, scoring_files, tmp_path, capsys):
+        path = self.make_report(scoring_files, tmp_path, "r1.json")
+        path.write_text(path.read_text(encoding="utf-8").replace('"runs": 1', f'"runs": {HUGE}'), encoding="utf-8")
+        assert main(["report", str(path)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {path}: {TOO_LONG}\n"
 
     @pytest.mark.parametrize("key", ["by_language", "by_difficulty"])
     def test_slice_map_given_as_list(self, scoring_files, tmp_path, capsys, key):

@@ -12,7 +12,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import build_instruction, make_long_text, make_text, sample_rules
+from helpers import build_instruction, make_long_text, make_text, sample_rules, violations
 from oracle import brute_loose_variant, brute_verify
 from lexcheck import engine
 from lexcheck.dsl import parse_rule
@@ -31,7 +31,7 @@ from lexcheck.rules import (
     PredicateKind,
     ProcedureStep,
     Relation,
-    Rule,
+    Violation,
 )
 from lexcheck.segment import split
 
@@ -88,14 +88,12 @@ class TestRefineScope:
         assert holds('word% equal " "', "a, b, c")
 
     def test_count_step_refuses_to_refine(self):
-        # a count step is only valid as the final step, so it never refines
-        counting_first = Rule(
-            (ProcedureStep(Level.PARAGRAPH, Predicate.count()), ProcedureStep(Level.WORD, Predicate.index(1))),
-            Relation.EQUAL,
-            "x",
+        # a count step is only valid as the final step, so no rule can refine by one
+        counting_first = (
+            ProcedureStep(Level.PARAGRAPH, Predicate.count()),
+            ProcedureStep(Level.WORD, Predicate.index(1)),
         )
-        with pytest.raises(ValueError, match="invalid rule"):
-            verify_rule(counting_first, TEXT)
+        assert violations(counting_first, Relation.EQUAL, "x") == [Violation.COUNT_NOT_TERMINAL]
 
 
 class TestIdentifyTarget:
@@ -179,9 +177,9 @@ class TestVerifyRule:
         assert verify_rule(parse_rule('character@1 equal "今"'), "今天。", "zh")
 
     def test_invalid_rule_rejected(self):
-        bad = Rule((ProcedureStep(Level.WORD, Predicate.index(1)),), Relation.EQ, 3)
-        with pytest.raises(ValueError, match="invalid rule"):
-            verify_rule(bad, "text")
+        # an invalid rule never reaches verify_rule: building it raises
+        bad = (ProcedureStep(Level.WORD, Predicate.index(1)),)
+        assert violations(bad, Relation.EQ, 3) == [Violation.NUMERIC_WITHOUT_COUNT]
 
     def test_unknown_language_rejected(self):
         with pytest.raises(ValueError, match="unknown language"):

@@ -24,7 +24,7 @@ from lexcheck.generate import (
 )
 from lexcheck.grading import grade_difficulty
 from lexcheck.records import write_instructions
-from lexcheck.rules import Level, PredicateKind, check_validity
+from lexcheck.rules import Level, PredicateKind, Rule
 
 
 class TestGenConfig:
@@ -63,8 +63,8 @@ class TestSampleRule:
             config = GenConfig(seed=0, language=language)
             rng = random.Random(7)
             for _ in range(2000):
-                rule = sample_rule(config, rng)
-                assert check_validity(rule) == []
+                # a Rule raises ValidityError when invalid
+                assert isinstance(sample_rule(config, rng), Rule)
 
     def test_language_level_exclusions(self):
         seen = {"en": set(), "zh": set()}

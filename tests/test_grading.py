@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import sample_rules
+from helpers import sample_rules, violations
 from lexcheck.dsl import parse_rule
 from lexcheck.grading import (
     EASY_MAX,
@@ -15,7 +15,7 @@ from lexcheck.grading import (
     grade_difficulty,
     score_rule,
 )
-from lexcheck.rules import Level, Predicate, PredicateKind, ProcedureStep, Relation, Rule
+from lexcheck.rules import Level, Predicate, PredicateKind, ProcedureStep, Relation, Violation
 
 
 class TestScoreRule:
@@ -98,9 +98,9 @@ class TestGradeDifficulty:
             grade_difficulty([])
 
     def test_invalid_rule_rejected(self):
-        bad = Rule((ProcedureStep(Level.WORD, Predicate.index(1)),), Relation.EQ, 3)
-        with pytest.raises(ValueError, match="invalid rule"):
-            grade_difficulty([bad])
+        # an invalid rule never reaches grade_difficulty: building it raises
+        bad = (ProcedureStep(Level.WORD, Predicate.index(1)),)
+        assert violations(bad, Relation.EQ, 3) == [Violation.NUMERIC_WITHOUT_COUNT]
 
 
 @settings(max_examples=60, deadline=None)

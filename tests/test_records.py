@@ -176,6 +176,25 @@ class TestInstructionFiles:
             read_instructions(path)
         assert info.value.line == 2
 
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("depth", True, "depth must be int, not True"),
+            ("depth", 1.0, "depth must be int, not 1.0"),
+            ("count", True, "count must be int, not True"),
+            ("prompt", 5, "prompt must be str, not 5"),
+            ("prompt", None, "prompt must be str, not None"),
+        ],
+    )
+    def test_field_of_wrong_type(self, dataset, tmp_path, field, value, named):
+        path = tmp_path / "ins.jsonl"
+        data = instruction_to_dict(dataset[0])
+        data[field] = value
+        path.write_text("\n" + json.dumps(data, ensure_ascii=False) + "\n", encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            read_instructions(path)
+        assert str(info.value) == f"{path}:2: bad instruction record: {named}"
+
     def test_rules_supplied_as_dsl_strings(self, tmp_path):
         data = {
             "id": "en-manual",

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import pytest
 
+from helpers import violations
 from lexcheck.dsl import format_rule, parse_rule
-from lexcheck.rules import Level, Predicate, PredicateKind, ProcedureStep, Relation, Rule, check_validity
+from lexcheck.rules import Level, Predicate, PredicateKind, ProcedureStep, Relation, Rule
 
 NUMERIC = ("eq", "neq", "gt", "gte", "lt", "lte")
 TEXTUAL = ("startswith", "endswith", "equal", "contain", "notstartswith", "notendswith", "notcontain")
@@ -50,12 +51,11 @@ def expected_codes(kind: str, relation: str, value: int | str) -> list[str]:
     return codes
 
 
-def grid_rule(kind: str, relation: str, value: int | str) -> Rule:
-    steps = (
+def grid_steps(kind: str) -> tuple[ProcedureStep, ...]:
+    return (
         ProcedureStep(Level.PARAGRAPH, Predicate.index(1)),
         ProcedureStep(Level.WORD, PREDICATES[kind]),
     )
-    return Rule(steps, Relation(relation), value)
 
 
 CASES = [
@@ -75,14 +75,14 @@ def test_grid_covers_every_kind_and_relation():
 @pytest.mark.parametrize("kind,relation,vtype", CASES)
 def test_validity_codes(kind, relation, vtype):
     value = VALUES[vtype]
-    codes = [v.value for v in check_validity(grid_rule(kind, relation, value))]
+    codes = [v.value for v in violations(grid_steps(kind), Relation(relation), value)]
     assert codes == expected_codes(kind, relation, value)
 
 
 @pytest.mark.parametrize("relation", NUMERIC + TEXTUAL)
 def test_every_relation_round_trips(relation):
     valid = [
-        grid_rule(kind, relation, VALUES[vtype])
+        Rule(grid_steps(kind), Relation(relation), VALUES[vtype])
         for kind, rel, vtype in CASES
         if rel == relation and not expected_codes(kind, relation, VALUES[vtype])
     ]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import sample_rules
+from helpers import sample_rules, violations
 from lexcheck.rules import (
     ALLOWED_RELATIONS,
     Instruction,
@@ -15,8 +15,8 @@ from lexcheck.rules import (
     ProcedureStep,
     Relation,
     Rule,
+    ValidityError,
     Violation,
-    check_validity,
     descends,
 )
 
@@ -129,86 +129,66 @@ class TestRuleValue:
 
 
 class TestCheckValidity:
+    """Building a Rule checks it: an invalid one raises ValidityError with its codes."""
+
     def test_valid_rule_has_no_violations(self):
-        rule = Rule(
-            (step(Level.PARAGRAPH, Predicate.index(2)), step(Level.SENTENCE, Predicate.count())),
-            Relation.EQ,
-            3,
-        )
-        assert check_validity(rule) == []
+        steps = (step(Level.PARAGRAPH, Predicate.index(2)), step(Level.SENTENCE, Predicate.count()))
+        assert violations(steps, Relation.EQ, 3) == []
 
     def test_empty_procedure(self):
-        rule = Rule((), Relation.EQ, 3)
-        assert check_validity(rule) == [Violation.EMPTY_PROCEDURE]
+        assert violations((), Relation.EQ, 3) == [Violation.EMPTY_PROCEDURE]
 
     def test_numeric_relation_needs_count(self):
-        rule = Rule((step(Level.WORD, Predicate.index(1)),), Relation.GT, 5)
-        assert Violation.NUMERIC_WITHOUT_COUNT in check_validity(rule)
+        found = violations((step(Level.WORD, Predicate.index(1)),), Relation.GT, 5)
+        assert Violation.NUMERIC_WITHOUT_COUNT in found
 
     def test_text_relation_rejects_count(self):
-        rule = Rule((step(Level.WORD, Predicate.count()),), Relation.CONTAIN, "x")
-        assert Violation.TEXT_WITH_COUNT in check_validity(rule)
+        found = violations((step(Level.WORD, Predicate.count()),), Relation.CONTAIN, "x")
+        assert Violation.TEXT_WITH_COUNT in found
 
     def test_before_after_between_relation_limits(self):
-        before = Rule((step(Level.WORD, Predicate.before(2)),), Relation.STARTSWITH, "x")
-        assert Violation.BEFORE_RELATION in check_validity(before)
-        after = Rule((step(Level.WORD, Predicate.after(2)),), Relation.ENDSWITH, "x")
-        assert Violation.AFTER_RELATION in check_validity(after)
-        between = Rule((step(Level.WORD, Predicate.between()),), Relation.CONTAIN, "x")
-        assert Violation.BETWEEN_RELATION in check_validity(between)
+        before = violations((step(Level.WORD, Predicate.before(2)),), Relation.STARTSWITH, "x")
+        assert Violation.BEFORE_RELATION in before
+        after = violations((step(Level.WORD, Predicate.after(2)),), Relation.ENDSWITH, "x")
+        assert Violation.AFTER_RELATION in after
+        between = violations((step(Level.WORD, Predicate.between()),), Relation.CONTAIN, "x")
+        assert Violation.BETWEEN_RELATION in between
 
     def test_value_type_mismatch_both_directions(self):
-        numeric_with_text = Rule((step(Level.WORD, Predicate.count()),), Relation.EQ, "x")
-        assert Violation.VALUE_TYPE_MISMATCH in check_validity(numeric_with_text)
-        text_with_int = Rule((step(Level.WORD, Predicate.index(1)),), Relation.CONTAIN, 3)
-        assert Violation.VALUE_TYPE_MISMATCH in check_validity(text_with_int)
+        numeric_with_text = violations((step(Level.WORD, Predicate.count()),), Relation.EQ, "x")
+        assert Violation.VALUE_TYPE_MISMATCH in numeric_with_text
+        text_with_int = violations((step(Level.WORD, Predicate.index(1)),), Relation.CONTAIN, 3)
+        assert Violation.VALUE_TYPE_MISMATCH in text_with_int
 
     def test_levels_must_strictly_descend(self):
-        rule = Rule(
-            (step(Level.SENTENCE, Predicate.index(1)), step(Level.PARAGRAPH, Predicate.index(1))),
-            Relation.CONTAIN,
-            "x",
-        )
-        assert Violation.LEVEL_ORDER in check_validity(rule)
-        peer = Rule(
-            (step(Level.LINE, Predicate.index(1)), step(Level.BULLET, Predicate.index(1))),
-            Relation.CONTAIN,
-            "x",
-        )
-        assert Violation.LEVEL_ORDER in check_validity(peer)
+        upward = (step(Level.SENTENCE, Predicate.index(1)), step(Level.PARAGRAPH, Predicate.index(1)))
+        assert Violation.LEVEL_ORDER in violations(upward, Relation.CONTAIN, "x")
+        peer = (step(Level.LINE, Predicate.index(1)), step(Level.BULLET, Predicate.index(1)))
+        assert Violation.LEVEL_ORDER in violations(peer, Relation.CONTAIN, "x")
 
     def test_answer_placement(self):
-        late = Rule(
-            (step(Level.PARAGRAPH, Predicate.index(1)), step(Level.ANSWER)),
-            Relation.CONTAIN,
-            "x",
-        )
-        assert Violation.ANSWER_NOT_FIRST in check_validity(late)
-        selective = Rule((step(Level.ANSWER, Predicate.index(1)),), Relation.CONTAIN, "x")
-        assert Violation.ANSWER_PREDICATE in check_validity(selective)
+        late = (step(Level.PARAGRAPH, Predicate.index(1)), step(Level.ANSWER))
+        assert Violation.ANSWER_NOT_FIRST in violations(late, Relation.CONTAIN, "x")
+        selective = (step(Level.ANSWER, Predicate.index(1)),)
+        assert Violation.ANSWER_PREDICATE in violations(selective, Relation.CONTAIN, "x")
 
     def test_count_only_terminal(self):
-        rule = Rule(
-            (step(Level.PARAGRAPH, Predicate.count()), step(Level.SENTENCE, Predicate.count())),
-            Relation.EQ,
-            1,
-        )
-        assert Violation.COUNT_NOT_TERMINAL in check_validity(rule)
+        steps = (step(Level.PARAGRAPH, Predicate.count()), step(Level.SENTENCE, Predicate.count()))
+        assert Violation.COUNT_NOT_TERMINAL in violations(steps, Relation.EQ, 1)
 
     def test_multiple_violations_accumulate(self):
-        rule = Rule(
-            (step(Level.SENTENCE, Predicate.index(1)), step(Level.PARAGRAPH, Predicate.index(1))),
-            Relation.EQ,
-            "x",
+        steps = (step(Level.SENTENCE, Predicate.index(1)), step(Level.PARAGRAPH, Predicate.index(1)))
+        with pytest.raises(ValidityError) as info:
+            Rule(steps, Relation.EQ, "x")
+        found = info.value.violations
+        assert found == [Violation.NUMERIC_WITHOUT_COUNT, Violation.VALUE_TYPE_MISMATCH, Violation.LEVEL_ORDER]
+        assert str(info.value) == (
+            "invalid rule: numeric-relation-without-count, value-type-mismatch, levels-not-descending"
         )
-        found = check_validity(rule)
-        assert Violation.NUMERIC_WITHOUT_COUNT in found
-        assert Violation.VALUE_TYPE_MISMATCH in found
-        assert Violation.LEVEL_ORDER in found
 
     def test_repeated_calls_are_stable(self):
-        rule = Rule((step(Level.WORD, Predicate.index(1)),), Relation.GT, 5)
-        assert check_validity(rule) == check_validity(rule)
+        steps = (step(Level.WORD, Predicate.index(1)),)
+        assert violations(steps, Relation.GT, 5) == violations(steps, Relation.GT, 5)
 
 
 class TestAllowedRelations:
@@ -247,8 +227,7 @@ class TestAllowedRelations:
                     PredicateKind.COUNT: Predicate.count(),
                 }[kind]
                 value: int | str = 2 if relation.is_numerical else "x"
-                rule = Rule((ProcedureStep(Level.WORD, pred),), relation, value)
-                assert check_validity(rule) == [], (kind, relation)
+                assert violations((ProcedureStep(Level.WORD, pred),), relation, value) == [], (kind, relation)
 
 
 class TestInstruction:
@@ -280,7 +259,6 @@ class TestInstruction:
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["en", "zh"]))
 def test_sampled_rules_are_structurally_coherent(seed, language):
     for rule in sample_rules(language, seed, 5):
-        assert check_validity(rule) == []
         assert rule.relation.is_numerical == isinstance(rule.value, int)
         counting = rule.procedure[-1].predicate.kind is PredicateKind.COUNT
         assert counting == rule.relation.is_numerical

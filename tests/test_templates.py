@@ -7,7 +7,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import sample_rules
+from helpers import sample_rules, violations
 from lexcheck.dsl import parse_rule
 from lexcheck.rules import ALLOWED_RELATIONS, LANGUAGES
 from lexcheck.templates import (
@@ -194,11 +194,11 @@ class TestRegistry:
         assert render_rule_sentence(parse_rule('line% equal "x"'), "en", registry) == 'Lines / "x".'
 
     def test_invalid_rule_rejected(self):
-        from lexcheck.rules import Level, Predicate, ProcedureStep, Relation, Rule
+        from lexcheck.rules import Level, Predicate, ProcedureStep, Relation, Violation
 
-        bad = Rule((ProcedureStep(Level.WORD, Predicate.index(1)),), Relation.EQ, 3)
-        with pytest.raises(ValueError, match="invalid rule"):
-            render_rule_sentence(bad, "en")
+        # an invalid rule never reaches render_rule_sentence: building it raises
+        bad = (ProcedureStep(Level.WORD, Predicate.index(1)),)
+        assert violations(bad, Relation.EQ, 3) == [Violation.NUMERIC_WITHOUT_COUNT]
 
     def test_unknown_language_rejected(self):
         with pytest.raises(ValueError):
