@@ -84,21 +84,15 @@ def verify_rule(rule: Rule, full_text: str, language: str = "en") -> bool:
     return _holds(rule, full_text, _Splits(language))
 
 
-#: Levels whose elements never cross a newline.
-_LINE_LOCAL = frozenset({Level.LINE, Level.BULLET, Level.WORD, Level.CHARACTER, Level.LETTER, Level.PUNC})
-_START = operator.itemgetter(1)
-_END = operator.itemgetter(2)
-
-
 class _Splits(dict):
     """Elements by (text, level, pattern), each split on first use.
 
     `cuts` maps a text to (base, a, b) when the text is ``base[a:b]``, with
     `a` at 0 or just after a newline and `b` at a newline or the end.  At a
-    line-local level such a text's elements are the base's elements inside
-    [a, b] shifted by -a, so they are taken from the base's split.  The
-    base's split is read from the dict itself, never through a closure, so
-    the cache holds no reference cycle and is freed on return.
+    level in `_DERIVE` such a text's elements are derived from the base's
+    split instead of split in full.  The base's split is read from the dict
+    itself, never through a closure, so the cache holds no reference cycle
+    and is freed on return.
     """
 
     __slots__ = ("language", "cuts")
@@ -110,17 +104,22 @@ class _Splits(dict):
 
     def __missing__(self, key: tuple[str, Level, str | None]) -> list[_Span]:
         text, level, pattern = key
-        cut = self.cuts.get(text) if level in _LINE_LOCAL else None
-        if cut is None:
+        cut = self.cuts.get(text)
+        derive = _DERIVE.get(level) if cut else None
+        if derive is None:
             found = _split(text, level, self.language, pattern)
         else:
             base, a, b = cut
             elements = self.get((base, level, None))
             if elements is None:
                 elements = self[base, level, None] = _split(base, level, self.language, None)
-            found = _inside(elements, a, b)
+            found = derive(_inside(elements, a, b), text, level, self.language)
         self[key] = found
         return found
+
+
+_START = operator.itemgetter(1)
+_END = operator.itemgetter(2)
 
 
 def _inside(elements: list[_Span], a: int, b: int) -> list[_Span]:
@@ -130,6 +129,47 @@ def _inside(elements: list[_Span], a: int, b: int) -> list[_Span]:
         return elements[:hi]
     lo = bisect_left(elements, a, key=_START)
     return [(content, start - a, end - a) for content, start, end in elements[lo:hi]]
+
+
+def _kept(inside: list[_Span], text: str, level: Level, language: str) -> list[_Span]:
+    """A cut's elements at a level whose elements never cross a newline:
+    the base's elements `inside` the cut."""
+    return inside
+
+
+def _edges_resplit(inside: list[_Span], text: str, level: Level, language: str) -> list[_Span]:
+    """A cut's sentences or paragraphs: the base's elements `inside` the cut
+    but the first and last, with only the text before the second and the
+    text after the second-to-last split again.
+
+    A cut starts after a newline and ends at one, and what decides a
+    boundary (a terminal run, the character after it and a look-back that
+    stops at whitespace; a maximal run of newlines) reads the same in the
+    cut as in the base, except next to the cut's ends.  The head holds the
+    whole break before the second element, the tail the whole break after
+    the second-to-last.
+    """
+    if len(inside) < 3:
+        return _split(text, level, language, None)
+    head = _split(text[: inside[1][1]], level, language, None)
+    q = inside[-2][2]
+    tail = _split(text[q:], level, language, None)
+    return head + inside[1:-1] + [(content, start + q, end + q) for content, start, end in tail]
+
+
+#: How a cut's elements at each level come from its base's split; a cut is
+#: split in full at the levels not listed (answer and pattern: a regex's
+#: ``^``, ``\s`` and lookarounds see across lines).
+_DERIVE = {
+    Level.LINE: _kept,
+    Level.BULLET: _kept,
+    Level.WORD: _kept,
+    Level.CHARACTER: _kept,
+    Level.LETTER: _kept,
+    Level.PUNC: _kept,
+    Level.SENTENCE: _edges_resplit,
+    Level.PARAGRAPH: _edges_resplit,
+}
 
 
 def _holds(rule: Rule, full_text: str, splits: _Splits) -> bool:
@@ -222,10 +262,10 @@ def _verdict(rules: tuple[Rule, ...], response: str, language: str, loose: bool)
     on return.  The search skips what is already decided: the identity
     rewrite is the strict pass, and a rewrite equal to one tried before
     fails again.  Each drop-line rewrite is registered as a cut of its base
-    (the response or its asterisk-stripped copy), so its line-local splits
-    come from the base's.  In each rewrite the rule that failed last is
-    checked first; a rewrite must pass every rule, so the order changes no
-    verdict.
+    (the response or its asterisk-stripped copy), so its splits are
+    derived from the base's (`_DERIVE`).  In each rewrite the rule that
+    failed last is checked first; a rewrite must pass every rule, so the
+    order changes no verdict.
     """
     splits = _Splits(language)
     results = tuple((rule, _holds(rule, response, splits)) for rule in rules)

@@ -171,11 +171,11 @@ def instruction_to_dict(instruction: Instruction) -> dict[str, Any]:
 
 def instruction_from_dict(data: dict[str, Any]) -> Instruction:
     rules = tuple(rule_from_dict(r) for r in data["rules"])
-    for name, kind in (("prompt", str), ("depth", int), ("count", int)):
+    for name, kind in (("id", str), ("prompt", str), ("depth", int), ("count", int)):
         if type(data[name]) is not kind:
             raise ValueError(f"{name} must be {kind.__name__}, not {data[name]!r:.60}")
     instruction = Instruction(
-        id=str(data["id"]),
+        id=data["id"],
         language=data["language"],
         prompt=data["prompt"],
         rules=rules,
@@ -204,6 +204,8 @@ def _iter_jsonl(path: str | Path) -> Iterable[tuple[int, dict[str, Any]]]:
                 except ValueError as exc:  # an integer with more digits than int() converts
                     reason = f"integer of more than {sys.get_int_max_str_digits()} digits"
                     raise DataError(reason, path, lineno) from exc
+                except RecursionError as exc:
+                    raise DataError("JSON nested too deeply", path, lineno) from exc
                 if not isinstance(data, dict):
                     raise DataError("record is not a JSON object", path, lineno)
                 yield lineno, data
@@ -251,8 +253,10 @@ def read_responses(path: str | Path) -> dict[str, str]:
     for lineno, data in _iter_jsonl(path):
         if "id" not in data or "response" not in data:
             raise DataError("response record needs id and response fields", path, lineno)
-        rid = str(data["id"])
+        rid = data["id"]
         response = data["response"]
+        if type(rid) is not str:
+            raise DataError(f"id field must be a string, not {rid!r:.60}", path, lineno)
         if not isinstance(response, str):
             raise DataError("response field must be a string", path, lineno)
         if rid in out:

@@ -333,6 +333,8 @@ def load_report(path: str | Path) -> EvalReport:
         raise DataError(f"malformed report JSON: {exc.msg}", path) from exc
     except ValueError as exc:  # an integer with more digits than int() converts
         raise DataError(f"integer of more than {sys.get_int_max_str_digits()} digits", path) from exc
+    except RecursionError as exc:
+        raise DataError("report JSON nested too deeply", path) from exc
     try:
         return report_from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:

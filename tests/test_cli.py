@@ -316,6 +316,26 @@ class TestScore:
         assert main(["score", str(ins_path), str(res_path)]) == EXIT_DATA
         assert capsys.readouterr().err == f"error: {res_path}:1: {TOO_LONG}\n"
 
+    def test_deeply_nested_response_line(self, scoring_files, capsys):
+        ins_path, res_path = scoring_files
+        res_path.write_text(res_path.read_text(encoding="utf-8") + "[" * 100_000 + "\n", encoding="utf-8")
+        assert main(["score", str(ins_path), str(res_path)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {res_path}:3: JSON nested too deeply\n"
+
+    def test_response_id_of_wrong_type(self, scoring_files, capsys):
+        ins_path, res_path = scoring_files
+        res_path.write_text('{"id": 1, "response": "hi"}\n', encoding="utf-8")
+        assert main(["score", str(ins_path), str(res_path)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {res_path}:1: id field must be a string, not 1\n"
+
+    def test_instruction_id_of_wrong_type(self, scoring_files, capsys):
+        ins_path, res_path = scoring_files
+        record = json.loads(ins_path.read_text(encoding="utf-8").splitlines()[0])
+        record["id"] = None
+        ins_path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert main(["score", str(ins_path), str(res_path)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {ins_path}:1: bad instruction record: id must be str, not None\n"
+
     def test_instruction_field_of_wrong_type(self, scoring_files, capsys):
         # the other mistyped fields are cases of test_records
         ins_path, res_path = scoring_files
@@ -378,6 +398,12 @@ class TestReport:
         path.write_text(path.read_text(encoding="utf-8").replace('"runs": 1', f'"runs": {HUGE}'), encoding="utf-8")
         assert main(["report", str(path)]) == EXIT_DATA
         assert capsys.readouterr().err == f"error: {path}: {TOO_LONG}\n"
+
+    def test_deeply_nested_report(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"runs": ' + "[" * 100_000, encoding="utf-8")
+        assert main(["report", str(path)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {path}: report JSON nested too deeply\n"
 
     @pytest.mark.parametrize("key", ["by_language", "by_difficulty"])
     def test_slice_map_given_as_list(self, scoring_files, tmp_path, capsys, key):

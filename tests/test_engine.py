@@ -464,10 +464,27 @@ def test_loose_pass_matches_oracle_on_hostile_text(seed, length, shape, language
     assert verdict.loose_pass is (expected is not None)
 
 
-# Every level but the regex one: the line-local levels are derived from the
-# base's split, the others must still be split in full.
+# Every level but the regex one: a drop-line rewrite's split is derived from
+# its base's at all of them but `answer`.
 _PLAIN_LEVELS = tuple(level for level in Level if level is not Level.PATTERN)
-_EDGE_TEXTS = ("", "\n", "a", "a\n", "\na", "\n\n", "a\r\nb\r\n", "- no\nasterisks here.\n1. 今天", "*", "***\n**\n*")
+# The short texts probe the empty and one-line cases.  Each longer one has
+# three or more sentences or paragraphs inside a cut, and an element next to
+# each end of the cut that the cut changes: a sentence cut through, or a
+# paragraph whose break the cut shortens.  So it fails when the first or the
+# last element inside a cut is kept instead of split again.
+_EDGE_TEXTS = (
+    "", "\n", "a", "a\n", "\na", "\n\n", "a\r\nb\r\n", "- no\nasterisks here.\n1. 今天", "*", "***\n**\n*",
+    "Intro\nstill one sentence. Two. Three. Four\nends here.",
+    "A\n\nB\n\nC\n\nD",
+    # a cut next to a 3-newline break keeps every paragraph span, so here
+    # sentences straddle the cuts
+    "A. a\n\n\nB. C. D. E\n\n\nF. f",
+    "See\ne.g. one. Two. Three. Four. Dr.\nWho is it.",
+    "前言\n还是一句。二。三。四\n结束。",
+    "Intro\r\n\u00a0still one. Two. Three. Four\r\n\u00a0end.",
+    "\u3000A\n\n\u3000B\n\n\u3000C\n\n\u3000D",
+    "前言\r\n\u3000还是一句。二。三。四\r\n\u3000结束。",
+)
 
 
 def _rewrite_splits(text: str, language: str) -> dict:

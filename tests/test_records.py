@@ -195,6 +195,16 @@ class TestInstructionFiles:
             read_instructions(path)
         assert str(info.value) == f"{path}:2: bad instruction record: {named}"
 
+    @pytest.mark.parametrize("value", [None, 1, ["en-0"]])
+    def test_id_must_be_a_string(self, dataset, tmp_path, value):
+        path = tmp_path / "ins.jsonl"
+        data = instruction_to_dict(dataset[0])
+        data["id"] = value
+        path.write_text(json.dumps(data, ensure_ascii=False) + "\n", encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            read_instructions(path)
+        assert str(info.value) == f"{path}:1: bad instruction record: id must be str, not {value!r}"
+
     def test_rules_supplied_as_dsl_strings(self, tmp_path):
         data = {
             "id": "en-manual",
@@ -253,6 +263,15 @@ class TestResponseFiles:
         with pytest.raises(DataError, match="duplicate response id") as info:
             read_responses(path)
         assert info.value.line == 2
+
+    @pytest.mark.parametrize("value", ["null", "1", "true", '["a"]'])
+    def test_id_must_be_a_string(self, tmp_path, value):
+        # "id": 1 would otherwise name the same record as "id": "1"
+        path = tmp_path / "res.jsonl"
+        path.write_text(f'{{"id": "1", "response": "x"}}\n{{"id": {value}, "response": "y"}}\n', encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            read_responses(path)
+        assert str(info.value) == f"{path}:2: id field must be a string, not {json.loads(value)!r}"
 
     def test_extra_fields_tolerated(self, tmp_path):
         path = tmp_path / "res.jsonl"
