@@ -3,8 +3,9 @@
 The output file doubles as the resume journal: records are appended as they
 arrive, one write per line, and a rerun only requests the ids that are not
 already present.  A last line cut off by a killed run is mended on resume.
-Failures are retried with exponential backoff, then recorded in a sidecar
-errors file without stopping the run.
+Failures are retried with exponential backoff, then recorded without
+stopping the run; the sidecar errors file is replaced at the end of a run,
+so an interrupted run leaves the previous one's in place.
 """
 
 from __future__ import annotations
@@ -168,6 +169,19 @@ def _mend_journal(path: Path) -> None:
             fh.write(b"\n")
 
 
+def _write_errors(path: Path, errors: list[tuple[str, str]]) -> None:
+    """Replace the sidecar at `path` with one (id, error) line per failure,
+    sorted by id, in one rename; remove it when there are none."""
+    if not errors:
+        path.unlink(missing_ok=True)
+        return
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        for id_, error in sorted(errors):
+            fh.write(json.dumps({"id": id_, "error": error}, ensure_ascii=False) + "\n")
+    os.replace(tmp, path)
+
+
 def collect(
     instructions_path: str | Path,
     config: EndpointConfig,
@@ -177,7 +191,8 @@ def collect(
 
     At most ``config.max_in_flight`` requests are outstanding at once.  Each
     output record carries the measured request latency; failures go to
-    ``<output>.errors.jsonl`` and leave the run with a partial result.
+    ``<output>.errors.jsonl``, written when the run ends, and leave the run
+    with a partial result.
     """
     key = config.credential()
     instructions = read_instructions(instructions_path)
@@ -187,21 +202,15 @@ def collect(
     done = set(read_responses(output_path))
     pending = [i for i in instructions if i.id not in done]
 
-    errors_path = output_path.with_name(output_path.name + ".errors.jsonl")
-    if errors_path.exists():
-        errors_path.unlink()
-
     write_lock = threading.Lock()
-    failed: list[str] = []
+    errors: list[tuple[str, str]] = []
 
     def fetch(instruction: Instruction) -> None:
         try:
             text, latency = _request_with_retries(config, key, instruction)
         except (RuntimeError, requests.RequestException) as exc:
             with write_lock:
-                failed.append(instruction.id)
-                with open(errors_path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps({"id": instruction.id, "error": str(exc)}, ensure_ascii=False) + "\n")
+                errors.append((instruction.id, str(exc)))
             return
         record = {"id": instruction.id, "response": text, "latency_s": round(latency, 4)}
         with write_lock:
@@ -213,9 +222,10 @@ def collect(
         for future in as_completed(futures):
             future.result()
 
+    _write_errors(output_path.with_name(output_path.name + ".errors.jsonl"), errors)
     return CollectResult(
         requested=len(pending),
-        completed=len(pending) - len(failed),
+        completed=len(pending) - len(errors),
         skipped=len(done),
-        failed=tuple(sorted(failed)),
+        failed=tuple(sorted(id_ for id_, _ in errors)),
     )

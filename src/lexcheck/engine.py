@@ -33,19 +33,20 @@ def _select(elements: list[_Span], n: int) -> _Span | None:
 def _refine(texts: list[str], step: ProcedureStep, splits: _Splits) -> list[str]:
     """Apply one non-count step to every text, preserving order.
 
-    `splits` gives each text's elements at the step's level.  Out-of-range
-    ordinals simply contribute no texts; they are not errors.
+    `splits` gives each text's elements at the step's level, with the shift
+    to subtract from their spans.  Out-of-range ordinals simply contribute
+    no texts; they are not errors.
     `before`/`after` keep the raw text on the named side of the element's
     span; `between` keeps the raw text separating consecutive elements.
     """
     kind = step.predicate.kind
     out: list[str] = []
     for text in texts:
-        elements = splits[text, step.level, step.pattern]
+        elements, shift = splits[text, step.level, step.pattern]
         if kind is PredicateKind.ALL:
             out.extend(el[0] for el in elements)
         elif kind is PredicateKind.BETWEEN:
-            out.extend(text[left[2] : right[1]] for left, right in zip(elements, elements[1:]))
+            out.extend(text[left[2] - shift : right[1] - shift] for left, right in zip(elements, elements[1:]))
         else:
             el = _select(elements, step.predicate.n)
             if el is None:
@@ -53,9 +54,9 @@ def _refine(texts: list[str], step: ProcedureStep, splits: _Splits) -> list[str]
             if kind is PredicateKind.INDEX:
                 out.append(el[0])
             elif kind is PredicateKind.BEFORE:
-                out.append(text[: el[1]])
+                out.append(text[: el[1] - shift])
             else:  # AFTER
-                out.append(text[el[2] :])
+                out.append(text[el[2] - shift :])
     return out
 
 
@@ -87,12 +88,14 @@ def verify_rule(rule: Rule, full_text: str, language: str = "en") -> bool:
 class _Splits(dict):
     """Elements by (text, level, pattern), each split on first use.
 
+    A value is a pair (elements, shift): each element's start and end, less
+    `shift`, are its span in the text.  A text split in full has shift 0.
     `cuts` maps a text to (base, a, b) when the text is ``base[a:b]``, with
     `a` at 0 or just after a newline and `b` at a newline or the end.  At a
     level in `_DERIVE` such a text's elements are derived from the base's
-    split instead of split in full.  The base's split is read from the dict
-    itself, never through a closure, so the cache holds no reference cycle
-    and is freed on return.
+    split instead of split in full: the base's own tuples, with shift `a`.
+    The base's split is read from the dict itself, never through a closure,
+    so the cache holds no reference cycle and is freed on return.
     """
 
     __slots__ = ("language", "cuts")
@@ -102,45 +105,42 @@ class _Splits(dict):
         self.language = language
         self.cuts: dict[str, tuple[str, int, int]] = {}
 
-    def __missing__(self, key: tuple[str, Level, str | None]) -> list[_Span]:
+    def __missing__(self, key: tuple[str, Level, str | None]) -> _Shifted:
         text, level, pattern = key
         cut = self.cuts.get(text)
         derive = _DERIVE.get(level) if cut else None
         if derive is None:
-            found = _split(text, level, self.language, pattern)
+            found = _split(text, level, self.language, pattern), 0
         else:
             base, a, b = cut
-            elements = self.get((base, level, None))
-            if elements is None:
-                elements = self[base, level, None] = _split(base, level, self.language, None)
-            found = derive(_inside(elements, a, b), text, level, self.language)
+            elements, _ = self[base, level, None]  # a base is never a cut: shift 0
+            found = derive(_inside(elements, a, b), a, text, level, self.language)
         self[key] = found
         return found
 
 
 _START = operator.itemgetter(1)
 _END = operator.itemgetter(2)
+# One cached split: the elements and the shift to subtract from their spans.
+_Shifted = tuple[list[_Span], int]
 
 
 def _inside(elements: list[_Span], a: int, b: int) -> list[_Span]:
-    """The ordered, disjoint `elements` lying within [a, b], shifted by -a."""
-    hi = bisect_right(elements, b, key=_END)
-    if a == 0:
-        return elements[:hi]
-    lo = bisect_left(elements, a, key=_START)
-    return [(content, start - a, end - a) for content, start, end in elements[lo:hi]]
+    """The ordered, disjoint `elements` lying within [a, b]."""
+    return elements[bisect_left(elements, a, key=_START) : bisect_right(elements, b, key=_END)]
 
 
-def _kept(inside: list[_Span], text: str, level: Level, language: str) -> list[_Span]:
+def _kept(inside: list[_Span], shift: int, text: str, level: Level, language: str) -> _Shifted:
     """A cut's elements at a level whose elements never cross a newline:
-    the base's elements `inside` the cut."""
-    return inside
+    the base's elements `inside` the cut, which starts at `shift`."""
+    return inside, shift
 
 
-def _edges_resplit(inside: list[_Span], text: str, level: Level, language: str) -> list[_Span]:
+def _edges_resplit(inside: list[_Span], shift: int, text: str, level: Level, language: str) -> _Shifted:
     """A cut's sentences or paragraphs: the base's elements `inside` the cut
-    but the first and last, with only the text before the second and the
-    text after the second-to-last split again.
+    (which starts at `shift`) but the first and last, with only the text
+    before the second and the text after the second-to-last split again and
+    moved to the base's positions.
 
     A cut starts after a newline and ends at one, and what decides a
     boundary (a terminal run, the character after it and a look-back that
@@ -150,11 +150,15 @@ def _edges_resplit(inside: list[_Span], text: str, level: Level, language: str) 
     the second-to-last.
     """
     if len(inside) < 3:
-        return _split(text, level, language, None)
-    head = _split(text[: inside[1][1]], level, language, None)
+        return _split(text, level, language, None), 0
+    head = _split(text[: inside[1][1] - shift], level, language, None)
     q = inside[-2][2]
-    tail = _split(text[q:], level, language, None)
-    return head + inside[1:-1] + [(content, start + q, end + q) for content, start, end in tail]
+    tail = _split(text[q - shift :], level, language, None)
+    return (
+        [(content, start + shift, end + shift) for content, start, end in head]
+        + inside[1:-1]
+        + [(content, start + q, end + q) for content, start, end in tail]
+    ), shift
 
 
 #: How a cut's elements at each level come from its base's split; a cut is
@@ -183,7 +187,7 @@ def _holds(rule: Rule, full_text: str, splits: _Splits) -> bool:
     for step in steps:
         texts = _refine(texts, step, splits)
     if terminal.predicate.kind is PredicateKind.COUNT:
-        observed: list = [len(splits[text, terminal.level, terminal.pattern]) for text in texts]
+        observed: list = [len(splits[text, terminal.level, terminal.pattern][0]) for text in texts]
     else:
         observed = _refine(texts, terminal, splits)
     test = _COMPARE[rule.relation]

@@ -9,6 +9,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from helpers import build_instruction
+from lexcheck import collect as collect_module
 from lexcheck.collect import (
     MAX_ATTEMPTS,
     CollectResult,
@@ -210,6 +211,43 @@ class TestCollect:
         collect(ins_path, config, out_path)
         errors_path = tmp_path / "out.jsonl.errors.jsonl"
         assert len(errors_path.read_text().splitlines()) == 1
+
+    def test_sidecar_sorted_by_id(self, stub_server, config, tmp_path):
+        ins_path = tmp_path / "ins.jsonl"
+        out_path = tmp_path / "out.jsonl"
+        make_instructions(ins_path, [f"PERMFAIL {k}." for k in range(6)] + ["Fine."])
+        result = collect(ins_path, config, out_path)
+        errors_path = tmp_path / "out.jsonl.errors.jsonl"
+        ids = [json.loads(line)["id"] for line in errors_path.read_text().splitlines()]
+        assert ids == sorted(ids) == list(result.failed) == [f"en-{k:04d}" for k in range(6)]
+
+    def test_sidecar_removed_after_a_clean_run(self, stub_server, config, tmp_path):
+        ins_path = tmp_path / "ins.jsonl"
+        out_path = tmp_path / "out.jsonl"
+        make_instructions(ins_path, ["Fine.", "PERMFAIL once."])
+        collect(ins_path, config, out_path)
+        errors_path = tmp_path / "out.jsonl.errors.jsonl"
+        assert errors_path.exists()
+        make_instructions(ins_path, ["Fine.", "Fine now."])
+        assert not collect(ins_path, config, out_path).partial
+        assert not errors_path.exists()
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_interrupted_run_keeps_the_old_sidecar(self, stub_server, config, tmp_path, monkeypatch):
+        ins_path = tmp_path / "ins.jsonl"
+        out_path = tmp_path / "out.jsonl"
+        make_instructions(ins_path, ["One.", "Two."])
+        errors_path = tmp_path / "out.jsonl.errors.jsonl"
+        old = '{"id": "en-0001", "error": "HTTP 404: gone"}\n'.encode("utf-8")
+        errors_path.write_bytes(old)
+
+        def interrupted(*_args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(collect_module, "_request_with_retries", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            collect(ins_path, config, out_path)
+        assert errors_path.read_bytes() == old
 
     def test_transient_errors_retried_to_success(self, stub_server, config, tmp_path):
         ins_path = tmp_path / "ins.jsonl"

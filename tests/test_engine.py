@@ -1,7 +1,8 @@
 """Verification engine: refinement, target extraction, adjudication, loose pass.
 
 The stage classes check each stage of the pipeline through `verify_rule`;
-only the refinement property below calls the private `_refine` directly.
+the refinement property and the split-cache checks at the end call the
+private `_refine` and `_Splits` directly.
 """
 
 from __future__ import annotations
@@ -503,6 +504,12 @@ def _rewrite_splits(text: str, language: str) -> dict:
     return made[0]
 
 
+def _positions(found: tuple[list, int]) -> list:
+    """A cached (elements, shift) mapped back to spans in its own text."""
+    elements, shift = found
+    return [(content, start - shift, end - shift) for content, start, end in elements]
+
+
 def _check_derived_splits(text: str, language: str) -> None:
     splits = _rewrite_splits(text, language)
     variants = dict(loose_variants(text))
@@ -512,7 +519,7 @@ def _check_derived_splits(text: str, language: str) -> None:
     assert drops - bases <= set(splits.cuts)
     for rewrite in set(variants.values()):
         for level in _PLAIN_LEVELS:
-            assert splits[rewrite, level, None] == split(rewrite, level, language), (rewrite, level)
+            assert _positions(splits[rewrite, level, None]) == split(rewrite, level, language), (rewrite, level)
 
 
 @pytest.mark.parametrize("language", ["en", "zh"])
@@ -525,6 +532,58 @@ def test_derived_splits_equal_full_splits_on_edge_texts(text, language):
 @given(*_LOOSE_CASES)
 def test_derived_splits_equal_full_splits_on_hostile_text(seed, length, shape, language):
     _check_derived_splits(_hostile_text(seed, length, _LOOSE_SHAPES[shape]), language)
+
+
+# The non-count predicates that read element spans: first, last, all,
+# before and after the first and second element, and between.
+_SPAN_PREDICATES = (
+    Predicate.index(1),
+    Predicate.index(-1),
+    Predicate.all(),
+    Predicate.before(1),
+    Predicate.before(2),
+    Predicate.after(1),
+    Predicate.after(2),
+    Predicate.between(),
+)
+
+
+def _check_shifted_refine(text: str, language: str) -> None:
+    """Every rewrite refines the same through the cache `_verdict` built,
+    derived splits and shifts included, as through a fresh cache."""
+    splits = _rewrite_splits(text, language)
+    fresh = _Splits(language)
+    for rewrite in {t for _, t in loose_variants(text)}:
+        for level in _PLAIN_LEVELS:
+            for predicate in _SPAN_PREDICATES:
+                step = ProcedureStep(level, predicate)
+                assert _refine([rewrite], step, splits) == _refine([rewrite], step, fresh), (rewrite, step)
+
+
+@pytest.mark.parametrize("language", ["en", "zh"])
+@pytest.mark.parametrize("text", _EDGE_TEXTS)
+def test_refine_reads_shifted_splits_on_edge_texts(text, language):
+    _check_shifted_refine(text, language)
+
+
+@settings(max_examples=25, deadline=None)
+@given(*_LOOSE_CASES)
+def test_refine_reads_shifted_splits_on_hostile_text(seed, length, shape, language):
+    _check_shifted_refine(_hostile_text(seed, length, _LOOSE_SHAPES[shape]), language)
+
+
+def test_drop_first_cut_shares_the_base_elements():
+    text = "Intro line here.\nThe quick brown fox.\nJumps over it.\nOutro line."
+    splits = _rewrite_splits(text, "en")
+    rewrite = dict(loose_variants(text))["drop-first-line"]
+    base, a, b = splits.cuts[rewrite]
+    assert base == text and a > 0
+    elements, shift = splits[rewrite, Level.WORD, None]
+    base_elements, _ = splits[base, Level.WORD, None]
+    inside = [el for el in base_elements if a <= el[1] and el[2] <= b]
+    assert shift == a and len(elements) == len(inside) >= 8
+    # the cut holds the base's own tuples, not shifted copies
+    assert all(el is base_el for el, base_el in zip(elements, inside))
 
 
 def test_verdict_leaves_no_reference_cycles():
