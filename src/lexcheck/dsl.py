@@ -222,6 +222,7 @@ def _parse_value(cur: _Cursor) -> int | str:
                     raise ParseError(open_pos, "a nonempty string value")
                 return "".join(out)
             if ch == "\\":
+                backslash = cur.pos - 1
                 esc = cur.take() if not cur.at_end() else ""
                 if esc == '"':
                     out.append('"')
@@ -230,7 +231,7 @@ def _parse_value(cur: _Cursor) -> int | str:
                 elif esc == "n":
                     out.append("\n")
                 else:
-                    raise ParseError(cur.pos - 2, 'an escape among \\" \\\\ \\n')
+                    raise ParseError(backslash, 'an escape among \\" \\\\ \\n')
             else:
                 out.append(ch)
         raise ParseError(open_pos, "a closing quote")

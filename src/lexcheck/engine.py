@@ -11,6 +11,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import Sequence, TypeVar
 
 from .rules import (
     Instruction,
@@ -21,10 +22,15 @@ from .rules import (
     Rule,
     require_language,
 )
-from .segment import _Span, _split
+from .segment import _chars, _Span, _split
+
+_T = TypeVar("_T")
+#: Levels whose every element is one character, so a step that reads only
+#: the elements' contents reads them from one string (`_Splits.chars`).
+_ONE_CHAR = frozenset({Level.CHARACTER, Level.LETTER, Level.PUNC})
 
 
-def _select(elements: list[_Span], n: int) -> _Span | None:
+def _select(elements: Sequence[_T], n: int) -> _T | None:
     if n == -1:
         return elements[-1] if elements else None
     return elements[n - 1] if 1 <= n <= len(elements) else None
@@ -38,9 +44,19 @@ def _refine(texts: list[str], step: ProcedureStep, splits: _Splits) -> list[str]
     no texts; they are not errors.
     `before`/`after` keep the raw text on the named side of the element's
     span; `between` keeps the raw text separating consecutive elements.
+    At a single-character level `all` and `index` read only the elements'
+    contents, so they read them from `splits.chars`.
     """
     kind = step.predicate.kind
     out: list[str] = []
+    if step.level in _ONE_CHAR and kind in (PredicateKind.ALL, PredicateKind.INDEX):
+        for text in texts:
+            chars = splits.chars(text, step.level)
+            if kind is PredicateKind.ALL:
+                out.extend(chars)
+            elif (ch := _select(chars, step.predicate.n)) is not None:
+                out.append(ch)
+        return out
     for text in texts:
         elements, shift = splits[text, step.level, step.pattern]
         if kind is PredicateKind.ALL:
@@ -96,14 +112,37 @@ class _Splits(dict):
     split instead of split in full: the base's own tuples, with shift `a`.
     The base's split is read from the dict itself, never through a closure,
     so the cache holds no reference cycle and is freed on return.
+    `joined` holds the string form of the single-character levels' splits
+    (`chars`), by (text, level).
     """
 
-    __slots__ = ("language", "cuts")
+    __slots__ = ("language", "cuts", "joined")
 
     def __init__(self, language: str):
         super().__init__()
         self.language = language
         self.cuts: dict[str, tuple[str, int, int]] = {}
+        self.joined: dict[tuple[str, Level], str] = {}
+
+    def chars(self, text: str, level: Level) -> str:
+        """The contents of `text`'s elements at a level in `_ONE_CHAR`,
+        joined in order (`segment._chars`), made on first use.
+
+        Whether a character is an element depends on it alone, so a cut
+        ``base[a:b]`` takes the base's string less the elements of
+        ``base[:a]`` and of ``base[b:]``.
+        """
+        found = self.joined.get((text, level))
+        if found is None:
+            cut = self.cuts.get(text)
+            if cut is None:
+                found = _chars(text, level)
+            else:
+                base, a, b = cut
+                whole = self.chars(base, level)
+                found = whole[len(_chars(base[:a], level)) : len(whole) - len(_chars(base[b:], level))]
+            self.joined[text, level] = found
+        return found
 
     def __missing__(self, key: tuple[str, Level, str | None]) -> _Shifted:
         text, level, pattern = key
@@ -186,10 +225,12 @@ def _holds(rule: Rule, full_text: str, splits: _Splits) -> bool:
     texts = [full_text]
     for step in steps:
         texts = _refine(texts, step, splits)
-    if terminal.predicate.kind is PredicateKind.COUNT:
-        observed: list = [len(splits[text, terminal.level, terminal.pattern][0]) for text in texts]
+    if terminal.predicate.kind is not PredicateKind.COUNT:
+        observed: list = _refine(texts, terminal, splits)
+    elif terminal.level in _ONE_CHAR:
+        observed = [len(splits.chars(text, terminal.level)) for text in texts]
     else:
-        observed = _refine(texts, terminal, splits)
+        observed = [len(splits[text, terminal.level, terminal.pattern][0]) for text in texts]
     test = _COMPARE[rule.relation]
     return bool(observed) and all(test(x, rule.value) for x in observed)
 

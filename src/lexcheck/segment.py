@@ -33,9 +33,16 @@ _EXTRA_PUNCT = frozenset({"～"})  # fullwidth tilde has category Sm but reads a
 # is_ascii_letter are defined by them.  The punctuation class is a superset of
 # is_punct_char (no punctuation is alphanumeric or whitespace), so each of its
 # matches is confirmed with the predicate.
-_CJK_CHAR = re.compile(r"[\u4e00-\u9fff\u3400-\u4dbf]")
-_ASCII_LETTER = re.compile(r"[A-Za-z]")
+_CJK_RANGES = r"\u4e00-\u9fff\u3400-\u4dbf"
+_ASCII_RANGES = "A-Za-z"
+_CJK_CHAR = re.compile(f"[{_CJK_RANGES}]")
+_ASCII_LETTER = re.compile(f"[{_ASCII_RANGES}]")
 _PUNCT_CANDIDATE = re.compile(r"[^\w\s]|_")
+# Runs of what the character and letter levels leave out, deleted by _chars.
+_OUTSIDE = {
+    Level.CHARACTER: re.compile(f"[^{_CJK_RANGES}]+"),
+    Level.LETTER: re.compile(f"[^{_ASCII_RANGES}]+"),
+}
 
 # One element as (content, start, end): what the splitters build.
 _Span = tuple[str, int, int]
@@ -49,6 +56,7 @@ def is_ascii_letter(ch: str) -> bool:
     return _ASCII_LETTER.fullmatch(ch) is not None
 
 
+@functools.lru_cache(maxsize=4096)
 def is_punct_char(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P") or ch in _EXTRA_PUNCT
 
@@ -144,6 +152,16 @@ def _words(text: str) -> list[_Span]:
         if a < b:
             out.append((token[a:b], m.start(), m.end()))
     return out
+
+
+def _chars(text: str, level: Level) -> str:
+    """The contents of `text`'s elements at a single-character level
+    (character, letter or punc), joined in order: every element is one
+    character, so this is ``"".join(el[0] for el in _split(...))`` without
+    a tuple per element."""
+    if level is Level.PUNC:
+        return "".join(filter(is_punct_char, _PUNCT_CANDIDATE.findall(text)))
+    return _OUTSIDE[level].sub("", text)
 
 
 def _matches(regex: re.Pattern[str], text: str) -> list[_Span]:

@@ -144,6 +144,11 @@ class TestParseErrors:
         e = self.err(r'sentence@1 equal "a\x"')
         assert "escape" in e.expected
 
+    def test_bad_escape_points_at_the_backslash(self):
+        for text in ('answer equal "ab\\', r'sentence@1 equal "a\x"'):
+            e = self.err(text)
+            assert text[e.pos] == "\\" and "escape" in e.expected, text
+
     def test_negative_value(self):
         e = self.err("sentence# = -3")
         assert "value" in e.expected

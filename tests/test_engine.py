@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,7 +35,7 @@ from lexcheck.rules import (
     Relation,
     Violation,
 )
-from lexcheck.segment import split
+from lexcheck.segment import _chars, split
 
 TEXT = "First one. Second one.\n\nLast bit."
 
@@ -599,3 +600,116 @@ def test_verdict_leaves_no_reference_cycles():
         gc.enable()
     assert verdict.loose_pass is False
     assert unreachable == 0
+
+
+# The single-character levels, whose contents the engine reads from one
+# string (`segment._chars`) where a step needs no spans.
+_ONE_CHAR_LEVELS = (Level.CHARACTER, Level.LETTER, Level.PUNC)
+# Hostile pieces plus what the punctuation class must keep or leave out: `_`
+# (connector punctuation, yet a word character), dashes, quotes and marks,
+# symbols that are not punctuation, and CJK at the ends of its ranges.
+_ONE_CHAR_EXTRA = ("_", "__init__", "a_b", "—", "«", "»", "‘", "’", "¿", "、", "・", "$", "+", "〇", "é", "㐀", "鿿", "䶿")
+
+
+def _check_joined_contents(text: str, language: str) -> None:
+    """Each rewrite's string form at these levels is its split's contents,
+    made in full or, for a drop-line cut, from its base's."""
+    splits = _rewrite_splits(text, language)
+    for rewrite in {t for _, t in loose_variants(text)}:
+        for level in _ONE_CHAR_LEVELS:
+            expected = "".join(el[0] for el in split(rewrite, level, language))
+            assert _chars(rewrite, level) == expected, (rewrite, level)
+            assert splits.chars(rewrite, level) == expected, (rewrite, level)
+
+
+@pytest.mark.parametrize("language", ["en", "zh"])
+@pytest.mark.parametrize("text", _EDGE_TEXTS)
+def test_joined_contents_equal_split_contents_on_edge_texts(text, language):
+    _check_joined_contents(text, language)
+
+
+@settings(max_examples=40, deadline=None)
+@given(*_LOOSE_CASES)
+def test_joined_contents_equal_split_contents_on_hostile_text(seed, length, shape, language):
+    _check_joined_contents(_hostile_text(seed, length, _LOOSE_SHAPES[shape] + _ONE_CHAR_EXTRA), language)
+
+
+# Steps before a single-character terminal: none, one element, the last
+# one, and every one (so the terminal sees several texts).
+_ONE_CHAR_SCOPES = ("", "line@1.", "sentence@-1.", "paragraph@.", "word@2.")
+
+
+def _quoted(value: str) -> str:
+    return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _one_char_rules(rng: random.Random, text: str) -> list:
+    """Rules ending in `#`, `@`, `@1`, `@k` past the count and `@-1` at each
+    single-character level, under each scope, with values drawn from the
+    text so that both verdicts occur."""
+    rules = []
+    for level in _ONE_CHAR_LEVELS:
+        seen = _chars(text, level) or "x"
+        first, last = _quoted(seen[0]), _quoted(seen[-1])
+        any_ = _quoted(rng.choice(seen))
+        for scope in _ONE_CHAR_SCOPES:
+            at = scope + level.value
+            rules += [
+                f"{at}# {rng.choice(('>=', '<', '=', '!='))} {rng.choice((0, 1, 3, len(seen)))}",
+                f"{at}@ {rng.choice(('equal', 'notcontain'))} {rng.choice((first, any_))}",
+                f"{at}@1 equal {rng.choice((first, any_))}",
+                f"{at}@{len(seen) + rng.randint(1, 3)} notcontain {any_}",
+                f"{at}@-1 {rng.choice(('equal', 'endswith'))} {rng.choice((last, any_))}",
+                f"{at}@.pattern(/[a-z，_]/)# >= 1",
+            ]
+    return [parse_rule(r) for r in rules]
+
+
+def _check_one_char_rules(seed: int, text: str, language: str) -> None:
+    rng = random.Random(seed)
+    rules = _one_char_rules(rng, text)
+    for rule in rules:
+        assert verify_rule(rule, text, language) == brute_verify(rule, text, language), rule
+    for _ in range(4):
+        chosen = tuple(rng.sample(rules, rng.randint(1, 3)))
+        verdict = verify_instruction(build_instruction("x", language, "p", chosen), text)
+        assert verdict.loose_variant == brute_loose_variant(chosen, text, language), chosen
+
+
+@pytest.mark.parametrize("language", ["en", "zh"])
+@pytest.mark.parametrize("text", _EDGE_TEXTS)
+def test_single_character_rules_match_the_oracle_on_edge_texts(text, language):
+    _check_one_char_rules(len(text), text, language)
+
+
+@settings(max_examples=40, deadline=None)
+@given(*_LOOSE_CASES)
+def test_single_character_rules_match_the_oracle_on_hostile_text(seed, length, shape, language):
+    text = _hostile_text(seed, length % 3000, _LOOSE_SHAPES[shape] + _ONE_CHAR_EXTRA)
+    _check_one_char_rules(seed, text, language)
+
+
+def test_single_character_levels_use_bounded_memory_per_character():
+    """A count, a last element and an ordinal at these levels allocate at
+    most 16 bytes per response character at peak: no tuple per element."""
+    rng = random.Random(20261018)
+    parts: list[str] = []
+    while sum(map(len, parts)) < 1_000_000:
+        parts.append(make_long_text(rng, ("en", "zh")[len(parts) % 2]))
+    text = "".join(parts)[:1_000_000]
+    rules = [
+        parse_rule(t)
+        for t in ("letter# > 5", "character# > 5", "punc# > 5", 'letter@-1 equal "x"', 'punc@3 equal ","')
+    ]
+    for rule in rules:
+        verify_rule(rule, "a，b汉", "zh")  # fill caches the measurement should not count
+    tracemalloc.start()
+    try:
+        for rule in rules:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            verify_rule(rule, text, "zh")
+            per_char = (tracemalloc.get_traced_memory()[1] - before) / len(text)
+            assert per_char <= 16, (rule, per_char)
+    finally:
+        tracemalloc.stop()

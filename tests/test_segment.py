@@ -12,7 +12,7 @@ from helpers import make_text
 from lexcheck.dsl import parse_rule
 from lexcheck.engine import _refine, _Splits, verify_rule
 from lexcheck.rules import Level
-from lexcheck.segment import is_ascii_letter, is_cjk_char, is_punct_char, split
+from lexcheck.segment import _chars, is_ascii_letter, is_cjk_char, is_punct_char, split
 
 CONTENT_LEVELS = [
     Level.PARAGRAPH,
@@ -204,6 +204,20 @@ class TestCharClasses:
         ):
             got = [el[1] for el in split(every, level)]
             assert got == [cp for cp in range(0x110000) if keep(chr(cp))], level
+
+    def test_joined_contents_agree_with_predicates_on_every_code_point(self):
+        """The engine's string form of these levels selects what the
+        oracle's predicates select, in order."""
+        every = "".join(map(chr, range(0x110000)))
+        for level, keep in (
+            (Level.CHARACTER, oracle.is_cjk),
+            (Level.LETTER, oracle.is_ascii_letter),
+            (Level.PUNC, oracle.is_punct),
+        ):
+            assert _chars(every, level) == "".join(filter(keep, every)), level
+
+    def test_punct_predicate_cache_is_bounded(self):
+        assert is_punct_char.cache_info().maxsize is not None
 
 
 class TestPattern:
