@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+import warnings
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -246,3 +251,72 @@ class TestRoundTrip:
     def test_sampled(self, seed, language):
         for rule in sample_rules(language, seed, 4):
             assert parse_rule(format_rule(rule)) == rule
+
+
+# Tokens and characters a mutation inserts or substitutes: DSL punctuation,
+# level and relation names, ASCII and non-ASCII digits, letters and spaces.
+_MUTATION_TOKENS = (
+    "@", "@0", "@-1", "@2", "!0", "!3", "!", "$", "$2", "%", "#", ".", "-",
+    "pattern(/", "pattern", "(/", "/)", "/", "(", ")", '"', "\\", "\\/", '\\"',
+    "\\n", "\\\\", "=", "!=", ">", ">=", "<", "<=", "0", "1", "7", "42", "00",
+    "٣", "²", "answer", "paragraph", "line", "bullet", "sentence",
+    "word", "character", "letter", "punc", "equal", "contain", "startswith",
+    "notcontain", "endswith", "eq", "x", "é", "山", "[", "]", "*", "+",
+    " ", "  ", "\t", "\n", "　", " ", "\x1c", "\x85",
+)
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        op = rng.randrange(5)
+        i = rng.randrange(len(text) + 1)
+        if op == 0:  # insert a token
+            text = text[:i] + rng.choice(_MUTATION_TOKENS) + text[i:]
+        elif op == 1:  # delete a run of characters
+            text = text[:i] + text[i + rng.randint(1, 3) :]
+        elif op == 2:  # replace a run of characters with a token
+            text = text[:i] + rng.choice(_MUTATION_TOKENS) + text[i + rng.randint(1, 3) :]
+        else:  # delete one occurrence of a token, or swap it for another
+            token = rng.choice(_MUTATION_TOKENS)
+            at = text.find(token, i)
+            if at >= 0:
+                swap = rng.choice(_MUTATION_TOKENS) if op == 4 else ""
+                text = text[:at] + swap + text[at + len(token) :]
+    return text
+
+
+def _outcome(text: str) -> str:
+    """One line naming what parse_rule makes of `text`.  Any exception other
+    than the three below escapes and fails the calling test."""
+    try:
+        rule = parse_rule(text)
+    except ParseError as exc:
+        return f"ParseError {exc.pos} {exc.expected}"
+    except PatternError as exc:  # the reason is re's text, which varies by version
+        return f"PatternError {exc.pos}"
+    except ValidityError as exc:
+        return "ValidityError " + ",".join(v.value for v in exc.violations)
+    return f"ok {format_rule(rule)}"
+
+
+class TestParserOutcomeDigest:
+    """Pins what the parser accepts, rejects and reports on 24,000 seeded
+    mutations of canonical rule lines."""
+
+    DIGEST = "46272f1004387329e39d78d3f06e9bd275d44358bfd97785195d78f600323ecc"
+
+    def test_mutation_outcomes_are_pinned(self):
+        rng = random.Random(20261018)
+        lines = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FutureWarning)  # "Possible set difference"
+            for language in ("en", "zh"):
+                for rule in sample_rules(language, 20261018, 600):
+                    canonical = format_rule(rule)
+                    lines.append(_outcome(canonical))
+                    lines.extend(_outcome(_mutate(canonical, rng)) for _ in range(20))
+        kinds = Counter(line.split(" ", 1)[0] for line in lines)
+        assert len(lines) == 25_200
+        assert min(kinds[k] for k in ("ok", "ParseError", "PatternError", "ValidityError")) >= 50, kinds
+        digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+        assert digest == self.DIGEST
