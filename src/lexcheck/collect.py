@@ -26,6 +26,7 @@ from .rules import Instruction
 
 TRANSIENT_STATUS = frozenset({429, 500, 502, 503, 504})
 MAX_ATTEMPTS = 3
+_MEND_BLOCK = 1 << 16  # bytes read at a time when looking for a torn tail's start
 
 
 class ConfigError(ValueError):
@@ -158,14 +159,24 @@ def _mend_journal(path: Path) -> None:
         fh.seek(size - 1)
         if fh.read(1) == b"\n":
             return
-        fh.seek(0)
-        data = fh.read()
-        cut = data.rfind(b"\n") + 1
+        # read backwards up to the last newline, so only the tail is held
+        blocks: list[bytes] = []
+        cut = size
+        while cut > 0:
+            start = max(0, cut - _MEND_BLOCK)
+            fh.seek(start)
+            block = fh.read(cut - start)
+            newline = block.rfind(b"\n") + 1
+            blocks.append(block[newline:])
+            cut = start + newline
+            if newline:
+                break
         try:
-            json.loads(data[cut:])
+            json.loads(b"".join(reversed(blocks)))
         except ValueError:
             fh.truncate(cut)
         else:
+            fh.seek(size)
             fh.write(b"\n")
 
 

@@ -18,6 +18,7 @@ between consecutive elements, and ``#`` counts elements.  String values escape
 
 from __future__ import annotations
 
+import functools
 import re
 import sys
 
@@ -51,8 +52,7 @@ class PatternError(ValueError):
 
 
 _LEVEL_NAMES = {lv.value: lv for lv in Level}
-_TEXT_RELATION_NAMES = {r.value: r for r in Relation if not r.is_numerical}
-# longest symbols first so ">=" wins over ">"
+# longest symbols first so ">=" wins over ">" (also in _RELATION's alternation)
 _NUM_RELATION_SYMBOLS = (
     (">=", Relation.GTE),
     ("<=", Relation.LTE),
@@ -62,182 +62,112 @@ _NUM_RELATION_SYMBOLS = (
     ("<", Relation.LT),
 )
 _RELATION_SYMBOL = {rel: sym for sym, rel in _NUM_RELATION_SYMBOLS}
+_RELATIONS = dict(_NUM_RELATION_SYMBOLS) | {r.value: r for r in Relation if not r.is_numerical}
+_VALUE_ESCAPES = {'"': '"', "\\": "\\", "n": "\n"}
+
+# Each token is matched whole at the current position.  Names are ASCII
+# letters and numbers ASCII digits; \s is exactly str.isspace.
+_SPACE = re.compile(r"\s*")
+_LEVEL = re.compile(r"\s*([A-Za-z]*)")
+_DOT = re.compile(r"\s*\.")
+# a regex body runs to the first "/)" that is not part of an escape pair
+_REGEX_BODY = re.compile(r"(?:[^\\/]|\\.|/(?!\)))*/\)", re.DOTALL)
+_PREDICATE = re.compile(r"@(-?[0-9]*)|!([0-9]+)|\$(-?[0-9]*)|%|#")
+_RELATION = re.compile(r"\s*(" + "|".join(re.escape(sym) for sym, _ in _NUM_RELATION_SYMBOLS) + r"|[A-Za-z]*)")
+_DIGITS = re.compile(r"[0-9]+")
+_STRING_RUN = re.compile(r'[^"\\]*')
 
 
-class _Cursor:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
+@functools.lru_cache(maxsize=1024)
+def _step(level: Level, kind: PredicateKind, n: int | None, pattern: str | None) -> ProcedureStep:
+    """Steps are frozen, so equal steps parsed from text share one object."""
+    return ProcedureStep(level, Predicate(kind, n), pattern)
 
 
-def _read_name(cur: _Cursor) -> str:
-    start = cur.pos
-    while not cur.at_end() and (cur.peek().isalpha() and cur.peek().isascii()):
-        cur.pos += 1
-    return cur.text[start : cur.pos]
-
-
-def _read_int(cur: _Cursor, what: str) -> int:
-    start = cur.pos
-    negative = False
-    if cur.peek() == "-":
-        negative = True
-        cur.pos += 1
-    digits_start = cur.pos
-    while not cur.at_end() and cur.peek().isdigit() and cur.peek().isascii():
-        cur.pos += 1
-    if cur.pos == digits_start:
-        raise ParseError(start, what)
+def _integer(digits: str, pos: int, what: str) -> int:
+    if digits in ("", "-"):
+        raise ParseError(pos, what)
     try:
-        n = int(cur.text[digits_start : cur.pos])
+        return int(digits)
     except ValueError:  # more digits than int() converts
-        raise ParseError(start, f"{what} of at most {sys.get_int_max_str_digits()} digits") from None
-    return -n if negative else n
+        raise ParseError(pos, f"{what} of at most {sys.get_int_max_str_digits()} digits") from None
 
 
-def _read_regex_body(cur: _Cursor) -> str:
-    """Consume the body of ``pattern(/.../)`` up to the unescaped ``/)``."""
-    start = cur.pos
-    out: list[str] = []
-    while not cur.at_end():
-        ch = cur.take()
-        if ch == "\\":
-            if cur.at_end():
-                break
-            nxt = cur.take()
-            if nxt == "/":
-                out.append("/")  # DSL-level escape for a literal slash
-            else:
-                out.append(ch)
-                out.append(nxt)
-        elif ch == "/" and cur.peek() == ")":
-            cur.pos += 1
-            return "".join(out)
-        else:
-            out.append(ch)
-    raise ParseError(start, 'regex body terminated by "/)"')
-
-
-def _parse_step(cur: _Cursor) -> ProcedureStep:
-    cur.skip_ws()
-    name_pos = cur.pos
-    name = _read_name(cur)
-    level = _LEVEL_NAMES.get(name)
+def _parse_step(source: str, pos: int) -> tuple[ProcedureStep, int]:
+    name = _LEVEL.match(source, pos)
+    level = _LEVEL_NAMES.get(name[1])
     if level is None:
-        raise ParseError(name_pos, "a level name")
-    regex: str | None = None
-    if level is Level.PATTERN:
-        if cur.text[cur.pos : cur.pos + 2] != "(/":
-            raise ParseError(cur.pos, '"(/" opening the regex')
-        cur.pos += 2
-        body_pos = cur.pos
-        regex = _read_regex_body(cur)
-        predicate = _parse_predicate(cur)
-        try:
-            return ProcedureStep(level, predicate, regex)
-        except ValueError as exc:  # the regex does not compile
-            raise PatternError(body_pos, str(exc)) from exc
-    return ProcedureStep(level, _parse_predicate(cur))
+        raise ParseError(name.start(1), "a level name")
+    pos = name.end()
+    if level is not Level.PATTERN:
+        kind, n, pos = _parse_predicate(source, pos)
+        return _step(level, kind, n, None), pos
+    if not source.startswith("(/", pos):
+        raise ParseError(pos, '"(/" opening the regex')
+    body_pos = pos + 2
+    body = _REGEX_BODY.match(source, body_pos)
+    if body is None:
+        raise ParseError(body_pos, 'regex body terminated by "/)"')
+    kind, n, pos = _parse_predicate(source, body.end())
+    try:
+        # ProcedureStep reads an escaped slash as a bare one
+        return _step(level, kind, n, source[body_pos : body.end() - 2]), pos
+    except ValueError as exc:  # the regex does not compile
+        raise PatternError(body_pos, str(exc)) from exc
 
 
-def _parse_predicate(cur: _Cursor) -> Predicate:
-    ch = cur.peek()
-    if ch == "@":
-        cur.pos += 1
-        nxt = cur.peek()
-        if nxt == "-" or (nxt.isdigit() and nxt.isascii()):
-            n_pos = cur.pos
-            n = _read_int(cur, "an element ordinal")
-            if n == 0:
-                raise ParseError(n_pos, "a nonzero ordinal (element numbering starts at 1)")
-            if n < -1:
-                raise ParseError(n_pos, "-1 (the only negative ordinal)")
-            return Predicate.index(n)
-        return Predicate.all()
-    if ch == "!":
-        nxt = cur.text[cur.pos + 1 : cur.pos + 2]
-        if not (nxt.isdigit() and nxt.isascii()):
-            return Predicate.all()  # leave "!=" for the relation parser
-        cur.pos += 1
-        n_pos = cur.pos
-        n = _read_int(cur, "a positive ordinal")
-        if n < 1:
-            raise ParseError(n_pos, "a positive ordinal")
-        return Predicate.before(n)
-    if ch == "$":
-        cur.pos += 1
-        n_pos = cur.pos
-        n = _read_int(cur, "a positive ordinal")
-        if n < 1:
-            raise ParseError(n_pos, "a positive ordinal")
-        return Predicate.after(n)
-    if ch == "%":
-        cur.pos += 1
-        return Predicate.between()
-    if ch == "#":
-        cur.pos += 1
-        return Predicate.count()
-    return Predicate.all()
+def _parse_predicate(source: str, pos: int) -> tuple[PredicateKind, int | None, int]:
+    token = _PREDICATE.match(source, pos)
+    if token is None:
+        return PredicateKind.ALL, None, pos  # a "!" not before a digit is left for "!="
+    index, before, after = token.groups()
+    end = token.end()
+    if index is not None:
+        if not index:
+            return PredicateKind.ALL, None, end
+        n = _integer(index, pos + 1, "an element ordinal")
+        if n == 0:
+            raise ParseError(pos + 1, "a nonzero ordinal (element numbering starts at 1)")
+        if n < -1:
+            raise ParseError(pos + 1, "-1 (the only negative ordinal)")
+        return PredicateKind.INDEX, n, end
+    if before is None and after is None:
+        return (PredicateKind.BETWEEN if source[pos] == "%" else PredicateKind.COUNT), None, end
+    n = _integer(before or after, pos + 1, "a positive ordinal")
+    if n < 1:
+        raise ParseError(pos + 1, "a positive ordinal")
+    return (PredicateKind.AFTER if before is None else PredicateKind.BEFORE), n, end
 
 
-def _parse_relation(cur: _Cursor) -> Relation:
-    cur.skip_ws()
-    for sym, rel in _NUM_RELATION_SYMBOLS:
-        if cur.text.startswith(sym, cur.pos):
-            cur.pos += len(sym)
-            return rel
-    name_pos = cur.pos
-    name = _read_name(cur)
-    rel = _TEXT_RELATION_NAMES.get(name)
-    if rel is None:
-        raise ParseError(name_pos, "a relation")
-    return rel
+def _parse_value(source: str, pos: int) -> tuple[int | str, int]:
+    pos = _SPACE.match(source, pos).end()
+    if source.startswith('"', pos):
+        return _parse_string(source, pos)
+    digits = _DIGITS.match(source, pos)
+    if digits is None:
+        raise ParseError(pos, "an integer or a quoted string value")
+    return _integer(digits[0], pos, "a value"), digits.end()
 
 
-def _parse_value(cur: _Cursor) -> int | str:
-    cur.skip_ws()
-    if cur.peek() == '"':
-        open_pos = cur.pos
-        cur.pos += 1
-        out: list[str] = []
-        while not cur.at_end():
-            ch = cur.take()
-            if ch == '"':
-                if not out:
-                    raise ParseError(open_pos, "a nonempty string value")
-                return "".join(out)
-            if ch == "\\":
-                backslash = cur.pos - 1
-                esc = cur.take() if not cur.at_end() else ""
-                if esc == '"':
-                    out.append('"')
-                elif esc == "\\":
-                    out.append("\\")
-                elif esc == "n":
-                    out.append("\n")
-                else:
-                    raise ParseError(backslash, 'an escape among \\" \\\\ \\n')
-            else:
-                out.append(ch)
-        raise ParseError(open_pos, "a closing quote")
-    if cur.peek().isdigit() and cur.peek().isascii():
-        return _read_int(cur, "a value")
-    raise ParseError(cur.pos, "an integer or a quoted string value")
+def _parse_string(source: str, open_pos: int) -> tuple[str, int]:
+    parts: list[str] = []
+    pos = open_pos + 1
+    while True:
+        run = _STRING_RUN.match(source, pos)
+        parts.append(run[0])
+        pos = run.end()
+        if pos == len(source):
+            raise ParseError(open_pos, "a closing quote")
+        if source[pos] == '"':
+            value = "".join(parts)
+            if not value:
+                raise ParseError(open_pos, "a nonempty string value")
+            return value, pos + 1
+        escaped = _VALUE_ESCAPES.get(source[pos + 1 : pos + 2])
+        if escaped is None:
+            raise ParseError(pos, 'an escape among \\" \\\\ \\n')
+        parts.append(escaped)
+        pos += 2
 
 
 def parse_rule(source: str) -> Rule:
@@ -246,21 +176,20 @@ def parse_rule(source: str) -> Rule:
     Raises ParseError (with position), PatternError for a non-compiling regex,
     or ValidityError carrying the violation codes.
     """
-    cur = _Cursor(source)
-    steps = [_parse_step(cur)]
-    while True:
-        cur.skip_ws()
-        if cur.peek() == ".":
-            cur.pos += 1
-            steps.append(_parse_step(cur))
-        else:
-            break
-    relation = _parse_relation(cur)
-    value = _parse_value(cur)
-    cur.skip_ws()
-    if not cur.at_end():
-        raise ParseError(cur.pos, "end of expression")
-    return Rule(tuple(steps), relation, value)
+    step, pos = _parse_step(source, 0)
+    steps = [step]
+    while dot := _DOT.match(source, pos):
+        step, pos = _parse_step(source, dot.end())
+        steps.append(step)
+    relation = _RELATION.match(source, pos)
+    rel = _RELATIONS.get(relation[1])
+    if rel is None:
+        raise ParseError(relation.start(1), "a relation")
+    value, pos = _parse_value(source, relation.end())
+    pos = _SPACE.match(source, pos).end()
+    if pos != len(source):
+        raise ParseError(pos, "end of expression")
+    return Rule(tuple(steps), rel, value)
 
 
 _ESCAPE_PAIR_OR_SLASH = re.compile(r"\\.|/", re.DOTALL)

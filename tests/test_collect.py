@@ -350,3 +350,60 @@ class TestTornJournal:
         with pytest.raises(DataError, match=r"out\.jsonl:1: malformed JSON"):
             read_responses(out_path)
         assert out_path.read_text(encoding="utf-8") == '{"id": "en-0000", "resp'
+
+
+class TestMendJournal:
+    """The torn-tail mend reads only the tail, block by block from the end."""
+
+    WHOLE = json.dumps({"id": "en-0000", "response": "kept"}) + "\n"
+
+    def mend(self, path, data: bytes) -> bytes:
+        path.write_bytes(data)
+        collect_module._mend_journal(path)
+        return path.read_bytes()
+
+    def test_unparsable_tail_longer_than_a_block_is_cut(self, tmp_path):
+        tail = '{"id": "en-0001", "response": "' + "x" * (3 * collect_module._MEND_BLOCK)
+        whole = self.WHOLE.encode()
+        assert self.mend(tmp_path / "out.jsonl", whole + tail.encode()) == whole
+
+    def test_parsable_tail_longer_than_a_block_gets_its_newline(self, tmp_path):
+        tail = json.dumps({"id": "en-0001", "response": "y" * (2 * collect_module._MEND_BLOCK + 7)})
+        data = (self.WHOLE + tail).encode()
+        assert self.mend(tmp_path / "out.jsonl", data) == data + b"\n"
+
+    def test_tail_starting_on_a_block_boundary(self, tmp_path):
+        block = collect_module._MEND_BLOCK
+        first = json.dumps({"id": "en-0000", "response": "z" * block})
+        first = first[: block - 3] + '"}\n'  # the newline is the last byte of a block
+        tail = '{"id": "en-0001", "resp' + "w" * block
+        assert self.mend(tmp_path / "out.jsonl", (first + tail).encode()) == first.encode()
+
+    def test_single_line_without_newline(self, tmp_path):
+        line = json.dumps({"id": "en-0000", "response": "kept"}).encode()
+        assert self.mend(tmp_path / "a.jsonl", line) == line + b"\n"
+        assert self.mend(tmp_path / "b.jsonl", line[:-1]) == b""
+
+    def test_whole_and_empty_journals_are_left_alone(self, tmp_path):
+        assert self.mend(tmp_path / "a.jsonl", self.WHOLE.encode()) == self.WHOLE.encode()
+        assert self.mend(tmp_path / "b.jsonl", b"") == b""
+
+    def test_memory_is_bounded_by_the_tail(self, tmp_path):
+        import tracemalloc
+
+        path = tmp_path / "out.jsonl"
+        line = json.dumps({"id": "en-0000", "response": "r" * 1000}) + "\n"
+        with open(path, "w", encoding="utf-8") as fh:
+            for _ in range(20_500):  # over 20 MB of whole lines
+                fh.write(line)
+            fh.write('{"id": "en-0001", "resp')
+        size = path.stat().st_size
+        assert size > 20_000_000
+        tracemalloc.start()
+        try:
+            collect_module._mend_journal(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size == size - len('{"id": "en-0001", "resp')
+        assert peak < 4 * collect_module._MEND_BLOCK

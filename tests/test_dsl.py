@@ -83,6 +83,17 @@ class TestParseExamples:
         rule = parse_rule(r'pattern(/\d+\.\d+/)# = 1')
         assert rule.procedure[0].pattern == r"\d+\.\d+"
 
+    def test_escape_pairs_in_a_regex(self):
+        assert parse_rule(r"pattern(/a\\/)# = 1").procedure[0].pattern == "a\\\\"
+        assert parse_rule(r"pattern(/a\\\//)# = 1").procedure[0].pattern == "a\\\\/"
+        assert parse_rule("pattern(/a\\\nb/)# = 1").procedure[0].pattern == "a\\\nb"
+
+    def test_equal_steps_are_shared(self):
+        first = parse_rule('paragraph@2.pattern(/a\\/b/)# = 3')
+        second = parse_rule('paragraph@2 . pattern(/a/b/)# >= 1')
+        assert first.procedure[0] is second.procedure[0]
+        assert first.procedure[1] == second.procedure[1]
+
     def test_whitespace_between_tokens(self):
         assert parse_rule(" paragraph@2 . sentence#  =  3 ") == parse_rule(
             "paragraph@2.sentence# = 3"
@@ -169,6 +180,11 @@ class TestParseErrors:
     def test_unterminated_regex(self):
         e = self.err('pattern(/abc# = 1')
         assert "/)" in e.expected
+
+    def test_escaped_slash_does_not_end_a_regex(self):
+        for text in (r"pattern(/a\/)# = 1", "pattern(/a\\"):
+            e = self.err(text)
+            assert e.pos == len("pattern(/") and "/)" in e.expected, text
 
     def test_missing_value(self):
         e = self.err("sentence# = ")
