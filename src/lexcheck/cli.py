@@ -74,7 +74,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     try:
-        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except RecursionError as exc:
+            raise ValueError("generation config JSON nested too deeply") from exc
         if not isinstance(data, dict):
             raise ValueError("generation config must be a JSON object")
         if args.seed is not None:

@@ -71,6 +71,8 @@ class EndpointConfig:
             raise ConfigError(f"endpoint config is not valid JSON: {exc.msg}") from exc
         except ValueError as exc:  # bytes that are not UTF-8
             raise ConfigError(f"endpoint config cannot be decoded: {exc}") from exc
+        except RecursionError as exc:
+            raise ConfigError("endpoint config JSON nested too deeply") from exc
         if not isinstance(data, dict):
             raise ConfigError("endpoint config must be a JSON object")
         return cls.from_dict(data)
@@ -173,7 +175,7 @@ def _mend_journal(path: Path) -> None:
                 break
         try:
             json.loads(b"".join(reversed(blocks)))
-        except ValueError:
+        except (ValueError, RecursionError):
             fh.truncate(cut)
         else:
             fh.seek(size)

@@ -22,12 +22,9 @@ from .rules import (
     Rule,
     require_language,
 )
-from .segment import _chars, _Span, _split
+from .segment import CHAR_LEVEL_TESTS, _chars, _Span, _split
 
 _T = TypeVar("_T")
-#: Levels whose every element is one character, so a step that reads only
-#: the elements' contents reads them from one string (`_Splits.chars`).
-_ONE_CHAR = frozenset({Level.CHARACTER, Level.LETTER, Level.PUNC})
 
 
 def _select(elements: Sequence[_T], n: int) -> _T | None:
@@ -44,12 +41,13 @@ def _refine(texts: list[str], step: ProcedureStep, splits: _Splits) -> list[str]
     no texts; they are not errors.
     `before`/`after` keep the raw text on the named side of the element's
     span; `between` keeps the raw text separating consecutive elements.
-    At a single-character level `all` and `index` read only the elements'
-    contents, so they read them from `splits.chars`.
+    At a single-character level (`segment.CHAR_LEVEL_TESTS`) `all` and
+    `index` read only the elements' contents, so they read them from one
+    string, `splits.chars`.
     """
     kind = step.predicate.kind
     out: list[str] = []
-    if step.level in _ONE_CHAR and kind in (PredicateKind.ALL, PredicateKind.INDEX):
+    if step.level in CHAR_LEVEL_TESTS and kind in (PredicateKind.ALL, PredicateKind.INDEX):
         for text in texts:
             chars = splits.chars(text, step.level)
             if kind is PredicateKind.ALL:
@@ -125,7 +123,7 @@ class _Splits(dict):
         self.joined: dict[tuple[str, Level], str] = {}
 
     def chars(self, text: str, level: Level) -> str:
-        """The contents of `text`'s elements at a level in `_ONE_CHAR`,
+        """The contents of `text`'s elements at a single-character level,
         joined in order (`segment._chars`), made on first use.
 
         Whether a character is an element depends on it alone, so a cut
@@ -182,9 +180,9 @@ def _edges_resplit(inside: list[_Span], shift: int, text: str, level: Level, lan
     moved to the base's positions.
 
     A cut starts after a newline and ends at one, and what decides a
-    boundary (a terminal run, the character after it and a look-back that
-    stops at whitespace; a maximal run of newlines) reads the same in the
-    cut as in the base, except next to the cut's ends.  The head holds the
+    boundary (the whitespace-delimited token that ends in a terminator, or
+    a run of terminators in Chinese; a maximal run of newlines) reads the
+    same in the cut as in the base, except next to the cut's ends.  The head holds the
     whole break before the second element, the tail the whole break after
     the second-to-last.
     """
@@ -227,7 +225,7 @@ def _holds(rule: Rule, full_text: str, splits: _Splits) -> bool:
         texts = _refine(texts, step, splits)
     if terminal.predicate.kind is not PredicateKind.COUNT:
         observed: list = _refine(texts, terminal, splits)
-    elif terminal.level in _ONE_CHAR:
+    elif terminal.level in CHAR_LEVEL_TESTS:
         observed = [len(splits.chars(text, terminal.level)) for text in texts]
     else:
         observed = [len(splits[text, terminal.level, terminal.pattern][0]) for text in texts]

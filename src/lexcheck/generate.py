@@ -26,9 +26,11 @@ from .rules import (
     ProcedureStep,
     Relation,
     Rule,
+    check_regex,
+    descends,
     require_language,
 )
-from .segment import is_ascii_letter, is_cjk_char, is_punct_char
+from .segment import CHAR_LEVEL_TESTS
 from .templates import TemplateKey, render_prompt
 
 MAX_DEPTH_LIMIT = 4
@@ -189,6 +191,11 @@ class GenConfig:
             raise ValueError("bucket sizes must be >= 0")
         if self.lexicon is None:
             self.lexicon = DEFAULT_LEXICONS[self.language]
+        for regex in self.lexicon.regexes:
+            try:
+                check_regex(regex)
+            except ValueError as exc:
+                raise ValueError(f"lexicon regex {regex!r}: {exc}") from exc
         if not self.seed_tasks:
             self.seed_tasks = DEFAULT_SEED_TASKS[self.language]
         else:
@@ -241,15 +248,8 @@ def _make_step(level: Level, predicate: Predicate, lexicon: Lexicon, rng: random
     return ProcedureStep(level, predicate)
 
 
-_CHAR_LEVEL_TESTS = {
-    Level.LETTER: is_ascii_letter,
-    Level.CHARACTER: is_cjk_char,
-    Level.PUNC: is_punct_char,
-}
-
-
 def _char_pool(level: Level, lexicon: Lexicon) -> tuple[str, ...]:
-    test = _CHAR_LEVEL_TESTS[level]
+    test = CHAR_LEVEL_TESTS[level]
     pool = tuple(c for c in lexicon.characters if len(c) == 1 and test(c))
     if not pool:
         raise LexiconError(f"lexicon has no single characters usable at level {level.value}")
@@ -261,7 +261,7 @@ def _text_value(
 ) -> str:
     if terminal.predicate.kind is PredicateKind.BETWEEN:
         return rng.choice(_GAP_VALUES[language][terminal.level])
-    if terminal.level in _CHAR_LEVEL_TESTS:
+    if terminal.level in CHAR_LEVEL_TESTS:
         return rng.choice(_char_pool(terminal.level, lexicon))
     pool = lexicon.words + lexicon.characters
     if not pool:
@@ -281,19 +281,14 @@ def _try_chain(
     """A strictly descending level chain ending at `terminal_level`, or None."""
     if depth == 1:
         return [terminal_level]
-    if terminal_level is Level.PATTERN:
-        candidate_ranks = sorted({LEVEL_RANK[lv] for lv in _ANCESTOR_LEVELS[language]})
-    else:
-        limit = LEVEL_RANK[terminal_level]
-        candidate_ranks = sorted(
-            {LEVEL_RANK[lv] for lv in _ANCESTOR_LEVELS[language] if LEVEL_RANK[lv] < limit}
-        )
+    ancestors = [lv for lv in _ANCESTOR_LEVELS[language] if descends(lv, terminal_level)]
+    candidate_ranks = sorted({LEVEL_RANK[lv] for lv in ancestors})
     if len(candidate_ranks) < depth - 1:
         return None
     ranks = sorted(rng.sample(candidate_ranks, depth - 1))
     chain = []
     for rank in ranks:
-        options = [lv for lv in _ANCESTOR_LEVELS[language] if LEVEL_RANK[lv] == rank]
+        options = [lv for lv in ancestors if LEVEL_RANK[lv] == rank]
         chain.append(rng.choice(options))
     chain.append(terminal_level)
     return chain

@@ -180,6 +180,19 @@ def _canonical_regex(source: str) -> str:
     return _ESCAPE_PAIR.sub(lambda m: "/" if m.group(1) == "/" else m.group(0), source)
 
 
+def check_regex(source: str) -> None:
+    """Raise ValueError unless `source` compiles as a pattern step's regex.
+
+    Besides ``re.error``, the compiler raises OverflowError for a repeat
+    count too large (``a{99999999999999}``) and RecursionError for groups
+    nested too deeply; all three are reported the same way.
+    """
+    try:
+        re.compile(source)
+    except (re.error, OverflowError, RecursionError) as exc:
+        raise ValueError(f"pattern step regex does not compile: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class ProcedureStep:
     """One link in a procedure: a level plus a selection predicate.
@@ -197,10 +210,7 @@ class ProcedureStep:
             if self.pattern is None:
                 raise ValueError("pattern step requires a regex source")
             canonical = _canonical_regex(self.pattern)
-            try:
-                re.compile(canonical)
-            except re.error as exc:
-                raise ValueError(f"pattern step regex does not compile: {exc}") from exc
+            check_regex(canonical)
             object.__setattr__(self, "pattern", canonical)
         elif self.pattern is not None:
             raise ValueError(f"{self.level.value} step takes no regex")

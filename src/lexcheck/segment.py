@@ -15,14 +15,25 @@ import unicodedata
 
 from .rules import Level, require_language
 
+# The levels from paragraph to word are found by compiled patterns.  None
+# nests an unbounded repeat, and each match attempt that can backtrack starts
+# only at a line or token start, so every scan is linear.  On str patterns \s
+# is exactly str.isspace, and [^\S\n] is \s without the newline.  "." stops
+# only at "\n", so \r, \x0b, \x85 and \u2028 stay inside a line.
 _PARAGRAPH_BREAK = re.compile(r"\n{2,}")
-_BULLET_MARKER = re.compile(r"^\s*(?:[*+-]|[0-9]+[.)])\s+")
+_LINE = re.compile(r"[^\n]+")
+# a line whose content after indentation is a list marker, then whitespace;
+# group 1 is the content after the marker
+_BULLET = re.compile(r"^[^\S\n]*(?:[*+-]|[0-9]+[.)])[^\S\n]+(.*)", re.MULTILINE)
 _WORD_TOKEN = re.compile(r"\S+")
-_EN_TERMINAL_RUN = re.compile(r"[.!?]+")
+# a whitespace-delimited token that ends in an English terminator; the
+# look-behind keeps a match from starting inside a token, where a failed
+# attempt would rescan the rest of it
+_EN_SENTENCE_END = re.compile(r"(?<!\S)\S*[.!?](?!\S)")
 _ZH_TERMINAL_RUN = re.compile(r"[。！？…]+")
 
-#: Tokens that suppress an English sentence split when they end at the
-#: terminator run (matched against the whitespace-delimited token, verbatim).
+#: Tokens that suppress an English sentence split when they end in a
+#: terminator (matched against the whitespace-delimited token, verbatim).
 EN_ABBREVIATIONS = frozenset(
     {"Mr.", "Mrs.", "Dr.", "Prof.", "St.", "e.g.", "i.e.", "etc.", "vs.", "Fig.", "Eq."}
 )
@@ -61,6 +72,14 @@ def is_punct_char(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P") or ch in _EXTRA_PUNCT
 
 
+#: The single-character levels, each with the test its elements pass.
+CHAR_LEVEL_TESTS = {
+    Level.CHARACTER: is_cjk_char,
+    Level.LETTER: is_ascii_letter,
+    Level.PUNC: is_punct_char,
+}
+
+
 @functools.lru_cache(maxsize=256)
 def _compiled(pattern: str) -> re.Pattern[str]:
     return re.compile(pattern)
@@ -76,68 +95,28 @@ def _paragraphs(text: str) -> list[_Span]:
     return [el for el in out if el[0]]
 
 
-def _line_regions(text: str) -> list[tuple[int, int]]:
-    regions = []
-    start = 0
-    while start <= len(text):
-        nl = text.find("\n", start)
-        end = len(text) if nl < 0 else nl
-        regions.append((start, end))
-        if nl < 0:
-            break
-        start = nl + 1
-    return regions
-
-
 def _lines(text: str) -> list[_Span]:
-    out = []
-    for a, b in _line_regions(text):
-        raw = text[a:b]
-        if raw.strip():
-            out.append((raw, a, b))
-    return out
+    return [(m[0], m.start(), m.end()) for m in _LINE.finditer(text) if not m[0].isspace()]
 
 
 def _bullets(text: str) -> list[_Span]:
-    out = []
-    for a, b in _line_regions(text):
-        raw = text[a:b]
-        m = _BULLET_MARKER.match(raw)
-        if m:
-            out.append((raw[m.end() :], a, b))
-    return out
+    return [(m[1], m.start(), m.end()) for m in _BULLET.finditer(text)]
 
 
-def _sentences(text: str, run_re: re.Pattern[str], require_trailing_space: bool) -> list[_Span]:
-    boundaries: list[int] = []
-    for m in run_re.finditer(text):
-        if require_trailing_space:
-            if m.end() < len(text) and not text[m.end()].isspace():
-                continue
-            token_start = m.start()
-            while token_start > 0 and not text[token_start - 1].isspace():
-                token_start -= 1
-            if text[token_start : m.end()] in EN_ABBREVIATIONS:
-                continue
-        boundaries.append(m.end())
+def _sentences(text: str, boundaries: list[int]) -> list[_Span]:
+    """The pieces of `text` cut at `boundaries` and at its end, each stripped
+    of surrounding whitespace, with its trimmed region as the span; blank
+    pieces are dropped."""
     out: list[_Span] = []
-    start = _skip_space(text, 0)
-    for b in boundaries:
-        if start < b:
-            out.append((text[start:b], start, b))
-        start = _skip_space(text, b)
-    end = len(text)
-    while end > start and text[end - 1].isspace():
-        end -= 1
-    if start < end:
-        out.append((text[start:end], start, end))
+    start = 0
+    for end in (*boundaries, len(text)):
+        piece = text[start:end]
+        content = piece.strip()
+        if content:
+            a = start + len(piece) - len(piece.lstrip())
+            out.append((content, a, a + len(content)))
+        start = end
     return out
-
-
-def _skip_space(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
 
 
 def _words(text: str) -> list[_Span]:
@@ -199,8 +178,9 @@ def _split(text: str, level: Level, language: str, pattern: str | None) -> list[
         return _bullets(text)
     if level is Level.SENTENCE:
         if language == "zh":
-            return _sentences(text, _ZH_TERMINAL_RUN, require_trailing_space=False)
-        return _sentences(text, _EN_TERMINAL_RUN, require_trailing_space=True)
+            return _sentences(text, [m.end() for m in _ZH_TERMINAL_RUN.finditer(text)])
+        ends = [m.end() for m in _EN_SENTENCE_END.finditer(text) if m[0] not in EN_ABBREVIATIONS]
+        return _sentences(text, ends)
     if level is Level.WORD:
         return _words(text)
     if level is Level.CHARACTER:

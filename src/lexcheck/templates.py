@@ -290,9 +290,13 @@ def load_templates(path: str | Path) -> dict[TemplateKey, str]:
     Raises ValueError naming the entry when a level of the file is not an
     object, a language or predicate kind is unknown, a relation is not
     allowed for its kind, a template is not a string, or a template is not a
-    format string over its kind's placeholders.
+    format string over its kind's placeholders, and ValueError when the file
+    is not JSON or nests too deeply to decode.
     """
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError as exc:
+        raise ValueError("template file JSON nested too deeply") from exc
     registry = dict(DEFAULT_TEMPLATES)
     for language, by_kind in _entries(data, "template file"):
         if language not in LANGUAGES:

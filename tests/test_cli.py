@@ -18,6 +18,10 @@ from lexcheck.records import write_instructions
 LIMIT = sys.get_int_max_str_digits()
 HUGE = "9" * (LIMIT + 700)
 TOO_LONG = f"integer of more than {LIMIT} digits"
+# JSON nested deeper than the decoder's recursion limit
+DEEP = "[" * 100_000
+# regexes on which re.compile raises OverflowError and RecursionError
+HOSTILE_REGEXES = ("a{99999999999999}", "(" * 2_000)
 
 
 def feed_stdin(monkeypatch, text: str) -> None:
@@ -92,6 +96,14 @@ class TestVerify:
         assert main(["verify", "word# startswith 3"]) == EXIT_DATA
         assert capsys.readouterr().err.startswith("error: bad rule expression")
 
+    @pytest.mark.parametrize("regex", HOSTILE_REGEXES, ids=["huge-repeat", "deep-nesting"])
+    def test_hostile_regex_is_data_error(self, monkeypatch, capsys, regex):
+        feed_stdin(monkeypatch, "text")
+        assert main(["verify", f"pattern(/{regex}/)# = 1"]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(
+            "error: bad rule expression: bad regex at position 9: pattern step regex does not compile: "
+        )
+
     def test_oversized_integer_is_data_error(self, monkeypatch, capsys):
         feed_stdin(monkeypatch, "text")
         assert main(["verify", f"answer.word# = {HUGE}"]) == EXIT_DATA
@@ -152,6 +164,27 @@ class TestGenerate:
         config = self.write_config(tmp_path, **overrides)
         assert main(["generate", str(config), "-o", str(tmp_path / "o")]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: cannot load generation config: ")
+
+    def test_deeply_nested_config(self, tmp_path, capsys):
+        path = tmp_path / "gen.json"
+        path.write_text(DEEP, encoding="utf-8")
+        assert main(["generate", str(path), "-o", str(tmp_path / "o")]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: cannot load generation config: generation config JSON nested too deeply\n"
+
+    def test_lexicon_regex_that_does_not_compile(self, tmp_path, capsys):
+        config = self.write_config(tmp_path, lexicon={"regexes": ["("]})
+        assert main(["generate", str(config), "-o", str(tmp_path / "o")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load generation config: lexicon regex '(': pattern step regex does not compile")
+        assert not (tmp_path / "o").exists()
+
+    def test_deeply_nested_template_overlay(self, tmp_path, capsys):
+        config = self.write_config(tmp_path)
+        overlay = tmp_path / "tpl.json"
+        overlay.write_text(DEEP, encoding="utf-8")
+        argv = ["generate", str(config), "-o", str(tmp_path / "o"), "--templates", str(overlay)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: cannot load generation config: template file JSON nested too deeply\n"
 
     def test_bad_template_overlay(self, tmp_path, capsys):
         config = self.write_config(tmp_path)
@@ -254,6 +287,14 @@ class TestRender:
         assert main(["render", str(rules), "--templates", str(path)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith(f"error: cannot load templates: {named}")
 
+    def test_deeply_nested_template_overlay(self, tmp_path, capsys):
+        rules = tmp_path / "rules.txt"
+        rules.write_text("sentence# = 2\n", encoding="utf-8")
+        overlay = tmp_path / "tpl.json"
+        overlay.write_text(DEEP, encoding="utf-8")
+        assert main(["render", str(rules), "--templates", str(overlay)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: cannot load templates: template file JSON nested too deeply\n"
+
     def test_template_overlay(self, tmp_path, capsys):
         rules = tmp_path / "rules.txt"
         rules.write_text("sentence# = 2\n", encoding="utf-8")
@@ -321,6 +362,17 @@ class TestScore:
         res_path.write_text(res_path.read_text(encoding="utf-8") + "[" * 100_000 + "\n", encoding="utf-8")
         assert main(["score", str(ins_path), str(res_path)]) == EXIT_DATA
         assert capsys.readouterr().err == f"error: {res_path}:3: JSON nested too deeply\n"
+
+    @pytest.mark.parametrize("regex", HOSTILE_REGEXES, ids=["huge-repeat", "deep-nesting"])
+    def test_hostile_regex_in_instructions(self, scoring_files, capsys, regex):
+        ins_path, res_path = scoring_files
+        record = json.loads(ins_path.read_text(encoding="utf-8").splitlines()[0])
+        record["rules"][0]["procedure"][0] = {"level": "pattern", "predicate": {"kind": "count"}, "pattern": regex}
+        ins_path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert main(["score", str(ins_path), str(res_path)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(
+            f"error: {ins_path}:1: bad instruction record: pattern step regex does not compile: "
+        )
 
     def test_response_id_of_wrong_type(self, scoring_files, capsys):
         ins_path, res_path = scoring_files
@@ -485,6 +537,14 @@ class TestCollectCommand:
         write_instructions(ins_path, [])
         assert main(["collect", str(ins_path), str(config), "-o", str(tmp_path / "o")]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: endpoint config cannot be decoded: ")
+
+    def test_deeply_nested_endpoint_config(self, tmp_path, capsys):
+        config = self.write_endpoint(tmp_path)
+        config.write_text(DEEP, encoding="utf-8")
+        ins_path = tmp_path / "ins.jsonl"
+        write_instructions(ins_path, [])
+        assert main(["collect", str(ins_path), str(config), "-o", str(tmp_path / "o")]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: endpoint config JSON nested too deeply\n"
 
     def test_unwritable_output_fails_before_any_request(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LEX_CLI_KEY", "k")

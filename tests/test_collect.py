@@ -379,6 +379,10 @@ class TestMendJournal:
         tail = '{"id": "en-0001", "resp' + "w" * block
         assert self.mend(tmp_path / "out.jsonl", (first + tail).encode()) == first.encode()
 
+    def test_tail_nested_too_deeply_is_cut(self, tmp_path):
+        whole = self.WHOLE.encode()
+        assert self.mend(tmp_path / "out.jsonl", whole + b"[" * 100_000) == whole
+
     def test_single_line_without_newline(self, tmp_path):
         line = json.dumps({"id": "en-0000", "response": "kept"}).encode()
         assert self.mend(tmp_path / "a.jsonl", line) == line + b"\n"

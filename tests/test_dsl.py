@@ -197,6 +197,14 @@ class TestPatternAndValidityErrors:
             parse_rule('pattern(/[/)# = 1')
         assert "does not compile" in str(info.value)
 
+    @pytest.mark.parametrize("regex", ["a{99999999999999}", "(" * 2_000], ids=["huge-repeat", "deep-nesting"])
+    def test_regex_the_compiler_overflows_on(self, regex):
+        # re.compile raises OverflowError and RecursionError on these
+        with pytest.raises(PatternError) as info:
+            parse_rule(f"pattern(/{regex}/)# = 1")
+        assert info.value.pos == len("pattern(/")
+        assert "does not compile" in str(info.value)
+
     def test_validity_error_carries_codes(self):
         with pytest.raises(ValidityError) as info:
             parse_rule("word@1 > 5")

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import build_instruction, make_long_text, make_text, sample_rules, violations
-from oracle import brute_loose_variant, brute_verify
+from oracle import brute_loose_variant, brute_verify, split_level
 from lexcheck import engine
 from lexcheck.dsl import parse_rule
 from lexcheck.engine import (
@@ -320,13 +320,16 @@ def test_engine_matches_brute_force_oracle(seed, language):
 
 
 # Pieces of hostile text: Unicode line and space characters that str.split
-# and str.isspace treat differently, fullwidth punctuation, mixed en/zh
-# words, abbreviations, list markers and markdown emphasis.
+# and str.isspace treat differently (the separators \x1c-\x1f, \u2028 and
+# \u2029 are whitespace but not line ends here), fullwidth punctuation,
+# mixed en/zh words, abbreviations, list markers followed by odd whitespace
+# and markdown emphasis.
 _HOSTILE_PIECES = (
     "\r", "\n", "\r\n", "\n\n", "\t", " ", "  ", "\u00a0", "\u3000", "\u0085", "\x0b", "\x0c",
+    "\x1c", "\x1f", "\u2028", "\u2029",
     "，", "。", "！", "？", "：", "；", "（", "）", "～", "……", ".", "!", "?", "...", ",",
-    "e.g.", "Dr.", "*", "**", "- ", "1. ", "The", "fox", "a", "data-set", "42", "Smith",
-    "今天", "天气很好", "山水", "我们", "例如",
+    "e.g.", "Dr.", "etc.\n", "*", "**", "- ", "-\t", "1. ", "2)\x0b", "The", "fox", "a", "data-set", "42",
+    "Smith", "今天", "天气很好", "山水", "我们", "例如",
 )
 
 
@@ -338,6 +341,15 @@ def _hostile_text(seed: int, length: int, pieces: tuple[str, ...] = _HOSTILE_PIE
         parts.append(rng.choice(pieces))
         size += len(parts[-1])
     return "".join(parts)[:length]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2000), st.sampled_from(["en", "zh"]))
+def test_split_matches_oracle_on_hostile_text(seed, length, language):
+    text = _hostile_text(seed, length)
+    for level in Level:
+        if level is not Level.PATTERN:
+            assert split(text, level, language) == split_level(text, level, language, None), level
 
 
 @settings(max_examples=80, deadline=None)

@@ -101,6 +101,12 @@ class TestProcedureStep:
         with pytest.raises(ValueError, match="does not compile"):
             ProcedureStep(Level.PATTERN, Predicate.all(), "[")
 
+    @pytest.mark.parametrize("regex", ["a{99999999999999}", "(" * 2_000], ids=["huge-repeat", "deep-nesting"])
+    def test_regex_the_compiler_overflows_on(self, regex):
+        # re.compile raises OverflowError and RecursionError on these
+        with pytest.raises(ValueError, match="does not compile"):
+            ProcedureStep(Level.PATTERN, Predicate.all(), regex)
+
     def test_escaped_slash_is_canonicalized(self):
         s = ProcedureStep(Level.PATTERN, Predicate.all(), r"a\/b")
         assert s.pattern == "a/b"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -132,6 +133,14 @@ class TestSentencesEnglish:
 
     def test_newline_counts_as_space_after_terminal(self):
         assert texts(Level.SENTENCE, "One.\nTwo.") == ["One.", "Two."]
+
+    @pytest.mark.parametrize("text", ["a" * 50_000, "a." * 25_000 + "a"], ids=["letters", "dotted"])
+    def test_one_long_token_is_split_in_linear_time(self, text):
+        # a match attempt from inside a token would rescan the rest of it:
+        # seconds here, against a millisecond for a linear scan
+        start = time.thread_time()
+        assert texts(Level.SENTENCE, text) == [text]
+        assert time.thread_time() - start < 2.0
 
 
 class TestSentencesChinese:
