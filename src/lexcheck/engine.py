@@ -9,9 +9,10 @@ per-text count) must satisfy the relation, and an empty selection fails.
 from __future__ import annotations
 
 import operator
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Sequence, TypeVar
+from typing import Iterator, Sequence, TypeVar
 
 from .rules import (
     Instruction,
@@ -56,7 +57,7 @@ def _refine(texts: list[str], step: ProcedureStep, splits: _Splits) -> list[str]
                 out.append(ch)
         return out
     for text in texts:
-        elements, shift = splits[text, step.level, step.pattern]
+        elements, shift = splits[text, step.level, step.regex]
         if kind is PredicateKind.ALL:
             out.extend(el[0] for el in elements)
         elif kind is PredicateKind.BETWEEN:
@@ -100,7 +101,7 @@ def verify_rule(rule: Rule, full_text: str, language: str = "en") -> bool:
 
 
 class _Splits(dict):
-    """Elements by (text, level, pattern), each split on first use.
+    """Elements by (text, level, compiled regex), each split on first use.
 
     A value is a pair (elements, shift): each element's start and end, less
     `shift`, are its span in the text.  A text split in full has shift 0.
@@ -142,12 +143,12 @@ class _Splits(dict):
             self.joined[text, level] = found
         return found
 
-    def __missing__(self, key: tuple[str, Level, str | None]) -> _Shifted:
-        text, level, pattern = key
+    def __missing__(self, key: tuple[str, Level, re.Pattern[str] | None]) -> _Shifted:
+        text, level, regex = key
         cut = self.cuts.get(text)
         derive = _DERIVE.get(level) if cut else None
         if derive is None:
-            found = _split(text, level, self.language, pattern), 0
+            found = _split(text, level, self.language, regex), 0
         else:
             base, a, b = cut
             elements, _ = self[base, level, None]  # a base is never a cut: shift 0
@@ -228,7 +229,7 @@ def _holds(rule: Rule, full_text: str, splits: _Splits) -> bool:
     elif terminal.level in CHAR_LEVEL_TESTS:
         observed = [len(splits.chars(text, terminal.level)) for text in texts]
     else:
-        observed = [len(splits[text, terminal.level, terminal.pattern][0]) for text in texts]
+        observed = [len(splits[text, terminal.level, terminal.regex][0]) for text in texts]
     test = _COMPARE[rule.relation]
     return bool(observed) and all(test(x, rule.value) for x in observed)
 
@@ -248,16 +249,21 @@ _LOOSE_REWRITES = {
 LOOSE_VARIANT_IDS = tuple(_LOOSE_REWRITES)
 
 
-def _cut(base: str, head: int, tail: int) -> tuple[int, int]:
-    """(a, b) such that ``base[a:b]`` is `base` without its first `head` and
-    last `tail` newline-delimited lines.
+def _rewrites(response: str) -> Iterator[tuple[str, str, int, int]]:
+    """(id, base, a, b) for each relaxed rewrite in order: the rewrite is
+    ``base[a:b]``, where the base is the response or its asterisk-stripped
+    copy.
 
-    `a` is 0 or just after the first newline, `b` the end or at the last
-    newline; a text with too few lines gives ``a >= b``, an empty slice.
+    A dropped first line moves `a` to just after the first newline, a
+    dropped last line moves `b` to the last newline; a text with too few
+    lines gives ``a >= b``, an empty slice.
     """
-    a = (base.find("\n") + 1 or len(base)) if head else 0
-    b = max(base.rfind("\n"), 0) if tail else len(base)
-    return a, b
+    bases = (response, response.replace("*", ""))
+    for vid, (strip, head, tail) in _LOOSE_REWRITES.items():
+        base = bases[strip]
+        a = (base.find("\n") + 1 or len(base)) if head else 0
+        b = max(base.rfind("\n"), 0) if tail else len(base)
+        yield vid, base, a, b
 
 
 def loose_variants(full_text: str) -> list[tuple[str, str]]:
@@ -266,12 +272,7 @@ def loose_variants(full_text: str) -> list[tuple[str, str]]:
     Line removal works on newline-delimited lines of the raw text; removing a
     line from a text with at most one line leaves the empty string.
     """
-    bases = (full_text, full_text.replace("*", ""))
-    out = []
-    for vid, (strip, head, tail) in _LOOSE_REWRITES.items():
-        a, b = _cut(bases[strip], head, tail)
-        out.append((vid, bases[strip][a:b]))
-    return out
+    return [(vid, base[a:b]) for vid, base, a, b in _rewrites(full_text)]
 
 
 @dataclass(frozen=True)
@@ -304,9 +305,10 @@ def _verdict(rules: tuple[Rule, ...], response: str, language: str, loose: bool)
     The strict pass and every rewrite share one split cache, which is dropped
     on return.  The search skips what is already decided: the identity
     rewrite is the strict pass, and a rewrite equal to one tried before
-    fails again.  Each drop-line rewrite is registered as a cut of its base
-    (the response or its asterisk-stripped copy), so its splits are
-    derived from the base's (`_DERIVE`).  In each rewrite the rule that
+    fails again.  Each rewrite is sliced only when the search reaches it,
+    and each one shorter than its base (the response or its asterisk-stripped
+    copy) is registered as a cut of the base, so its splits are derived
+    from the base's (`_DERIVE`).  In each rewrite the rule that
     failed last is checked first; a rewrite must pass every rule, so the
     order changes no verdict.
     """
@@ -318,15 +320,14 @@ def _verdict(rules: tuple[Rule, ...], response: str, language: str, loose: bool)
     if strict:  # the first rewrite, identity, is the response itself
         return Verdict(results, True, True, LOOSE_VARIANT_IDS[0])
     order = [rule for rule, ok in results if not ok] + [rule for rule, ok in results if ok]
-    variants = list(zip(loose_variants(response), _LOOSE_REWRITES.values()))
-    bases = {strip: text for (_, text), (strip, head, tail) in variants if not head and not tail}
     tried = {response}
-    for (vid, text), (strip, head, tail) in variants:
+    for vid, base, a, b in _rewrites(response):
+        text = base[a:b]
         if text in tried:
             continue
         tried.add(text)
-        if head or tail:
-            splits.cuts[text] = (bases[strip], *_cut(bases[strip], head, tail))
+        if (a, b) != (0, len(base)):
+            splits.cuts[text] = (base, a, b)
         for i, rule in enumerate(order):
             if not _holds(rule, text, splits):
                 order.insert(0, order.pop(i))

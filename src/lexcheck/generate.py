@@ -57,11 +57,18 @@ class BucketError(RuntimeError):
 
 @dataclass(frozen=True)
 class Lexicon:
-    """Candidate comparison values: whole words, single characters, regexes."""
+    """Candidate comparison values: whole words, single characters, regexes.
+
+    A word or character is a rule value, so it may not be empty.
+    """
 
     words: tuple[str, ...] = ()
     characters: tuple[str, ...] = ()
     regexes: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if "" in self.words or "" in self.characters:
+            raise ValueError("lexicon words and characters must be nonempty strings")
 
 
 DEFAULT_LEXICONS: dict[str, Lexicon] = {
@@ -127,9 +134,11 @@ _SAMPLED_LEVELS: dict[str, tuple[Level, ...]] = {
         Level.CHARACTER, Level.PUNC, Level.PATTERN,
     ),
 }
+# A chain passes only through levels that contain text: a single character
+# holds none, and nothing may follow a regex step.
 _ANCESTOR_LEVELS: dict[str, tuple[Level, ...]] = {
-    "en": (Level.PARAGRAPH, Level.LINE, Level.BULLET, Level.SENTENCE, Level.WORD),
-    "zh": (Level.PARAGRAPH, Level.LINE, Level.BULLET, Level.SENTENCE),
+    language: tuple(lv for lv in levels if lv not in CHAR_LEVEL_TESTS and lv is not Level.PATTERN)
+    for language, levels in _SAMPLED_LEVELS.items()
 }
 
 # Values that can actually appear between consecutive elements of a level;

@@ -157,16 +157,13 @@ def rule_from_dict(data: dict[str, Any] | str) -> Rule:
     return Rule(steps, Relation(data["relation"]), data["value"])
 
 
+_INSTRUCTION_FIELDS = tuple(f.name for f in dataclasses.fields(Instruction))
+
+
 def instruction_to_dict(instruction: Instruction) -> dict[str, Any]:
-    return {
-        "id": instruction.id,
-        "language": instruction.language,
-        "prompt": instruction.prompt,
-        "rules": [rule_to_dict(r) for r in instruction.rules],
-        "difficulty": instruction.difficulty,
-        "depth": instruction.depth,
-        "count": instruction.count,
-    }
+    out = {name: getattr(instruction, name) for name in _INSTRUCTION_FIELDS}
+    out["rules"] = [rule_to_dict(r) for r in instruction.rules]
+    return out
 
 
 def instruction_from_dict(data: dict[str, Any]) -> Instruction:
@@ -174,15 +171,9 @@ def instruction_from_dict(data: dict[str, Any]) -> Instruction:
     for name, kind in (("id", str), ("prompt", str), ("depth", int), ("count", int)):
         if type(data[name]) is not kind:
             raise ValueError(f"{name} must be {kind.__name__}, not {data[name]!r:.60}")
-    instruction = Instruction(
-        id=data["id"],
-        language=data["language"],
-        prompt=data["prompt"],
-        rules=rules,
-        difficulty=data["difficulty"],
-        depth=data["depth"],
-        count=data["count"],
-    )
+    values = {name: data[name] for name in _INSTRUCTION_FIELDS}
+    values["rules"] = rules
+    instruction = Instruction(**values)
     graded = grade_difficulty(rules).grade
     if graded != instruction.difficulty:
         raise ValueError(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 LANGUAGES = ("en", "zh")
 DIFFICULTIES = ("easy", "medium", "hard")
@@ -137,6 +137,17 @@ class Relation(str, enum.Enum):
         return self in ALLOWED_RELATIONS[PredicateKind.COUNT]
 
 
+#: The relations that compare selected texts; index and all admit each of them.
+_TEXTUAL_RELATIONS = (
+    Relation.STARTSWITH,
+    Relation.ENDSWITH,
+    Relation.EQUAL,
+    Relation.CONTAIN,
+    Relation.NOTSTARTSWITH,
+    Relation.NOTENDSWITH,
+    Relation.NOTCONTAIN,
+)
+
 #: Relations admitted for each terminal predicate kind, in a fixed order so
 #: samplers and docs enumerate them deterministically.
 ALLOWED_RELATIONS: dict[PredicateKind, tuple[Relation, ...]] = {
@@ -148,24 +159,8 @@ ALLOWED_RELATIONS: dict[PredicateKind, tuple[Relation, ...]] = {
         Relation.LT,
         Relation.LTE,
     ),
-    PredicateKind.INDEX: (
-        Relation.STARTSWITH,
-        Relation.ENDSWITH,
-        Relation.EQUAL,
-        Relation.CONTAIN,
-        Relation.NOTSTARTSWITH,
-        Relation.NOTENDSWITH,
-        Relation.NOTCONTAIN,
-    ),
-    PredicateKind.ALL: (
-        Relation.STARTSWITH,
-        Relation.ENDSWITH,
-        Relation.EQUAL,
-        Relation.CONTAIN,
-        Relation.NOTSTARTSWITH,
-        Relation.NOTENDSWITH,
-        Relation.NOTCONTAIN,
-    ),
+    PredicateKind.INDEX: _TEXTUAL_RELATIONS,
+    PredicateKind.ALL: _TEXTUAL_RELATIONS,
     PredicateKind.BEFORE: (Relation.CONTAIN, Relation.NOTCONTAIN),
     PredicateKind.AFTER: (Relation.CONTAIN, Relation.NOTCONTAIN, Relation.EQUAL),
     PredicateKind.BETWEEN: (Relation.EQUAL,),
@@ -180,15 +175,15 @@ def _canonical_regex(source: str) -> str:
     return _ESCAPE_PAIR.sub(lambda m: "/" if m.group(1) == "/" else m.group(0), source)
 
 
-def check_regex(source: str) -> None:
-    """Raise ValueError unless `source` compiles as a pattern step's regex.
+def check_regex(source: str) -> re.Pattern[str]:
+    """`source` compiled as a pattern step's regex; ValueError unless it compiles.
 
     Besides ``re.error``, the compiler raises OverflowError for a repeat
     count too large (``a{99999999999999}``) and RecursionError for groups
     nested too deeply; all three are reported the same way.
     """
     try:
-        re.compile(source)
+        return re.compile(source)
     except (re.error, OverflowError, RecursionError) as exc:
         raise ValueError(f"pattern step regex does not compile: {exc}") from exc
 
@@ -198,19 +193,22 @@ class ProcedureStep:
     """One link in a procedure: a level plus a selection predicate.
 
     `pattern` holds the regex source and must be present exactly when the level
-    is `pattern`; it is canonicalized and compiled at construction time.
+    is `pattern`; it is canonicalized and compiled at construction time, and
+    `regex` keeps the compiled form (None at the other levels).  `regex` takes
+    no part in equality, hashing or repr: the source alone identifies a step.
     """
 
     level: Level
     predicate: Predicate
     pattern: str | None = None
+    regex: re.Pattern[str] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.level is Level.PATTERN:
             if self.pattern is None:
                 raise ValueError("pattern step requires a regex source")
             canonical = _canonical_regex(self.pattern)
-            check_regex(canonical)
+            object.__setattr__(self, "regex", check_regex(canonical))
             object.__setattr__(self, "pattern", canonical)
         elif self.pattern is not None:
             raise ValueError(f"{self.level.value} step takes no regex")

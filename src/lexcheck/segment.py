@@ -13,7 +13,7 @@ import functools
 import re
 import unicodedata
 
-from .rules import Level, require_language
+from .rules import Level, check_regex, require_language
 
 # The levels from paragraph to word are found by compiled patterns.  None
 # nests an unbounded repeat, and each match attempt that can backtrack starts
@@ -78,11 +78,6 @@ CHAR_LEVEL_TESTS = {
     Level.LETTER: is_ascii_letter,
     Level.PUNC: is_punct_char,
 }
-
-
-@functools.lru_cache(maxsize=256)
-def _compiled(pattern: str) -> re.Pattern[str]:
-    return re.compile(pattern)
 
 
 def _paragraphs(text: str) -> list[_Span]:
@@ -151,22 +146,22 @@ def split(text: str, level: Level, language: str = "en", pattern: str | None = N
     """Split `text` into elements of `level` as (content, start, end) tuples,
     ordered by position.
 
-    `pattern` must be supplied exactly when `level` is the regex level.
-    Sentence behavior depends on `language`; the remaining levels are
-    language-independent.
+    `pattern` must be supplied exactly when `level` is the regex level, and
+    must compile (ValueError otherwise).  Sentence behavior depends on
+    `language`; the remaining levels are language-independent.
     """
     if (pattern is None) == (level is Level.PATTERN):
         raise ValueError("a regex is required for the pattern level and only there")
     require_language(language)
-    return _split(text, level, language, pattern)
+    return _split(text, level, language, None if pattern is None else check_regex(pattern))
 
 
-def _split(text: str, level: Level, language: str, pattern: str | None) -> list[_Span]:
-    """:func:`split` without its checks.
+def _split(text: str, level: Level, language: str, regex: re.Pattern[str] | None) -> list[_Span]:
+    """:func:`split` without its checks, on a compiled regex.
 
-    Neither `language` nor `pattern` is checked: callers validate the
-    language once, and every procedure step carries a pattern exactly when
-    its level needs it.
+    Neither `language` nor `regex` is checked: callers validate the
+    language once, and every procedure step carries a compiled regex
+    (`ProcedureStep.regex`) exactly when its level needs one.
     """
     if level is Level.ANSWER:
         return [(text, 0, len(text))] if text else []
@@ -189,4 +184,4 @@ def _split(text: str, level: Level, language: str, pattern: str | None) -> list[
         return _matches(_ASCII_LETTER, text)
     if level is Level.PUNC:
         return [el for el in _matches(_PUNCT_CANDIDATE, text) if is_punct_char(el[0])]
-    return _matches(_compiled(pattern or ""), text)
+    return _matches(regex, text)

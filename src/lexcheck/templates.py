@@ -2,11 +2,13 @@
 
 Templates are keyed by (terminal predicate kind, relation, language) and use
 the placeholders that `_PLACEHOLDERS` lists for their kind, out of ``{n}``,
-``{value}``, ``{level}`` and ``{position}``.  The registry below ships a
-complete default set; a JSON file with the same nested shape can overlay
-individual entries, and is checked as it is loaded.  Rendering is
-deterministic and self-contained: every sentence names the level, position,
-relation and value it constrains.
+``{value}``, ``{level}`` and ``{position}``.  The default registry holds one
+template for each pair in ``rules.ALLOWED_RELATIONS`` and each language: a
+count template, or a selection template reframed for its predicate kind (the
+text before, after or between elements takes the place of ``{position}``).
+A JSON file with the same nested shape can overlay individual entries, and
+is checked as it is loaded.  Rendering is deterministic and self-contained:
+every sentence names the level, position, relation and value it constrains.
 """
 
 from __future__ import annotations
@@ -71,33 +73,29 @@ _SELECT_ZH = {
 }
 
 
-def _build_defaults() -> dict[TemplateKey, str]:
-    reg: dict[TemplateKey, str] = {}
-    for rel, tpl in _COUNT_EN.items():
-        reg[("count", rel, "en")] = tpl
-    for rel, tpl in _COUNT_ZH.items():
-        reg[("count", rel, "zh")] = tpl
-    for kind in ("index", "all"):
-        for rel, tpl in _SELECT_EN.items():
-            reg[(kind, rel, "en")] = tpl
-        for rel, tpl in _SELECT_ZH.items():
-            reg[(kind, rel, "zh")] = tpl
-    reg[("before", "contain", "en")] = "The content before {position} must contain {value}."
-    reg[("before", "notcontain", "en")] = "The content before {position} must not contain {value}."
-    reg[("after", "contain", "en")] = "The content after {position} must contain {value}."
-    reg[("after", "notcontain", "en")] = "The content after {position} must not contain {value}."
-    reg[("after", "equal", "en")] = "The content after {position} must be exactly {value}."
-    reg[("between", "equal", "en")] = "The content between consecutive {level} must be exactly {value}."
-    reg[("before", "contain", "zh")] = "{position}之前的内容必须包含{value}。"
-    reg[("before", "notcontain", "zh")] = "{position}之前的内容不能包含{value}。"
-    reg[("after", "contain", "zh")] = "{position}之后的内容必须包含{value}。"
-    reg[("after", "notcontain", "zh")] = "{position}之后的内容不能包含{value}。"
-    reg[("after", "equal", "zh")] = "{position}之后的内容必须恰好是{value}。"
-    reg[("between", "equal", "zh")] = "相邻{level}之间的内容必须恰好是{value}。"
-    return reg
+_COUNT = {"en": _COUNT_EN, "zh": _COUNT_ZH}
+_SELECT = {"en": _SELECT_EN, "zh": _SELECT_ZH}
+#: selecting predicate kind -> language -> the text its templates constrain,
+#: which takes the place of {position} in the selection templates
+_FRAMES = {
+    "index": {"en": "{position}", "zh": "{position}"},
+    "all": {"en": "{position}", "zh": "{position}"},
+    "before": {"en": "The content before {position}", "zh": "{position}之前的内容"},
+    "after": {"en": "The content after {position}", "zh": "{position}之后的内容"},
+    "between": {"en": "The content between consecutive {level}", "zh": "相邻{level}之间的内容"},
+}
 
-
-DEFAULT_TEMPLATES: dict[TemplateKey, str] = _build_defaults()
+#: One template for each allowed (predicate kind, relation) pair and language.
+DEFAULT_TEMPLATES: dict[TemplateKey, str] = {
+    (kind.value, rel.value, language): (
+        _COUNT[language][rel.value]
+        if kind is PredicateKind.COUNT
+        else _SELECT[language][rel.value].replace("{position}", _FRAMES[kind.value][language])
+    )
+    for kind, relations in ALLOWED_RELATIONS.items()
+    for language in LANGUAGES
+    for rel in relations
+}
 
 #: predicate kind -> the placeholders render_rule_sentence fills in its templates
 _PLACEHOLDERS: dict[str, tuple[str, ...]] = {

@@ -171,6 +171,14 @@ class TestGenerate:
         assert main(["generate", str(path), "-o", str(tmp_path / "o")]) == EXIT_USAGE
         assert capsys.readouterr().err == "error: cannot load generation config: generation config JSON nested too deeply\n"
 
+    @pytest.mark.parametrize("lexicon", [{"words": [""]}, {"words": ["a"], "characters": ["a", ".", ""]}])
+    def test_empty_lexicon_entry(self, tmp_path, capsys, lexicon):
+        config = self.write_config(tmp_path, easy=20, medium=20, hard=20, lexicon={**lexicon, "regexes": ["[0-9]+"]})
+        assert main(["generate", str(config), "-o", str(tmp_path / "o")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "error: cannot load generation config: lexicon words and characters must be nonempty strings\n"
+        assert not (tmp_path / "o").exists()
+
     def test_lexicon_regex_that_does_not_compile(self, tmp_path, capsys):
         config = self.write_config(tmp_path, lexicon={"regexes": ["("]})
         assert main(["generate", str(config), "-o", str(tmp_path / "o")]) == EXIT_USAGE

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gc
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -190,6 +191,28 @@ class TestVerifyRule:
     def test_between_on_lines(self):
         assert verify_rule(parse_rule('line% equal "\\n"'), "a\nb\nc")
         assert not verify_rule(parse_rule('line% equal "\\n"'), "a\n\nb")
+
+    def test_regex_nested_near_the_limit_is_not_compiled_again_deeper_down(self):
+        def nest(depth: int) -> str:
+            return f"pattern(/{'(' * depth}a{')' * depth}/)# = 1"
+
+        # find the deepest group nest that compiles from here: compiling it
+        # again from a deeper stack would overflow
+        low, high = 1, 2_000
+        while low < high:
+            mid = (low + high + 1) // 2
+            try:
+                parse_rule(nest(mid))
+                low = mid
+            except ValueError:
+                high = mid - 1
+        rule = parse_rule(nest(low))
+
+        def down(frames: int) -> bool:
+            return verify_rule(rule, "a") if frames == 0 else down(frames - 1)
+
+        re.purge()  # drop re's own cache of the compiled pattern
+        assert down(30)
 
 
 class TestLooseVariants:

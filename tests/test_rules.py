@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -112,6 +115,21 @@ class TestProcedureStep:
         assert s.pattern == "a/b"
         t = ProcedureStep(Level.PATTERN, Predicate.all(), r"\d+\/")
         assert t.pattern == r"\d+/"
+
+    def test_compiled_regex_is_kept_but_not_compared(self):
+        s = ProcedureStep(Level.PATTERN, Predicate.all(), r"a\/b")
+        assert s.regex is not None and s.regex.pattern == "a/b"
+        assert ProcedureStep(Level.WORD, Predicate.all()).regex is None
+        assert "regex" not in repr(s)
+        # a step whose regex was compiled elsewhere equals and hashes the same
+        other = ProcedureStep(Level.PATTERN, Predicate.all(), "a/b")
+        object.__setattr__(other, "regex", re.compile("a/b", re.IGNORECASE))
+        assert other == s and hash(other) == hash(s)
+
+    def test_compiled_regex_survives_pickling(self):
+        s = ProcedureStep(Level.PATTERN, Predicate.index(2), "[0-9]+")
+        again = pickle.loads(pickle.dumps(s))
+        assert again == s and again.regex == s.regex
 
 
 class TestRuleValue:

@@ -242,6 +242,11 @@ class TestPattern:
         with pytest.raises(ValueError):
             split("x", Level.WORD, pattern="a")
 
+    @pytest.mark.parametrize("regex", ["(", "a{99999999999999}"])
+    def test_regex_that_does_not_compile(self, regex):
+        with pytest.raises(ValueError, match="does not compile"):
+            split("x", Level.PATTERN, pattern=regex)
+
     def test_unknown_language_rejected(self):
         with pytest.raises(ValueError):
             split("x", Level.WORD, language="fr")

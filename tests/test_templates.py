@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -157,6 +158,12 @@ class TestRegistry:
             if (kind.value, relation.value, language) not in DEFAULT_TEMPLATES
         ]
         assert missing == []
+
+    def test_default_registry_is_pinned(self):
+        text = json.dumps(sorted(DEFAULT_TEMPLATES.items()), ensure_ascii=False)
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == "5a1c2e9056503be7791f579c03bec7b9273afa41edcfb258de6850bb56c65687"
+        assert len(DEFAULT_TEMPLATES) == sum(map(len, ALLOWED_RELATIONS.values())) * len(LANGUAGES)
 
     def test_render_with_missing_template_raises(self):
         with pytest.raises(MissingTemplateError) as info:
