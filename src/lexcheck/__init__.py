@@ -1,13 +1,7 @@
 """Verification toolkit for fine-grained lexical constraints on model responses."""
 
 from .dsl import ParseError, PatternError, ValidityError, format_rule, parse_rule
-from .engine import (
-    LOOSE_VARIANT_IDS,
-    Verdict,
-    loose_variants,
-    verify_instruction,
-    verify_rule,
-)
+from .engine import Verdict, verify_instruction, verify_rule
 from .generate import (
     BucketError,
     GenConfig,
@@ -57,7 +51,6 @@ __all__ = [
     "Level",
     "Lexicon",
     "LexiconError",
-    "LOOSE_VARIANT_IDS",
     "MissingTemplateError",
     "ParseError",
     "PatternError",
@@ -76,7 +69,6 @@ __all__ = [
     "heatmap",
     "load_report",
     "load_templates",
-    "loose_variants",
     "merge",
     "parse_rule",
     "read_instructions",

@@ -8,15 +8,14 @@ error, 3 partial collection.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from .collect import CollectResult, ConfigError, EndpointConfig, collect
+from .collect import CollectResult, EndpointConfig, collect
 from .dsl import ParseError, PatternError, ValidityError, parse_rule
 from .engine import _verdict
 from .generate import BucketError, GenConfig, LexiconError, generate_dataset
-from .records import DataError, write_instructions
+from .records import DataError, read_config, read_text, write_instructions
 from .report import (
     REPORT_FORMATS,
     load_report,
@@ -25,7 +24,7 @@ from .report import (
     score,
 )
 from .rules import LANGUAGES
-from .templates import MissingTemplateError, load_templates, render_prompt
+from .templates import load_templates, render_prompt
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -74,24 +73,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     try:
-        try:
-            data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except RecursionError as exc:
-            raise ValueError("generation config JSON nested too deeply") from exc
-        if not isinstance(data, dict):
-            raise ValueError("generation config must be a JSON object")
-        if args.seed is not None:
-            data["seed"] = args.seed
-        if args.lang is not None:
-            data["language"] = args.lang
-        config = GenConfig.from_dict(data)
+        config = read_config(GenConfig, args.config, seed=args.seed, language=args.lang)
         templates = load_templates(args.templates) if args.templates else None
     except (OSError, ValueError) as exc:
         _err(f"cannot load generation config: {exc}")
         return EXIT_USAGE
     try:
         instructions = generate_dataset(config, templates)
-    except (BucketError, LexiconError, MissingTemplateError) as exc:
+    except (BucketError, LexiconError) as exc:
         _err(str(exc))
         return EXIT_USAGE
     write_instructions(args.output, instructions)
@@ -102,12 +91,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     if args.rules_file:
         try:
-            source = Path(args.rules_file).read_text(encoding="utf-8")
-        except OSError as exc:
+            source = read_text(args.rules_file)
+        except (OSError, DataError) as exc:
             _err(str(exc))
-            return EXIT_DATA
-        except UnicodeDecodeError as exc:
-            _err(f"{args.rules_file} is not valid UTF-8 (byte {exc.start})")
             return EXIT_DATA
     else:
         source = sys.stdin.read()
@@ -125,23 +111,16 @@ def cmd_render(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         _err(f"cannot load templates: {exc}")
         return EXIT_USAGE
-    try:
-        prompt = render_prompt(rules, args.lang, args.seed_task, templates)
-    except MissingTemplateError as exc:
-        _err(str(exc))
-        return EXIT_USAGE
-    print(prompt)
+    print(render_prompt(rules, args.lang, args.seed_task, templates))
     return EXIT_OK
 
 
 def cmd_collect(args: argparse.Namespace) -> int:
     try:
-        config = EndpointConfig.from_file(args.config)
-        if args.jobs is not None:
-            config.max_in_flight = args.jobs
+        config = read_config(EndpointConfig, args.config, max_in_flight=args.jobs)
         config.credential()
-    except ConfigError as exc:
-        _err(str(exc))
+    except ValueError as exc:
+        _err(f"endpoint config: {exc}")
         return EXIT_USAGE
     try:
         result: CollectResult = collect(args.instructions, config, args.output)

@@ -17,11 +17,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
 
 import requests
 
-from .records import missing_fields, read_fields, read_instructions, read_responses
+from .records import decode_json, read_instructions, read_responses
 from .rules import Instruction
 
 TRANSIENT_STATUS = frozenset({429, 500, 502, 503, 504})
@@ -30,8 +29,8 @@ _MEND_BLOCK = 1 << 16  # bytes read at a time when looking for a torn tail's sta
 
 
 class ConfigError(ValueError):
-    """The endpoint configuration is unusable (missing keys, a value of the
-    wrong type or out of range, no credential)."""
+    """The endpoint configuration is unusable (a value out of range, no
+    credential)."""
 
 
 @dataclass
@@ -52,30 +51,6 @@ class EndpointConfig:
                 raise ConfigError(f"{name} must be > 0, not {getattr(self, name)}")
         if self.retry_backoff_s < 0:
             raise ConfigError(f"retry_backoff_s must be >= 0, not {self.retry_backoff_s}")
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> EndpointConfig:
-        missing = missing_fields(cls, data)
-        if missing:
-            raise ConfigError(f"endpoint config is missing keys: {missing}")
-        try:
-            return cls(**read_fields(cls, data))
-        except ValueError as exc:
-            raise ConfigError(f"endpoint config: {exc}") from exc
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> EndpointConfig:
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"endpoint config is not valid JSON: {exc.msg}") from exc
-        except ValueError as exc:  # bytes that are not UTF-8
-            raise ConfigError(f"endpoint config cannot be decoded: {exc}") from exc
-        except RecursionError as exc:
-            raise ConfigError("endpoint config JSON nested too deeply") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("endpoint config must be a JSON object")
-        return cls.from_dict(data)
 
     def credential(self) -> str:
         value = os.environ.get(self.credential_env, "")
@@ -174,8 +149,8 @@ def _mend_journal(path: Path) -> None:
             if newline:
                 break
         try:
-            json.loads(b"".join(reversed(blocks)))
-        except (ValueError, RecursionError):
+            decode_json(b"".join(reversed(blocks)).decode("utf-8"))
+        except ValueError:  # not UTF-8, or not JSON
             fh.truncate(cut)
         else:
             fh.seek(size)

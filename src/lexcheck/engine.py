@@ -246,7 +246,6 @@ _LOOSE_REWRITES = {
     "strip-asterisks+drop-last-line": (True, 0, 1),
     "strip-asterisks+drop-first-last-lines": (True, 1, 1),
 }
-LOOSE_VARIANT_IDS = tuple(_LOOSE_REWRITES)
 
 
 def _rewrites(response: str) -> Iterator[tuple[str, str, int, int]]:
@@ -264,15 +263,6 @@ def _rewrites(response: str) -> Iterator[tuple[str, str, int, int]]:
         a = (base.find("\n") + 1 or len(base)) if head else 0
         b = max(base.rfind("\n"), 0) if tail else len(base)
         yield vid, base, a, b
-
-
-def loose_variants(full_text: str) -> list[tuple[str, str]]:
-    """The eight relaxed rewrites of an answer, in fixed evaluation order.
-
-    Line removal works on newline-delimited lines of the raw text; removing a
-    line from a text with at most one line leaves the empty string.
-    """
-    return [(vid, base[a:b]) for vid, base, a, b in _rewrites(full_text)]
 
 
 @dataclass(frozen=True)
@@ -318,7 +308,7 @@ def _verdict(rules: tuple[Rule, ...], response: str, language: str, loose: bool)
     if not loose:
         return Verdict(results, strict, None, None)
     if strict:  # the first rewrite, identity, is the response itself
-        return Verdict(results, True, True, LOOSE_VARIANT_IDS[0])
+        return Verdict(results, True, True, "identity")
     order = [rule for rule, ok in results if not ok] + [rule for rule, ok in results if ok]
     tried = {response}
     for vid, base, a, b in _rewrites(response):

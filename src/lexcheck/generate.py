@@ -11,10 +11,8 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Any
 
 from .grading import grade_difficulty
-from .records import missing_fields, read_fields
 from .rules import (
     ALLOWED_RELATIONS,
     DIFFICULTIES,
@@ -209,14 +207,6 @@ class GenConfig:
             self.seed_tasks = DEFAULT_SEED_TASKS[self.language]
         else:
             self.seed_tasks = tuple(self.seed_tasks)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> GenConfig:
-        """Read a JSON config; a value of the wrong type raises ValueError."""
-        missing = missing_fields(cls, data)
-        if missing:
-            raise ValueError(f"config is missing required keys: {missing}")
-        return cls(**read_fields(cls, data))
 
 
 def _weighted_kind(rng: random.Random, table: tuple[tuple[PredicateKind, int], ...]) -> PredicateKind:

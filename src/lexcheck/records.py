@@ -1,11 +1,14 @@
-"""JSONL record files and the structured encodings they carry.
+"""Reading outside files: JSONL records, JSON documents and config files.
 
 Instruction files hold one JSON object per line with the fields id, language,
 prompt, rules, difficulty, depth and count; rules may be structured objects or
 one-line rule expressions.  Response files pair ids with response texts.
 Loaders validate as they read and report the offending line on failure.
-`read_fields` type-checks a JSON object against a dataclass's own fields, for
-report files and config files alike.
+Every file is read and decoded here (`read_text`, `read_json`,
+`decode_json`), so each way a file can fail to decode is worded once, as a
+`DataError` naming the path.  `read_fields` type-checks a JSON object against
+a dataclass's own fields, for report files and config files alike, and
+`read_config` builds a config dataclass from a JSON file.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import json
 import sys
 import typing
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, TypeVar
 
 from .dsl import parse_rule
 from .grading import grade_difficulty
@@ -30,9 +33,12 @@ from .rules import (
     Rule,
 )
 
+T = TypeVar("T")
+
 
 class DataError(ValueError):
-    """A record file failed validation; points at the file line if known."""
+    """An outside file failed to decode or validate; points at the file line
+    if known."""
 
     def __init__(self, reason: str, path: str | Path | None = None, line: int | None = None):
         self.path = str(path) if path is not None else None
@@ -182,6 +188,54 @@ def instruction_from_dict(data: dict[str, Any]) -> Instruction:
     return instruction
 
 
+def decode_json(text: str) -> Any:
+    """The JSON value in `text`; ValueError with one reason per way to fail."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed JSON ({exc.msg})") from exc
+    except ValueError as exc:  # an integer with more digits than int() converts
+        raise ValueError(f"integer of more than {sys.get_int_max_str_digits()} digits") from exc
+    except RecursionError as exc:
+        raise ValueError("JSON nested too deeply") from exc
+
+
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file; DataError if its bytes are not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"not valid UTF-8 (byte {exc.start})", path) from exc
+
+
+def read_json(path: str | Path) -> dict[str, Any]:
+    """The one JSON object a file holds; DataError naming the path if the
+    file is not UTF-8 or not JSON, or holds some other JSON value."""
+    text = read_text(path)
+    try:
+        data = decode_json(text)
+    except ValueError as exc:
+        raise DataError(str(exc), path) from exc
+    if type(data) is not dict:
+        raise DataError(f"not a JSON object but {type(data).__name__}", path)
+    return data
+
+
+def read_config(cls: type[T], path: str | Path, **overrides: Any) -> T:
+    """Dataclass `cls` built from the JSON object in a file, with each
+    override that is not None replacing the file's entry.
+
+    A missing required key or a value of the wrong type raises ValueError,
+    as does `cls`'s own validation.
+    """
+    data = read_json(path)
+    data.update((name, value) for name, value in overrides.items() if value is not None)
+    missing = missing_fields(cls, data)
+    if missing:
+        raise ValueError(f"missing required keys: {missing}")
+    return cls(**read_fields(cls, data))
+
+
 def _iter_jsonl(path: str | Path) -> Iterable[tuple[int, dict[str, Any]]]:
     with open(path, encoding="utf-8") as fh:
         try:
@@ -189,14 +243,9 @@ def _iter_jsonl(path: str | Path) -> Iterable[tuple[int, dict[str, Any]]]:
                 if not line.strip():
                     continue
                 try:
-                    data = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"malformed JSON ({exc.msg})", path, lineno) from exc
-                except ValueError as exc:  # an integer with more digits than int() converts
-                    reason = f"integer of more than {sys.get_int_max_str_digits()} digits"
-                    raise DataError(reason, path, lineno) from exc
-                except RecursionError as exc:
-                    raise DataError("JSON nested too deeply", path, lineno) from exc
+                    data = decode_json(line)
+                except ValueError as exc:
+                    raise DataError(str(exc), path, lineno) from exc
                 if not isinstance(data, dict):
                     raise DataError("record is not a JSON object", path, lineno)
                 yield lineno, data

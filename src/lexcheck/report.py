@@ -13,14 +13,13 @@ import csv
 import io
 import json
 import multiprocessing
-import sys
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from .engine import verify_instruction
-from .records import DataError, read_fields, read_instructions, read_responses
+from .records import DataError, read_fields, read_instructions, read_json, read_responses
 from .rules import DIFFICULTIES, Instruction
 
 
@@ -325,16 +324,7 @@ def render_report(report: EvalReport, fmt: str = "structured") -> str:
 
 def load_report(path: str | Path) -> EvalReport:
     """Read back a structured (JSON) report file."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise DataError(f"report is not valid UTF-8 (byte {exc.start})", path) from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"malformed report JSON: {exc.msg}", path) from exc
-    except ValueError as exc:  # an integer with more digits than int() converts
-        raise DataError(f"integer of more than {sys.get_int_max_str_digits()} digits", path) from exc
-    except RecursionError as exc:
-        raise DataError("report JSON nested too deeply", path) from exc
+    data = read_json(path)
     try:
         return report_from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:

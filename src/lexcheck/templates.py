@@ -13,10 +13,10 @@ every sentence names the level, position, relation and value it constrains.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from .dsl import _escape_value
+from .records import read_json
 from .rules import (
     ALLOWED_RELATIONS,
     LANGUAGES,
@@ -288,15 +288,11 @@ def load_templates(path: str | Path) -> dict[TemplateKey, str]:
     Raises ValueError naming the entry when a level of the file is not an
     object, a language or predicate kind is unknown, a relation is not
     allowed for its kind, a template is not a string, or a template is not a
-    format string over its kind's placeholders, and ValueError when the file
-    is not JSON or nests too deeply to decode.
+    format string over its kind's placeholders, and `records.DataError` (a
+    ValueError) when the file does not decode to a JSON object.
     """
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except RecursionError as exc:
-        raise ValueError("template file JSON nested too deeply") from exc
     registry = dict(DEFAULT_TEMPLATES)
-    for language, by_kind in _entries(data, "template file"):
+    for language, by_kind in read_json(path).items():
         if language not in LANGUAGES:
             raise ValueError(f"template entry {language}: unknown language")
         for kind, by_relation in _entries(by_kind, f"template entry {language}"):

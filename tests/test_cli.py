@@ -10,6 +10,7 @@ import pytest
 
 from helpers import build_instruction, write_responses
 from lexcheck.cli import EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
+from lexcheck.collect import CollectResult
 from lexcheck.dsl import parse_rule
 from lexcheck.records import write_instructions
 
@@ -169,7 +170,7 @@ class TestGenerate:
         path = tmp_path / "gen.json"
         path.write_text(DEEP, encoding="utf-8")
         assert main(["generate", str(path), "-o", str(tmp_path / "o")]) == EXIT_USAGE
-        assert capsys.readouterr().err == "error: cannot load generation config: generation config JSON nested too deeply\n"
+        assert capsys.readouterr().err == f"error: cannot load generation config: {path}: JSON nested too deeply\n"
 
     @pytest.mark.parametrize("lexicon", [{"words": [""]}, {"words": ["a"], "characters": ["a", ".", ""]}])
     def test_empty_lexicon_entry(self, tmp_path, capsys, lexicon):
@@ -192,7 +193,7 @@ class TestGenerate:
         overlay.write_text(DEEP, encoding="utf-8")
         argv = ["generate", str(config), "-o", str(tmp_path / "o"), "--templates", str(overlay)]
         assert main(argv) == EXIT_USAGE
-        assert capsys.readouterr().err == "error: cannot load generation config: template file JSON nested too deeply\n"
+        assert capsys.readouterr().err == f"error: cannot load generation config: {overlay}: JSON nested too deeply\n"
 
     def test_bad_template_overlay(self, tmp_path, capsys):
         config = self.write_config(tmp_path)
@@ -268,12 +269,12 @@ class TestRender:
         rules = tmp_path / "rules.txt"
         rules.write_bytes(b'word@1 equal "\xff"\n')
         assert main(["render", str(rules)]) == EXIT_DATA
-        assert capsys.readouterr().err == f"error: {rules} is not valid UTF-8 (byte 14)\n"
+        assert capsys.readouterr().err == f"error: {rules}: not valid UTF-8 (byte 14)\n"
 
     @pytest.mark.parametrize(
         "overlay, named",
         [
-            ([1, 2], "template file must be a JSON object"),
+            ([1, 2], "{path}: not a JSON object but list\n"),
             ({"en": ["x"]}, "template entry en must be a JSON object"),
             ({"en": {"count": ["x"]}}, "template entry en.count must be a JSON object"),
             ({"en": {"count": {"eq": 2}}}, "template en.count.eq must be a string"),
@@ -293,6 +294,7 @@ class TestRender:
         path = tmp_path / "tpl.json"
         path.write_text(json.dumps(overlay), encoding="utf-8")
         assert main(["render", str(rules), "--templates", str(path)]) == EXIT_USAGE
+        named = named.replace("{path}", str(path))
         assert capsys.readouterr().err.startswith(f"error: cannot load templates: {named}")
 
     def test_deeply_nested_template_overlay(self, tmp_path, capsys):
@@ -301,7 +303,7 @@ class TestRender:
         overlay = tmp_path / "tpl.json"
         overlay.write_text(DEEP, encoding="utf-8")
         assert main(["render", str(rules), "--templates", str(overlay)]) == EXIT_USAGE
-        assert capsys.readouterr().err == "error: cannot load templates: template file JSON nested too deeply\n"
+        assert capsys.readouterr().err == f"error: cannot load templates: {overlay}: JSON nested too deeply\n"
 
     def test_template_overlay(self, tmp_path, capsys):
         rules = tmp_path / "rules.txt"
@@ -463,7 +465,7 @@ class TestReport:
         path = tmp_path / "deep.json"
         path.write_text('{"runs": ' + "[" * 100_000, encoding="utf-8")
         assert main(["report", str(path)]) == EXIT_DATA
-        assert capsys.readouterr().err == f"error: {path}: report JSON nested too deeply\n"
+        assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply\n"
 
     @pytest.mark.parametrize("key", ["by_language", "by_difficulty"])
     def test_slice_map_given_as_list(self, scoring_files, tmp_path, capsys, key):
@@ -507,7 +509,47 @@ class TestReport:
         path = self.make_report(scoring_files, tmp_path, "r1.json")
         path.write_bytes(path.read_bytes().replace(b'"en-bbb"', b'"en-\xff"'))
         assert main(["report", str(path)]) == EXIT_DATA
-        assert f"{path}: report is not valid UTF-8" in capsys.readouterr().err
+        byte = path.read_bytes().index(b"\xff")
+        assert capsys.readouterr().err == f"error: {path}: not valid UTF-8 (byte {byte})\n"
+
+
+class TestDocumentReaders:
+    """Each JSON document the CLI reads fails to decode in the same five ways,
+    reported as `<path>: <reason>` with its kind of file's exit code."""
+
+    FAILURES = {
+        "not-utf8": (b'{"model": "\xff"}', "not valid UTF-8 (byte 11)"),
+        "malformed": (b"{", "malformed JSON (Expecting property name enclosed in double quotes)"),
+        "huge-integer": (f'{{"seed": {HUGE}}}'.encode(), TOO_LONG),
+        "deep": (DEEP.encode(), "JSON nested too deeply"),
+        "list": (b"[1, 2]", "not a JSON object but list"),
+    }
+    # command line for a document at `doc` -> (argv, exit code, message prefix)
+    READERS = {
+        "generate-config": lambda doc, tmp: (
+            ["generate", doc, "-o", str(tmp / "o")], EXIT_USAGE, "cannot load generation config: "
+        ),
+        "template-overlay": lambda doc, tmp: (
+            ["render", str(tmp / "rules.txt"), "--templates", doc], EXIT_USAGE, "cannot load templates: "
+        ),
+        "report": lambda doc, tmp: (["report", doc], EXIT_DATA, ""),
+        "endpoint-config": lambda doc, tmp: (
+            ["collect", str(tmp / "ins.jsonl"), doc, "-o", str(tmp / "o")], EXIT_USAGE, "endpoint config: "
+        ),
+    }
+
+    @pytest.mark.parametrize("failure", sorted(FAILURES))
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_undecodable_document(self, tmp_path, capsys, reader, failure):
+        (tmp_path / "rules.txt").write_text("sentence# = 2\n", encoding="utf-8")
+        write_instructions(tmp_path / "ins.jsonl", [])
+        content, reason = self.FAILURES[failure]
+        doc = tmp_path / "doc.json"
+        doc.write_bytes(content)
+        argv, code, prefix = self.READERS[reader](str(doc), tmp_path)
+        assert main(argv) == code
+        assert capsys.readouterr().err == f"error: {prefix}{doc}: {reason}\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestCollectCommand:
@@ -544,7 +586,8 @@ class TestCollectCommand:
         ins_path = tmp_path / "ins.jsonl"
         write_instructions(ins_path, [])
         assert main(["collect", str(ins_path), str(config), "-o", str(tmp_path / "o")]) == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("error: endpoint config cannot be decoded: ")
+        byte = config.read_bytes().index(b"\xe9")
+        assert capsys.readouterr().err == f"error: endpoint config: {config}: not valid UTF-8 (byte {byte})\n"
 
     def test_deeply_nested_endpoint_config(self, tmp_path, capsys):
         config = self.write_endpoint(tmp_path)
@@ -552,7 +595,7 @@ class TestCollectCommand:
         ins_path = tmp_path / "ins.jsonl"
         write_instructions(ins_path, [])
         assert main(["collect", str(ins_path), str(config), "-o", str(tmp_path / "o")]) == EXIT_USAGE
-        assert capsys.readouterr().err == "error: endpoint config JSON nested too deeply\n"
+        assert capsys.readouterr().err == f"error: endpoint config: {config}: JSON nested too deeply\n"
 
     def test_unwritable_output_fails_before_any_request(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LEX_CLI_KEY", "k")
@@ -588,6 +631,16 @@ class TestCollectCommand:
         assert main(["collect", str(ins_path), str(config), "-o", str(tmp_path / "o")]) == EXIT_USAGE
         (name,) = overrides
         assert capsys.readouterr().err.startswith(f"error: endpoint config: {name} must be ")
+
+    def test_jobs_override_the_config(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("LEX_CLI_KEY", "k")
+        seen = []
+        monkeypatch.setattr("lexcheck.cli.collect", lambda _, config, __: seen.append(config) or CollectResult(0, 0, 0, ()))
+        config = self.write_endpoint(tmp_path, max_in_flight=1)
+        argv = ["collect", str(tmp_path / "ins.jsonl"), str(config), "-o", str(tmp_path / "o")]
+        assert main(argv) == EXIT_OK
+        assert main([*argv, "--jobs", "3"]) == EXIT_OK
+        assert [c.max_in_flight for c in seen] == [1, 3]
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_rejected(self, tmp_path, monkeypatch, capsys, jobs):

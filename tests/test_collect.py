@@ -18,7 +18,7 @@ from lexcheck.collect import (
     collect,
 )
 from lexcheck.dsl import parse_rule
-from lexcheck.records import DataError, read_responses, write_instructions
+from lexcheck.records import DataError, read_config, read_responses, write_instructions
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -100,31 +100,34 @@ def make_instructions(path, prompts):
     return instructions
 
 
-class TestEndpointConfig:
-    def test_from_dict_requires_core_keys(self):
-        with pytest.raises(ConfigError, match="missing keys"):
-            EndpointConfig.from_dict({"base_url": "http://x"})
+def read_endpoint(tmp_path, data: dict) -> EndpointConfig:
+    path = tmp_path / "endpoint.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return read_config(EndpointConfig, path)
 
-    def test_from_dict_ignores_unknown_keys(self):
-        config = EndpointConfig.from_dict(
-            {"base_url": "http://x", "model": "m", "credential_env": "E", "other": 1}
-        )
+
+class TestEndpointConfig:
+    def test_read_config_requires_core_keys(self, tmp_path):
+        with pytest.raises(ValueError) as info:
+            read_endpoint(tmp_path, {"base_url": "http://x"})
+        assert str(info.value) == "missing required keys: ['credential_env', 'model']"
+
+    def test_read_config_ignores_unknown_keys(self, tmp_path):
+        config = read_endpoint(tmp_path, {"base_url": "http://x", "model": "m", "credential_env": "E", "other": 1})
         assert config.model == "m"
 
-    def test_from_file(self, tmp_path):
-        path = tmp_path / "endpoint.json"
-        path.write_text(
-            json.dumps({"base_url": "http://x", "model": "m", "credential_env": "E"}),
-            encoding="utf-8",
-        )
-        assert EndpointConfig.from_file(path).base_url == "http://x"
+    def test_read_config_from_file(self, tmp_path):
+        config = read_endpoint(tmp_path, {"base_url": "http://x", "model": "m", "credential_env": "E"})
+        assert config.base_url == "http://x"
         bad = tmp_path / "bad.json"
         bad.write_text("{", encoding="utf-8")
-        with pytest.raises(ConfigError, match="not valid JSON"):
-            EndpointConfig.from_file(bad)
+        with pytest.raises(DataError) as info:
+            read_config(EndpointConfig, bad)
+        assert str(info.value) == f"{bad}: malformed JSON (Expecting property name enclosed in double quotes)"
         bad.write_bytes(b'{"base_url": "http://x", "model": "\xe9", "credential_env": "E"}')
-        with pytest.raises(ConfigError, match="cannot be decoded"):
-            EndpointConfig.from_file(bad)
+        with pytest.raises(DataError) as info:
+            read_config(EndpointConfig, bad)
+        assert str(info.value) == f"{bad}: not valid UTF-8 (byte 35)"
 
     @pytest.mark.parametrize(
         "overrides, message",

@@ -16,17 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import build_instruction, make_long_text, make_text, sample_rules, violations
-from oracle import brute_loose_variant, brute_verify, split_level
+from oracle import LOOSE_REWRITES, brute_loose_variant, brute_verify, split_level
 from lexcheck import engine
 from lexcheck.dsl import parse_rule
-from lexcheck.engine import (
-    LOOSE_VARIANT_IDS,
-    _refine,
-    _Splits,
-    loose_variants,
-    verify_instruction,
-    verify_rule,
-)
+from lexcheck.engine import _refine, _Splits, verify_instruction, verify_rule
 from lexcheck.generate import stable_id
 from lexcheck.rules import (
     Level,
@@ -215,14 +208,19 @@ class TestVerifyRule:
         assert down(30)
 
 
+def _variants(text: str) -> list[tuple[str, str]]:
+    """(id, rewrite) for each relaxed rewrite of `text`, in search order."""
+    return [(vid, base[a:b]) for vid, base, a, b in engine._rewrites(text)]
+
+
 class TestLooseVariants:
     def test_ids_fixed_and_ordered(self):
-        variants = loose_variants("a\nb")
-        assert tuple(vid for vid, _ in variants) == LOOSE_VARIANT_IDS
+        variants = _variants("a\nb")
+        assert [vid for vid, _ in variants] == [vid for vid, *_ in LOOSE_REWRITES]
         assert len(variants) == 8
 
     def test_rewrites(self):
-        got = dict(loose_variants("*a*\nb\nc"))
+        got = dict(_variants("*a*\nb\nc"))
         assert got["identity"] == "*a*\nb\nc"
         assert got["strip-asterisks"] == "a\nb\nc"
         assert got["drop-first-line"] == "b\nc"
@@ -233,7 +231,7 @@ class TestLooseVariants:
         assert got["strip-asterisks+drop-first-last-lines"] == "b"
 
     def test_single_line_drops_to_empty(self):
-        got = dict(loose_variants("only"))
+        got = dict(_variants("only"))
         assert got["drop-first-line"] == ""
         assert got["drop-last-line"] == ""
         assert got["drop-first-last-lines"] == ""
@@ -433,14 +431,7 @@ def test_rules_sharing_a_level_match_the_oracle_strict_and_loose():
         verdict = verify_instruction(ins, response)
         expected = [brute_verify(rule, response, language) for rule in ins.rules]
         assert [ok for _, ok in verdict.rule_results] == expected
-        loose = next(
-            (
-                vid
-                for vid, text in loose_variants(response)
-                if all(brute_verify(rule, text, language) for rule in ins.rules)
-            ),
-            None,
-        )
+        loose = brute_loose_variant(ins.rules, response, language)
         assert verdict.loose_variant == loose
         assert verdict.loose_pass is (loose is not None)
         outcomes.add((verdict.strict_pass, verdict.loose_pass))
@@ -548,7 +539,7 @@ def _positions(found: tuple[list, int]) -> list:
 
 def _check_derived_splits(text: str, language: str) -> None:
     splits = _rewrite_splits(text, language)
-    variants = dict(loose_variants(text))
+    variants = dict(_variants(text))
     bases = {text, variants["strip-asterisks"]}
     drops = {t for vid, t in variants.items() if "drop" in vid}
     # every drop-line rewrite not equal to a base is derived from its base
@@ -589,7 +580,7 @@ def _check_shifted_refine(text: str, language: str) -> None:
     derived splits and shifts included, as through a fresh cache."""
     splits = _rewrite_splits(text, language)
     fresh = _Splits(language)
-    for rewrite in {t for _, t in loose_variants(text)}:
+    for rewrite in {t for _, t in _variants(text)}:
         for level in _PLAIN_LEVELS:
             for predicate in _SPAN_PREDICATES:
                 step = ProcedureStep(level, predicate)
@@ -611,7 +602,7 @@ def test_refine_reads_shifted_splits_on_hostile_text(seed, length, shape, langua
 def test_drop_first_cut_shares_the_base_elements():
     text = "Intro line here.\nThe quick brown fox.\nJumps over it.\nOutro line."
     splits = _rewrite_splits(text, "en")
-    rewrite = dict(loose_variants(text))["drop-first-line"]
+    rewrite = dict(_variants(text))["drop-first-line"]
     base, a, b = splits.cuts[rewrite]
     assert base == text and a > 0
     elements, shift = splits[rewrite, Level.WORD, None]
@@ -650,7 +641,7 @@ def _check_joined_contents(text: str, language: str) -> None:
     """Each rewrite's string form at these levels is its split's contents,
     made in full or, for a drop-line cut, from its base's."""
     splits = _rewrite_splits(text, language)
-    for rewrite in {t for _, t in loose_variants(text)}:
+    for rewrite in {t for _, t in _variants(text)}:
         for level in _ONE_CHAR_LEVELS:
             expected = "".join(el[0] for el in split(rewrite, level, language))
             assert _chars(rewrite, level) == expected, (rewrite, level)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import random
 
 import pytest
@@ -23,7 +24,7 @@ from lexcheck.generate import (
     stable_id,
 )
 from lexcheck.grading import grade_difficulty
-from lexcheck.records import write_instructions
+from lexcheck.records import read_config, write_instructions
 from lexcheck.rules import Level, PredicateKind, Rule
 
 
@@ -50,16 +51,19 @@ class TestGenConfig:
         with pytest.raises(ValueError, match="does not compile"):
             GenConfig(seed=1, language="en", lexicon=Lexicon(regexes=("[0-9]+", regex)))
 
-    def test_dict_round_trip(self):
+    def test_dict_round_trip(self, tmp_path):
         config = GenConfig(seed=9, language="zh", easy=2, medium=1, hard=1, max_depth=2)
-        again = GenConfig.from_dict(dataclasses.asdict(config))
-        assert again == config
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps(dataclasses.asdict(config)), encoding="utf-8")
+        assert read_config(GenConfig, path) == config
 
-    def test_from_dict_requires_seed_and_language(self):
-        with pytest.raises(ValueError, match="missing required keys"):
-            GenConfig.from_dict({"language": "en"})
-        with pytest.raises(ValueError, match="missing required keys"):
-            GenConfig.from_dict({"seed": 3})
+    def test_read_config_requires_seed_and_language(self, tmp_path):
+        path = tmp_path / "gen.json"
+        for data, missing in (({"language": "en"}, "['seed']"), ({"seed": 3}, "['language']")):
+            path.write_text(json.dumps(data), encoding="utf-8")
+            with pytest.raises(ValueError) as info:
+                read_config(GenConfig, path)
+            assert str(info.value) == f"missing required keys: {missing}"
 
 
 class TestSampleRule:

@@ -18,6 +18,7 @@ from lexcheck.records import (
     missing_fields,
     predicate_from_dict,
     predicate_to_dict,
+    read_config,
     read_fields,
     read_instructions,
     read_responses,
@@ -84,6 +85,34 @@ class TestReadFields:
     def test_missing_fields_sorted(self):
         assert missing_fields(Outer, {"label": "x"}) == ["count", "ratio"]
         assert missing_fields(Outer, {"count": 1, "ratio": 0.5}) == []
+
+
+class TestReadConfig:
+    def write(self, tmp_path, data):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        return path
+
+    def test_override_of_none_keeps_the_files_value(self, tmp_path):
+        path = self.write(tmp_path, {"count": 2, "ratio": 0.5, "label": "file"})
+        assert read_config(Outer, path, count=None, label=None) == Outer(2, 0.5, "file")
+
+    def test_other_overrides_replace_the_files_value(self, tmp_path):
+        path = self.write(tmp_path, {"count": 2, "ratio": 0.5, "label": "file"})
+        assert read_config(Outer, path, count=7, label="flag") == Outer(7, 0.5, "flag")
+
+    def test_an_override_supplies_a_required_key(self, tmp_path):
+        path = self.write(tmp_path, {"ratio": 0.5})
+        assert read_config(Outer, path, count=3) == Outer(3, 0.5)
+        with pytest.raises(ValueError) as info:
+            read_config(Outer, path, count=None)
+        assert str(info.value) == "missing required keys: ['count']"
+
+    def test_overrides_are_type_checked(self, tmp_path):
+        path = self.write(tmp_path, {"count": 2, "ratio": 0.5})
+        with pytest.raises(ValueError) as info:
+            read_config(Outer, path, count="3")
+        assert str(info.value) == "count must be int, not '3'"
 
 
 class TestPredicateCodec:

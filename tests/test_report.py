@@ -222,8 +222,9 @@ class TestStructuredRoundTrip:
     def test_load_report_errors(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
-        with pytest.raises(DataError, match="malformed report JSON"):
+        with pytest.raises(DataError) as info:
             load_report(bad)
+        assert str(info.value) == f"{bad}: malformed JSON (Expecting property name enclosed in double quotes)"
         wrong = tmp_path / "wrong.json"
         wrong.write_text('{"overall": {}}', encoding="utf-8")
         with pytest.raises(DataError, match="bad report structure"):
