@@ -1,15 +1,20 @@
 """Command-line interface.
 
-Subcommands: verify, generate, render, collect, score, report.  Exit codes:
-0 success, 1 usage or configuration error or an unwritable output, 2 data
-error, 3 partial collection.
+Subcommands: verify, generate, render, collect, score, report.  Each command
+runs straight through and lets a failure propagate; `main` alone turns it
+into one `error: ` line on stderr and an exit code: 0 success, 1 a usage or
+configuration error or an unwritable output, 2 a data error (an input file
+that cannot be opened, decoded or validated, or a bad rule expression),
+3 partial collection.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 from .collect import CollectResult, EndpointConfig, collect
 from .dsl import ParseError, PatternError, ValidityError, parse_rule
@@ -24,7 +29,7 @@ from .report import (
     score,
 )
 from .rules import LANGUAGES
-from .templates import load_templates, render_prompt
+from .templates import TemplateKey, load_templates, render_prompt
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -32,8 +37,30 @@ EXIT_DATA = 2
 EXIT_PARTIAL = 3
 
 
+class _ConfigError(Exception):
+    """A configuration input failed to load."""
+
+
 def _err(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
+
+
+@contextmanager
+def _loading(what: str) -> Iterator[None]:
+    """Turn a ValueError raised while loading a configuration input into a
+    `_ConfigError` worded `<what>: <reason>`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _ConfigError(f"{what}: {exc}") from exc
+
+
+def _overlay(path: str | None) -> dict[TemplateKey, str] | None:
+    """The templates with the overlay at `path`, or None for the defaults."""
+    if not path:
+        return None
+    with _loading("cannot load templates"):
+        return load_templates(path)
 
 
 def _write_output(text: str, output: str | None) -> None:
@@ -54,16 +81,8 @@ def _positive_int(value: str) -> int:
     return n
 
 
-def _load_rule_lines(source: str) -> list[str]:
-    return [line for line in source.splitlines() if line.strip()]
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        rule = parse_rule(args.rule)
-    except (ParseError, PatternError, ValidityError) as exc:
-        _err(f"bad rule expression: {exc}")
-        return EXIT_DATA
+    rule = parse_rule(args.rule)
     verdict = _verdict((rule,), sys.stdin.read(), args.lang, loose=not args.strict_only)
     print(f"strict: {'pass' if verdict.strict_pass else 'fail'}")
     if verdict.loose_pass is not None:
@@ -72,61 +91,29 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    try:
+    with _loading("cannot load generation config"):
         config = read_config(GenConfig, args.config, seed=args.seed, language=args.lang)
-        templates = load_templates(args.templates) if args.templates else None
-    except (OSError, ValueError) as exc:
-        _err(f"cannot load generation config: {exc}")
-        return EXIT_USAGE
-    try:
-        instructions = generate_dataset(config, templates)
-    except (BucketError, LexiconError) as exc:
-        _err(str(exc))
-        return EXIT_USAGE
+    instructions = generate_dataset(config, _overlay(args.templates))
     write_instructions(args.output, instructions)
     print(f"wrote {len(instructions)} instructions to {args.output}")
     return EXIT_OK
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    if args.rules_file:
-        try:
-            source = read_text(args.rules_file)
-        except (OSError, DataError) as exc:
-            _err(str(exc))
-            return EXIT_DATA
-    else:
-        source = sys.stdin.read()
-    lines = _load_rule_lines(source)
+    source = read_text(args.rules_file) if args.rules_file else sys.stdin.read()
+    lines = [line for line in source.splitlines() if line.strip()]
     if not lines:
-        _err("no rule expressions supplied")
-        return EXIT_DATA
-    try:
-        rules = [parse_rule(line) for line in lines]
-    except (ParseError, PatternError, ValidityError) as exc:
-        _err(f"bad rule expression: {exc}")
-        return EXIT_DATA
-    try:
-        templates = load_templates(args.templates) if args.templates else None
-    except (OSError, ValueError) as exc:
-        _err(f"cannot load templates: {exc}")
-        return EXIT_USAGE
-    print(render_prompt(rules, args.lang, args.seed_task, templates))
+        raise DataError("no rule expressions supplied")
+    rules = [parse_rule(line) for line in lines]
+    print(render_prompt(rules, args.lang, args.seed_task, _overlay(args.templates)))
     return EXIT_OK
 
 
 def cmd_collect(args: argparse.Namespace) -> int:
-    try:
+    with _loading("endpoint config"):
         config = read_config(EndpointConfig, args.config, max_in_flight=args.jobs)
         config.credential()
-    except ValueError as exc:
-        _err(f"endpoint config: {exc}")
-        return EXIT_USAGE
-    try:
-        result: CollectResult = collect(args.instructions, config, args.output)
-    except DataError as exc:
-        _err(str(exc))
-        return EXIT_DATA
+    result: CollectResult = collect(args.instructions, config, args.output)
     print(
         f"collected {result.completed}/{result.requested} responses "
         f"({result.skipped} already present, {len(result.failed)} failed)"
@@ -138,27 +125,13 @@ def cmd_collect(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    try:
-        report = score(
-            args.instructions,
-            args.responses,
-            jobs=args.jobs,
-            loose=not args.strict_only,
-        )
-    except (OSError, DataError) as exc:
-        _err(str(exc))
-        return EXIT_DATA
+    report = score(args.instructions, args.responses, jobs=args.jobs, loose=not args.strict_only)
     _write_output(render_report(report, args.format), args.output)
     return EXIT_OK
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    try:
-        reports = [load_report(path) for path in args.reports]
-    except (OSError, DataError) as exc:
-        _err(str(exc))
-        return EXIT_DATA
-    merged = merge(reports)
+    merged = merge([load_report(path) for path in args.reports])
     _write_output(render_report(merged, args.format), args.output)
     return EXIT_OK
 
@@ -225,7 +198,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
-    except OSError as exc:  # an input that vanished, an output that cannot be written
+    except (ParseError, PatternError, ValidityError) as exc:
+        _err(f"bad rule expression: {exc}")
+        return EXIT_DATA
+    except DataError as exc:
+        _err(str(exc))
+        return EXIT_DATA
+    except (_ConfigError, BucketError, LexiconError, OSError) as exc:  # OSError: an unwritable output
         _err(str(exc))
         return EXIT_USAGE
 

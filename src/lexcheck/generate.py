@@ -12,6 +12,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 
+from .dsl import format_rule
 from .grading import grade_difficulty
 from .rules import (
     ALLOWED_RELATIONS,
@@ -57,7 +58,8 @@ class BucketError(RuntimeError):
 class Lexicon:
     """Candidate comparison values: whole words, single characters, regexes.
 
-    A word or character is a rule value, so it may not be empty.
+    A word or character is a rule value, so it may not be empty; a regex is
+    a pattern step's regex, so it must compile.
     """
 
     words: tuple[str, ...] = ()
@@ -67,6 +69,11 @@ class Lexicon:
     def __post_init__(self) -> None:
         if "" in self.words or "" in self.characters:
             raise ValueError("lexicon words and characters must be nonempty strings")
+        for regex in self.regexes:
+            try:
+                check_regex(regex)
+            except ValueError as exc:
+                raise ValueError(f"lexicon regex {regex!r}: {exc}") from exc
 
 
 DEFAULT_LEXICONS: dict[str, Lexicon] = {
@@ -198,11 +205,6 @@ class GenConfig:
             raise ValueError("bucket sizes must be >= 0")
         if self.lexicon is None:
             self.lexicon = DEFAULT_LEXICONS[self.language]
-        for regex in self.lexicon.regexes:
-            try:
-                check_regex(regex)
-            except ValueError as exc:
-                raise ValueError(f"lexicon regex {regex!r}: {exc}") from exc
         if not self.seed_tasks:
             self.seed_tasks = DEFAULT_SEED_TASKS[self.language]
         else:
@@ -353,8 +355,6 @@ def generate_dataset(
     stays unfillable for ATTEMPTS_PER_SLOT draws raises BucketError with the
     shortfall.
     """
-    from .dsl import format_rule
-
     rng = random.Random(config.seed)
     wanted = {"easy": config.easy, "medium": config.medium, "hard": config.hard}
     seen: set[tuple[str, ...]] = set()

@@ -4,11 +4,11 @@ Instruction files hold one JSON object per line with the fields id, language,
 prompt, rules, difficulty, depth and count; rules may be structured objects or
 one-line rule expressions.  Response files pair ids with response texts.
 Loaders validate as they read and report the offending line on failure.
-Every file is read and decoded here (`read_text`, `read_json`,
-`decode_json`), so each way a file can fail to decode is worded once, as a
-`DataError` naming the path.  `read_fields` type-checks a JSON object against
-a dataclass's own fields, for report files and config files alike, and
-`read_config` builds a config dataclass from a JSON file.
+Every file is opened, read and decoded here (`read_text`, `read_json`,
+`decode_json`), so each way a file can fail to open or decode is worded
+once, as a `DataError` naming the path.  `read_fields` type-checks a JSON
+object against a dataclass's own fields, for report files and config files
+alike, and `read_config` builds a config dataclass from a JSON file.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import json
 import sys
 import typing
 from pathlib import Path
-from typing import Any, Callable, Iterable, TypeVar
+from typing import Any, Callable, Iterable, TextIO, TypeVar
 
 from .dsl import parse_rule
 from .grading import grade_difficulty
@@ -200,17 +200,29 @@ def decode_json(text: str) -> Any:
         raise ValueError("JSON nested too deeply") from exc
 
 
-def read_text(path: str | Path) -> str:
-    """The text of a UTF-8 file; DataError if its bytes are not UTF-8."""
+def _open(path: str | Path) -> TextIO:
+    """A UTF-8 text file opened for reading; DataError naming the path if it
+    cannot be opened."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return open(path, encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot open ({exc.strerror or exc})", path) from exc
+
+
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file; DataError if it cannot be opened or its
+    bytes are not UTF-8."""
+    try:
+        with _open(path) as fh:
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"not valid UTF-8 (byte {exc.start})", path) from exc
 
 
 def read_json(path: str | Path) -> dict[str, Any]:
     """The one JSON object a file holds; DataError naming the path if the
-    file is not UTF-8 or not JSON, or holds some other JSON value."""
+    file cannot be opened, is not UTF-8 or not JSON, or holds some other JSON
+    value."""
     text = read_text(path)
     try:
         data = decode_json(text)
@@ -237,7 +249,7 @@ def read_config(cls: type[T], path: str | Path, **overrides: Any) -> T:
 
 
 def _iter_jsonl(path: str | Path) -> Iterable[tuple[int, dict[str, Any]]]:
-    with open(path, encoding="utf-8") as fh:
+    with _open(path) as fh:
         try:
             for lineno, line in enumerate(fh, 1):
                 if not line.strip():
