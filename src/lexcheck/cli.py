@@ -204,8 +204,11 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         _err(str(exc))
         return EXIT_DATA
-    except (_ConfigError, BucketError, LexiconError, OSError) as exc:  # OSError: an unwritable output
+    except (_ConfigError, BucketError, LexiconError) as exc:
         _err(str(exc))
+        return EXIT_USAGE
+    except OSError as exc:  # an output that cannot be written
+        _err(f"{exc.filename}: cannot write ({exc.strerror})" if exc.filename else str(exc))
         return EXIT_USAGE
 
 

@@ -6,32 +6,28 @@ one-line rule expressions.  Response files pair ids with response texts.
 Loaders validate as they read and report the offending line on failure.
 Every file is opened, read and decoded here (`read_text`, `read_json`,
 `decode_json`), so each way a file can fail to open or decode is worded
-once, as a `DataError` naming the path.  `read_fields` type-checks a JSON
-object against a dataclass's own fields, for report files and config files
-alike, and `read_config` builds a config dataclass from a JSON file.
+once, as a `DataError` naming the path.  `build` is the one way a JSON
+object becomes a dataclass: instruction records and their rules, reports
+and configs are all checked against their dataclasses' own fields, at
+every depth.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import enum
 import functools
+import inspect
 import json
 import sys
+import types
 import typing
 from pathlib import Path
-from typing import Any, Callable, Iterable, TextIO, TypeVar
+from typing import Any, Iterable, TextIO, TypeVar
 
 from .dsl import parse_rule
 from .grading import grade_difficulty
-from .rules import (
-    Instruction,
-    Level,
-    Predicate,
-    PredicateKind,
-    ProcedureStep,
-    Relation,
-    Rule,
-)
+from .rules import Instruction, Predicate, Rule
 
 T = TypeVar("T")
 
@@ -54,74 +50,88 @@ class _Mismatch(Exception):
     """A value does not have the type its field declares."""
 
 
-def read_fields(cls: type, data: Any) -> dict[str, Any]:
-    """The entries of a JSON object that name fields of dataclass `cls`, each
-    checked against the field's annotation.
+class _Table(dict):
+    """A dict in which a missing key raises _Mismatch."""
 
-    An integer is not a bool, a float field takes any number, `X | None`
-    takes null, `tuple[X, ...]` takes a list of X, `dict[K, V]` an object,
-    and a dataclass an object read the same way.  Unknown keys are ignored
-    and missing ones left to the constructor; a value of the wrong type
-    raises ValueError.
+    def __missing__(self, key: Any) -> Any:
+        raise _Mismatch
+
+
+_REQUIRED = inspect.Parameter.empty
+
+
+def build(cls: type[T], data: Any) -> T:
+    """Dataclass `cls` built from a JSON object, each entry checked against
+    its field's annotation.
+
+    An integer is not a bool, a float field takes any number, a `str` enum
+    takes one of its values, a union takes what any of its members takes,
+    `tuple[X, ...]` takes a list of X, `dict[K, V]` an object, and a
+    dataclass an object built the same way; a `Rule` may also be written as
+    a one-line rule expression.  Unknown keys and fields that `__init__`
+    does not take are ignored.  A missing required key or a value of the
+    wrong type raises ValueError at any depth (`missing required keys:
+    [...]`, `<field> must be <type>, not <value>`), as does `cls`'s own
+    validation.
     """
     if type(data) is not dict:
         raise ValueError(f"{cls.__name__} must be an object, not {data!r:.60}")
-    out = {}
+    values = []
     try:
-        for name, annotation, kinds, convert in _field_types(cls):
+        for name, annotation, readers, default in _fields(cls):
             if name in data:
                 value = data[name]
-                if type(value) not in kinds:
-                    raise _Mismatch
-                out[name] = value if convert is None else convert(value)
+                read = readers[type(value)]
+                values.append(value if read is None else read(value))
+            elif default is _REQUIRED:
+                missing = sorted(n for n, _, _, d in _fields(cls) if d is _REQUIRED and n not in data)
+                raise ValueError(f"missing required keys: {missing}")
+            else:
+                values.append(default)
     except _Mismatch:
         raise ValueError(f"{name} must be {annotation}, not {value!r:.60}") from None
-    return out
-
-
-def missing_fields(cls: type, data: dict[str, Any]) -> list[str]:
-    """Sorted names of the fields of dataclass `cls` with no default and no
-    entry in `data`."""
-    return sorted(
-        f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING and f.name not in data
-    )
-
-
-_Accepts = tuple[frozenset, Callable[[Any], Any] | None]
+    return cls(*values)
 
 
 @functools.cache
-def _field_types(cls: type) -> tuple[tuple[Any, ...], ...]:
-    """(name, annotation text, accepted types, convert) for each field."""
+def _fields(cls: type) -> tuple[tuple[str, str, _Table, Any], ...]:
+    """(name, annotation text, readers, default) for each parameter of
+    `cls`'s `__init__`, in order; the default is _REQUIRED if it has none."""
     hints = typing.get_type_hints(cls)
-    return tuple((f.name, f.type, *_accepts(hints[f.name])) for f in dataclasses.fields(cls))
+    params = inspect.signature(cls).parameters.values()
+    return tuple((p.name, p.annotation, _readers(hints[p.name]), p.default) for p in params)
 
 
-def _accepts(hint: Any) -> _Accepts:
-    """The types a JSON value for `hint` may have, and a function that checks
-    and converts its contents (None when the type alone decides)."""
+def _readers(hint: Any) -> _Table:
+    """For each type of JSON value that `hint` accepts, None to take the
+    value as it is or a function that checks and converts it."""
     args = typing.get_args(hint)
-    if type(None) in args:
-        (inner,) = set(args) - {type(None)}
-        kinds, convert = _accepts(inner)
-        return kinds | {type(None)}, convert and (lambda v: v if v is None else convert(v))
-    if dataclasses.is_dataclass(hint):
-        return frozenset({dict, hint}), lambda v: hint(**read_fields(hint, v)) if type(v) is dict else v
     origin = typing.get_origin(hint)
+    if origin is typing.Union or origin is types.UnionType:
+        return _Table(kv for arg in args for kv in _readers(arg).items())
     if origin is tuple:
-        item = _accepts(args[0])
-        return frozenset({list, tuple}), lambda v: tuple(_each(item, v))
+        return _Table.fromkeys((list, tuple), functools.partial(_each, _readers(args[0])))
     if origin is dict:
-        key, value = map(_accepts, args)
-        return frozenset({dict}), lambda v: dict(zip(_each(key, v), _each(value, v.values())))
-    return frozenset({int, float} if hint is float else {hint}), None
+        keys, values = map(_readers, args)
+        return _Table({dict: lambda v: dict(zip(_each(keys, v), _each(values, v.values())))})
+    if dataclasses.is_dataclass(hint):
+        readers = _Table({dict: functools.partial(build, hint), hint: None})
+        if hint is Rule:
+            # parse_rule is looked up per call, so a wrapper put in its place is used
+            readers[str] = lambda v: parse_rule(v)
+        return readers
+    if isinstance(hint, enum.EnumMeta):
+        members = _Table(hint._value2member_map_)
+        return _Table.fromkeys({type(value) for value in members}, members.__getitem__)
+    return _Table.fromkeys((int, float) if hint is float else (hint,))
 
 
-def _each(accepts: _Accepts, values: Any) -> Iterable[Any]:
-    kinds, convert = accepts
-    if not kinds.issuperset(map(type, values)):
-        raise _Mismatch
-    return values if convert is None else map(convert, values)
+def _each(readers: _Table, values: Iterable[Any]) -> tuple[Any, ...]:
+    out = []
+    for value in values:
+        read = readers[type(value)]
+        out.append(value if read is None else read(value))
+    return tuple(out)
 
 
 def predicate_to_dict(pred: Predicate) -> dict[str, Any]:
@@ -129,11 +139,6 @@ def predicate_to_dict(pred: Predicate) -> dict[str, Any]:
     if pred.n is not None:
         data["n"] = pred.n
     return data
-
-
-def predicate_from_dict(data: dict[str, Any]) -> Predicate:
-    kind = PredicateKind(data["kind"])
-    return Predicate(kind, data.get("n"))
 
 
 def rule_to_dict(rule: Rule) -> dict[str, Any]:
@@ -149,20 +154,6 @@ def rule_to_dict(rule: Rule) -> dict[str, Any]:
     return {"procedure": steps, "relation": rule.relation.value, "value": rule.value}
 
 
-def rule_from_dict(data: dict[str, Any] | str) -> Rule:
-    if isinstance(data, str):
-        return parse_rule(data)
-    steps = tuple(
-        ProcedureStep(
-            Level(entry["level"]),
-            predicate_from_dict(entry["predicate"]),
-            entry.get("pattern"),
-        )
-        for entry in data["procedure"]
-    )
-    return Rule(steps, Relation(data["relation"]), data["value"])
-
-
 _INSTRUCTION_FIELDS = tuple(f.name for f in dataclasses.fields(Instruction))
 
 
@@ -173,14 +164,10 @@ def instruction_to_dict(instruction: Instruction) -> dict[str, Any]:
 
 
 def instruction_from_dict(data: dict[str, Any]) -> Instruction:
-    rules = tuple(rule_from_dict(r) for r in data["rules"])
-    for name, kind in (("id", str), ("prompt", str), ("depth", int), ("count", int)):
-        if type(data[name]) is not kind:
-            raise ValueError(f"{name} must be {kind.__name__}, not {data[name]!r:.60}")
-    values = {name: data[name] for name in _INSTRUCTION_FIELDS}
-    values["rules"] = rules
-    instruction = Instruction(**values)
-    graded = grade_difficulty(rules).grade
+    """The instruction a record holds; its difficulty must be the one its
+    rules grade to."""
+    instruction = build(Instruction, data)
+    graded = grade_difficulty(instruction.rules).grade
     if graded != instruction.difficulty:
         raise ValueError(
             f"difficulty {instruction.difficulty!r} does not match the rules (graded {graded!r})"
@@ -242,10 +229,7 @@ def read_config(cls: type[T], path: str | Path, **overrides: Any) -> T:
     """
     data = read_json(path)
     data.update((name, value) for name, value in overrides.items() if value is not None)
-    missing = missing_fields(cls, data)
-    if missing:
-        raise ValueError(f"missing required keys: {missing}")
-    return cls(**read_fields(cls, data))
+    return build(cls, data)
 
 
 def _iter_jsonl(path: str | Path) -> Iterable[tuple[int, dict[str, Any]]]:
@@ -283,9 +267,8 @@ def read_instructions(path: str | Path) -> list[Instruction]:
     for lineno, data in _iter_jsonl(path):
         try:
             instruction = instruction_from_dict(data)
-        except (KeyError, ValueError, TypeError) as exc:
-            detail = repr(exc) if isinstance(exc, KeyError) else str(exc)
-            raise DataError(f"bad instruction record: {detail}", path, lineno) from exc
+        except ValueError as exc:
+            raise DataError(f"bad instruction record: {exc}", path, lineno) from exc
         if instruction.id in ids:
             raise DataError(f"duplicate instruction id {instruction.id!r}", path, lineno)
         ids.add(instruction.id)

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from .engine import verify_instruction
-from .records import DataError, read_fields, read_instructions, read_json, read_responses
+from .records import DataError, build, read_instructions, read_json, read_responses
 from .rules import DIFFICULTIES, Instruction
 
 
@@ -142,12 +142,13 @@ def score(
     worker count."""
     if isinstance(instructions, (str, Path)):
         instructions = read_instructions(instructions)
-    if isinstance(responses, (str, Path)):
-        responses = read_responses(responses)
+    source = responses if isinstance(responses, (str, Path)) else None
+    if source is not None:
+        responses = read_responses(source)
     known = {i.id for i in instructions}
     unknown = [rid for rid in responses if rid not in known]
     if unknown:
-        raise DataError(f"responses reference unknown instruction ids: {sorted(unknown)[:5]}")
+        raise DataError(f"responses reference unknown instruction ids: {sorted(unknown)[:5]}", source)
     pairs = [(i, responses[i.id], loose) for i in instructions if i.id in responses]
     unscored = [i.id for i in instructions if i.id not in responses]
     if jobs > 1 and len(pairs) > 1:
@@ -208,15 +209,24 @@ def report_to_dict(report: EvalReport) -> dict[str, Any]:
     }
 
 
+@dataclass(frozen=True)
+class _CellEntry(CellStats):
+    """One entry of a structured report's `cells` list: a cell with its key."""
+
+    depth: int
+    count: int
+
+
 def report_from_dict(data: dict[str, Any]) -> EvalReport:
-    """Read back `report_to_dict` output; a value of the wrong type raises
-    ValueError, a missing key KeyError or TypeError."""
-    cells = {}
-    for entry in data["cells"]:
-        key = read_fields(InstructionVerdict, {k: entry[k] for k in _CELL_KEY})
-        cells[tuple(key.values())] = CellStats(**read_fields(CellStats, entry))
-    rest = read_fields(EvalReport, {k: v for k, v in data.items() if k != "cells"})
-    report = EvalReport(cells=cells, **rest)
+    """Read back `report_to_dict` output; a missing key or a value of the
+    wrong type raises ValueError."""
+    if "cells" in data:
+        entries = data["cells"]
+        if type(entries) is not list or any(type(entry) is not dict for entry in entries):
+            raise ValueError(f"cells must be a list of objects, not {entries!r:.60}")
+        cells = [build(_CellEntry, entry) for entry in entries]
+        data = {**data, "cells": {(c.depth, c.count): CellStats(c.n, c.strict) for c in cells}}
+    report = build(EvalReport, data)
     if report.runs < 1:
         raise ValueError(f"runs must be at least 1, not {report.runs}")
     return report
@@ -327,5 +337,5 @@ def load_report(path: str | Path) -> EvalReport:
     data = read_json(path)
     try:
         return report_from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"bad report structure: {exc!r}", path) from exc
+    except ValueError as exc:
+        raise DataError(f"bad report structure: {exc}", path) from exc

@@ -215,8 +215,9 @@ class TestGenerate:
 
     def test_unwritable_output(self, tmp_path, capsys):
         config = self.write_config(tmp_path)
-        assert main(["generate", str(config), "-o", str(tmp_path / "no" / "ins.jsonl")]) == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+        out = tmp_path / "no" / "ins.jsonl"
+        assert main(["generate", str(config), "-o", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {out}: cannot write (No such file or directory)\n"
 
     def test_unknown_keys_ignored(self, tmp_path, capsys):
         config = self.write_config(tmp_path, comment="not a config field")
@@ -406,9 +407,17 @@ class TestScore:
         assert capsys.readouterr().err == f"error: {ins_path}:2: bad instruction record: depth must be int, not True\n"
 
     def test_unwritable_output(self, scoring_files, tmp_path, capsys):
-        argv = ["score", *map(str, scoring_files), "-o", str(tmp_path / "no" / "r.json")]
-        assert main(argv) == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+        out = tmp_path / "no" / "r.json"
+        assert main(["score", *map(str, scoring_files), "-o", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {out}: cannot write (No such file or directory)\n"
+
+    def test_unknown_response_id_names_the_responses_file(self, scoring_files, capsys):
+        ins_path, res_path = scoring_files
+        with res_path.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"id": "en-ghost", "response": "boo"}) + "\n")
+        assert main(["score", str(ins_path), str(res_path)]) == EXIT_DATA
+        expected = f"error: {res_path}: responses reference unknown instruction ids: ['en-ghost']\n"
+        assert capsys.readouterr().err == expected
 
     @pytest.mark.parametrize("which", ["instructions", "responses"])
     def test_non_utf8_input_is_data_error(self, scoring_files, capsys, which):
@@ -478,8 +487,9 @@ class TestReport:
 
     def test_unwritable_output(self, scoring_files, tmp_path, capsys):
         path = self.make_report(scoring_files, tmp_path, "r1.json")
-        assert main(["report", str(path), "-o", str(tmp_path / "no" / "r.txt")]) == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+        out = tmp_path / "no" / "r.txt"
+        assert main(["report", str(path), "-o", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {out}: cannot write (No such file or directory)\n"
 
 
 @pytest.fixture()
@@ -595,7 +605,7 @@ class TestCollectCommand:
         write_instructions(ins_path, [build_instruction("en-x", "en", "Hi.", rules)])
         out = tmp_path / "no" / "o.jsonl"
         assert main(["collect", str(ins_path), str(config), "-o", str(out)]) == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+        assert capsys.readouterr().err == f"error: {out}: cannot write (No such file or directory)\n"
         assert sent == []
 
     @pytest.mark.parametrize("overrides", [{"max_in_flight": "4"}, {"timeout_s": None}, {"model": 3}])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 import warnings
 from collections import Counter
 
@@ -328,6 +329,9 @@ class TestParserOutcomeDigest:
     mutations of canonical rule lines."""
 
     DIGEST = "46272f1004387329e39d78d3f06e9bd275d44358bfd97785195d78f600323ecc"
+    # Python 3.10's re has no possessive quantifiers, so one line differs:
+    # pattern(/[0-9]*+/) is a PatternError there and a valid rule from 3.11 on.
+    DIGEST_3_10 = "65efde31ce39116afb87e49e818f51dd161656de072b7017e2ffb7d05ad4f955"
 
     def test_mutation_outcomes_are_pinned(self):
         rng = random.Random(20261018)
@@ -343,4 +347,4 @@ class TestParserOutcomeDigest:
         assert len(lines) == 25_200
         assert min(kinds[k] for k in ("ok", "ParseError", "PatternError", "ValidityError")) >= 50, kinds
         digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-        assert digest == self.DIGEST
+        assert digest == (self.DIGEST_3_10 if sys.version_info < (3, 11) else self.DIGEST)

@@ -13,20 +13,17 @@ from lexcheck.dsl import parse_rule
 from lexcheck.generate import GenConfig, generate_dataset
 from lexcheck.records import (
     DataError,
+    build,
     instruction_from_dict,
     instruction_to_dict,
-    missing_fields,
-    predicate_from_dict,
     predicate_to_dict,
     read_config,
-    read_fields,
     read_instructions,
     read_responses,
-    rule_from_dict,
     rule_to_dict,
     write_instructions,
 )
-from lexcheck.rules import Predicate
+from lexcheck.rules import Instruction, Predicate, Rule
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +45,7 @@ class Outer:
     table: dict[str, Inner] | None = None
 
 
-class TestReadFields:
+class TestBuild:
     def test_values_checked_and_converted(self):
         data = {
             "count": 2,
@@ -58,7 +55,7 @@ class TestReadFields:
             "table": {"a": {}},
             "other": "ignored",
         }
-        assert Outer(**read_fields(Outer, data)) == Outer(2, 1, None, Inner((True, False)), {"a": Inner()})
+        assert build(Outer, data) == Outer(2, 1, None, Inner((True, False)), {"a": Inner()})
 
     @pytest.mark.parametrize(
         "data, message",
@@ -76,15 +73,17 @@ class TestReadFields:
     )
     def test_wrong_type_is_value_error(self, data, message):
         with pytest.raises(ValueError, match=re.escape(message)):
-            read_fields(Outer, data)
+            build(Outer, {"count": 1, "ratio": 0.5, **data})
 
     def test_not_an_object(self):
         with pytest.raises(ValueError, match="Outer must be an object"):
-            read_fields(Outer, [1])
+            build(Outer, [1])
 
     def test_missing_fields_sorted(self):
-        assert missing_fields(Outer, {"label": "x"}) == ["count", "ratio"]
-        assert missing_fields(Outer, {"count": 1, "ratio": 0.5}) == []
+        with pytest.raises(ValueError) as info:
+            build(Outer, {"label": "x"})
+        assert str(info.value) == "missing required keys: ['count', 'ratio']"
+        assert build(Outer, {"count": 1, "ratio": 0.5}) == Outer(1, 0.5)
 
 
 class TestReadConfig:
@@ -120,7 +119,7 @@ class TestPredicateCodec:
         for pred in (Predicate.index(3), Predicate.index(-1), Predicate.all(),
                      Predicate.before(2), Predicate.after(1), Predicate.between(),
                      Predicate.count()):
-            assert predicate_from_dict(predicate_to_dict(pred)) == pred
+            assert build(Predicate, predicate_to_dict(pred)) == pred
 
     def test_no_null_n_key(self):
         assert "n" not in predicate_to_dict(Predicate.all())
@@ -129,17 +128,20 @@ class TestPredicateCodec:
 class TestRuleCodec:
     def test_round_trip(self):
         rule = parse_rule('paragraph@2.pattern(/[0-9]+/)# >= 1')
-        assert rule_from_dict(rule_to_dict(rule)) == rule
+        assert build(Rule, rule_to_dict(rule)) == rule
 
     def test_dsl_string_accepted(self):
-        assert rule_from_dict("sentence# = 3") == parse_rule("sentence# = 3")
+        rules = parse_rule("sentence# = 3"), parse_rule('word@1 startswith "A"')
+        data = {"id": "x", "language": "en", "prompt": "p", "difficulty": "easy", "depth": 1, "count": 2}
+        data["rules"] = ["sentence# = 3", rule_to_dict(rules[1])]
+        assert build(Instruction, data).rules == rules
 
     def test_invalid_structured_rule_rejected(self):
         data = rule_to_dict(parse_rule("sentence# = 3"))
         data["relation"] = "contain"
         data["value"] = "x"
         with pytest.raises(ValueError, match="text-relation-with-count"):
-            rule_from_dict(data)
+            build(Rule, data)
 
 
 class TestInstructionCodec:
@@ -248,6 +250,50 @@ class TestInstructionFiles:
         path.write_text(json.dumps(data) + "\n", encoding="utf-8")
         loaded = read_instructions(path)
         assert loaded[0].rules == (parse_rule("sentence# = 2"),)
+
+    STEP = {"level": "sentence", "predicate": {"kind": "count"}}
+    RULE = {"procedure": [STEP], "relation": "eq", "value": 2}
+    BAD_RULES = {
+        "rules-object": ({"sentence# = 2": 0}, "rules must be tuple[Rule, ...], not {'sentence# = 2': 0}"),
+        "rule-int": ([5], "rules must be tuple[Rule, ...], not [5]"),
+        "procedure-int": ([dict(RULE, procedure=5)], "procedure must be tuple[ProcedureStep, ...], not 5"),
+        "predicate-string": (
+            [dict(RULE, procedure=[dict(STEP, predicate="x")])],
+            "predicate must be Predicate, not 'x'",
+        ),
+        "predicate-without-kind": (
+            [dict(RULE, procedure=[dict(STEP, predicate={"n": 1})])],
+            "missing required keys: ['kind']",
+        ),
+        "pattern-int": (
+            [dict(RULE, procedure=[dict(STEP, level="pattern", pattern=5)])],
+            "pattern must be str | None, not 5",
+        ),
+        "level-int": ([dict(RULE, procedure=[dict(STEP, level=5)])], "level must be Level, not 5"),
+        "level-unknown": ([dict(RULE, procedure=[dict(STEP, level="Word")])], "level must be Level, not 'Word'"),
+        "value-float": ([dict(RULE, value=2.0)], "value must be int | str, not 2.0"),
+        "relation-missing": ([{"procedure": [STEP], "value": 2}], "missing required keys: ['relation']"),
+    }
+
+    def write_record(self, tmp_path, rules, difficulty="easy"):
+        data = {"id": "x", "language": "en", "prompt": "p", "rules": rules}
+        data.update(difficulty=difficulty, depth=1, count=1)
+        path = tmp_path / "i.jsonl"
+        path.write_text(json.dumps(data) + "\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("case", sorted(BAD_RULES))
+    def test_malformed_rules(self, tmp_path, case):
+        rules, message = self.BAD_RULES[case]
+        path = self.write_record(tmp_path, rules)
+        with pytest.raises(DataError) as info:
+            read_instructions(path)
+        assert str(info.value) == f"{path}:1: bad instruction record: {message}"
+
+    def test_regex_key_on_a_step_is_ignored(self, tmp_path):
+        step = {"level": "pattern", "predicate": {"kind": "count"}, "pattern": "[0-9]+", "regex": "x"}
+        path = self.write_record(tmp_path, [dict(self.RULE, procedure=[step])], difficulty="medium")
+        assert read_instructions(path)[0].rules == (parse_rule("pattern(/[0-9]+/)# = 2"),)
 
 
 class TestResponseFiles:

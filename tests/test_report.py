@@ -230,6 +230,27 @@ class TestStructuredRoundTrip:
         with pytest.raises(DataError, match="bad report structure"):
             load_report(wrong)
 
+    BROKEN = {
+        "report": (lambda d: d.pop("verdicts"), "missing required keys: ['verdicts']"),
+        "slice": (lambda d: d["overall"].pop("n"), "missing required keys: ['n']"),
+        "verdict": (lambda d: d["verdicts"][0].pop("strict"), "missing required keys: ['strict']"),
+        "cell": (lambda d: d["cells"][0].pop("depth"), "missing required keys: ['depth']"),
+        "cells-object": (lambda d: d.update(cells={}), "cells must be a list of objects, not {}"),
+        "cell-not-object": (lambda d: d.update(cells=[5]), "cells must be a list of objects, not [5]"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BROKEN))
+    def test_broken_structure_named(self, small_eval, tmp_path, case):
+        instructions, responses = small_eval
+        data = report_to_dict(score(instructions, responses))
+        breaks, message = self.BROKEN[case]
+        breaks(data)
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            load_report(path)
+        assert str(info.value) == f"{path}: bad report structure: {message}"
+
 
 class TestCsv:
     def test_unscored_rows_marked(self, small_eval):

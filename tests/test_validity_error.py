@@ -12,7 +12,7 @@ from helpers import make_text
 from lexcheck import dsl, rules
 from lexcheck.dsl import format_rule, parse_rule
 from lexcheck.generate import GenConfig, generate_dataset
-from lexcheck.records import DataError, instruction_to_dict, read_instructions, rule_from_dict
+from lexcheck.records import DataError, build, instruction_to_dict, read_instructions
 from lexcheck.report import score
 from lexcheck.rules import (
     Level,
@@ -42,7 +42,7 @@ MESSAGE = "invalid rule: text-relation-with-count, value-type-mismatch"
 ENTRIES = {
     "Rule": lambda: Rule(STEPS, Relation.CONTAIN, 3),
     "parse_rule": lambda: parse_rule(SOURCE),
-    "rule_from_dict": lambda: rule_from_dict(DATA),
+    "build": lambda: build(Rule, DATA),
 }
 
 
