@@ -242,3 +242,30 @@ def test_every_sampled_rule_renders(seed, language):
         assert sentence.endswith("。") if language == "zh" else sentence.endswith(".")
         if isinstance(rule.value, int):
             assert str(rule.value) in sentence
+
+
+#: an overlay whose templates start lower-case and use every placeholder
+#: their kind fills, so prefix casing and every field are pinned too
+_EVERY_PLACEHOLDER = {
+    "count": "note {position}, {n}, {value}, {level}.",
+    "between": "note {value}, {level}.",
+}
+_OVERLAY = {key: _EVERY_PLACEHOLDER.get(key[0], "note {position}, {value}.") for key in DEFAULT_TEMPLATES}
+
+
+@pytest.mark.parametrize(
+    "language, expected",
+    [
+        ("en", "52d35de9dd8fa49496739134f031fee98521e28b1e7afb843bd8437479f98691"),
+        ("zh", "f153742dd081bfdd7b133949203366b27faf0986547731aad4277433144348a9"),
+    ],
+)
+def test_sampled_sentences_are_pinned(language, expected):
+    """3,000 sampled rules per language, each rendered under the default
+    registry and under `_OVERLAY`: one sha256 over every sentence."""
+    digest = hashlib.sha256()
+    for seed in range(10):
+        for rule in sample_rules(language, seed, 300):
+            for registry in (None, _OVERLAY):
+                digest.update(render_rule_sentence(rule, language, registry).encode("utf-8") + b"\n")
+    assert digest.hexdigest() == expected
