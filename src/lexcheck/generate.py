@@ -221,8 +221,8 @@ def _weighted_kind(rng: random.Random, table: tuple[tuple[PredicateKind, int], .
     raise AssertionError("unreachable")
 
 
-def _pick_ordinal(rng: random.Random, allow_last: bool = True) -> int:
-    if allow_last and rng.random() < 0.2:
+def _pick_ordinal(rng: random.Random) -> int:
+    if rng.random() < 0.2:
         return -1
     return rng.randint(1, 5)
 

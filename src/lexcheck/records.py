@@ -27,7 +27,7 @@ from typing import Any, Iterable, TextIO, TypeVar
 
 from .dsl import parse_rule
 from .grading import grade_difficulty
-from .rules import Instruction, Predicate, Rule
+from .rules import Instruction, Rule
 
 T = TypeVar("T")
 
@@ -134,20 +134,13 @@ def _each(readers: _Table, values: Iterable[Any]) -> tuple[Any, ...]:
     return tuple(out)
 
 
-def predicate_to_dict(pred: Predicate) -> dict[str, Any]:
-    data: dict[str, Any] = {"kind": pred.kind.value}
-    if pred.n is not None:
-        data["n"] = pred.n
-    return data
-
-
 def rule_to_dict(rule: Rule) -> dict[str, Any]:
     steps = []
     for step in rule.procedure:
-        entry: dict[str, Any] = {
-            "level": step.level.value,
-            "predicate": predicate_to_dict(step.predicate),
-        }
+        predicate: dict[str, Any] = {"kind": step.predicate.kind.value}
+        if step.predicate.n is not None:
+            predicate["n"] = step.predicate.n
+        entry: dict[str, Any] = {"level": step.level.value, "predicate": predicate}
         if step.pattern is not None:
             entry["pattern"] = step.pattern
         steps.append(entry)

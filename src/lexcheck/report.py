@@ -217,18 +217,34 @@ class _CellEntry(CellStats):
     count: int
 
 
+def _unique(what: str, keys: Iterable[Any]) -> set[Any]:
+    """The set of `keys`; ValueError naming the first key that repeats."""
+    seen: set[Any] = set()
+    for key in keys:
+        if key in seen:
+            raise ValueError(f"duplicate {what}: {key!r}")
+        seen.add(key)
+    return seen
+
+
 def report_from_dict(data: dict[str, Any]) -> EvalReport:
-    """Read back `report_to_dict` output; a missing key or a value of the
-    wrong type raises ValueError."""
+    """Read back `report_to_dict` output; a missing key, a value of the
+    wrong type, a repeated cell or verdict id, or an id both scored and
+    unscored raises ValueError."""
     if "cells" in data:
         entries = data["cells"]
         if type(entries) is not list or any(type(entry) is not dict for entry in entries):
             raise ValueError(f"cells must be a list of objects, not {entries!r:.60}")
         cells = [build(_CellEntry, entry) for entry in entries]
+        _unique("cell (depth, count)", ((c.depth, c.count) for c in cells))
         data = {**data, "cells": {(c.depth, c.count): CellStats(c.n, c.strict) for c in cells}}
     report = build(EvalReport, data)
     if report.runs < 1:
         raise ValueError(f"runs must be at least 1, not {report.runs}")
+    scored = _unique("verdict id", (row.id for row in report.verdicts))
+    for rid in report.unscored:
+        if rid in scored:
+            raise ValueError(f"duplicate id in verdicts and unscored: {rid!r}")
     return report
 
 

@@ -9,11 +9,17 @@ text before, after or between elements takes the place of ``{position}``).
 A JSON file with the same nested shape can overlay individual entries, and
 is checked as it is loaded.  Rendering is deterministic and self-contained:
 every sentence names the level, position, relation and value it constrains.
+
+The rest of a sentence is worded from one phrasebook per language, read
+through `_phrase`: each level's two words (`_WORDS`), its gloss
+(`_GLOSSES`), and the phrases built from them (`_PHRASES`).  Only English
+capitalisation is left to code.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Any
 
 from .dsl import _escape_value
 from .records import read_json
@@ -107,37 +113,78 @@ _PLACEHOLDERS: dict[str, tuple[str, ...]] = {
     "between": ("value", "level"),
 }
 
-_NOUNS_EN: dict[Level, tuple[str, str]] = {
-    Level.ANSWER: ("response", "responses"),
-    Level.PARAGRAPH: ("paragraph", "paragraphs"),
-    Level.LINE: ("line", "lines"),
-    Level.BULLET: ("bullet item", "bullet items"),
-    Level.SENTENCE: ("sentence", "sentences"),
-    Level.WORD: ("word", "words"),
-    Level.CHARACTER: ("Chinese character", "Chinese characters"),
-    Level.LETTER: ("letter", "letters"),
-    Level.PUNC: ("punctuation mark", "punctuation marks"),
-}
-_GLOSS_EN: dict[Level, str] = {
-    Level.PARAGRAPH: " (paragraphs are separated by a blank line)",
-    Level.BULLET: ' (lines starting with a list marker like "-" or "1.")',
+#: language -> level -> its two words: singular and plural noun in English,
+#: noun and measure word in Chinese (the measure word sits between a numeral
+#: and the noun); ``{pattern}`` stands for the step's regex.
+_WORDS: dict[str, dict[Level, tuple[str, str]]] = {
+    "en": {
+        Level.PARAGRAPH: ("paragraph", "paragraphs"),
+        Level.LINE: ("line", "lines"),
+        Level.BULLET: ("bullet item", "bullet items"),
+        Level.SENTENCE: ("sentence", "sentences"),
+        Level.WORD: ("word", "words"),
+        Level.CHARACTER: ("Chinese character", "Chinese characters"),
+        Level.LETTER: ("letter", "letters"),
+        Level.PUNC: ("punctuation mark", "punctuation marks"),
+        Level.PATTERN: ("match of the pattern /{pattern}/", "matches of the pattern /{pattern}/"),
+    },
+    "zh": {
+        Level.PARAGRAPH: ("段落", "个"),
+        Level.LINE: ("行", ""),
+        Level.BULLET: ("列表项", "个"),
+        Level.SENTENCE: ("句子", "个"),
+        Level.WORD: ("词", "个"),
+        Level.CHARACTER: ("汉字", "个"),
+        Level.LETTER: ("字母", "个"),
+        Level.PUNC: ("标点符号", "个"),
+        Level.PATTERN: ("与正则表达式 /{pattern}/ 匹配的片段", "个"),
+    },
 }
 
-# (noun, measure word); the measure word sits between a numeral and the noun
-_NOUNS_ZH: dict[Level, tuple[str, str]] = {
-    Level.ANSWER: ("回答", "个"),
-    Level.PARAGRAPH: ("段落", "个"),
-    Level.LINE: ("行", ""),
-    Level.BULLET: ("列表项", "个"),
-    Level.SENTENCE: ("句子", "个"),
-    Level.WORD: ("词", "个"),
-    Level.CHARACTER: ("汉字", "个"),
-    Level.LETTER: ("字母", "个"),
-    Level.PUNC: ("标点符号", "个"),
+#: language -> level -> the gloss that follows its noun where it is counted
+_GLOSSES: dict[str, dict[Level, str]] = {
+    "en": {
+        Level.PARAGRAPH: " (paragraphs are separated by a blank line)",
+        Level.BULLET: ' (lines starting with a list marker like "-" or "1.")',
+    },
+    "zh": {
+        Level.PARAGRAPH: "（段落之间以空行分隔）",
+        Level.BULLET: "（以“-”或“1.”等列表符号开头的行）",
+    },
 }
-_GLOSS_ZH: dict[Level, str] = {
-    Level.PARAGRAPH: "（段落之间以空行分隔）",
-    Level.BULLET: "（以“-”或“1.”等列表符号开头的行）",
+
+#: language -> phrase name -> wording.  A step's phrase is a function of its
+#: level's two words, its ordinal n and its level's gloss: the region its
+#: predicate kind selects (``last`` for index -1), or a ``count``/``gaps`` noun.
+_PHRASES: dict[str, dict[str, Any]] = {
+    "en": {
+        "index": lambda one, two, n, gloss: f"the {_ordinal(n)} {one}",
+        "last": lambda one, two, n, gloss: f"the last {one}",
+        "all": lambda one, two, n, gloss: f"every {one}",
+        "before": lambda one, two, n, gloss: f"the content before the {_ordinal(n)} {one}",
+        "after": lambda one, two, n, gloss: f"the content after the {_ordinal(n)} {one}",
+        "between": lambda one, two, n, gloss: f"each gap between consecutive {two}",
+        "count": lambda one, two, n, gloss: f"{two}{gloss}",
+        "count of one": lambda one, two, n, gloss: f"{one}{gloss}",
+        "gaps": lambda one, two, n, gloss: f"{two}{gloss}",
+        "answer": "the response",
+        "in": lambda region: f"in {region}, ",
+        "header": "Requirements:",
+    },
+    "zh": {
+        "index": lambda noun, measure, n, gloss: f"第{n}{measure}{noun}",
+        "last": lambda noun, measure, n, gloss: f"最后一{measure}{noun}",
+        "all": lambda noun, measure, n, gloss: f"每{measure}{noun}",
+        "before": lambda noun, measure, n, gloss: f"第{n}{measure}{noun}之前的内容",
+        "after": lambda noun, measure, n, gloss: f"第{n}{measure}{noun}之后的内容",
+        "between": lambda noun, measure, n, gloss: f"相邻{noun}之间的每段内容",
+        "count": lambda noun, measure, n, gloss: f"{measure}{noun}{gloss}",
+        "count of one": lambda noun, measure, n, gloss: f"{measure}{noun}{gloss}",
+        "gaps": lambda noun, measure, n, gloss: f"{noun}{gloss}",
+        "answer": "回答",
+        "in": lambda region: f"在{region}中，",
+        "header": "要求：",
+    },
 }
 
 
@@ -149,87 +196,30 @@ def _ordinal(n: int) -> str:
     return f"{n}{suffix}"
 
 
-def _noun_en(step: ProcedureStep, plural: bool) -> str:
-    if step.level is Level.PATTERN:
-        head = "matches" if plural else "match"
-        return f"{head} of the pattern /{step.pattern}/"
-    singular, plural_form = _NOUNS_EN[step.level]
-    return plural_form if plural else singular
-
-
-def _noun_zh(step: ProcedureStep) -> tuple[str, str]:
-    if step.level is Level.PATTERN:
-        return (f"与正则表达式 /{step.pattern}/ 匹配的片段", "个")
-    return _NOUNS_ZH[step.level]
-
-
-def _ref_phrase(step: ProcedureStep, n: int, language: str) -> str:
-    """Phrase for "element number n" of a step's level."""
-    if language == "zh":
-        noun, measure = _noun_zh(step)
-        if n == -1:
-            return f"最后一{measure}{noun}"
-        return f"第{n}{measure}{noun}"
-    noun = _noun_en(step, plural=False)
-    if n == -1:
-        return f"the last {noun}"
-    return f"the {_ordinal(n)} {noun}"
-
-
-def _step_phrase(step: ProcedureStep, language: str) -> str:
-    """Phrase describing the region a refinement step selects."""
-    kind = step.predicate.kind
-    zh = language == "zh"
+def _phrase(name: str, step: ProcedureStep, language: str) -> str:
+    """The phrase `name` of `_PHRASES` for one step, worded in `language`;
+    an answer step is always the ``answer`` phrase, and index -1 ``last``."""
+    phrases = _PHRASES[language]
     if step.level is Level.ANSWER:
-        return "回答" if zh else "the response"
-    if kind is PredicateKind.INDEX:
-        return _ref_phrase(step, step.predicate.n or 1, language)
-    if kind is PredicateKind.ALL:
-        if zh:
-            noun, measure = _noun_zh(step)
-            return f"每{measure}{noun}"
-        return f"every {_noun_en(step, plural=False)}"
-    if kind is PredicateKind.BEFORE:
-        ref = _ref_phrase(step, step.predicate.n or 1, language)
-        return f"{ref}之前的内容" if zh else f"the content before {ref}"
-    if kind is PredicateKind.AFTER:
-        ref = _ref_phrase(step, step.predicate.n or 1, language)
-        return f"{ref}之后的内容" if zh else f"the content after {ref}"
-    # BETWEEN
-    if zh:
-        noun, _ = _noun_zh(step)
-        return f"相邻{noun}之间的每段内容"
-    return f"each gap between consecutive {_noun_en(step, plural=True)}"
-
-
-def _counted_noun(step: ProcedureStep, n: int, relation: Relation, language: str) -> str:
-    """The {level} field of a count template, measure word and gloss included."""
-    if language == "zh":
-        noun, measure = _noun_zh(step)
-        return f"{measure}{noun}{_GLOSS_ZH.get(step.level, '')}"
-    plural = not (n == 1 and relation is not Relation.NEQ)
-    return f"{_noun_en(step, plural)}{_GLOSS_EN.get(step.level, '')}"
-
-
-def _between_noun(step: ProcedureStep, language: str) -> str:
-    if language == "zh":
-        noun, _ = _noun_zh(step)
-        return f"{noun}{_GLOSS_ZH.get(step.level, '')}"
-    return f"{_noun_en(step, plural=True)}{_GLOSS_EN.get(step.level, '')}"
+        return phrases["answer"]
+    n = step.predicate.n
+    if n == -1:
+        name = "last"
+    one, two = _WORDS[language][step.level]
+    if step.pattern is not None:
+        one, two = one.replace("{pattern}", step.pattern), two.replace("{pattern}", step.pattern)
+    return phrases[name](one, two, n, _GLOSSES[language].get(step.level, ""))
 
 
 def _assemble(prefixes: list[str], core: str, language: str) -> str:
-    if language == "zh":
-        if prefixes:
-            return "，".join(f"在{p}中" for p in prefixes) + "，" + core
-        return core
-    if prefixes:
-        if core and core[0].isupper():
-            core = core[0].lower() + core[1:]
-        sentence = ", ".join(f"in {p}" for p in prefixes) + ", " + core
-    else:
-        sentence = core
-    return sentence[0].upper() + sentence[1:] if sentence else sentence
+    frame = _PHRASES[language]["in"]
+    if language != "en":
+        return "".join(map(frame, prefixes)) + core
+    # an English sentence starts with a capital, and a core after a prefix does not
+    if prefixes and core[:1].isupper():
+        core = core[0].lower() + core[1:]
+    sentence = "".join(map(frame, prefixes)) + core
+    return sentence[:1].upper() + sentence[1:]
 
 
 def render_rule_sentence(rule: Rule, language: str, registry: dict[TemplateKey, str] | None = None) -> str:
@@ -244,21 +234,20 @@ def render_rule_sentence(rule: Rule, language: str, registry: dict[TemplateKey, 
     if template is None:
         raise MissingTemplateError(*key)
 
-    prefixes = [_step_phrase(s, language) for s in steps[:-1]]
+    prefixes = [_phrase(s.predicate.kind.value, s, language) for s in steps[:-1]]
     position = level = ""
     if kind is PredicateKind.COUNT:
         # the innermost container is the position being counted in
-        if prefixes:
-            position = prefixes.pop()
-        else:
-            position = "回答" if language == "zh" else "the response"
-        level = _counted_noun(terminal, int(rule.value), rule.relation, language)
+        position = prefixes.pop() if prefixes else _PHRASES[language]["answer"]
+        one = rule.value == 1 and rule.relation is not Relation.NEQ
+        level = _phrase("count of one" if one else "count", terminal, language)
     elif kind in (PredicateKind.INDEX, PredicateKind.ALL):
-        position = _step_phrase(terminal, language)
+        position = _phrase(kind.value, terminal, language)
     elif kind in (PredicateKind.BEFORE, PredicateKind.AFTER):
-        position = _ref_phrase(terminal, terminal.predicate.n or 1, language)
+        # the template frames the element; the position names it
+        position = _phrase("index", terminal, language)
     else:  # BETWEEN
-        level = _between_noun(terminal, language)
+        level = _phrase("gaps", terminal, language)
 
     value = _escape_value(rule.value) if isinstance(rule.value, str) else str(rule.value)
     fields = {"n": str(rule.value), "value": value, "position": position, "level": level}
@@ -276,9 +265,8 @@ def render_prompt(
     if not rules:
         raise ValueError("render_prompt needs at least one rule")
     sentences = [render_rule_sentence(r, language, registry) for r in rules]
-    header = "要求：" if language == "zh" else "Requirements:"
     body = "\n".join(f"{i}. {s}" for i, s in enumerate(sentences, 1))
-    return f"{seed_task}\n\n{header}\n{body}"
+    return f"{seed_task}\n\n{_PHRASES[language]['header']}\n{body}"
 
 
 def load_templates(path: str | Path) -> dict[TemplateKey, str]:

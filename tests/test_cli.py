@@ -485,6 +485,22 @@ class TestReport:
         assert main(["report", *paths]) == EXIT_DATA
         assert capsys.readouterr().err.startswith(f"error: {path}: bad report structure")
 
+    CONTRADICTIONS = {
+        "cell": lambda d: d["cells"].append(d["cells"][0]),
+        "verdict": lambda d: d["verdicts"].append(d["verdicts"][0]),
+        "scored-and-unscored": lambda d: d["unscored"].append(d["verdicts"][0]["id"]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CONTRADICTIONS))
+    def test_self_contradicting_report(self, scoring_files, tmp_path, capsys, case):
+        path = self.make_report(scoring_files, tmp_path, "r1.json")
+        data = json.loads(path.read_text(encoding="utf-8"))
+        self.CONTRADICTIONS[case](data)
+        path.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", str(path)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: {path}: bad report structure: duplicate ")
+
     def test_unwritable_output(self, scoring_files, tmp_path, capsys):
         path = self.make_report(scoring_files, tmp_path, "r1.json")
         out = tmp_path / "no" / "r.txt"

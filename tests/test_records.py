@@ -16,14 +16,13 @@ from lexcheck.records import (
     build,
     instruction_from_dict,
     instruction_to_dict,
-    predicate_to_dict,
     read_config,
     read_instructions,
     read_responses,
     rule_to_dict,
     write_instructions,
 )
-from lexcheck.rules import Instruction, Predicate, Rule
+from lexcheck.rules import Instruction, Predicate, PredicateKind, Rule
 
 
 @pytest.fixture(scope="module")
@@ -115,14 +114,25 @@ class TestReadConfig:
 
 
 class TestPredicateCodec:
+    #: every predicate kind, and index with a positive and a last ordinal
+    RULES = ('paragraph@3.line@-1.sentence@.word# = 2', 'paragraph!2.line$1.sentence% equal "x"')
+
+    def entries(self):
+        for text in self.RULES:
+            rule = parse_rule(text)
+            for step, entry in zip(rule.procedure, rule_to_dict(rule)["procedure"]):
+                yield step.predicate, entry["predicate"]
+
     def test_round_trip(self):
-        for pred in (Predicate.index(3), Predicate.index(-1), Predicate.all(),
-                     Predicate.before(2), Predicate.after(1), Predicate.between(),
-                     Predicate.count()):
-            assert build(Predicate, predicate_to_dict(pred)) == pred
+        kinds = set()
+        for pred, entry in self.entries():
+            assert build(Predicate, entry) == pred
+            kinds.add(pred.kind)
+        assert kinds == set(PredicateKind)
 
     def test_no_null_n_key(self):
-        assert "n" not in predicate_to_dict(Predicate.all())
+        for pred, entry in self.entries():
+            assert ("n" in entry) == (pred.n is not None)
 
 
 class TestRuleCodec:

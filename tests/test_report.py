@@ -251,6 +251,26 @@ class TestStructuredRoundTrip:
             load_report(path)
         assert str(info.value) == f"{path}: bad report structure: {message}"
 
+    @pytest.mark.parametrize("case", ["cell", "verdict", "scored-and-unscored"])
+    def test_self_contradicting_report_rejected(self, small_eval, tmp_path, case):
+        instructions, responses = small_eval
+        data = report_to_dict(score(instructions, responses))
+        cell, row = data["cells"][-1], data["verdicts"][-1]
+        if case == "cell":
+            data["cells"].append(dict(cell, n=1, strict=0.0))
+            message = f"duplicate cell (depth, count): ({cell['depth']}, {cell['count']})"
+        elif case == "verdict":
+            data["verdicts"].append(dict(row, strict=not row["strict"]))
+            message = f"duplicate verdict id: {row['id']!r}"
+        else:
+            data["unscored"].append(row["id"])
+            message = f"duplicate id in verdicts and unscored: {row['id']!r}"
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            load_report(path)
+        assert str(info.value) == f"{path}: bad report structure: {message}"
+
 
 class TestCsv:
     def test_unscored_rows_marked(self, small_eval):
