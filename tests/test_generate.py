@@ -210,3 +210,46 @@ class TestGenerateDataset:
         assert info.value.wanted == 1
         assert info.value.got == 0
         assert str(ATTEMPTS_PER_SLOT) in str(info.value)
+
+
+#: a custom lexicon with several regexes, one spelling its slash as ``\/``
+_SLASH_LEXICON = Lexicon(
+    words=("alpha", "beta", "gamma", "delta"),
+    characters=("a", "b", ".", "!"),
+    regexes=("[a-z]+", r"a\/b", "[0-9]{2}", r"[A-Z]\w*"),
+)
+
+
+def _overlay() -> dict:
+    from lexcheck.templates import DEFAULT_TEMPLATES
+
+    return {key: "note " + template for key, template in DEFAULT_TEMPLATES.items()}
+
+
+@pytest.mark.parametrize(
+    "config, overlay, expected",
+    [
+        (
+            GenConfig(seed=41, language="en", easy=10, medium=15, hard=25, max_depth=4, max_constraints=5),
+            False,
+            "a9008da31cd460d198afa2cc45a162894b2e46e0c256dfdee21819f0b5b2de7d",
+        ),
+        (
+            GenConfig(seed=42, language="zh", easy=10, medium=15, hard=25, max_depth=4, max_constraints=5),
+            False,
+            "b2148a6820b37a62eb28f3f192315ad71fe2e980d168408cf0eb9862ed944310",
+        ),
+        (
+            GenConfig(seed=45, language="en", easy=10, medium=15, hard=25, lexicon=_SLASH_LEXICON),
+            True,
+            "df7c1c1e7a535d6d2b21d713ca74b77915fd46e706203763b3930966034b8a15",
+        ),
+    ],
+    ids=["en-depth4-k5", "zh-depth4-k5", "en-slash-lexicon-overlay"],
+)
+def test_written_bytes_are_pinned(tmp_path, config, overlay, expected):
+    """The sampler's sequence of draws fixes a dataset's bytes: these sha256
+    digests of the written files must not move when the sampler changes."""
+    path = tmp_path / "out.jsonl"
+    write_instructions(path, generate_dataset(config, _overlay() if overlay else None))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
