@@ -2,14 +2,16 @@
 """Build the benchmark-scale instruction datasets and report timing.
 
 Emits one English file (321/372/550 by difficulty) and one Chinese file
-(332/372/528), 2,475 instructions in total, then prints per-difficulty counts
-and the wall-clock cost.  Seeds are fixed by default so reruns are
+(332/372/528), 2,475 instructions in total, then prints each file's
+per-difficulty counts and sha256 and the wall-clock cost; the sha256 checks a
+rebuilt file against the released one.  Seeds are fixed by default so reruns are
 byte-identical; pass --seed-en/--seed-zh to sample a different dataset.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import time
 from collections import Counter
 from pathlib import Path
@@ -43,7 +45,8 @@ def main() -> int:
         write_instructions(path, instructions)
         counts = Counter(ins.difficulty for ins in instructions)
         breakdown = "/".join(str(counts[grade]) for grade in ("easy", "medium", "hard"))
-        print(f"{path}: {len(instructions)} instructions ({breakdown} easy/medium/hard)")
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{path}: {len(instructions)} instructions ({breakdown} easy/medium/hard) sha256 {digest}")
         total += len(instructions)
     elapsed = time.perf_counter() - start
     print(f"built {total} instructions in {elapsed:.2f}s")

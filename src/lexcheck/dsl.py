@@ -18,18 +18,17 @@ between consecutive elements, and ``#`` counts elements.  String values escape
 
 from __future__ import annotations
 
-import functools
 import re
 import sys
 
 from .rules import (
     Level,
-    Predicate,
     PredicateKind,
     ProcedureStep,
     Relation,
     Rule,
     ValidityError,
+    shared_step,
 )
 
 
@@ -78,12 +77,6 @@ _DIGITS = re.compile(r"[0-9]+")
 _STRING_RUN = re.compile(r'[^"\\]*')
 
 
-@functools.lru_cache(maxsize=1024)
-def _step(level: Level, kind: PredicateKind, n: int | None, pattern: str | None) -> ProcedureStep:
-    """Steps are frozen, so equal steps parsed from text share one object."""
-    return ProcedureStep(level, Predicate(kind, n), pattern)
-
-
 def _integer(digits: str, pos: int, what: str) -> int:
     if digits in ("", "-"):
         raise ParseError(pos, what)
@@ -101,7 +94,7 @@ def _parse_step(source: str, pos: int) -> tuple[ProcedureStep, int]:
     pos = name.end()
     if level is not Level.PATTERN:
         kind, n, pos = _parse_predicate(source, pos)
-        return _step(level, kind, n, None), pos
+        return shared_step(level, kind, n), pos
     if not source.startswith("(/", pos):
         raise ParseError(pos, '"(/" opening the regex')
     body_pos = pos + 2
@@ -111,7 +104,7 @@ def _parse_step(source: str, pos: int) -> tuple[ProcedureStep, int]:
     kind, n, pos = _parse_predicate(source, body.end())
     try:
         # ProcedureStep reads an escaped slash as a bare one
-        return _step(level, kind, n, source[body_pos : body.end() - 2]), pos
+        return shared_step(level, kind, n, source[body_pos : body.end() - 2]), pos
     except ValueError as exc:  # the regex does not compile
         raise PatternError(body_pos, str(exc)) from exc
 

@@ -8,6 +8,7 @@ requested difficulty buckets; identical configs reproduce identical bytes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from dataclasses import dataclass
@@ -20,7 +21,6 @@ from .rules import (
     LEVEL_RANK,
     Instruction,
     Level,
-    Predicate,
     PredicateKind,
     ProcedureStep,
     Relation,
@@ -28,6 +28,7 @@ from .rules import (
     check_regex,
     descends,
     require_language,
+    shared_step,
 )
 from .segment import CHAR_LEVEL_TESTS
 from .templates import TemplateKey, render_prompt
@@ -139,12 +140,6 @@ _SAMPLED_LEVELS: dict[str, tuple[Level, ...]] = {
         Level.CHARACTER, Level.PUNC, Level.PATTERN,
     ),
 }
-# A chain passes only through levels that contain text: a single character
-# holds none, and nothing may follow a regex step.
-_ANCESTOR_LEVELS: dict[str, tuple[Level, ...]] = {
-    language: tuple(lv for lv in levels if lv not in CHAR_LEVEL_TESTS and lv is not Level.PATTERN)
-    for language, levels in _SAMPLED_LEVELS.items()
-}
 
 # Values that can actually appear between consecutive elements of a level;
 # between-rules drawn outside these would be unsatisfiable by construction.
@@ -181,6 +176,53 @@ _PREFIX_KIND_WEIGHTS = (
 )
 
 
+def _by_roll(weights: tuple[tuple[PredicateKind, int], ...]) -> tuple[PredicateKind, ...]:
+    """Each kind repeated by its weight: entry `randrange(total)` is the drawn kind."""
+    return tuple(kind for kind, weight in weights for _ in range(weight))
+
+
+_TERMINAL_KINDS = _by_roll(_TERMINAL_KIND_WEIGHTS)
+_PREFIX_KINDS = _by_roll(_PREFIX_KIND_WEIGHTS)
+
+
+def _terminal_levels(language: str, kind: PredicateKind, single_step: bool) -> tuple[Level, ...]:
+    levels = _SAMPLED_LEVELS[language]
+    if kind is PredicateKind.BETWEEN:
+        levels = tuple(lv for lv in levels if lv in _GAP_VALUES[language])
+    if kind is PredicateKind.ALL and single_step:
+        levels += (Level.ANSWER,)
+    return levels
+
+
+# The terminal levels to draw from, by (language, terminal kind, depth == 1):
+# a between-rule only where gaps are known, and only a one-step all-rule may
+# address the whole answer.
+_TERMINAL_LEVELS: dict[tuple[str, PredicateKind, bool], tuple[Level, ...]] = {
+    (language, kind, single_step): _terminal_levels(language, kind, single_step)
+    for language in _SAMPLED_LEVELS
+    for kind, _ in _TERMINAL_KIND_WEIGHTS
+    for single_step in (False, True)
+}
+
+
+def _ancestors(language: str, terminal: Level) -> tuple[tuple[int, ...], dict[int, tuple[Level, ...]]]:
+    """The ranks a chain ending at `terminal` may pass through, ascending, and
+    the levels at each rank.  A chain passes only through levels that contain
+    text: a single character holds none, and nothing may follow a regex step."""
+    by_rank: dict[int, tuple[Level, ...]] = {}
+    for lv in _SAMPLED_LEVELS[language]:
+        if lv not in CHAR_LEVEL_TESTS and lv is not Level.PATTERN and descends(lv, terminal):
+            by_rank[LEVEL_RANK[lv]] = by_rank.get(LEVEL_RANK[lv], ()) + (lv,)
+    return tuple(sorted(by_rank)), by_rank
+
+
+_CHAINS: dict[tuple[str, Level], tuple[tuple[int, ...], dict[int, tuple[Level, ...]]]] = {
+    (language, terminal): _ancestors(language, terminal)
+    for language, levels in _SAMPLED_LEVELS.items()
+    for terminal in levels
+}
+
+
 @dataclass
 class GenConfig:
     """Everything a dataset build depends on; two equal configs yield equal bytes."""
@@ -211,61 +253,45 @@ class GenConfig:
             self.seed_tasks = tuple(self.seed_tasks)
 
 
-def _weighted_kind(rng: random.Random, table: tuple[tuple[PredicateKind, int], ...]) -> PredicateKind:
-    total = sum(w for _, w in table)
-    roll = rng.randrange(total)
-    for kind, weight in table:
-        roll -= weight
-        if roll < 0:
-            return kind
-    raise AssertionError("unreachable")
-
-
-def _pick_ordinal(rng: random.Random) -> int:
-    if rng.random() < 0.2:
-        return -1
-    return rng.randint(1, 5)
-
-
-def _make_predicate(kind: PredicateKind, rng: random.Random) -> Predicate:
+def _ordinal(kind: PredicateKind, rng: random.Random) -> int | None:
     if kind is PredicateKind.INDEX:
-        return Predicate.index(_pick_ordinal(rng))
+        return -1 if rng.random() < 0.2 else rng.randint(1, 5)
     if kind is PredicateKind.BEFORE:
-        return Predicate.before(rng.randint(2, 4))
+        return rng.randint(2, 4)
     if kind is PredicateKind.AFTER:
-        return Predicate.after(rng.randint(1, 4))
-    if kind is PredicateKind.ALL:
-        return Predicate.all()
-    if kind is PredicateKind.BETWEEN:
-        return Predicate.between()
-    return Predicate.count()
+        return rng.randint(1, 4)
+    return None
 
 
-def _make_step(level: Level, predicate: Predicate, lexicon: Lexicon, rng: random.Random) -> ProcedureStep:
+def _make_step(level: Level, kind: PredicateKind, lexicon: Lexicon, rng: random.Random) -> ProcedureStep:
+    n = _ordinal(kind, rng)
     if level is Level.PATTERN:
         if not lexicon.regexes:
             raise LexiconError("lexicon has no regexes for a pattern step")
-        return ProcedureStep(level, predicate, rng.choice(lexicon.regexes))
-    return ProcedureStep(level, predicate)
+        return shared_step(level, kind, n, rng.choice(lexicon.regexes))
+    return shared_step(level, kind, n)
 
 
-def _char_pool(level: Level, lexicon: Lexicon) -> tuple[str, ...]:
-    test = CHAR_LEVEL_TESTS[level]
-    pool = tuple(c for c in lexicon.characters if len(c) == 1 and test(c))
-    if not pool:
-        raise LexiconError(f"lexicon has no single characters usable at level {level.value}")
-    return pool
+@functools.lru_cache(maxsize=16)
+def _value_pools(lexicon: Lexicon) -> dict[Level, tuple[str, ...]]:
+    """The text values a rule may compare against, by terminal level: at a
+    single-character level the lexicon's characters that pass its test, at
+    any other level every word and character."""
+    pools = {
+        level: tuple(c for c in lexicon.characters if len(c) == 1 and test(c))
+        for level, test in CHAR_LEVEL_TESTS.items()
+    }
+    return {level: pools.get(level, lexicon.words + lexicon.characters) for level in Level}
 
 
-def _text_value(
-    terminal: ProcedureStep, language: str, lexicon: Lexicon, rng: random.Random
-) -> str:
+def _text_value(terminal: ProcedureStep, language: str, lexicon: Lexicon, rng: random.Random) -> str:
+    level = terminal.level
     if terminal.predicate.kind is PredicateKind.BETWEEN:
-        return rng.choice(_GAP_VALUES[language][terminal.level])
-    if terminal.level in CHAR_LEVEL_TESTS:
-        return rng.choice(_char_pool(terminal.level, lexicon))
-    pool = lexicon.words + lexicon.characters
+        return rng.choice(_GAP_VALUES[language][level])
+    pool = _value_pools(lexicon)[level]
     if not pool:
+        if level in CHAR_LEVEL_TESTS:
+            raise LexiconError(f"lexicon has no single characters usable at level {level.value}")
         raise LexiconError("lexicon has no words or characters")
     return rng.choice(pool)
 
@@ -276,21 +302,14 @@ def _int_value(relation: Relation, rng: random.Random) -> int:
     return rng.randint(1, 8)
 
 
-def _try_chain(
-    terminal_level: Level, depth: int, language: str, rng: random.Random
-) -> list[Level] | None:
+def _try_chain(terminal_level: Level, depth: int, language: str, rng: random.Random) -> list[Level] | None:
     """A strictly descending level chain ending at `terminal_level`, or None."""
     if depth == 1:
         return [terminal_level]
-    ancestors = [lv for lv in _ANCESTOR_LEVELS[language] if descends(lv, terminal_level)]
-    candidate_ranks = sorted({LEVEL_RANK[lv] for lv in ancestors})
-    if len(candidate_ranks) < depth - 1:
+    ranks, levels_at = _CHAINS[language, terminal_level]
+    if len(ranks) < depth - 1:
         return None
-    ranks = sorted(rng.sample(candidate_ranks, depth - 1))
-    chain = []
-    for rank in ranks:
-        options = [lv for lv in ancestors if LEVEL_RANK[lv] == rank]
-        chain.append(rng.choice(options))
+    chain = [rng.choice(levels_at[rank]) for rank in sorted(rng.sample(ranks, depth - 1))]
     chain.append(terminal_level)
     return chain
 
@@ -298,33 +317,28 @@ def _try_chain(
 def sample_rule(config: GenConfig, rng: random.Random) -> Rule:
     """Draw one valid rule: terminal predicate, then relation, then value."""
     assert config.lexicon is not None
+    language, lexicon = config.language, config.lexicon
     for _ in range(256):
-        kind = _weighted_kind(rng, _TERMINAL_KIND_WEIGHTS)
+        kind = _TERMINAL_KINDS[rng.randrange(len(_TERMINAL_KINDS))]
         relation = rng.choice(ALLOWED_RELATIONS[kind])
         depth = rng.randint(1, config.max_depth)
-
-        candidates = list(_SAMPLED_LEVELS[config.language])
-        if kind is PredicateKind.BETWEEN:
-            candidates = [lv for lv in candidates if lv in _GAP_VALUES[config.language]]
-        if kind is PredicateKind.ALL and depth == 1:
-            candidates.append(Level.ANSWER)
-        terminal_level = rng.choice(candidates)
+        terminal_level = rng.choice(_TERMINAL_LEVELS[language, kind, depth == 1])
 
         # an answer terminal only comes with depth 1, so its chain is [answer]
-        chain = _try_chain(terminal_level, depth, config.language, rng)
+        chain = _try_chain(terminal_level, depth, language, rng)
         if chain is None:
             continue
-        steps = []
-        for level in chain[:-1]:
-            predicate = _make_predicate(_weighted_kind(rng, _PREFIX_KIND_WEIGHTS), rng)
-            steps.append(_make_step(level, predicate, config.lexicon, rng))
-        steps.append(_make_step(terminal_level, _make_predicate(kind, rng), config.lexicon, rng))
+        steps = [
+            _make_step(level, _PREFIX_KINDS[rng.randrange(len(_PREFIX_KINDS))], lexicon, rng)
+            for level in chain[:-1]
+        ]
+        steps.append(_make_step(terminal_level, kind, lexicon, rng))
 
         value: int | str
         if relation.is_numerical:
             value = _int_value(relation, rng)
         else:
-            value = _text_value(steps[-1], config.language, config.lexicon, rng)
+            value = _text_value(steps[-1], language, lexicon, rng)
         return Rule(tuple(steps), relation, value)
     raise RuntimeError("rule sampling failed to produce a structurally possible chain")
 

@@ -229,8 +229,10 @@ def _unique(what: str, keys: Iterable[Any]) -> set[Any]:
 
 def report_from_dict(data: dict[str, Any]) -> EvalReport:
     """Read back `report_to_dict` output; a missing key, a value of the
-    wrong type, a repeated cell or verdict id, or an id both scored and
-    unscored raises ValueError."""
+    wrong type, a repeated cell, verdict id or unscored id, an id both
+    scored and unscored, or a single-run report whose slices are not the
+    aggregate of its rows raises ValueError.  A merged report averages its
+    runs, so its slices cannot be recomputed from the rows it keeps."""
     if "cells" in data:
         entries = data["cells"]
         if type(entries) is not list or any(type(entry) is not dict for entry in entries):
@@ -242,9 +244,14 @@ def report_from_dict(data: dict[str, Any]) -> EvalReport:
     if report.runs < 1:
         raise ValueError(f"runs must be at least 1, not {report.runs}")
     scored = _unique("verdict id", (row.id for row in report.verdicts))
-    for rid in report.unscored:
+    for rid in _unique("unscored id", report.unscored):
         if rid in scored:
             raise ValueError(f"duplicate id in verdicts and unscored: {rid!r}")
+    if report.runs == 1:
+        recomputed = aggregate(report.verdicts, report.unscored)
+        for name in ("overall", *_SECTIONS):
+            if getattr(report, name) != getattr(recomputed, name):
+                raise ValueError(f"{name} does not match the verdict rows of a single-run report")
     return report
 
 

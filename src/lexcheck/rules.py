@@ -12,6 +12,7 @@ rule again.
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -134,7 +135,7 @@ class Relation(str, enum.Enum):
 
     @property
     def is_numerical(self) -> bool:
-        return self in ALLOWED_RELATIONS[PredicateKind.COUNT]
+        return self in _NUMERICAL_RELATIONS
 
 
 #: The relations that compare selected texts; index and all admit each of them.
@@ -165,6 +166,9 @@ ALLOWED_RELATIONS: dict[PredicateKind, tuple[Relation, ...]] = {
     PredicateKind.AFTER: (Relation.CONTAIN, Relation.NOTCONTAIN, Relation.EQUAL),
     PredicateKind.BETWEEN: (Relation.EQUAL,),
 }
+
+#: The relations that compare an element count against an integer.
+_NUMERICAL_RELATIONS = frozenset(ALLOWED_RELATIONS[PredicateKind.COUNT])
 
 
 _ESCAPE_PAIR = re.compile(r"\\(.)", re.DOTALL)
@@ -212,6 +216,15 @@ class ProcedureStep:
             object.__setattr__(self, "pattern", canonical)
         elif self.pattern is not None:
             raise ValueError(f"{self.level.value} step takes no regex")
+
+
+@functools.lru_cache(maxsize=1024)
+def shared_step(
+    level: Level, kind: PredicateKind, n: int | None = None, pattern: str | None = None
+) -> ProcedureStep:
+    """The step at `level` selecting by `kind` and `n`; steps are frozen, so
+    equal steps built by the parser or the sampler share one object."""
+    return ProcedureStep(level, Predicate(kind, n), pattern)
 
 
 @dataclass(frozen=True)
@@ -278,7 +291,8 @@ def _violations(rule: Rule) -> list[Violation]:
     kind = steps[-1].predicate.kind
     counting = kind is PredicateKind.COUNT
 
-    if rule.relation.is_numerical:
+    numerical = rule.relation.is_numerical
+    if numerical:
         if not counting:
             found.append(Violation.NUMERIC_WITHOUT_COUNT)
     elif counting:
@@ -286,7 +300,7 @@ def _violations(rule: Rule) -> list[Violation]:
     elif rule.relation not in ALLOWED_RELATIONS[kind]:
         found.append(_PAIRING_VIOLATION[kind])
 
-    if rule.relation.is_numerical != isinstance(rule.value, int):
+    if numerical != isinstance(rule.value, int):
         found.append(Violation.VALUE_TYPE_MISMATCH)
 
     if any(s.predicate.kind is PredicateKind.COUNT for s in steps[:-1]):

@@ -6,11 +6,12 @@ import dataclasses
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from helpers import build_instruction
-from lexcheck.dsl import format_rule
+from lexcheck.dsl import format_rule, parse_rule
 from lexcheck.generate import (
     ATTEMPTS_PER_SLOT,
     BucketError,
@@ -106,6 +107,15 @@ class TestSampleRule:
                 if rule.procedure[-1].predicate.kind is PredicateKind.BETWEEN:
                     assert rule.value in allowed, (language, rule.value)
 
+    def test_steps_are_shared_with_the_parser(self):
+        for language in ("en", "zh"):
+            config = GenConfig(seed=0, language=language)
+            rng = random.Random(17)
+            for _ in range(300):
+                rule = sample_rule(config, rng)
+                parsed = parse_rule(format_rule(rule))
+                assert all(a is b for a, b in zip(rule.procedure, parsed.procedure, strict=True))
+
     def test_pattern_needs_regexes(self):
         config = GenConfig(
             seed=0,
@@ -116,6 +126,47 @@ class TestSampleRule:
         with pytest.raises(LexiconError):
             for _ in range(500):
                 sample_rule(config, rng)
+
+
+    @pytest.mark.parametrize(
+        "lexicon, expected",
+        [
+            (
+                # an en lexicon whose characters fit neither letter nor punc
+                {"words": ["alpha", "beta"], "characters": ["1", "2"], "regexes": ["[a-z]+"]},
+                {
+                    "ok": 161,
+                    "lexicon has no single characters usable at level punc": 21,
+                    "lexicon has no single characters usable at level letter": 18,
+                },
+            ),
+            (
+                {"words": [], "characters": [], "regexes": ["[a-z]+"]},
+                {
+                    "ok": 79,
+                    "lexicon has no words or characters": 88,
+                    "lexicon has no single characters usable at level punc": 17,
+                    "lexicon has no single characters usable at level letter": 16,
+                },
+            ),
+        ],
+        ids=["no-letter-or-punc", "no-words-or-characters"],
+    )
+    def test_missing_pool_raises_at_the_draw_that_needs_it(self, tmp_path, lexicon, expected):
+        """The config loads; only a draw whose value needs the missing pool
+        raises, and later draws go on from the same stream."""
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps({"seed": 0, "language": "en", "lexicon": lexicon}), encoding="utf-8")
+        config = read_config(GenConfig, path)
+        rng = random.Random(1)
+        outcomes = []
+        for _ in range(200):
+            try:
+                sample_rule(config, rng)
+                outcomes.append("ok")
+            except LexiconError as exc:
+                outcomes.append(str(exc))
+        assert dict(Counter(outcomes)) == expected
 
 
 class TestStableId:
@@ -129,8 +180,6 @@ class TestStableId:
 
 class TestBuildInstruction:
     def test_derived_fields(self):
-        from lexcheck.dsl import parse_rule
-
         rules = (parse_rule("sentence# = 2"), parse_rule('paragraph@1.word@2 contain "x"'))
         ins = build_instruction("en-x", "en", "prompt", rules)
         assert ins.depth == 2

@@ -251,7 +251,9 @@ class TestStructuredRoundTrip:
             load_report(path)
         assert str(info.value) == f"{path}: bad report structure: {message}"
 
-    @pytest.mark.parametrize("case", ["cell", "verdict", "scored-and-unscored"])
+    @pytest.mark.parametrize(
+        "case", ["cell", "verdict", "scored-and-unscored", "unscored", "overall", "by-language", "cell-strict"]
+    )
     def test_self_contradicting_report_rejected(self, small_eval, tmp_path, case):
         instructions, responses = small_eval
         data = report_to_dict(score(instructions, responses))
@@ -262,14 +264,39 @@ class TestStructuredRoundTrip:
         elif case == "verdict":
             data["verdicts"].append(dict(row, strict=not row["strict"]))
             message = f"duplicate verdict id: {row['id']!r}"
-        else:
+        elif case == "scored-and-unscored":
             data["unscored"].append(row["id"])
             message = f"duplicate id in verdicts and unscored: {row['id']!r}"
+        elif case == "unscored":
+            data["unscored"] = ["en-a", "en-b", "en-a"]
+            message = "duplicate unscored id: 'en-a'"
+        elif case == "overall":
+            data["overall"].update(n=99, strict=0.5)
+            message = "overall does not match the verdict rows of a single-run report"
+        elif case == "by-language":
+            data["by_language"]["zh"]["loose"] = 0.25
+            message = "by_language does not match the verdict rows of a single-run report"
+        else:
+            cell["strict"] = 1.0 - cell["strict"]
+            message = "cells does not match the verdict rows of a single-run report"
         path = tmp_path / "report.json"
         path.write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(DataError) as info:
             load_report(path)
         assert str(info.value) == f"{path}: bad report structure: {message}"
+
+
+    def test_merged_slices_are_not_recomputed(self, small_eval):
+        """A merged report averages its runs' slices, and keeps only the rows
+        every run agrees on, so its slices are read as written."""
+        instructions, responses = small_eval
+        first = score(instructions, responses)
+        second = score(instructions, {rid: "Other." for rid in responses})
+        merged = merge([first, second])
+        assert merged.overall != aggregate(merged.verdicts).overall
+        clone = report_from_dict(json.loads(json.dumps(report_to_dict(merged))))
+        assert clone == merged
+        assert clone.runs == 2
 
 
 class TestCsv:

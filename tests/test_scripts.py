@@ -46,4 +46,7 @@ def test_build_benchmark_writes_the_full_datasets(tmp_path, hash_seed):
     files = {language: (out / f"instructions_{language}.jsonl").read_bytes() for language in ("en", "zh")}
     assert {language: len(data.splitlines()) for language, data in files.items()} == {"en": 1243, "zh": 1232}
     assert {language: hashlib.sha256(data).hexdigest() for language, data in files.items()} == BENCHMARK_SHA256
+    for language, digest in BENCHMARK_SHA256.items():
+        assert f"instructions_{language}.jsonl: " in done.stdout
+        assert f"easy/medium/hard) sha256 {digest}\n" in done.stdout
     assert "built 2475 instructions" in done.stdout
