@@ -127,7 +127,6 @@ class TestSampleRule:
             for _ in range(500):
                 sample_rule(config, rng)
 
-
     @pytest.mark.parametrize(
         "lexicon, expected",
         [
