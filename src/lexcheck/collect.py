@@ -11,6 +11,7 @@ so an interrupted run leaves the previous one's in place.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
@@ -46,6 +47,10 @@ class EndpointConfig:
     retry_backoff_s: float = 0.5
 
     def __post_init__(self) -> None:
+        for name in ("temperature", "top_p", "timeout_s", "retry_backoff_s"):
+            value = getattr(self, name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, not {value}")
         for name in ("timeout_s", "max_tokens", "max_in_flight"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0, not {getattr(self, name)}")

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Sequence, TypeVar
 
 from .rules import (
@@ -23,7 +25,7 @@ from .rules import (
     Rule,
     require_language,
 )
-from .segment import CHAR_LEVEL_TESTS, _chars, _Span, _split
+from .segment import _SPLITTERS, CHAR_LEVEL_TESTS, _chars, _Span, _split
 
 _T = TypeVar("_T")
 
@@ -38,8 +40,9 @@ def _refine(texts: list[str], step: ProcedureStep, splits: _Splits) -> list[str]
     """Apply one non-count step to every text, preserving order.
 
     `splits` gives each text's elements at the step's level, with the shift
-    to subtract from their spans.  Out-of-range ordinals simply contribute
-    no texts; they are not errors.
+    to subtract from their spans; `@n`, `!n` and `$n` read only the first n
+    (`_Splits.upto`).  Out-of-range ordinals simply contribute no texts;
+    they are not errors.
     `before`/`after` keep the raw text on the named side of the element's
     span; `between` keeps the raw text separating consecutive elements.
     At a single-character level (`segment.CHAR_LEVEL_TESTS`) `all` and
@@ -56,14 +59,16 @@ def _refine(texts: list[str], step: ProcedureStep, splits: _Splits) -> list[str]
             elif (ch := _select(chars, step.predicate.n)) is not None:
                 out.append(ch)
         return out
+    level, regex, n = step.level, step.regex, step.predicate.n
+    prefix = n is not None and n > 0
     for text in texts:
-        elements, shift = splits[text, step.level, step.regex]
+        elements, shift = splits.upto(text, level, regex, n) if prefix else splits[text, level, regex]
         if kind is PredicateKind.ALL:
             out.extend(el[0] for el in elements)
         elif kind is PredicateKind.BETWEEN:
             out.extend(text[left[2] - shift : right[1] - shift] for left, right in zip(elements, elements[1:]))
         else:
-            el = _select(elements, step.predicate.n)
+            el = _select(elements, n)
             if el is None:
                 continue
             if kind is PredicateKind.INDEX:
@@ -103,23 +108,31 @@ def verify_rule(rule: Rule, full_text: str, language: str = "en") -> bool:
 class _Splits(dict):
     """Elements by (text, level, compiled regex), each split on first use.
 
-    A value is a pair (elements, shift): each element's start and end, less
-    `shift`, are its span in the text.  A text split in full has shift 0.
+    A complete value is a pair (elements, shift): each element's start and
+    end, less `shift`, are its span in the text.  A text split by itself has
+    shift 0.  Reading a key by item splits it to the end.
+    :meth:`upto` splits only as far as a step reads: a key it has begun but
+    not finished is not in the dict but in `partial`, as the elements made
+    so far and the running splitter that makes the rest
+    (`segment._SPLITTERS`), so every read of a complete key stays one dict
+    hit.
     `cuts` maps a text to (base, a, b) when the text is ``base[a:b]``, with
     `a` at 0 or just after a newline and `b` at a newline or the end.  At a
     level in `_DERIVE` such a text's elements are derived from the base's
-    split instead of split in full: the base's own tuples, with shift `a`.
+    complete split instead of split by themselves: the base's own tuples,
+    with shift `a`.
     The base's split is read from the dict itself, never through a closure,
     so the cache holds no reference cycle and is freed on return.
     `joined` holds the string form of the single-character levels' splits
     (`chars`), by (text, level).
     """
 
-    __slots__ = ("language", "cuts", "joined")
+    __slots__ = ("language", "partial", "cuts", "joined")
 
     def __init__(self, language: str):
         super().__init__()
         self.language = language
+        self.partial: dict[tuple[str, Level, re.Pattern[str] | None], tuple[list[_Span], Iterator[_Span]]] = {}
         self.cuts: dict[str, tuple[str, int, int]] = {}
         self.joined: dict[tuple[str, Level], str] = {}
 
@@ -143,11 +156,44 @@ class _Splits(dict):
             self.joined[text, level] = found
         return found
 
+    def upto(self, text: str, level: Level, regex: re.Pattern[str] | None, n: int) -> _Shifted:
+        """`text`'s (elements, shift) at `level` with at least the first `n`
+        elements made, or all of them if there are fewer.
+
+        A cut whose base is complete at a level in `_DERIVE` is derived in
+        full, which costs less than splitting it; any other key is split
+        lazily on its own, with shift 0.
+        """
+        key = text, level, regex
+        found = self.get(key)
+        if found is not None:
+            return found
+        part = self.partial.pop(key, None)
+        if part is None:
+            cut = self.cuts.get(text)
+            if cut is not None and level in _DERIVE and (cut[0], level, None) in self:
+                return self[key]
+            part = [], _SPLITTERS[level](text, self.language, regex)
+        elements, rest = part
+        if len(elements) < n:
+            # islice takes no stop above sys.maxsize; no text has that many elements
+            elements.extend(islice(rest, min(n, sys.maxsize) - len(elements)))
+            if len(elements) < n:  # the split has ended
+                self[key] = found = elements, 0
+                return found
+        self.partial[key] = part
+        return elements, 0
+
     def __missing__(self, key: tuple[str, Level, re.Pattern[str] | None]) -> _Shifted:
         text, level, regex = key
+        part = self.partial.pop(key, None)
         cut = self.cuts.get(text)
         derive = _DERIVE.get(level) if cut else None
-        if derive is None:
+        if part is not None:
+            elements, rest = part
+            elements.extend(rest)
+            found = elements, 0
+        elif derive is None:
             found = _split(text, level, self.language, regex), 0
         else:
             base, a, b = cut
@@ -200,8 +246,12 @@ def _edges_resplit(inside: list[_Span], shift: int, text: str, level: Level, lan
 
 
 #: How a cut's elements at each level come from its base's split; a cut is
-#: split in full at the levels not listed (answer and pattern: a regex's
-#: ``^``, ``\s`` and lookarounds see across lines).
+#: split by itself at the levels not listed (answer and pattern: a regex's
+#: ``^``, ``\s`` and lookarounds see across lines).  A cut is derived only
+#: from its base's complete split: a prefix of the base may end before the
+#: cut does, and its last element may still change at the cut's end.  Until
+#: the base is complete, `_Splits.upto` splits the cut lazily on its own,
+#: which gives the same elements with shift 0.
 _DERIVE = {
     Level.LINE: _kept,
     Level.BULLET: _kept,

@@ -19,6 +19,7 @@ import enum
 import functools
 import inspect
 import json
+import math
 import sys
 import types
 import typing
@@ -168,12 +169,35 @@ def instruction_from_dict(data: dict[str, Any]) -> Instruction:
     return instruction
 
 
+class _NonFinite(ValueError):
+    """A JSON number that is no finite float."""
+
+
+def _refuse_constant(name: str) -> Any:
+    raise _NonFinite(f"non-finite number {name}")
+
+
+def _finite_float(source: str) -> float:
+    value = float(source)
+    if math.isinf(value):
+        raise _NonFinite(f"number {source} is beyond the float range")
+    return value
+
+
+# `json.loads` reads NaN, Infinity and -Infinity, which are not JSON, and
+# turns a number like 1e999 into inf; one decoder built once refuses them
+# and keeps the C scanner
+_DECODER = json.JSONDecoder(parse_float=_finite_float, parse_constant=_refuse_constant)
+
+
 def decode_json(text: str) -> Any:
     """The JSON value in `text`; ValueError with one reason per way to fail."""
     try:
-        return json.loads(text)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON ({exc.msg})") from exc
+    except _NonFinite:
+        raise
     except ValueError as exc:  # an integer with more digits than int() converts
         raise ValueError(f"integer of more than {sys.get_int_max_str_digits()} digits") from exc
     except RecursionError as exc:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import functools
 import re
 import unicodedata
+from itertools import chain
+from typing import Iterator
 
 from .rules import Level, check_regex, require_language
 
@@ -31,6 +33,7 @@ _WORD_TOKEN = re.compile(r"\S+")
 # attempt would rescan the rest of it
 _EN_SENTENCE_END = re.compile(r"(?<!\S)\S*[.!?](?!\S)")
 _ZH_TERMINAL_RUN = re.compile(r"[。！？…]+")
+_SENTENCE_END = {"en": _EN_SENTENCE_END, "zh": _ZH_TERMINAL_RUN}
 
 #: Tokens that suppress an English sentence split when they end in a
 #: terminator (matched against the whitespace-delimited token, verbatim).
@@ -80,42 +83,56 @@ CHAR_LEVEL_TESTS = {
 }
 
 
-def _paragraphs(text: str) -> list[_Span]:
-    out: list[_Span] = []
+# The splitters, one per level (`_SPLITTERS`): each is a generator that makes
+# a text's elements left to right, as they are read, from (text, language,
+# regex), and reads only what its level needs.
+
+
+def _answer(text: str, language: str, regex: re.Pattern[str] | None) -> Iterator[_Span]:
+    if text:
+        yield text, 0, len(text)
+
+
+def _paragraphs(text: str, language: str, regex: re.Pattern[str] | None) -> Iterator[_Span]:
     prev = 0
     for m in _PARAGRAPH_BREAK.finditer(text):
-        out.append((text[prev : m.start()].strip(), prev, m.start()))
+        content = text[prev : m.start()].strip()
+        if content:
+            yield content, prev, m.start()
         prev = m.end()
-    out.append((text[prev:].strip(), prev, len(text)))
-    return [el for el in out if el[0]]
+    content = text[prev:].strip()
+    if content:
+        yield content, prev, len(text)
 
 
-def _lines(text: str) -> list[_Span]:
-    return [(m[0], m.start(), m.end()) for m in _LINE.finditer(text) if not m[0].isspace()]
+def _lines(text: str, language: str, regex: re.Pattern[str] | None) -> Iterator[_Span]:
+    for m in _LINE.finditer(text):
+        if not m[0].isspace():
+            yield m[0], m.start(), m.end()
 
 
-def _bullets(text: str) -> list[_Span]:
-    return [(m[1], m.start(), m.end()) for m in _BULLET.finditer(text)]
+def _bullets(text: str, language: str, regex: re.Pattern[str] | None) -> Iterator[_Span]:
+    for m in _BULLET.finditer(text):
+        yield m[1], m.start(), m.end()
 
 
-def _sentences(text: str, boundaries: list[int]) -> list[_Span]:
-    """The pieces of `text` cut at `boundaries` and at its end, each stripped
-    of surrounding whitespace, with its trimmed region as the span; blank
-    pieces are dropped."""
-    out: list[_Span] = []
+def _sentences(text: str, language: str, regex: re.Pattern[str] | None) -> Iterator[_Span]:
+    """The pieces of `text` cut after each sentence end and at its end, each
+    stripped of surrounding whitespace, with its trimmed region as the span;
+    blank pieces are dropped.  A Chinese run of terminators is never an
+    English abbreviation, so one filter serves both languages."""
+    ends = (m.end() for m in _SENTENCE_END[language].finditer(text) if m[0] not in EN_ABBREVIATIONS)
     start = 0
-    for end in (*boundaries, len(text)):
+    for end in chain(ends, (len(text),)):
         piece = text[start:end]
         content = piece.strip()
         if content:
             a = start + len(piece) - len(piece.lstrip())
-            out.append((content, a, a + len(content)))
+            yield content, a, a + len(content)
         start = end
-    return out
 
 
-def _words(text: str) -> list[_Span]:
-    out = []
+def _words(text: str, language: str, regex: re.Pattern[str] | None) -> Iterator[_Span]:
     for m in _WORD_TOKEN.finditer(text):
         token = m.group()
         a, b = 0, len(token)
@@ -124,8 +141,38 @@ def _words(text: str) -> list[_Span]:
         while b > a and is_punct_char(token[b - 1]):
             b -= 1
         if a < b:
-            out.append((token[a:b], m.start(), m.end()))
-    return out
+            yield token[a:b], m.start(), m.end()
+
+
+def _puncs(text: str, language: str, regex: re.Pattern[str] | None) -> Iterator[_Span]:
+    for m in _PUNCT_CANDIDATE.finditer(text):
+        if is_punct_char(m[0]):
+            yield m[0], m.start(), m.end()
+
+
+def _matches(fixed: re.Pattern[str] | None):
+    """The splitter whose elements are the matches of `fixed`, or of the
+    step's own regex where `fixed` is None."""
+
+    def matches(text: str, language: str, regex: re.Pattern[str] | None) -> Iterator[_Span]:
+        for m in (fixed or regex).finditer(text):
+            yield m[0], m.start(), m.end()
+
+    return matches
+
+
+_SPLITTERS = {
+    Level.ANSWER: _answer,
+    Level.PARAGRAPH: _paragraphs,
+    Level.LINE: _lines,
+    Level.BULLET: _bullets,
+    Level.SENTENCE: _sentences,
+    Level.WORD: _words,
+    Level.CHARACTER: _matches(_CJK_CHAR),
+    Level.LETTER: _matches(_ASCII_LETTER),
+    Level.PUNC: _puncs,
+    Level.PATTERN: _matches(None),
+}
 
 
 def _chars(text: str, level: Level) -> str:
@@ -136,10 +183,6 @@ def _chars(text: str, level: Level) -> str:
     if level is Level.PUNC:
         return "".join(filter(is_punct_char, _PUNCT_CANDIDATE.findall(text)))
     return _OUTSIDE[level].sub("", text)
-
-
-def _matches(regex: re.Pattern[str], text: str) -> list[_Span]:
-    return [(m.group(), m.start(), m.end()) for m in regex.finditer(text)]
 
 
 def split(text: str, level: Level, language: str = "en", pattern: str | None = None) -> list[_Span]:
@@ -157,31 +200,11 @@ def split(text: str, level: Level, language: str = "en", pattern: str | None = N
 
 
 def _split(text: str, level: Level, language: str, regex: re.Pattern[str] | None) -> list[_Span]:
-    """:func:`split` without its checks, on a compiled regex.
+    """:func:`split` without its checks, on a compiled regex: all that the
+    level's splitter makes.
 
     Neither `language` nor `regex` is checked: callers validate the
     language once, and every procedure step carries a compiled regex
     (`ProcedureStep.regex`) exactly when its level needs one.
     """
-    if level is Level.ANSWER:
-        return [(text, 0, len(text))] if text else []
-    if level is Level.PARAGRAPH:
-        return _paragraphs(text)
-    if level is Level.LINE:
-        return _lines(text)
-    if level is Level.BULLET:
-        return _bullets(text)
-    if level is Level.SENTENCE:
-        if language == "zh":
-            return _sentences(text, [m.end() for m in _ZH_TERMINAL_RUN.finditer(text)])
-        ends = [m.end() for m in _EN_SENTENCE_END.finditer(text) if m[0] not in EN_ABBREVIATIONS]
-        return _sentences(text, ends)
-    if level is Level.WORD:
-        return _words(text)
-    if level is Level.CHARACTER:
-        return _matches(_CJK_CHAR, text)
-    if level is Level.LETTER:
-        return _matches(_ASCII_LETTER, text)
-    if level is Level.PUNC:
-        return [el for el in _matches(_PUNCT_CANDIDATE, text) if is_punct_char(el[0])]
-    return _matches(regex, text)
+    return list(_SPLITTERS[level](text, language, regex))

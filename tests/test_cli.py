@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -485,6 +486,20 @@ class TestReport:
         assert main(["report", *paths]) == EXIT_DATA
         assert capsys.readouterr().err.startswith(f"error: {path}: bad report structure")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_in_a_merged_report(self, scoring_files, tmp_path, capsys, value):
+        first = self.make_report(scoring_files, tmp_path, "r1.json")
+        second = self.make_report(scoring_files, tmp_path, "r2.json")
+        merged = tmp_path / "merged.json"
+        assert main(["report", str(first), str(second), "--format", "structured", "-o", str(merged)]) == EXIT_OK
+        data = json.loads(merged.read_text(encoding="utf-8"))
+        data["overall"]["strict"] = value
+        merged.write_text(json.dumps(data), encoding="utf-8")  # as NaN, Infinity or -Infinity
+        capsys.readouterr()
+        assert main(["report", str(merged)]) == EXIT_DATA
+        literal = json.dumps(value)
+        assert capsys.readouterr().err == f"error: {merged}: non-finite number {literal}\n"
+
     CONTRADICTIONS = {
         "cell": lambda d: d["cells"].append(d["cells"][0]),
         "verdict": lambda d: d["verdicts"].append(d["verdicts"][0]),
@@ -523,7 +538,7 @@ def good_inputs(tmp_path, monkeypatch):
 
 
 class TestDocumentReaders:
-    """Each JSON document the CLI reads fails to load in the same six ways,
+    """Each JSON document the CLI reads fails to load in the same seven ways,
     reported as `<path>: <reason>` with its kind of file's exit code."""
 
     # content of the document (None: nothing at its path) -> reason
@@ -533,6 +548,8 @@ class TestDocumentReaders:
         "malformed": (b"sentence# = 2\n", "malformed JSON (Expecting value)"),
         "huge-integer": (f'{{"seed": {HUGE}}}'.encode(), TOO_LONG),
         "deep": (DEEP.encode(), "JSON nested too deeply"),
+        "nan": (b'{"seed": NaN}', "non-finite number NaN"),
+        "overflow": (b'{"seed": -1e999}', "number -1e999 is beyond the float range"),
         "list": (b"[1, 2]", "not a JSON object but list"),
     }
     # command line for a document at `doc` -> (argv, exit code, message prefix)
@@ -645,6 +662,19 @@ class TestCollectCommand:
         assert main(["collect", str(ins_path), str(config), "-o", str(tmp_path / "o")]) == EXIT_USAGE
         (name,) = overrides
         assert capsys.readouterr().err.startswith(f"error: endpoint config: {name} must be ")
+
+    @pytest.mark.parametrize(
+        "overrides, literal",
+        [({"timeout_s": math.nan}, "NaN"), ({"timeout_s": math.inf}, "Infinity"), ({"retry_backoff_s": math.nan}, "NaN")],
+    )
+    def test_non_finite_value(self, tmp_path, monkeypatch, capsys, overrides, literal):
+        monkeypatch.setenv("LEX_CLI_KEY", "k")
+        config = self.write_endpoint(tmp_path, **overrides)  # json.dumps writes NaN and Infinity
+        ins_path = tmp_path / "ins.jsonl"
+        write_instructions(ins_path, [build_instruction("en-x", "en", "Hi.", (parse_rule("word# >= 0"),))])
+        assert main(["collect", str(ins_path), str(config), "-o", str(tmp_path / "o")]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: endpoint config: {config}: non-finite number {literal}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_jobs_override_the_config(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LEX_CLI_KEY", "k")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -141,6 +142,31 @@ class TestEndpointConfig:
     def test_values_range_checked(self, overrides, message):
         with pytest.raises(ConfigError, match=message):
             EndpointConfig(base_url="http://x", model="m", credential_env="E", **overrides)
+
+    @pytest.mark.parametrize("name", ["temperature", "top_p", "timeout_s", "retry_backoff_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite, not {value}"):
+            EndpointConfig(base_url="http://x", model="m", credential_env="E", **{name: value})
+
+    @pytest.mark.parametrize(
+        "literal, message",
+        [
+            ("NaN", "non-finite number NaN"),
+            ("Infinity", "non-finite number Infinity"),
+            ("-Infinity", "non-finite number -Infinity"),
+            ("1e999", "number 1e999 is beyond the float range"),
+        ],
+    )
+    def test_non_finite_json_numbers_refused(self, tmp_path, literal, message):
+        path = tmp_path / "endpoint.json"
+        path.write_text(
+            f'{{"base_url": "http://x", "model": "m", "credential_env": "E", "timeout_s": {literal}}}',
+            encoding="utf-8",
+        )
+        with pytest.raises(DataError) as info:
+            read_config(EndpointConfig, path)
+        assert str(info.value) == f"{path}: {message}"
 
     def test_zero_backoff_allowed(self):
         config = EndpointConfig(base_url="http://x", model="m", credential_env="E", retry_backoff_s=0)

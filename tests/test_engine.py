@@ -7,9 +7,11 @@ private `_refine` and `_Splits` directly.
 
 from __future__ import annotations
 
+import functools
 import gc
 import random
 import re
+import sys
 import tracemalloc
 
 import pytest
@@ -28,6 +30,7 @@ from lexcheck.rules import (
     ProcedureStep,
     Relation,
     Violation,
+    check_regex,
 )
 from lexcheck.segment import _chars, split
 
@@ -613,6 +616,85 @@ def test_drop_first_cut_shares_the_base_elements():
     assert all(el is base_el for el, base_el in zip(elements, inside))
 
 
+# Each level once, and the regex level with a pattern that matches within
+# words, one that spans whitespace and one anchored at line starts.
+_LEVEL_PATTERNS = tuple((level, None) for level in _PLAIN_LEVELS) + tuple(
+    (Level.PATTERN, source) for source in (r"[0-9]+", r"\w+\s", r"(?m)^\S")
+)
+
+
+def _check_prefix_reads(text: str, language: str, ordinals: list[int]) -> None:
+    """Prefix reads of the response and of every rewrite equal the full
+    split's first elements, and a split made lazily holds no more elements
+    than the largest ordinal read so far; a full read afterwards equals one
+    full split.  The cuts are read before their bases, after prefix reads
+    of their bases (in both cases each cut is split on its own), and after
+    their bases are complete (derived from them)."""
+    for first in ("cuts", "base prefixes", "bases"):
+        splits = _Splits(language)
+        texts = [text]
+        for _, base, a, b in engine._rewrites(text):
+            rewrite = base[a:b]
+            if rewrite not in texts:
+                texts.append(rewrite)
+                if (a, b) != (0, len(base)):
+                    splits.cuts[rewrite] = (base, a, b)
+        bases = [t for t in texts if t not in splits.cuts]
+        for level, source in _LEVEL_PATTERNS:
+            regex = None if source is None else check_regex(source)
+            for base in bases:
+                if first == "base prefixes":
+                    splits.upto(base, level, regex, ordinals[0])
+                elif first == "bases":
+                    splits[base, level, regex]
+            for rewrite in [*splits.cuts, *bases]:
+                full = split(rewrite, level, language, source)
+                key = rewrite, level, regex
+                most = 0
+                for n in ordinals:
+                    most = max(most, n)
+                    elements, shift = splits.upto(rewrite, level, regex, n)
+                    assert _positions((elements[:n], shift)) == full[:n], (rewrite, level, n)
+                    assert (key in splits) != (key in splits.partial), (rewrite, level, n)
+                    if key in splits.partial:
+                        assert len(elements) == most, (rewrite, level, n)
+            for rewrite in texts:
+                key = rewrite, level, regex
+                assert _positions(splits[key]) == split(rewrite, level, language, source), (rewrite, level)
+                assert key not in splits.partial
+
+
+_ORDINALS = st.lists(st.integers(1, 40) | st.just(sys.maxsize + 1), min_size=1, max_size=4)
+
+
+@pytest.mark.parametrize("language", ["en", "zh"])
+@pytest.mark.parametrize("text", _EDGE_TEXTS)
+def test_prefix_reads_equal_full_split_prefixes_on_edge_texts(text, language):
+    _check_prefix_reads(text, language, [1, 2, 3, 1, 4])
+
+
+@settings(max_examples=40, deadline=None)
+@given(*_LOOSE_CASES, _ORDINALS)
+def test_prefix_reads_equal_full_split_prefixes_on_hostile_text(seed, length, shape, language, ordinals):
+    _check_prefix_reads(_hostile_text(seed, length % 3000, _LOOSE_SHAPES[shape]), language, ordinals)
+
+
+@pytest.mark.parametrize(
+    "rule_text",
+    [
+        'word@99999999999999999999999 equal "x"',
+        'word!99999999999999999999999 contain "x"',
+        'word$99999999999999999999999 contain "x"',
+    ],
+)
+def test_ordinals_beyond_sys_maxsize_select_nothing(rule_text):
+    rule = parse_rule(rule_text)
+    assert rule.procedure[-1].predicate.n > sys.maxsize
+    assert not verify_rule(rule, "x x x", "en")
+    verdict = verify_instruction(build_instruction("x", "en", "p", (rule,)), "x\nx x\nx")
+    assert (verdict.strict_pass, verdict.loose_pass) == (False, False)
+
+
 def test_verdict_leaves_no_reference_cycles():
     text = "\n".join(make_long_text(random.Random(seed), "en") for seed in range(3))
     rules = tuple(parse_rule(t) for t in ("line# < 0", "word# < 0", 'paragraph@.sentence@1 contain "zz"'))
@@ -715,27 +797,57 @@ def test_single_character_rules_match_the_oracle_on_hostile_text(seed, length, s
     _check_one_char_rules(seed, text, language)
 
 
-def test_single_character_levels_use_bounded_memory_per_character():
-    """A count, a last element and an ordinal at these levels allocate at
-    most 16 bytes per response character at peak: no tuple per element."""
+@functools.cache
+def _megabyte_response() -> str:
+    """A 1 MB response of long en and zh answers, alternating."""
     rng = random.Random(20261018)
     parts: list[str] = []
     while sum(map(len, parts)) < 1_000_000:
         parts.append(make_long_text(rng, ("en", "zh")[len(parts) % 2]))
-    text = "".join(parts)[:1_000_000]
-    rules = [
-        parse_rule(t)
-        for t in ("letter# > 5", "character# > 5", "punc# > 5", 'letter@-1 equal "x"', 'punc@3 equal ","')
-    ]
+    return "".join(parts)[:1_000_000]
+
+
+def _peak_bytes_per_char(rule_texts: tuple[str, ...]) -> dict[str, float]:
+    """The peak memory `verify_rule` allocates for each rule on the 1 MB
+    response, in bytes per response character."""
+    text = _megabyte_response()
+    rules = [parse_rule(t) for t in rule_texts]
     for rule in rules:
         verify_rule(rule, "a，b汉", "zh")  # fill caches the measurement should not count
+    peaks = {}
     tracemalloc.start()
     try:
-        for rule in rules:
+        for rule_text, rule in zip(rule_texts, rules):
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             verify_rule(rule, text, "zh")
-            per_char = (tracemalloc.get_traced_memory()[1] - before) / len(text)
-            assert per_char <= 16, (rule, per_char)
+            peaks[rule_text] = (tracemalloc.get_traced_memory()[1] - before) / len(text)
     finally:
         tracemalloc.stop()
+    return peaks
+
+
+def test_single_character_levels_use_bounded_memory_per_character():
+    """A count, a last element and an ordinal at these levels allocate at
+    most 16 bytes per response character at peak: no tuple per element."""
+    rule_texts = ("letter# > 5", "character# > 5", "punc# > 5", 'letter@-1 equal "x"', 'punc@3 equal ","')
+    for rule_text, per_char in _peak_bytes_per_char(rule_texts).items():
+        assert per_char <= 16, (rule_text, per_char)
+
+
+def test_prefix_reads_split_only_as_far_as_they_read():
+    """`@n`, `!n` and `$n` make only the first n elements: at most 1 byte
+    per response character at peak, where a full split made one tuple per
+    element.  `line$1` also copies the text after the first line, which
+    takes up to 2 bytes per character in a string of CJK text."""
+    bounds = {
+        'word@1 equal "x"': 1,
+        'sentence!2 contain "x"': 1,
+        'paragraph@2 equal "x"': 1,
+        'bullet@1 equal "x"': 1,
+        'pattern(/[0-9]+/)@1 equal "x"': 1,
+        'punc!3 contain ","': 1,
+        'line$1 contain "x"': 4,
+    }
+    for rule_text, per_char in _peak_bytes_per_char(tuple(bounds)).items():
+        assert per_char <= bounds[rule_text], (rule_text, per_char)

@@ -230,6 +230,28 @@ class TestStructuredRoundTrip:
         with pytest.raises(DataError, match="bad report structure"):
             load_report(wrong)
 
+    @pytest.mark.parametrize(
+        "literal, message",
+        [
+            ("NaN", "non-finite number NaN"),
+            ("Infinity", "non-finite number Infinity"),
+            ("-Infinity", "non-finite number -Infinity"),
+            ("1e999", "number 1e999 is beyond the float range"),
+        ],
+    )
+    def test_non_finite_rate_refused(self, small_eval, tmp_path, literal, message):
+        """A merged report's slices are read as written, so a rate that is
+        no finite number must be refused where the file is decoded."""
+        instructions, responses = small_eval
+        runs = [score(instructions, responses), score(instructions, {rid: "Other." for rid in responses})]
+        data = report_to_dict(merge(runs))
+        data["overall"]["strict"] = 12345.678
+        path = tmp_path / "merged.json"
+        path.write_text(json.dumps(data).replace("12345.678", literal), encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            load_report(path)
+        assert str(info.value) == f"{path}: {message}"
+
     BROKEN = {
         "report": (lambda d: d.pop("verdicts"), "missing required keys: ['verdicts']"),
         "slice": (lambda d: d["overall"].pop("n"), "missing required keys: ['n']"),
