@@ -13,7 +13,7 @@ import functools
 import re
 import unicodedata
 from itertools import chain
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .rules import Level, check_regex, require_language
 
@@ -150,7 +150,7 @@ def _puncs(text: str, language: str, regex: re.Pattern[str] | None) -> Iterator[
             yield m[0], m.start(), m.end()
 
 
-def _matches(fixed: re.Pattern[str] | None):
+def _matches(fixed: re.Pattern[str] | None) -> Callable[[str, str, re.Pattern[str] | None], Iterator[_Span]]:
     """The splitter whose elements are the matches of `fixed`, or of the
     step's own regex where `fixed` is None."""
 
