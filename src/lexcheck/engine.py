@@ -160,9 +160,8 @@ class _Splits(dict):
         """`text`'s (elements, shift) at `level` with at least the first `n`
         elements made, or all of them if there are fewer.
 
-        A cut whose base is complete at a level in `_DERIVE` is derived in
-        full, which costs less than splitting it; any other key is split
-        lazily on its own, with shift 0.
+        A key not yet complete, a cut too, is split lazily on its own, with
+        shift 0.
         """
         key = text, level, regex
         found = self.get(key)
@@ -170,9 +169,6 @@ class _Splits(dict):
             return found
         part = self.partial.pop(key, None)
         if part is None:
-            cut = self.cuts.get(text)
-            if cut is not None and level in _DERIVE and (cut[0], level, None) in self:
-                return self[key]
             part = [], _SPLITTERS[level](text, self.language, regex)
         elements, rest = part
         if len(elements) < n:
@@ -249,9 +245,9 @@ def _edges_resplit(inside: list[_Span], shift: int, text: str, level: Level, lan
 #: split by itself at the levels not listed (answer and pattern: a regex's
 #: ``^``, ``\s`` and lookarounds see across lines).  A cut is derived only
 #: from its base's complete split: a prefix of the base may end before the
-#: cut does, and its last element may still change at the cut's end.  Until
-#: the base is complete, `_Splits.upto` splits the cut lazily on its own,
-#: which gives the same elements with shift 0.
+#: cut does, and its last element may still change at the cut's end.  A
+#: prefix read (`_Splits.upto`) splits the cut lazily on its own, which
+#: gives the same elements with shift 0.
 _DERIVE = {
     Level.LINE: _kept,
     Level.BULLET: _kept,

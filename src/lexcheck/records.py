@@ -193,6 +193,8 @@ _DECODER = json.JSONDecoder(parse_float=_finite_float, parse_constant=_refuse_co
 def decode_json(text: str) -> Any:
     """The JSON value in `text`; ValueError with one reason per way to fail."""
     try:
+        if text.startswith("\ufeff"):  # as `json.loads` checks before it decodes
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
         return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON ({exc.msg})") from exc

@@ -546,6 +546,7 @@ class TestDocumentReaders:
         "missing": (None, "cannot open (No such file or directory)"),
         "not-utf8": (b'{"model": "\xff"}', "not valid UTF-8 (byte 11)"),
         "malformed": (b"sentence# = 2\n", "malformed JSON (Expecting value)"),
+        "bom": (b'\xef\xbb\xbf{"seed": 1}', "malformed JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"),
         "huge-integer": (f'{{"seed": {HUGE}}}'.encode(), TOO_LONG),
         "deep": (DEEP.encode(), "JSON nested too deeply"),
         "nan": (b'{"seed": NaN}', "non-finite number NaN"),

@@ -628,8 +628,8 @@ def _check_prefix_reads(text: str, language: str, ordinals: list[int]) -> None:
     split's first elements, and a split made lazily holds no more elements
     than the largest ordinal read so far; a full read afterwards equals one
     full split.  The cuts are read before their bases, after prefix reads
-    of their bases (in both cases each cut is split on its own), and after
-    their bases are complete (derived from them)."""
+    of their bases, and after their bases are complete; a prefix read
+    splits each cut on its own."""
     for first in ("cuts", "base prefixes", "bases"):
         splits = _Splits(language)
         texts = [text]
