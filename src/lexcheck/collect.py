@@ -56,6 +56,13 @@ class EndpointConfig:
                 raise ConfigError(f"{name} must be > 0, not {getattr(self, name)}")
         if self.retry_backoff_s < 0:
             raise ConfigError(f"retry_backoff_s must be >= 0, not {self.retry_backoff_s}")
+        # a socket timeout or a sleep longer than the platform's clock can
+        # hold raises OverflowError; the longest sleep is the last backoff
+        if self.timeout_s > threading.TIMEOUT_MAX:
+            raise ConfigError(f"timeout_s must be <= {threading.TIMEOUT_MAX}, not {self.timeout_s}")
+        if self.retry_backoff_s * 2 ** (MAX_ATTEMPTS - 2) > threading.TIMEOUT_MAX:
+            limit = threading.TIMEOUT_MAX / 2 ** (MAX_ATTEMPTS - 2)
+            raise ConfigError(f"retry_backoff_s must be <= {limit}, not {self.retry_backoff_s}")
 
     def credential(self) -> str:
         value = os.environ.get(self.credential_env, "")

@@ -22,6 +22,7 @@ import re
 import sys
 
 from .rules import (
+    VALUES,
     Level,
     PredicateKind,
     ProcedureStep,
@@ -60,8 +61,8 @@ _NUM_RELATION_SYMBOLS = (
     (">", Relation.GT),
     ("<", Relation.LT),
 )
-_RELATION_SYMBOL = {rel: sym for sym, rel in _NUM_RELATION_SYMBOLS}
 _RELATIONS = dict(_NUM_RELATION_SYMBOLS) | {r.value: r for r in Relation if not r.is_numerical}
+_RELATION_SYMBOL = {rel: sym for sym, rel in _RELATIONS.items()}
 _VALUE_ESCAPES = {'"': '"', "\\": "\\", "n": "\n"}
 
 # Each token is matched whole at the current position.  Names are ASCII
@@ -223,9 +224,9 @@ def format_rule(rule: Rule) -> str:
         if step.level is Level.PATTERN:
             base = f"pattern(/{_escape_regex_body(step.pattern or '')}/)"
         else:
-            base = step.level.value
+            base = VALUES[step.level]
         parts.append(base + _format_predicate(step))
-    relation = _RELATION_SYMBOL.get(rule.relation, rule.relation.value)
+    relation = _RELATION_SYMBOL[rule.relation]
     if isinstance(rule.value, str):
         value = _escape_value(rule.value)
     else:

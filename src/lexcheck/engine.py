@@ -1,9 +1,12 @@
 """Rule verification: scope refinement, target extraction, adjudication.
 
-Verification starts from the whole answer as the only selected text, applies
-each selection step in order, and finally compares what survives against the
-rule's value.  Comparisons quantify universally: every selected text (or
-per-text count) must satisfy the relation, and an empty selection fails.
+Verification starts from the whole answer as the only selected text and
+walks each selected text through the remaining selection steps, depth
+first, before it selects the next; at the end of each path it compares what
+was selected, or counted, against the rule's value.  Comparisons quantify
+universally: every selected text (or per-text count) must satisfy the
+relation, and an empty selection fails.  So the first value that fails
+decides the rule, and the walk stops there.
 """
 
 from __future__ import annotations
@@ -13,8 +16,9 @@ import re
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator, Sequence, TypeVar
+from functools import partial
+from itertools import chain, islice, pairwise, repeat
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .rules import (
     Instruction,
@@ -30,54 +34,47 @@ from .segment import _SPLITTERS, CHAR_LEVEL_TESTS, _chars, _Span, _split
 _T = TypeVar("_T")
 
 
-def _select(elements: Sequence[_T], n: int) -> _T | None:
+def _nth(elements: Sequence[_T], n: int) -> _T | None:
     if n == -1:
         return elements[-1] if elements else None
     return elements[n - 1] if 1 <= n <= len(elements) else None
 
 
-def _refine(texts: list[str], step: ProcedureStep, splits: _Splits) -> list[str]:
-    """Apply one non-count step to every text, preserving order.
+def _select(step: ProcedureStep, splits: _Splits, text: str) -> Iterable[str]:
+    """The texts one step selects from `text`, in order, made as they are read.
 
-    `splits` gives each text's elements at the step's level, with the shift
-    to subtract from their spans; `@n`, `!n` and `$n` read only the first n
-    (`_Splits.upto`).  Out-of-range ordinals simply contribute no texts;
-    they are not errors.
-    `before`/`after` keep the raw text on the named side of the element's
-    span; `between` keeps the raw text separating consecutive elements.
+    `@` and `%` read `text`'s elements through `_Splits.each`, which makes
+    them only as far as they are read; `@n`, `!n` and `$n` read the first n
+    (`_Splits.upto`), and `@-1` the whole split.  Out-of-range ordinals
+    simply select nothing; they are not errors.
+    `before`/`after` select the raw text on the named side of the element's
+    span; `between` the raw text separating consecutive elements.
     At a single-character level (`segment.CHAR_LEVEL_TESTS`) `all` and
     `index` read only the elements' contents, so they read them from one
     string, `splits.chars`.
     """
-    kind = step.predicate.kind
-    out: list[str] = []
-    if step.level in CHAR_LEVEL_TESTS and kind in (PredicateKind.ALL, PredicateKind.INDEX):
-        for text in texts:
-            chars = splits.chars(text, step.level)
-            if kind is PredicateKind.ALL:
-                out.extend(chars)
-            elif (ch := _select(chars, step.predicate.n)) is not None:
-                out.append(ch)
-        return out
-    level, regex, n = step.level, step.regex, step.predicate.n
-    prefix = n is not None and n > 0
-    for text in texts:
-        elements, shift = splits.upto(text, level, regex, n) if prefix else splits[text, level, regex]
+    kind, n = step.predicate.kind, step.predicate.n
+    level, regex = step.level, step.regex
+    if level in CHAR_LEVEL_TESTS and kind in (PredicateKind.ALL, PredicateKind.INDEX):
+        chars = splits.chars(text, level)
         if kind is PredicateKind.ALL:
-            out.extend(el[0] for el in elements)
-        elif kind is PredicateKind.BETWEEN:
-            out.extend(text[left[2] - shift : right[1] - shift] for left, right in zip(elements, elements[1:]))
-        else:
-            el = _select(elements, n)
-            if el is None:
-                continue
-            if kind is PredicateKind.INDEX:
-                out.append(el[0])
-            elif kind is PredicateKind.BEFORE:
-                out.append(text[: el[1] - shift])
-            else:  # AFTER
-                out.append(text[el[2] - shift :])
-    return out
+            return chars
+        ch = _nth(chars, n)
+        return () if ch is None else (ch,)
+    if kind is PredicateKind.ALL:
+        return map(_CONTENT, splits.each(text, level, regex)[0])
+    if kind is PredicateKind.BETWEEN:
+        elements, shift = splits.each(text, level, regex)
+        return (text[left[2] - shift : right[1] - shift] for left, right in pairwise(elements))
+    elements, shift = splits.upto(text, level, regex, n) if n > 0 else splits[text, level, regex]
+    el = _nth(elements, n)
+    if el is None:
+        return ()
+    if kind is PredicateKind.INDEX:
+        return (el[0],)
+    if kind is PredicateKind.BEFORE:
+        return (text[: el[1] - shift],)
+    return (text[el[2] - shift :],)  # AFTER
 
 
 #: relation -> test(observed, value): a count against an integer, or a
@@ -110,12 +107,15 @@ class _Splits(dict):
 
     A complete value is a pair (elements, shift): each element's start and
     end, less `shift`, are its span in the text.  A text split by itself has
-    shift 0.  Reading a key by item splits it to the end.
-    :meth:`upto` splits only as far as a step reads: a key it has begun but
-    not finished is not in the dict but in `partial`, as the elements made
-    so far and the running splitter that makes the rest
-    (`segment._SPLITTERS`), so every read of a complete key stays one dict
-    hit.
+    shift 0.  Reading a key by item splits it to the end; `@-1` and the
+    base of a derived cut read so.
+    :meth:`upto` and :meth:`each` split only as far as a step reads: `@n`,
+    `!n`, `$n` and a `#` count (up to the rule's value + 1) through `upto`,
+    `@` and `%` through `each`, in growing runs, until the walk stops.  A key
+    they have begun but not finished is not in the dict but in `partial`,
+    as the elements made so far and the running splitter that makes the
+    rest (`segment._SPLITTERS`), so every read of a complete key stays one
+    dict hit.
     `cuts` maps a text to (base, a, b) when the text is ``base[a:b]``, with
     `a` at 0 or just after a newline and `b` at a newline or the end.  At a
     level in `_DERIVE` such a text's elements are derived from the base's
@@ -180,6 +180,29 @@ class _Splits(dict):
         self.partial[key] = part
         return elements, 0
 
+    def each(self, text: str, level: Level, regex: re.Pattern[str] | None) -> tuple[Iterable[_Span], int]:
+        """`text`'s elements at `level` with their shift, made as they are
+        read: `_RUN` of them first, through :meth:`upto`, then at each
+        further run `_RUN` times as many as are made.  A split that is
+        complete, or ends within the first run, is its own list."""
+        found = self.upto(text, level, regex, _RUN)
+        if (text, level, regex) in self:
+            return found
+        return chain.from_iterable(self._runs(text, level, regex, found[0])), 0
+
+    def _runs(
+        self, text: str, level: Level, regex: re.Pattern[str] | None, elements: list[_Span]
+    ) -> Iterator[list[_Span]]:
+        done = len(elements)
+        yield elements[:done]
+        while True:
+            want = _RUN * done
+            elements, _ = self.upto(text, level, regex, want)
+            yield elements[done:]
+            if len(elements) < want:  # the split has ended
+                return
+            done = len(elements)
+
     def __missing__(self, key: tuple[str, Level, re.Pattern[str] | None]) -> _Shifted:
         text, level, regex = key
         part = self.partial.pop(key, None)
@@ -199,6 +222,13 @@ class _Splits(dict):
         return found
 
 
+#: How many elements `_Splits.each` makes in its first run, and the factor
+#: each further run grows by.  A read that stops at the first element still
+#: makes up to this many, but a split that ends within them (as most lines
+#: and sentences a nested step reads do) needs no second run, which costs
+#: more than the few elements made in vain.
+_RUN = 8
+_CONTENT = operator.itemgetter(0)
 _START = operator.itemgetter(1)
 _END = operator.itemgetter(2)
 # One cached split: the elements and the shift to subtract from their spans.
@@ -246,8 +276,8 @@ def _edges_resplit(inside: list[_Span], shift: int, text: str, level: Level, lan
 #: ``^``, ``\s`` and lookarounds see across lines).  A cut is derived only
 #: from its base's complete split: a prefix of the base may end before the
 #: cut does, and its last element may still change at the cut's end.  A
-#: prefix read (`_Splits.upto`) splits the cut lazily on its own, which
-#: gives the same elements with shift 0.
+#: lazy read (`_Splits.upto`, `_Splits.each`) splits the cut on its own,
+#: which gives the same elements with shift 0.
 _DERIVE = {
     Level.LINE: _kept,
     Level.BULLET: _kept,
@@ -263,21 +293,30 @@ _DERIVE = {
 def _holds(rule: Rule, full_text: str, splits: _Splits) -> bool:
     """verify_rule with the language held by `splits`.
 
-    Callers that pass one `splits` split each text at most once per level
-    and pattern.
+    Depth first: each selected text goes through the remaining steps before
+    the next one is selected, and the first observed value that fails the
+    relation decides the rule.  A `#` count at a tuple level reads at most
+    value + 1 elements: `upto` gives c' of the c elements with
+    min(c, value + 1) <= c' <= c, and c' compares with the value as c does
+    under every numerical relation.  Callers that pass one `splits` split
+    each text at most once per level and pattern.
     """
     *steps, terminal = rule.procedure
-    texts = [full_text]
+    texts: Iterable[str] = (full_text,)
     for step in steps:
-        texts = _refine(texts, step, splits)
+        texts = chain.from_iterable(map(partial(_select, step, splits), texts))
+    level, regex, value = terminal.level, terminal.regex, rule.value
+    observed: Iterator
     if terminal.predicate.kind is not PredicateKind.COUNT:
-        observed: list = _refine(texts, terminal, splits)
-    elif terminal.level in CHAR_LEVEL_TESTS:
-        observed = [len(splits.chars(text, terminal.level)) for text in texts]
+        observed = chain.from_iterable(map(partial(_select, terminal, splits), texts))
+    elif level in CHAR_LEVEL_TESTS:
+        observed = (len(splits.chars(text, level)) for text in texts)
     else:
-        observed = [len(splits[text, terminal.level, terminal.regex][0]) for text in texts]
+        observed = (len(splits.upto(text, level, regex, value + 1)[0]) for text in texts)
     test = _COMPARE[rule.relation]
-    return bool(observed) and all(test(x, rule.value) for x in observed)
+    for first in observed:  # at least one value, and none fails
+        return test(first, value) and all(map(test, observed, repeat(value)))
+    return False
 
 
 #: The relaxed rewrites in the order they are tried: id -> (strip asterisks,

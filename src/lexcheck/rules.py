@@ -170,6 +170,13 @@ ALLOWED_RELATIONS: dict[PredicateKind, tuple[Relation, ...]] = {
 #: The relations that compare an element count against an integer.
 _NUMERICAL_RELATIONS = frozenset(ALLOWED_RELATIONS[PredicateKind.COUNT])
 
+#: Each level, predicate kind and relation -> its value.  ``member.value``
+#: goes through the enum's Python-level descriptor on every read; rendering
+#: reads these values in a loop, so it looks them up here.
+VALUES: dict[Level | PredicateKind | Relation, str] = {
+    member: member.value for members in (Level, PredicateKind, Relation) for member in members
+}
+
 
 _ESCAPE_PAIR = re.compile(r"\\(.)", re.DOTALL)
 

@@ -26,6 +26,7 @@ from .records import read_json
 from .rules import (
     ALLOWED_RELATIONS,
     LANGUAGES,
+    VALUES,
     Level,
     PredicateKind,
     ProcedureStep,
@@ -229,12 +230,13 @@ def render_rule_sentence(rule: Rule, language: str, registry: dict[TemplateKey, 
     steps = rule.procedure
     terminal = steps[-1]
     kind = terminal.predicate.kind
-    key = (kind.value, rule.relation.value, language)
+    kind_name = VALUES[kind]
+    key = (kind_name, VALUES[rule.relation], language)
     template = reg.get(key)
     if template is None:
         raise MissingTemplateError(*key)
 
-    prefixes = [_phrase(s.predicate.kind.value, s, language) for s in steps[:-1]]
+    prefixes = [_phrase(VALUES[s.predicate.kind], s, language) for s in steps[:-1]]
     position = level = ""
     if kind is PredicateKind.COUNT:
         # the innermost container is the position being counted in
@@ -242,7 +244,7 @@ def render_rule_sentence(rule: Rule, language: str, registry: dict[TemplateKey, 
         one = rule.value == 1 and rule.relation is not Relation.NEQ
         level = _phrase("count of one" if one else "count", terminal, language)
     elif kind in (PredicateKind.INDEX, PredicateKind.ALL):
-        position = _phrase(kind.value, terminal, language)
+        position = _phrase(kind_name, terminal, language)
     elif kind in (PredicateKind.BEFORE, PredicateKind.AFTER):
         # the template frames the element; the position names it
         position = _phrase("index", terminal, language)
@@ -251,7 +253,7 @@ def render_rule_sentence(rule: Rule, language: str, registry: dict[TemplateKey, 
 
     value = _escape_value(rule.value) if isinstance(rule.value, str) else str(rule.value)
     fields = {"n": str(rule.value), "value": value, "position": position, "level": level}
-    core = template.format_map({name: fields[name] for name in _PLACEHOLDERS[kind.value]})
+    core = template.format_map({name: fields[name] for name in _PLACEHOLDERS[kind_name]})
     return _assemble(prefixes, core, language)
 
 

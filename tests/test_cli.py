@@ -664,6 +664,19 @@ class TestCollectCommand:
         (name,) = overrides
         assert capsys.readouterr().err.startswith(f"error: endpoint config: {name} must be ")
 
+    @pytest.mark.parametrize("name", ["timeout_s", "retry_backoff_s"])
+    @pytest.mark.parametrize("value", [1e300, 10**400], ids=["float", "401-digit-int"])
+    def test_value_beyond_the_platform_clock(self, tmp_path, monkeypatch, capsys, name, value):
+        """A finite value too large for a socket timeout or a sleep is refused
+        where the config enters, not raised as OverflowError mid-run."""
+        monkeypatch.setenv("LEX_CLI_KEY", "k")
+        config = self.write_endpoint(tmp_path, **{name: value})
+        ins_path = tmp_path / "ins.jsonl"
+        write_instructions(ins_path, [build_instruction("en-x", "en", "Hi.", (parse_rule("word# >= 0"),))])
+        assert main(["collect", str(ins_path), str(config), "-o", str(tmp_path / "o")]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: endpoint config: {name} must be <= ")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "overrides, literal",
         [({"timeout_s": math.nan}, "NaN"), ({"timeout_s": math.inf}, "Infinity"), ({"retry_backoff_s": math.nan}, "NaN")],

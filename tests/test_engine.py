@@ -2,7 +2,7 @@
 
 The stage classes check each stage of the pipeline through `verify_rule`;
 the refinement property and the split-cache checks at the end call the
-private `_refine` and `_Splits` directly.
+private selector `_select` and `_Splits` directly.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from helpers import build_instruction, make_long_text, make_text, sample_rules, 
 from oracle import LOOSE_REWRITES, brute_loose_variant, brute_verify, split_level
 from lexcheck import engine
 from lexcheck.dsl import parse_rule
-from lexcheck.engine import _refine, _Splits, verify_instruction, verify_rule
+from lexcheck.engine import _select, _Splits, verify_instruction, verify_rule
 from lexcheck.generate import stable_id
 from lexcheck.rules import (
     Level,
@@ -329,7 +329,7 @@ def test_refinement_never_grows_total_text(seed, language):
             steps = steps[:-1]
         for step in steps:
             before = sum(map(len, texts))
-            texts = _refine(texts, step, splits)
+            texts = [t for text in texts for t in _select(step, splits, text)]
             assert sum(map(len, texts)) <= before
 
 
@@ -587,7 +587,7 @@ def _check_shifted_refine(text: str, language: str) -> None:
         for level in _PLAIN_LEVELS:
             for predicate in _SPAN_PREDICATES:
                 step = ProcedureStep(level, predicate)
-                assert _refine([rewrite], step, splits) == _refine([rewrite], step, fresh), (rewrite, step)
+                assert list(_select(step, splits, rewrite)) == list(_select(step, fresh, rewrite)), (rewrite, step)
 
 
 @pytest.mark.parametrize("language", ["en", "zh"])
@@ -851,3 +851,86 @@ def test_prefix_reads_split_only_as_far_as_they_read():
     }
     for rule_text, per_char in _peak_bytes_per_char(tuple(bounds)).items():
         assert per_char <= bounds[rule_text], (rule_text, per_char)
+
+
+def test_early_decisions_split_only_as_far_as_they_read():
+    """A rule is decided at its first failing value, and a count reads at
+    most value + 1 elements: each of these fails at its first selected text
+    or passes after a few elements, so it peaks at 1 byte per response
+    character at most, where every selected text or full count made one
+    tuple per element."""
+    rule_texts = (
+        'word@ equal "x"',
+        'sentence% equal "x"',
+        'line@.word@ equal "x"',
+        "word# > 5",
+        "sentence# > 5",
+        "pattern(/[0-9]+/)# > 2",
+        "paragraph@.sentence# < 2",
+    )
+    for rule_text, per_char in _peak_bytes_per_char(rule_texts).items():
+        assert per_char <= 1, (rule_text, per_char)
+
+
+# The six numerical relations by their rule symbol.
+_COUNT_RELATIONS = {
+    "=": int.__eq__,
+    "!=": int.__ne__,
+    ">": int.__gt__,
+    ">=": int.__ge__,
+    "<": int.__lt__,
+    "<=": int.__le__,
+}
+# The count levels whose elements are tuples; each regex matches once per
+# element of _counted_text.
+_TUPLE_COUNT_LEVELS = (
+    "paragraph",
+    "line",
+    "bullet",
+    "sentence",
+    "word",
+    "pattern(/[a-z]+/)",
+    "pattern(/\\./)",
+    "pattern(/(?m)^-/)",
+)
+
+
+def _counted_text(stems: list[str], gap: int) -> str:
+    """One element per stem at every level of _TUPLE_COUNT_LEVELS: each stem
+    is a paragraph of one line, a bullet, a sentence and a word."""
+    return ("\n" * gap).join(f"- x{stem}." for stem in stems)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.text("abcdefghijklmnopqrstuvwxyz", max_size=4), max_size=10), st.integers(2, 3))
+def test_capped_counts_decide_as_full_counts_at_their_edges(stems, gap):
+    """`#` reads at most value + 1 elements: with exactly c elements, every
+    relation at values c - 1, c and c + 1 (and below, where a prefix read
+    leaves more than value + 1 made) decides as the full count does and as
+    the oracle does, whether a longer prefix read of the same key came
+    first or a full read comes after."""
+    text = _counted_text(stems, gap)
+    c = len(stems)
+    for level in _TUPLE_COUNT_LEVELS:
+        step = parse_rule(f"{level}# = 0").procedure[-1]
+        elements = split(text, step.level, "en", step.pattern)
+        assert len(elements) == c, (level, elements)
+        key = text, step.level, step.regex
+        for v in range(max(c - 3, 0), c + 2):
+            for symbol, compare in _COUNT_RELATIONS.items():
+                rule = parse_rule(f"{level}# {symbol} {v}")
+                expected = compare(c, v)
+                assert brute_verify(rule, text, "en") == expected, rule
+                # a prefix read of all c first: a partial entry, longer than
+                # value + 1 where v + 1 < c, which the count reads
+                splits = _Splits("en")
+                splits.upto(*key, c)
+                assert key in splits.partial
+                assert engine._holds(rule, text, splits) == expected, rule
+                # the capped count first, then a full read of the same key
+                splits = _Splits("en")
+                assert engine._holds(rule, text, splits) == expected, rule
+                if c > v:  # v + 1 made, and the end of the split not seen
+                    assert len(splits.partial[key][0]) == v + 1, rule
+                assert splits[key] == (elements, 0), rule
+                assert engine._holds(rule, text, splits) == expected, rule

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from helpers import make_text, write_responses
+from lexcheck.generate import GenConfig, generate_dataset
+from lexcheck.records import write_instructions
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -50,3 +55,22 @@ def test_build_benchmark_writes_the_full_datasets(tmp_path, hash_seed):
         assert f"instructions_{language}.jsonl: " in done.stdout
         assert f"easy/medium/hard) sha256 {digest}\n" in done.stdout
     assert "built 2475 instructions" in done.stdout
+
+
+def test_report_digests_prints_one_digest_per_report(tmp_path):
+    """Seven reports, each named by its settings; the loose and strict-only
+    structured reports differ, and --jobs 2 writes the jobs=1 bytes."""
+    instructions = generate_dataset(GenConfig(seed=5, language="en", easy=4, medium=4, hard=4))
+    rng = random.Random(5)
+    write_instructions(tmp_path / "ins.jsonl", instructions)
+    write_responses(tmp_path / "res.jsonl", [{"id": ins.id, "response": make_text(rng, "en")} for ins in instructions])
+    done = _run("report_digests.py", "ins.jsonl", "res.jsonl", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    digests = dict(line.split(": ") for line in done.stdout.splitlines())
+    assert list(digests) == [
+        f"{fmt} {mode} jobs=1" for mode in ("loose", "strict-only") for fmt in ("structured", "table", "csv")
+    ] + ["structured loose jobs=2"]
+    assert all(len(d) == 64 for d in digests.values())
+    assert digests["structured loose jobs=2"] == digests["structured loose jobs=1"]
+    assert digests["structured loose jobs=1"] != digests["structured strict-only jobs=1"]
+    assert set(os.listdir(tmp_path)) == {"ins.jsonl", "res.jsonl"}  # the reports went to a temporary directory

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import oracle
 from helpers import make_text
 from lexcheck.dsl import parse_rule
-from lexcheck.engine import _refine, _Splits, verify_rule
+from lexcheck.engine import _select, _Splits, verify_rule
 from lexcheck.rules import Level
 from lexcheck.segment import _chars, is_ascii_letter, is_cjk_char, is_punct_char, split
 
@@ -271,7 +271,7 @@ class TestGaps:
         text = "one. two. three."
         assert holds('sentence% equal " "', text)
         step = parse_rule('sentence% equal " "').procedure[-1]
-        assert len(_refine([text], step, _Splits("en"))) == len(split(text, Level.SENTENCE)) - 1
+        assert len(list(_select(step, _Splits("en"), text))) == len(split(text, Level.SENTENCE)) - 1
 
     def test_no_gap_for_zero_or_one_element(self):
         # an empty selection fails even a rule every gap would satisfy
