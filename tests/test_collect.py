@@ -22,6 +22,19 @@ from lexcheck.dsl import parse_rule
 from lexcheck.records import DataError, read_config, read_responses, write_instructions
 
 
+def _completion(content) -> bytes:
+    return json.dumps({"choices": [{"message": {"content": content}}]}).encode("utf-8")
+
+
+# prompt -> the body of a 200 reply that holds no usable completion
+_BAD_BODIES = {
+    "BADJSON": b'{"choices": [',
+    "UTF16 body": b"\xff\xfe" + _completion("hi").decode("ascii").encode("utf-16-le"),
+    "NOCHOICES": b'{"error": "none"}',
+    "NONSTRING": _completion(5),
+}
+
+
 class _StubHandler(BaseHTTPRequestHandler):
     """Behavior is driven by markers embedded in the prompt text."""
 
@@ -34,6 +47,8 @@ class _StubHandler(BaseHTTPRequestHandler):
                 {
                     "path": self.path,
                     "auth": self.headers.get("Authorization"),
+                    "content_type": self.headers.get("Content-Type"),
+                    "user_agent": self.headers.get("User-Agent"),
                     "payload": payload,
                     "prompt": prompt,
                 }
@@ -49,10 +64,21 @@ class _StubHandler(BaseHTTPRequestHandler):
         if "FLAKY" in prompt and seen < MAX_ATTEMPTS - 1:
             self._reply(500, b"boom")
             return
+        if "RATELIMIT" in prompt:
+            self._reply(429, b"slow down")
+            return
+        if "STALL" in prompt:  # no reply within the client's timeout
+            self.server.stop.wait(5)
+            return
+        if "HANGUP" in prompt:  # the connection closes without a status line
+            return
+        if prompt in _BAD_BODIES:
+            self._reply(200, _BAD_BODIES[prompt], content_type="application/json")
+            return
         body = json.dumps(
             {"choices": [{"message": {"content": f"echo:{prompt.splitlines()[0]}"}}]}
         ).encode("utf-8")
-        self._reply(200, body, content_type="application/json")
+        self._reply(201 if "CREATED" in prompt else 200, body, content_type="application/json")
 
     def _reply(self, status: int, body: bytes, content_type: str = "text/plain"):
         self.send_response(status)
@@ -71,10 +97,13 @@ def stub_server():
     server.lock = threading.Lock()
     server.requests = []
     server.counts = {}
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    server.stop = threading.Event()
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     yield server
+    server.stop.set()
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
 
 
@@ -312,6 +341,62 @@ class TestCollect:
         with pytest.raises(ConfigError):
             collect(ins_path, config, tmp_path / "out.jsonl")
         assert stub_server.requests == []
+
+    def test_request_carries_json_and_bearer_headers(self, stub_server, config, tmp_path):
+        ins_path = tmp_path / "ins.jsonl"
+        make_instructions(ins_path, ["Headers."])
+        collect(ins_path, config, tmp_path / "out.jsonl")
+        [request] = stub_server.requests
+        assert request["content_type"] == "application/json"
+        assert request["auth"] == "Bearer secret-token"
+
+    def test_status_and_excerpt_recorded(self, stub_server, config, tmp_path):
+        ins_path = tmp_path / "ins.jsonl"
+        out_path = tmp_path / "out.jsonl"
+        make_instructions(ins_path, ["PERMFAIL"])
+        collect(ins_path, config, out_path)
+        errors_path = tmp_path / "out.jsonl.errors.jsonl"
+        assert [json.loads(l) for l in errors_path.read_text().splitlines()] == [
+            {"id": "en-0000", "error": "HTTP 404: gone"}
+        ]
+
+    @pytest.mark.parametrize("prompt", ["RATELIMIT", "HANGUP"])
+    def test_rate_limit_and_hangup_are_transient(self, stub_server, config, tmp_path, prompt):
+        ins_path = tmp_path / "ins.jsonl"
+        out_path = tmp_path / "out.jsonl"
+        make_instructions(ins_path, [prompt])
+        result = collect(ins_path, config, out_path)
+        assert result.failed == ("en-0000",)
+        assert stub_server.counts[prompt] == MAX_ATTEMPTS
+        errors_path = tmp_path / "out.jsonl.errors.jsonl"
+        [error] = [json.loads(l) for l in errors_path.read_text().splitlines()]
+        assert error["error"].startswith(f"gave up after {MAX_ATTEMPTS} attempts: ")
+
+    def test_read_timeout_is_retried_then_recorded(self, stub_server, config, tmp_path):
+        config.timeout_s = 0.2
+        ins_path = tmp_path / "ins.jsonl"
+        out_path = tmp_path / "out.jsonl"
+        make_instructions(ins_path, ["STALL", "Fine."])
+        result = collect(ins_path, config, out_path)
+        assert result == CollectResult(requested=2, completed=1, skipped=0, failed=("en-0000",))
+        assert stub_server.counts["STALL"] == MAX_ATTEMPTS
+        assert set(read_responses(out_path)) == {"en-0001"}
+        errors_path = tmp_path / "out.jsonl.errors.jsonl"
+        [error] = [json.loads(l) for l in errors_path.read_text().splitlines()]
+        assert error["error"].startswith(f"gave up after {MAX_ATTEMPTS} attempts: ")
+
+    @pytest.mark.parametrize("prompt", [*_BAD_BODIES, "CREATED"])
+    def test_unusable_reply_is_permanent(self, stub_server, config, tmp_path, prompt):
+        ins_path = tmp_path / "ins.jsonl"
+        out_path = tmp_path / "out.jsonl"
+        make_instructions(ins_path, [prompt])
+        result = collect(ins_path, config, out_path)
+        assert result.failed == ("en-0000",)
+        assert stub_server.counts[prompt] == 1
+        assert read_responses(out_path) == {}
+        errors_path = tmp_path / "out.jsonl.errors.jsonl"
+        [error] = [json.loads(l) for l in errors_path.read_text().splitlines()]
+        assert not error["error"].startswith("gave up")
 
     def test_connection_error_is_transient(self, config, tmp_path, monkeypatch):
         monkeypatch.setenv("LEX_STUB_KEY", "secret-token")
