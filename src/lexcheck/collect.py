@@ -15,12 +15,17 @@ import math
 import os
 import threading
 import time
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
+from http.client import HTTPException
 from pathlib import Path
+from urllib.error import HTTPError
+from urllib.parse import urlsplit
 
-import requests
+import requests  # noqa: F401  (read only by bench/spans.py Tracer.install)
 
+from . import __version__
 from .records import decode_json, read_instructions, read_responses
 from .rules import Instruction
 
@@ -47,6 +52,13 @@ class EndpointConfig:
     retry_backoff_s: float = 0.5
 
     def __post_init__(self) -> None:
+        try:
+            url = urlsplit(self.base_url)
+            url.port  # raises ValueError for a port that is not a number in range
+        except ValueError as exc:
+            raise ConfigError(f"base_url {self.base_url!r}: {exc}") from exc
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ConfigError(f"base_url must be an http:// or https:// URL with a host, not {self.base_url!r}")
         for name in ("temperature", "top_p", "timeout_s", "retry_backoff_s"):
             value = getattr(self, name)
             if isinstance(value, float) and not math.isfinite(value):
@@ -68,6 +80,8 @@ class EndpointConfig:
         value = os.environ.get(self.credential_env, "")
         if not value:
             raise ConfigError(f"environment variable {self.credential_env} is empty or unset")
+        if not (value.isascii() and value.isprintable()):  # it is sent in a header line
+            raise ConfigError(f"environment variable {self.credential_env} holds a control or non-ASCII character")
         return value
 
 
@@ -83,8 +97,7 @@ class CollectResult:
         return bool(self.failed)
 
 
-def _post_once(config: EndpointConfig, key: str, prompt: str) -> str:
-    url = config.base_url.rstrip("/") + "/chat/completions"
+def _post_once(opener: urllib.request.OpenerDirector, config: EndpointConfig, key: str, prompt: str) -> str:
     payload = {
         "model": config.model,
         "messages": [{"role": "user", "content": prompt}],
@@ -92,23 +105,37 @@ def _post_once(config: EndpointConfig, key: str, prompt: str) -> str:
         "top_p": config.top_p,
         "max_tokens": config.max_tokens,
     }
-    response = requests.post(
-        url,
-        json=payload,
-        headers={"Authorization": f"Bearer {key}"},
-        timeout=config.timeout_s,
+    request = urllib.request.Request(
+        config.base_url.rstrip("/") + "/chat/completions",
+        data=json.dumps(payload).encode("utf-8"),
+        headers={
+            "Content-Type": "application/json",
+            "Authorization": f"Bearer {key}",
+            "User-Agent": f"lexcheck/{__version__}",
+        },
     )
-    if response.status_code in TRANSIENT_STATUS:
-        raise _Transient(f"HTTP {response.status_code}")
-    if response.status_code != 200:
-        raise _Permanent(f"HTTP {response.status_code}: {response.text[:200]}")
     try:
-        content = response.json()["choices"][0]["message"]["content"]
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        with opener.open(request, timeout=config.timeout_s) as response:
+            if response.status != 200:  # another 2xx: only 200 carries a completion
+                raise _Permanent(f"HTTP {response.status}: {_excerpt(response)}")
+            body = response.read()
+    except HTTPError as exc:
+        with exc:
+            if exc.code in TRANSIENT_STATUS:
+                raise _Transient(f"HTTP {exc.code}") from None
+            raise _Permanent(f"HTTP {exc.code}: {_excerpt(exc)}") from None
+    try:
+        content = decode_json(body.decode("utf-8"))["choices"][0]["message"]["content"]
+    except (KeyError, IndexError, TypeError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         raise _Permanent(f"unexpected response body: {exc!r}") from exc
     if not isinstance(content, str):
         raise _Permanent("response content is not a string")
     return content
+
+
+def _excerpt(response) -> str:
+    """The first 200 characters of a reply's body; 800 bytes hold them in UTF-8."""
+    return response.read(800).decode("utf-8", "replace")[:200]
 
 
 class _Transient(RuntimeError):
@@ -119,16 +146,20 @@ class _Permanent(RuntimeError):
     pass
 
 
-def _request_with_retries(config: EndpointConfig, key: str, instruction: Instruction) -> tuple[str, float]:
+def _request_with_retries(
+    opener: urllib.request.OpenerDirector, config: EndpointConfig, key: str, instruction: Instruction
+) -> tuple[str, float]:
     last_error: Exception | None = None
     for attempt in range(MAX_ATTEMPTS):
         started = time.monotonic()
         try:
-            text = _post_once(config, key, instruction.prompt)
+            text = _post_once(opener, config, key, instruction.prompt)
             return text, time.monotonic() - started
         except _Permanent:
             raise
-        except (_Transient, requests.ConnectionError, requests.Timeout) as exc:
+        # URLError and socket timeouts are OSErrors; a reply cut short or
+        # without a status line raises an HTTPException
+        except (_Transient, OSError, HTTPException) as exc:
             last_error = exc
             if attempt < MAX_ATTEMPTS - 1:
                 time.sleep(config.retry_backoff_s * (2**attempt))
@@ -202,13 +233,14 @@ def collect(
     done = set(read_responses(output_path))
     pending = [i for i in instructions if i.id not in done]
 
+    opener = urllib.request.build_opener()  # reads the proxy variables once per run
     write_lock = threading.Lock()
     errors: list[tuple[str, str]] = []
 
     def fetch(instruction: Instruction) -> None:
         try:
-            text, latency = _request_with_retries(config, key, instruction)
-        except (RuntimeError, requests.RequestException) as exc:
+            text, latency = _request_with_retries(opener, config, key, instruction)
+        except RuntimeError as exc:
             with write_lock:
                 errors.append((instruction.id, str(exc)))
             return

@@ -690,6 +690,30 @@ class TestCollectCommand:
         assert capsys.readouterr().err == f"error: endpoint config: {config}: non-finite number {literal}\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("base_url", ["localhost:8000", "ftp://example.com/v1", "file:///etc/hostname", "http://"])
+    def test_base_url_without_http_scheme_or_host(self, tmp_path, monkeypatch, capsys, base_url):
+        """Refused before any request: urllib would open file: and ftp: URLs."""
+        monkeypatch.setenv("LEX_CLI_KEY", "k")
+        config = self.write_endpoint(tmp_path, base_url=base_url)
+        ins_path = tmp_path / "ins.jsonl"
+        write_instructions(ins_path, [build_instruction("en-x", "en", "Hi.", (parse_rule("word# >= 0"),))])
+        assert main(["collect", str(ins_path), str(config), "-o", str(tmp_path / "o")]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: endpoint config: base_url must be an http:// or https:// URL with a host, not {base_url!r}\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    def test_credential_with_a_line_break(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("LEX_CLI_KEY", "k\nX-Injected: 1")
+        config = self.write_endpoint(tmp_path)
+        ins_path = tmp_path / "ins.jsonl"
+        write_instructions(ins_path, [build_instruction("en-x", "en", "Hi.", (parse_rule("word# >= 0"),))])
+        assert main(["collect", str(ins_path), str(config), "-o", str(tmp_path / "o")]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: endpoint config: environment variable LEX_CLI_KEY holds a control or non-ASCII character\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_jobs_override_the_config(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LEX_CLI_KEY", "k")
         seen = []

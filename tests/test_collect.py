@@ -9,6 +9,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+import lexcheck
 from helpers import build_instruction
 from lexcheck import collect as collect_module
 from lexcheck.collect import (
@@ -71,6 +72,16 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.server.stop.wait(5)
             return
         if "HANGUP" in prompt:  # the connection closes without a status line
+            return
+        if "LATIN1" in prompt:
+            body = json.dumps({"choices": [{"message": {"content": "café"}}]}, ensure_ascii=False)
+            self._reply(200, body.encode("latin-1"), content_type="application/json")
+            return
+        if "MOVED" in prompt:  # a POST is not re-sent to a 307's Location
+            self.send_response(307)
+            self.send_header("Location", self.path)
+            self.send_header("Content-Length", "0")
+            self.end_headers()
             return
         if prompt in _BAD_BODIES:
             self._reply(200, _BAD_BODIES[prompt], content_type="application/json")
@@ -200,6 +211,39 @@ class TestEndpointConfig:
     def test_zero_backoff_allowed(self):
         config = EndpointConfig(base_url="http://x", model="m", credential_env="E", retry_backoff_s=0)
         assert config.retry_backoff_s == 0
+
+    @pytest.mark.parametrize(
+        "base_url",
+        ["localhost:8000", "ftp://example.com/v1", "file:///etc/hostname", "http://", "https:///v1", "example.com/v1"],
+    )
+    def test_base_url_needs_http_scheme_and_host(self, base_url):
+        with pytest.raises(ConfigError) as info:
+            EndpointConfig(base_url=base_url, model="m", credential_env="E")
+        assert str(info.value) == f"base_url must be an http:// or https:// URL with a host, not {base_url!r}"
+
+    @pytest.mark.parametrize(
+        "base_url, reason",
+        [
+            ("http://x:port/v1", "Port could not be cast to integer value as 'port'"),
+            ("http://x:70000/v1", "Port out of range 0-65535"),
+            ("http://[::1/v1", "Invalid IPv6 URL"),
+        ],
+    )
+    def test_base_url_that_does_not_parse(self, base_url, reason):
+        with pytest.raises(ConfigError) as info:
+            EndpointConfig(base_url=base_url, model="m", credential_env="E")
+        assert str(info.value) == f"base_url {base_url!r}: {reason}"
+
+    @pytest.mark.parametrize("base_url", ["http://127.0.0.1:8000/v1", "https://api.example.com", "HTTPS://[::1]:443/"])
+    def test_base_url_accepted(self, base_url):
+        assert EndpointConfig(base_url=base_url, model="m", credential_env="E").base_url == base_url
+
+    @pytest.mark.parametrize("value", ["key\nInjected: 1", "key\r", "\tkey", "clé"])
+    def test_credential_that_cannot_be_a_header_value(self, monkeypatch, value):
+        monkeypatch.setenv("LEX_BAD", value)
+        config = EndpointConfig(base_url="http://x", model="m", credential_env="LEX_BAD")
+        with pytest.raises(ConfigError, match="LEX_BAD holds a control or non-ASCII character"):
+            config.credential()
 
     def test_credential_missing(self, monkeypatch):
         monkeypatch.delenv("LEX_NOPE", raising=False)
@@ -397,6 +441,34 @@ class TestCollect:
         errors_path = tmp_path / "out.jsonl.errors.jsonl"
         [error] = [json.loads(l) for l in errors_path.read_text().splitlines()]
         assert not error["error"].startswith("gave up")
+
+    def test_request_names_lexcheck_as_user_agent(self, stub_server, config, tmp_path):
+        ins_path = tmp_path / "ins.jsonl"
+        make_instructions(ins_path, ["Agent."])
+        collect(ins_path, config, tmp_path / "out.jsonl")
+        [request] = stub_server.requests
+        assert request["user_agent"] == f"lexcheck/{lexcheck.__version__}"
+
+    def test_body_that_is_not_utf8_is_refused_not_mangled(self, stub_server, config, tmp_path):
+        ins_path = tmp_path / "ins.jsonl"
+        out_path = tmp_path / "out.jsonl"
+        make_instructions(ins_path, ["LATIN1"])
+        assert collect(ins_path, config, out_path).failed == ("en-0000",)
+        assert read_responses(out_path) == {}
+        errors_path = tmp_path / "out.jsonl.errors.jsonl"
+        [error] = [json.loads(l) for l in errors_path.read_text().splitlines()]
+        assert error["error"].startswith("unexpected response body: UnicodeDecodeError(")
+
+    def test_redirect_that_keeps_the_method_is_permanent(self, stub_server, config, tmp_path):
+        ins_path = tmp_path / "ins.jsonl"
+        out_path = tmp_path / "out.jsonl"
+        make_instructions(ins_path, ["MOVED"])
+        assert collect(ins_path, config, out_path).failed == ("en-0000",)
+        assert stub_server.counts["MOVED"] == 1
+        errors_path = tmp_path / "out.jsonl.errors.jsonl"
+        assert [json.loads(l) for l in errors_path.read_text().splitlines()] == [
+            {"id": "en-0000", "error": "HTTP 307: "}
+        ]
 
     def test_connection_error_is_transient(self, config, tmp_path, monkeypatch):
         monkeypatch.setenv("LEX_STUB_KEY", "secret-token")
