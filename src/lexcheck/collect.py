@@ -52,6 +52,9 @@ class EndpointConfig:
     retry_backoff_s: float = 0.5
 
     def __post_init__(self) -> None:
+        if not (self.base_url.isascii() and self.base_url.isprintable()) or " " in self.base_url:
+            # http.client refuses to send such a URL
+            raise ConfigError(f"base_url holds a space, control or non-ASCII character: {self.base_url!r}")
         try:
             url = urlsplit(self.base_url)
             url.port  # raises ValueError for a port that is not a number in range

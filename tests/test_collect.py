@@ -234,6 +234,12 @@ class TestEndpointConfig:
             EndpointConfig(base_url=base_url, model="m", credential_env="E")
         assert str(info.value) == f"base_url {base_url!r}: {reason}"
 
+    @pytest.mark.parametrize("base_url", ["http://x/v 1", "http://x/\tv1", "http://x/v1\n", "http://x/модель"])
+    def test_base_url_that_cannot_be_sent(self, base_url):
+        with pytest.raises(ConfigError) as info:
+            EndpointConfig(base_url=base_url, model="m", credential_env="E")
+        assert str(info.value) == f"base_url holds a space, control or non-ASCII character: {base_url!r}"
+
     @pytest.mark.parametrize("base_url", ["http://127.0.0.1:8000/v1", "https://api.example.com", "HTTPS://[::1]:443/"])
     def test_base_url_accepted(self, base_url):
         assert EndpointConfig(base_url=base_url, model="m", credential_env="E").base_url == base_url
