@@ -18,6 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def test_tracer_installs_and_uninstalls_on_the_live_modules(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # no __pycache__ under bench/
     from spans import WRAP_SITES, Tracer
 
     before = {name: dict(vars(sys.modules[name])) for name in WRAP_SITES}
