@@ -141,6 +141,17 @@ def _excerpt(response) -> str:
     return response.read(800).decode("utf-8", "replace")[:200]
 
 
+class _NoRedirect(urllib.request.HTTPRedirectHandler):
+    """Follow no redirect, so a 3xx reply raises HTTPError and is permanent.
+
+    urllib would re-send every header to the Location, the bearer token
+    included, whatever host or scheme (``ftp:`` too) it names.
+    """
+
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        return None
+
+
 class _Transient(RuntimeError):
     pass
 
@@ -236,7 +247,7 @@ def collect(
     done = set(read_responses(output_path))
     pending = [i for i in instructions if i.id not in done]
 
-    opener = urllib.request.build_opener()  # reads the proxy variables once per run
+    opener = urllib.request.build_opener(_NoRedirect)  # reads the proxy variables once per run
     write_lock = threading.Lock()
     errors: list[tuple[str, str]] = []
 

@@ -77,9 +77,9 @@ class _StubHandler(BaseHTTPRequestHandler):
             body = json.dumps({"choices": [{"message": {"content": "café"}}]}, ensure_ascii=False)
             self._reply(200, body.encode("latin-1"), content_type="application/json")
             return
-        if "MOVED" in prompt:  # a POST is not re-sent to a 307's Location
-            self.send_response(307)
-            self.send_header("Location", self.path)
+        if prompt.startswith("MOVED "):  # "MOVED 302": redirect to the server's `location`
+            self.send_response(int(prompt.split()[1]))
+            self.send_header("Location", self.server.location or self.path)
             self.send_header("Content-Length", "0")
             self.end_headers()
             return
@@ -90,6 +90,11 @@ class _StubHandler(BaseHTTPRequestHandler):
             {"choices": [{"message": {"content": f"echo:{prompt.splitlines()[0]}"}}]}
         ).encode("utf-8")
         self._reply(201 if "CREATED" in prompt else 200, body, content_type="application/json")
+
+    def do_GET(self):  # what a followed 301, 302 or 303 would send
+        with self.server.lock:
+            self.server.requests.append({"path": self.path, "auth": self.headers.get("Authorization")})
+        self._reply(404, b"no GET here")
 
     def _reply(self, status: int, body: bytes, content_type: str = "text/plain"):
         self.send_response(status)
@@ -102,20 +107,24 @@ class _StubHandler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture()
-def stub_server():
+def _serve():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
     server.lock = threading.Lock()
     server.requests = []
     server.counts = {}
     server.stop = threading.Event()
-    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
+    server.location = None
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server
     server.stop.set()
     server.shutdown()
     server.server_close()
     thread.join(timeout=5)
+
+
+stub_server = pytest.fixture(_serve)
+other_server = pytest.fixture(_serve)
 
 
 @pytest.fixture()
@@ -465,16 +474,29 @@ class TestCollect:
         [error] = [json.loads(l) for l in errors_path.read_text().splitlines()]
         assert error["error"].startswith("unexpected response body: UnicodeDecodeError(")
 
-    def test_redirect_that_keeps_the_method_is_permanent(self, stub_server, config, tmp_path):
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    def test_redirect_is_permanent_and_not_followed(self, stub_server, other_server, config, tmp_path, status):
+        stub_server.location = f"http://127.0.0.1:{other_server.server_address[1]}/v1/chat/completions"
         ins_path = tmp_path / "ins.jsonl"
         out_path = tmp_path / "out.jsonl"
-        make_instructions(ins_path, ["MOVED"])
+        make_instructions(ins_path, [f"MOVED {status}"])
         assert collect(ins_path, config, out_path).failed == ("en-0000",)
-        assert stub_server.counts["MOVED"] == 1
+        assert stub_server.counts[f"MOVED {status}"] == 1
+        assert other_server.requests == []  # the bearer token never reaches the Location's host
         errors_path = tmp_path / "out.jsonl.errors.jsonl"
         assert [json.loads(l) for l in errors_path.read_text().splitlines()] == [
-            {"id": "en-0000", "error": "HTTP 307: "}
+            {"id": "en-0000", "error": f"HTTP {status}: "}
         ]
+
+    def test_redirect_to_ftp_is_not_followed(self, stub_server, config, tmp_path):
+        stub_server.location = "ftp://127.0.0.1/v1/chat/completions"
+        ins_path = tmp_path / "ins.jsonl"
+        out_path = tmp_path / "out.jsonl"
+        make_instructions(ins_path, ["MOVED 302"])
+        assert collect(ins_path, config, out_path).failed == ("en-0000",)
+        errors_path = tmp_path / "out.jsonl.errors.jsonl"
+        [error] = [json.loads(l) for l in errors_path.read_text().splitlines()]
+        assert error["error"].startswith("HTTP 302: ")
 
     def test_connection_error_is_transient(self, config, tmp_path, monkeypatch):
         monkeypatch.setenv("LEX_STUB_KEY", "secret-token")
