@@ -101,7 +101,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     source = read_text(args.rules_file) if args.rules_file else sys.stdin.read()
-    lines = [line for line in source.splitlines() if line.strip()]
+    # one rule per "\n"-ended line: str.splitlines would also cut at the
+    # Unicode line separators a quoted value may hold (U+2028, U+0085, ...)
+    lines = [line for line in source.split("\n") if line.strip()]
     if not lines:
         raise DataError("no rule expressions supplied")
     rules = [parse_rule(line) for line in lines]

@@ -17,7 +17,7 @@ import lexcheck
 from helpers import build_instruction, write_responses
 from lexcheck.cli import EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
 from lexcheck.collect import CollectResult
-from lexcheck.dsl import parse_rule
+from lexcheck.dsl import format_rule, parse_rule
 from lexcheck.records import write_instructions
 
 
@@ -266,6 +266,26 @@ class TestRender:
             f"error: bad rule expression: syntax error at position 5: "
             f"expected an element ordinal of at most {LIMIT} digits\n"
         )
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u0085"])
+    def test_value_holding_a_unicode_line_separator_is_one_rule(self, tmp_path, capsys, separator):
+        rule = parse_rule(f'word@ contain "a{separator}b"')
+        rules = tmp_path / "rules.txt"
+        rules.write_text(format_rule(rule) + "\nword# = 2\n", encoding="utf-8")
+        assert main(["render", str(rules)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert f"a{separator}b" in out
+        assert "\n2. " in out and "\n3. " not in out
+
+    def test_crlf_rules_file_and_stdin(self, tmp_path, monkeypatch, capsys):
+        rules = tmp_path / "rules.txt"
+        rules.write_bytes(b'sentence# = 2\r\nword@1 startswith "A"\r\n')
+        assert main(["render", str(rules)]) == EXIT_OK
+        from_file = capsys.readouterr().out
+        feed_stdin(monkeypatch, 'sentence# = 2\r\nword@1 startswith "A"\r\n')
+        assert main(["render"]) == EXIT_OK
+        assert capsys.readouterr().out == from_file
+        assert "1. The response must contain exactly 2 sentences." in from_file
 
     def test_empty_input(self, monkeypatch, capsys):
         feed_stdin(monkeypatch, "\n  \n")
