@@ -95,6 +95,13 @@ _COMPARE = {
     Relation.NOTCONTAIN: lambda text, value: value not in text,
 }
 
+#: The relations that hold of a selected text only if it contains the rule's
+#: value.  Every text `_holds` compares is a substring of the text the walk
+#: starts from: a splitter's content is a slice of its input, at most
+#: trimmed, and `_select` yields contents, slices and single characters.  So
+#: a rule with one of these relations fails on a text that lacks its value.
+_NEEDS_VALUE = frozenset({Relation.STARTSWITH, Relation.ENDSWITH, Relation.EQUAL, Relation.CONTAIN})
+
 
 def verify_rule(rule: Rule, full_text: str, language: str = "en") -> bool:
     """Run the full pipeline for one rule against one answer text."""
@@ -299,8 +306,11 @@ def _holds(rule: Rule, full_text: str, splits: _Splits) -> bool:
     value + 1 elements: `upto` gives c' of the c elements with
     min(c, value + 1) <= c' <= c, and c' compares with the value as c does
     under every numerical relation.  Callers that pass one `splits` split
-    each text at most once per level and pattern.
+    each text at most once per level and pattern.  A rule whose relation is
+    in `_NEEDS_VALUE` and whose value `full_text` lacks fails unwalked.
     """
+    if rule.relation in _NEEDS_VALUE and rule.value not in full_text:
+        return False
     *steps, terminal = rule.procedure
     texts: Iterable[str] = (full_text,)
     for step in steps:
@@ -333,16 +343,16 @@ _LOOSE_REWRITES = {
 }
 
 
-def _rewrites(response: str) -> Iterator[tuple[str, str, int, int]]:
+def _rewrites(response: str, stripped: str) -> Iterator[tuple[str, str, int, int]]:
     """(id, base, a, b) for each relaxed rewrite in order: the rewrite is
-    ``base[a:b]``, where the base is the response or its asterisk-stripped
-    copy.
+    ``base[a:b]``, where the base is the response or `stripped`, its
+    asterisk-stripped copy (``response.replace("*", "")``).
 
     A dropped first line moves `a` to just after the first newline, a
     dropped last line moves `b` to the last newline; a text with too few
     lines gives ``a >= b``, an empty slice.
     """
-    bases = (response, response.replace("*", ""))
+    bases = (response, stripped)
     for vid, (strip, head, tail) in _LOOSE_REWRITES.items():
         base = bases[strip]
         a = (base.find("\n") + 1 or len(base)) if head else 0
@@ -354,9 +364,9 @@ def _rewrites(response: str) -> Iterator[tuple[str, str, int, int]]:
 class Verdict:
     """Outcome of checking one response against one instruction.
 
-    `loose_pass` is None when the relaxed pass was skipped (strict-only runs).
-    When computed, strict success implies loose success via the identity
-    variant.
+    `loose_pass` is None only in a strict-only run.  Otherwise strict
+    success implies loose success via the identity variant, and a relaxed
+    search that no rewrite can pass, and so is not run, reports False.
     """
 
     rule_results: tuple[tuple[Rule, bool], ...]
@@ -386,6 +396,9 @@ def _verdict(rules: tuple[Rule, ...], response: str, language: str, loose: bool)
     from the base's (`_DERIVE`).  In each rewrite the rule that
     failed last is checked first; a rewrite must pass every rule, so the
     order changes no verdict.
+    Every rewrite is a slice of the response or of its asterisk-stripped
+    copy, so when a failed rule's relation is in `_NEEDS_VALUE` and neither
+    holds its value, no rewrite passes and the search is not run.
     """
     splits = _Splits(language)
     results = tuple((rule, _holds(rule, response, splits)) for rule in rules)
@@ -394,9 +407,14 @@ def _verdict(rules: tuple[Rule, ...], response: str, language: str, loose: bool)
         return Verdict(results, strict, None, None)
     if strict:  # the first rewrite, identity, is the response itself
         return Verdict(results, True, True, "identity")
-    order = [rule for rule, ok in results if not ok] + [rule for rule, ok in results if ok]
+    failed = [rule for rule, ok in results if not ok]
+    stripped = response.replace("*", "")
+    for rule in failed:
+        if rule.relation in _NEEDS_VALUE and rule.value not in response and rule.value not in stripped:
+            return Verdict(results, False, False, None)
+    order = failed + [rule for rule, ok in results if ok]
     tried = {response}
-    for vid, base, a, b in _rewrites(response):
+    for vid, base, a, b in _rewrites(response, stripped):
         text = base[a:b]
         if text in tried:
             continue

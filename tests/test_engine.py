@@ -213,7 +213,7 @@ class TestVerifyRule:
 
 def _variants(text: str) -> list[tuple[str, str]]:
     """(id, rewrite) for each relaxed rewrite of `text`, in search order."""
-    return [(vid, base[a:b]) for vid, base, a, b in engine._rewrites(text)]
+    return [(vid, base[a:b]) for vid, base, a, b in engine._rewrites(text, text.replace("*", ""))]
 
 
 class TestLooseVariants:
@@ -633,7 +633,7 @@ def _check_prefix_reads(text: str, language: str, ordinals: list[int]) -> None:
     for first in ("cuts", "base prefixes", "bases"):
         splits = _Splits(language)
         texts = [text]
-        for _, base, a, b in engine._rewrites(text):
+        for _, base, a, b in engine._rewrites(text, text.replace("*", "")):
             rewrite = base[a:b]
             if rewrite not in texts:
                 texts.append(rewrite)
@@ -697,7 +697,8 @@ def test_ordinals_beyond_sys_maxsize_select_nothing(rule_text):
 
 def test_verdict_leaves_no_reference_cycles():
     text = "\n".join(make_long_text(random.Random(seed), "en") for seed in range(3))
-    rules = tuple(parse_rule(t) for t in ("line# < 0", "word# < 0", 'paragraph@.sentence@1 contain "zz"'))
+    rules = tuple(parse_rule(t) for t in ("line# < 0", "word# < 0", 'paragraph@.sentence@1 contain "The"'))
+    assert "The" in text  # a value the response lacks would refuse the relaxed search
     engine._verdict(rules, text, "en", True)  # compile and cache the regexes first
     gc.collect()
     gc.disable()
@@ -740,6 +741,95 @@ def test_joined_contents_equal_split_contents_on_edge_texts(text, language):
 @given(*_LOOSE_CASES)
 def test_joined_contents_equal_split_contents_on_hostile_text(seed, length, shape, language):
     _check_joined_contents(_hostile_text(seed, length, _LOOSE_SHAPES[shape] + _ONE_CHAR_EXTRA), language)
+
+
+# Every predicate kind that selects texts: the span predicates and an
+# ordinal past the first two.  A count (`#`) compares numbers, never texts.
+_EVERY_PREDICATE = _SPAN_PREDICATES + (Predicate.index(3),)
+
+
+def _check_selections_are_substrings(text: str, language: str) -> None:
+    """Every text `_select` yields is a substring of its input, and every
+    character of `_chars` occurs in its text: the ground of
+    `engine._NEEDS_VALUE`.  Each rewrite is read through the cache `_verdict`
+    built, derived and shifted splits included, and through a fresh one."""
+    built = _rewrite_splits(text, language)
+    for rewrite in {t for _, t in _variants(text)}:
+        for level in _ONE_CHAR_LEVELS:
+            assert set(_chars(rewrite, level)) <= set(rewrite), (rewrite, level)
+        for splits in (built, _Splits(language)):
+            for level, source in _LEVEL_PATTERNS:
+                for predicate in _EVERY_PREDICATE:
+                    step = ProcedureStep(level, predicate, source)
+                    for selected in _select(step, splits, rewrite):
+                        assert selected in rewrite, (rewrite, step, selected)
+
+
+@pytest.mark.parametrize("language", ["en", "zh"])
+@pytest.mark.parametrize("text", _EDGE_TEXTS)
+def test_selections_are_substrings_on_edge_texts(text, language):
+    _check_selections_are_substrings(text, language)
+
+
+@settings(max_examples=25, deadline=None)
+@given(*_LOOSE_CASES)
+def test_selections_are_substrings_on_hostile_text(seed, length, shape, language):
+    text = _hostile_text(seed, length % 3000, _LOOSE_SHAPES[shape] + _ONE_CHAR_EXTRA)
+    _check_selections_are_substrings(text, language)
+
+
+def test_a_search_no_rewrite_can_pass_is_not_run():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_rewrites", None)  # a search would call it and raise
+        verdict = verify_instruction(instruction(['answer contain "zqx"', "line# = 1"]), "a\nb")
+    assert [ok for _, ok in verdict.rule_results] == [False, False]
+    assert (verdict.strict_pass, verdict.loose_pass, verdict.loose_variant) == (False, False, None)
+    # a value found only in the asterisk-stripped copy, or only in the
+    # response, leaves the search to run
+    assert verify_instruction(instruction(['answer contain "model"']), "mo*del").loose_variant == "strip-asterisks"
+    assert verify_instruction(instruction(['line@1 equal "*"', "line# = 1"]), "*\nb").loose_variant == "drop-last-line"
+
+
+# Text rules for the differential test of `engine._NEEDS_VALUE`: each scope
+# with the relations its terminal admits.
+_VALUE_RULES = (
+    "answer {rel} {v}",
+    "line@1 {rel} {v}",
+    "line@-1 {rel} {v}",
+    "line@ {rel} {v}",
+    "paragraph@-1 {rel} {v}",
+    "sentence@1 {rel} {v}",
+    "word@ {rel} {v}",
+    "pattern(/\\S+/)@2 {rel} {v}",
+)
+_VALUE_RELATIONS = ("contain", "equal", "startswith", "endswith", "notcontain", "notstartswith")
+# Values that occur nowhere, only in the first line (`qhead`), only in the
+# last (`qtail`), only in the asterisk-stripped copy (`model`, as the
+# response holds `mo*del`), or that hold `*` (so occur in no stripped
+# rewrite); and values the hostile text may hold.
+_VALUES = ("zqx", "qhead", "qtail", "model", "mo*del", "*", "**", "a", "The", "\n")
+
+
+@settings(max_examples=40, deadline=None)
+@given(*_LOOSE_CASES)
+def test_value_shortcut_changes_no_verdict_on_hostile_text(seed, length, shape, language):
+    rng = random.Random(seed)
+    middle = _hostile_text(seed, length % 3000, _LOOSE_SHAPES[shape])
+    cut = rng.randint(0, len(middle))
+    response = f"qhead {middle[:cut]} mo*del {middle[cut:]}\nqtail"
+    candidates = [
+        parse_rule(form.format(rel=rel, v=_quoted(value)))
+        for form in _VALUE_RULES
+        for rel in _VALUE_RELATIONS
+        for value in _VALUES
+    ] + [parse_rule(t) for t in ("line# <= 3", "line# >= 2", "word# >= 1")]
+    for _ in range(8):
+        chosen = tuple(rng.sample(candidates, rng.randint(1, 3)))
+        ins = build_instruction("x", language, "p", chosen)
+        verdict = verify_instruction(ins, response)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_NEEDS_VALUE", frozenset())
+            assert verdict == verify_instruction(ins, response), chosen
 
 
 # Steps before a single-character terminal: none, one element, the last
