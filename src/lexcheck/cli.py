@@ -20,7 +20,7 @@ from .collect import CollectResult, EndpointConfig, collect
 from .dsl import ParseError, PatternError, ValidityError, parse_rule
 from .engine import _verdict
 from .generate import BucketError, GenConfig, LexiconError, generate_dataset
-from .records import DataError, read_config, read_text, write_instructions
+from .records import DataError, read_config, read_stdin, read_text, write_instructions
 from .report import (
     REPORT_FORMATS,
     load_report,
@@ -83,7 +83,7 @@ def _positive_int(value: str) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     rule = parse_rule(args.rule)
-    verdict = _verdict((rule,), sys.stdin.read(), args.lang, loose=not args.strict_only)
+    verdict = _verdict((rule,), read_stdin(), args.lang, loose=not args.strict_only)
     print(f"strict: {'pass' if verdict.strict_pass else 'fail'}")
     if verdict.loose_pass is not None:
         print(f"loose: pass ({verdict.loose_variant})" if verdict.loose_pass else "loose: fail")
@@ -100,7 +100,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    source = read_text(args.rules_file) if args.rules_file else sys.stdin.read()
+    source = read_text(args.rules_file) if args.rules_file else read_stdin()
     # one rule per "\n"-ended line: str.splitlines would also cut at the
     # Unicode line separators a quoted value may hold (U+2028, U+0085, ...)
     lines = [line for line in source.split("\n") if line.strip()]

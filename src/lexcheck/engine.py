@@ -18,7 +18,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice, pairwise, repeat
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator
 
 from .rules import (
     Instruction,
@@ -31,17 +31,9 @@ from .rules import (
 )
 from .segment import _SPLITTERS, CHAR_LEVEL_TESTS, _chars, _Span, _split
 
-_T = TypeVar("_T")
-
-
-def _nth(elements: Sequence[_T], n: int) -> _T | None:
-    if n == -1:
-        return elements[-1] if elements else None
-    return elements[n - 1] if 1 <= n <= len(elements) else None
-
-
-def _select(step: ProcedureStep, splits: _Splits, text: str) -> Iterable[str]:
-    """The texts one step selects from `text`, in order, made as they are read.
+def _select(step: ProcedureStep, splits: _Splits, value: int | str, text: str) -> Iterable[str | int]:
+    """What one step observes in `text`, in order, made as it is read: the
+    texts it selects, or for a `#` step the one count.
 
     `@` and `%` read `text`'s elements through `_Splits.each`, which makes
     them only as far as they are read; `@n`, `!n` and `$n` read the first n
@@ -49,32 +41,42 @@ def _select(step: ProcedureStep, splits: _Splits, text: str) -> Iterable[str]:
     simply select nothing; they are not errors.
     `before`/`after` select the raw text on the named side of the element's
     span; `between` the raw text separating consecutive elements.
-    At a single-character level (`segment.CHAR_LEVEL_TESTS`) `all` and
+    A `#` count reads at most the rule's `value` + 1 elements: `upto` gives
+    c' of the c elements with min(c, value + 1) <= c' <= c, and c' compares
+    with the value as c does under every numerical relation.
+    At a single-character level (`segment.CHAR_LEVEL_TESTS`) `#`, `all` and
     `index` read only the elements' contents, so they read them from one
     string, `splits.chars`.
     """
     kind, n = step.predicate.kind, step.predicate.n
     level, regex = step.level, step.regex
-    if level in CHAR_LEVEL_TESTS and kind in (PredicateKind.ALL, PredicateKind.INDEX):
+    if level in CHAR_LEVEL_TESTS and kind in _CONTENT_KINDS:
         chars = splits.chars(text, level)
+        if kind is PredicateKind.COUNT:
+            return (len(chars),)
         if kind is PredicateKind.ALL:
             return chars
-        ch = _nth(chars, n)
-        return () if ch is None else (ch,)
+        return chars[n - 1 : n] if n > 0 else chars[-1:]
+    if kind is PredicateKind.COUNT:
+        return (len(splits.upto(text, level, regex, value + 1)[0]),)
     if kind is PredicateKind.ALL:
         return map(_CONTENT, splits.each(text, level, regex)[0])
     if kind is PredicateKind.BETWEEN:
         elements, shift = splits.each(text, level, regex)
         return (text[left[2] - shift : right[1] - shift] for left, right in pairwise(elements))
     elements, shift = splits.upto(text, level, regex, n) if n > 0 else splits[text, level, regex]
-    el = _nth(elements, n)
-    if el is None:
+    if len(elements) < abs(n):  # n is a positive ordinal or -1
         return ()
+    el = elements[n - 1 if n > 0 else -1]
     if kind is PredicateKind.INDEX:
         return (el[0],)
     if kind is PredicateKind.BEFORE:
         return (text[: el[1] - shift],)
     return (text[el[2] - shift :],)  # AFTER
+
+
+#: The predicate kinds that read only elements' contents.
+_CONTENT_KINDS = frozenset({PredicateKind.COUNT, PredicateKind.ALL, PredicateKind.INDEX})
 
 
 #: relation -> test(observed, value): a count against an integer, or a
@@ -289,9 +291,6 @@ _DERIVE = {
     Level.LINE: _kept,
     Level.BULLET: _kept,
     Level.WORD: _kept,
-    Level.CHARACTER: _kept,
-    Level.LETTER: _kept,
-    Level.PUNC: _kept,
     Level.SENTENCE: _edges_resplit,
     Level.PARAGRAPH: _edges_resplit,
 }
@@ -302,27 +301,16 @@ def _holds(rule: Rule, full_text: str, splits: _Splits) -> bool:
 
     Depth first: each selected text goes through the remaining steps before
     the next one is selected, and the first observed value that fails the
-    relation decides the rule.  A `#` count at a tuple level reads at most
-    value + 1 elements: `upto` gives c' of the c elements with
-    min(c, value + 1) <= c' <= c, and c' compares with the value as c does
-    under every numerical relation.  Callers that pass one `splits` split
-    each text at most once per level and pattern.  A rule whose relation is
-    in `_NEEDS_VALUE` and whose value `full_text` lacks fails unwalked.
+    relation decides the rule.  Callers that pass one `splits` split each
+    text at most once per level and pattern.  A rule whose relation is in
+    `_NEEDS_VALUE` and whose value `full_text` lacks fails unwalked.
     """
-    if rule.relation in _NEEDS_VALUE and rule.value not in full_text:
+    value = rule.value
+    if rule.relation in _NEEDS_VALUE and value not in full_text:
         return False
-    *steps, terminal = rule.procedure
-    texts: Iterable[str] = (full_text,)
-    for step in steps:
-        texts = chain.from_iterable(map(partial(_select, step, splits), texts))
-    level, regex, value = terminal.level, terminal.regex, rule.value
-    observed: Iterator
-    if terminal.predicate.kind is not PredicateKind.COUNT:
-        observed = chain.from_iterable(map(partial(_select, terminal, splits), texts))
-    elif level in CHAR_LEVEL_TESTS:
-        observed = (len(splits.chars(text, level)) for text in texts)
-    else:
-        observed = (len(splits.upto(text, level, regex, value + 1)[0]) for text in texts)
+    observed: Iterable = (full_text,)
+    for step in rule.procedure:
+        observed = chain.from_iterable(map(partial(_select, step, splits, value), observed))
     test = _COMPARE[rule.relation]
     for first in observed:  # at least one value, and none fails
         return test(first, value) and all(map(test, observed, repeat(value)))

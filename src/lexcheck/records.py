@@ -4,12 +4,13 @@ Instruction files hold one JSON object per line with the fields id, language,
 prompt, rules, difficulty, depth and count; rules may be structured objects or
 one-line rule expressions.  Response files pair ids with response texts.
 Loaders validate as they read and report the offending line on failure.
-Every file is opened, read and decoded here (`read_text`, `read_json`,
-`decode_json`), so each way a file can fail to open or decode is worded
-once, as a `DataError` naming the path.  `build` is the one way a JSON
-object becomes a dataclass: instruction records and their rules, reports
-and configs are all checked against their dataclasses' own fields, at
-every depth.
+Every file is opened, read and decoded here, and stdin read and decoded
+(`read_text`, `read_stdin`, `read_json`, `decode_json`), so each way an
+input can fail to open or decode is worded here, as a `DataError` naming
+the path (`<stdin>` for stdin).  `build` is the one way a JSON object
+becomes a dataclass: instruction records and their rules, reports and
+configs are all checked against their dataclasses' own fields, at every
+depth.
 """
 
 from __future__ import annotations
@@ -223,6 +224,23 @@ def read_text(path: str | Path) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"not valid UTF-8 (byte {exc.start})", path) from exc
+
+
+def read_stdin() -> str:
+    """The text of stdin, decoded as UTF-8 like a file but with its newlines
+    as they are; DataError worded as `read_text`'s, for `<stdin>`.
+
+    A text stream with no bytes beneath it (an ``io.StringIO`` put in
+    stdin's place by a program that calls the command line in process)
+    holds text already, and is read as it is.
+    """
+    binary = getattr(sys.stdin, "buffer", None)
+    if binary is None:
+        return sys.stdin.read()
+    try:
+        return binary.read().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"not valid UTF-8 (byte {exc.start})", "<stdin>") from exc
 
 
 def read_json(path: str | Path) -> dict[str, Any]:

@@ -91,30 +91,6 @@ class Predicate:
         elif self.n is not None:
             raise ValueError(f"{self.kind.value} predicate takes no ordinal")
 
-    @classmethod
-    def index(cls, n: int) -> Predicate:
-        return cls(PredicateKind.INDEX, n)
-
-    @classmethod
-    def all(cls) -> Predicate:
-        return cls(PredicateKind.ALL)
-
-    @classmethod
-    def before(cls, n: int) -> Predicate:
-        return cls(PredicateKind.BEFORE, n)
-
-    @classmethod
-    def after(cls, n: int) -> Predicate:
-        return cls(PredicateKind.AFTER, n)
-
-    @classmethod
-    def between(cls) -> Predicate:
-        return cls(PredicateKind.BETWEEN)
-
-    @classmethod
-    def count(cls) -> Predicate:
-        return cls(PredicateKind.COUNT)
-
 
 class Relation(str, enum.Enum):
     # numerical: compare an element count against an integer

@@ -31,8 +31,11 @@ DEEP = "[" * 100_000
 HOSTILE_REGEXES = ("a{99999999999999}", "(" * 2_000)
 
 
-def feed_stdin(monkeypatch, text: str) -> None:
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+def feed_stdin(monkeypatch, data: str | bytes) -> None:
+    """Stand in for stdin: `data`'s bytes (a str's in UTF-8) behind a text
+    stream that, like a POSIX stdin, splits lines at "\n" only."""
+    raw = data.encode("utf-8") if isinstance(data, str) else data
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="\n"))
 
 
 @pytest.fixture()
@@ -123,6 +126,17 @@ class TestVerify:
         feed_stdin(monkeypatch, "你好。再见。")
         assert main(["verify", "sentence# = 2", "--lang", "zh"]) == EXIT_OK
         assert "strict: pass" in capsys.readouterr().out
+
+    def test_crlf_stdin_keeps_its_carriage_returns(self, monkeypatch, capsys):
+        # stdin is read without newline translation, so the first line is "one\r"
+        feed_stdin(monkeypatch, b"one\r\ntwo")
+        assert main(["verify", 'line@1 endswith "e"']) == EXIT_OK
+        assert capsys.readouterr().out == "strict: fail\nloose: fail\n"
+
+    def test_non_utf8_stdin_is_data_error(self, monkeypatch, capsys):
+        feed_stdin(monkeypatch, b"a \xff b")
+        assert main(["verify", "word# = 3"]) == EXIT_DATA
+        assert capsys.readouterr() == ("", "error: <stdin>: not valid UTF-8 (byte 2)\n")
 
     def test_bad_rule_is_data_error(self, monkeypatch, capsys):
         feed_stdin(monkeypatch, "text")
@@ -286,6 +300,11 @@ class TestRender:
         assert main(["render"]) == EXIT_OK
         assert capsys.readouterr().out == from_file
         assert "1. The response must contain exactly 2 sentences." in from_file
+
+    def test_non_utf8_stdin_is_data_error(self, monkeypatch, capsys):
+        feed_stdin(monkeypatch, b'word@1 equal "\xff"\n')
+        assert main(["render"]) == EXIT_DATA
+        assert capsys.readouterr() == ("", "error: <stdin>: not valid UTF-8 (byte 14)\n")
 
     def test_empty_input(self, monkeypatch, capsys):
         feed_stdin(monkeypatch, "\n  \n")

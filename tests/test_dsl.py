@@ -28,32 +28,32 @@ class TestParseExamples:
     def test_nested_count(self):
         rule = parse_rule("paragraph@2.sentence# = 3")
         assert [s.level for s in rule.procedure] == [Level.PARAGRAPH, Level.SENTENCE]
-        assert rule.procedure[0].predicate == Predicate.index(2)
-        assert rule.procedure[1].predicate == Predicate.count()
+        assert rule.procedure[0].predicate == Predicate(PredicateKind.INDEX, 2)
+        assert rule.procedure[1].predicate == Predicate(PredicateKind.COUNT)
         assert rule.relation is Relation.EQ
         assert rule.value == 3
 
     def test_textual_rule(self):
         rule = parse_rule('word@1 startswith "The"')
-        assert rule.procedure[0].predicate == Predicate.index(1)
+        assert rule.procedure[0].predicate == Predicate(PredicateKind.INDEX, 1)
         assert rule.relation is Relation.STARTSWITH
         assert rule.value == "The"
 
     def test_last_element(self):
         rule = parse_rule('sentence@-1 endswith "."')
-        assert rule.procedure[0].predicate == Predicate.index(-1)
+        assert rule.procedure[0].predicate == Predicate(PredicateKind.INDEX, -1)
 
     def test_bare_level_means_all(self):
         rule = parse_rule('sentence contain "x"')
-        assert rule.procedure[0].predicate == Predicate.all()
+        assert rule.procedure[0].predicate == Predicate(PredicateKind.ALL)
 
     def test_explicit_all_marker(self):
         assert parse_rule('sentence@ contain "x"') == parse_rule('sentence contain "x"')
 
     def test_before_after_between(self):
-        assert parse_rule('word!2 contain "x"').procedure[0].predicate == Predicate.before(2)
-        assert parse_rule('word$3 contain "x"').procedure[0].predicate == Predicate.after(3)
-        assert parse_rule('line% equal "a"').procedure[0].predicate == Predicate.between()
+        assert parse_rule('word!2 contain "x"').procedure[0].predicate == Predicate(PredicateKind.BEFORE, 2)
+        assert parse_rule('word$3 contain "x"').procedure[0].predicate == Predicate(PredicateKind.AFTER, 3)
+        assert parse_rule('line% equal "a"').procedure[0].predicate == Predicate(PredicateKind.BETWEEN)
 
     def test_numeric_relations(self):
         for text, relation in [
@@ -108,7 +108,7 @@ class TestParseExamples:
     def test_answer_prefix(self):
         rule = parse_rule('answer.sentence@1 startswith "A"')
         assert rule.procedure[0].level is Level.ANSWER
-        assert rule.procedure[0].predicate == Predicate.all()
+        assert rule.procedure[0].predicate == Predicate(PredicateKind.ALL)
 
     def test_value_zero(self):
         assert parse_rule("bullet# = 0").value == 0
@@ -233,20 +233,20 @@ class TestFormat:
         )
 
     def test_answer_has_no_marker(self):
-        rule = Rule((ProcedureStep(Level.ANSWER, Predicate.all()),), Relation.CONTAIN, "x")
+        rule = Rule((ProcedureStep(Level.ANSWER, Predicate(PredicateKind.ALL)),), Relation.CONTAIN, "x")
         assert format_rule(rule) == 'answer contain "x"'
 
     def test_all_marker_is_explicit_below_answer(self):
         assert format_rule(parse_rule('sentence contain "x"')) == 'sentence@ contain "x"'
 
     def test_value_escaping(self):
-        rule = Rule((ProcedureStep(Level.LINE, Predicate.between()),), Relation.EQUAL, "\n")
+        rule = Rule((ProcedureStep(Level.LINE, Predicate(PredicateKind.BETWEEN)),), Relation.EQUAL, "\n")
         assert format_rule(rule) == 'line% equal "\\n"'
-        quoted = Rule((ProcedureStep(Level.WORD, Predicate.index(1)),), Relation.EQUAL, 'a"b\\c')
+        quoted = Rule((ProcedureStep(Level.WORD, Predicate(PredicateKind.INDEX, 1)),), Relation.EQUAL, 'a"b\\c')
         assert format_rule(quoted) == 'word@1 equal "a\\"b\\\\c"'
 
     def test_pattern_slash_escaped(self):
-        step = ProcedureStep(Level.PATTERN, Predicate.count(), "a/b")
+        step = ProcedureStep(Level.PATTERN, Predicate(PredicateKind.COUNT), "a/b")
         rule = Rule((step,), Relation.EQ, 1)
         assert format_rule(rule) == r"pattern(/a\/b/)# = 1"
 

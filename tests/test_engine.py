@@ -89,8 +89,8 @@ class TestRefineScope:
     def test_count_step_refuses_to_refine(self):
         # a count step is only valid as the final step, so no rule can refine by one
         counting_first = (
-            ProcedureStep(Level.PARAGRAPH, Predicate.count()),
-            ProcedureStep(Level.WORD, Predicate.index(1)),
+            ProcedureStep(Level.PARAGRAPH, Predicate(PredicateKind.COUNT)),
+            ProcedureStep(Level.WORD, Predicate(PredicateKind.INDEX, 1)),
         )
         assert violations(counting_first, Relation.EQUAL, "x") == [Violation.COUNT_NOT_TERMINAL]
 
@@ -177,7 +177,7 @@ class TestVerifyRule:
 
     def test_invalid_rule_rejected(self):
         # an invalid rule never reaches verify_rule: building it raises
-        bad = (ProcedureStep(Level.WORD, Predicate.index(1)),)
+        bad = (ProcedureStep(Level.WORD, Predicate(PredicateKind.INDEX, 1)),)
         assert violations(bad, Relation.EQ, 3) == [Violation.NUMERIC_WITHOUT_COUNT]
 
     def test_unknown_language_rejected(self):
@@ -329,7 +329,7 @@ def test_refinement_never_grows_total_text(seed, language):
             steps = steps[:-1]
         for step in steps:
             before = sum(map(len, texts))
-            texts = [t for text in texts for t in _select(step, splits, text)]
+            texts = [t for text in texts for t in _select(step, splits, rule.value, text)]
             assert sum(map(len, texts)) <= before
 
 
@@ -567,27 +567,36 @@ def test_derived_splits_equal_full_splits_on_hostile_text(seed, length, shape, l
 # The non-count predicates that read element spans: first, last, all,
 # before and after the first and second element, and between.
 _SPAN_PREDICATES = (
-    Predicate.index(1),
-    Predicate.index(-1),
-    Predicate.all(),
-    Predicate.before(1),
-    Predicate.before(2),
-    Predicate.after(1),
-    Predicate.after(2),
-    Predicate.between(),
+    Predicate(PredicateKind.INDEX, 1),
+    Predicate(PredicateKind.INDEX, -1),
+    Predicate(PredicateKind.ALL),
+    Predicate(PredicateKind.BEFORE, 1),
+    Predicate(PredicateKind.BEFORE, 2),
+    Predicate(PredicateKind.AFTER, 1),
+    Predicate(PredicateKind.AFTER, 2),
+    Predicate(PredicateKind.BETWEEN),
+)
+
+
+# Each span predicate with a value it ignores, and a count (`#`) with the
+# values whose + 1 bounds its read.
+_OBSERVING = tuple((predicate, "") for predicate in _SPAN_PREDICATES) + tuple(
+    (Predicate(PredicateKind.COUNT), value) for value in (0, 1, 3)
 )
 
 
 def _check_shifted_refine(text: str, language: str) -> None:
-    """Every rewrite refines the same through the cache `_verdict` built,
-    derived splits and shifts included, as through a fresh cache."""
+    """Every rewrite refines the same, and counts the same, through the cache
+    `_verdict` built, derived splits and shifts included, as through a fresh
+    cache."""
     splits = _rewrite_splits(text, language)
     fresh = _Splits(language)
     for rewrite in {t for _, t in _variants(text)}:
         for level in _PLAIN_LEVELS:
-            for predicate in _SPAN_PREDICATES:
+            for predicate, value in _OBSERVING:
                 step = ProcedureStep(level, predicate)
-                assert list(_select(step, splits, rewrite)) == list(_select(step, fresh, rewrite)), (rewrite, step)
+                built = list(_select(step, splits, value, rewrite))
+                assert built == list(_select(step, fresh, value, rewrite)), (rewrite, step, value)
 
 
 @pytest.mark.parametrize("language", ["en", "zh"])
@@ -745,7 +754,7 @@ def test_joined_contents_equal_split_contents_on_hostile_text(seed, length, shap
 
 # Every predicate kind that selects texts: the span predicates and an
 # ordinal past the first two.  A count (`#`) compares numbers, never texts.
-_EVERY_PREDICATE = _SPAN_PREDICATES + (Predicate.index(3),)
+_EVERY_PREDICATE = _SPAN_PREDICATES + (Predicate(PredicateKind.INDEX, 3),)
 
 
 def _check_selections_are_substrings(text: str, language: str) -> None:
@@ -761,7 +770,7 @@ def _check_selections_are_substrings(text: str, language: str) -> None:
             for level, source in _LEVEL_PATTERNS:
                 for predicate in _EVERY_PREDICATE:
                     step = ProcedureStep(level, predicate, source)
-                    for selected in _select(step, splits, rewrite):
+                    for selected in _select(step, splits, "", rewrite):
                         assert selected in rewrite, (rewrite, step, selected)
 
 

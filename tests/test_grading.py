@@ -99,7 +99,7 @@ class TestGradeDifficulty:
 
     def test_invalid_rule_rejected(self):
         # an invalid rule never reaches grade_difficulty: building it raises
-        bad = (ProcedureStep(Level.WORD, Predicate.index(1)),)
+        bad = (ProcedureStep(Level.WORD, Predicate(PredicateKind.INDEX, 1)),)
         assert violations(bad, Relation.EQ, 3) == [Violation.NUMERIC_WITHOUT_COUNT]
 
 

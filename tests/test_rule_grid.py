@@ -26,12 +26,12 @@ README_TEXTUAL = {
 }
 
 PREDICATES = {
-    "index": Predicate.index(2),
-    "all": Predicate.all(),
-    "before": Predicate.before(2),
-    "after": Predicate.after(1),
-    "between": Predicate.between(),
-    "count": Predicate.count(),
+    "index": Predicate(PredicateKind.INDEX, 2),
+    "all": Predicate(PredicateKind.ALL),
+    "before": Predicate(PredicateKind.BEFORE, 2),
+    "after": Predicate(PredicateKind.AFTER, 1),
+    "between": Predicate(PredicateKind.BETWEEN),
+    "count": Predicate(PredicateKind.COUNT),
 }
 
 VALUES = {"int": 3, "str": "ab"}
@@ -53,7 +53,7 @@ def expected_codes(kind: str, relation: str, value: int | str) -> list[str]:
 
 def grid_steps(kind: str) -> tuple[ProcedureStep, ...]:
     return (
-        ProcedureStep(Level.PARAGRAPH, Predicate.index(1)),
+        ProcedureStep(Level.PARAGRAPH, Predicate(PredicateKind.INDEX, 1)),
         ProcedureStep(Level.WORD, PREDICATES[kind]),
     )
 

@@ -25,7 +25,7 @@ from lexcheck.rules import (
 
 
 def step(level: Level, pred: Predicate | None = None, pattern: str | None = None) -> ProcedureStep:
-    return ProcedureStep(level, pred or Predicate.all(), pattern)
+    return ProcedureStep(level, pred or Predicate(PredicateKind.ALL), pattern)
 
 
 class TestDescends:
@@ -61,25 +61,25 @@ class TestDescends:
 
 class TestPredicate:
     def test_constructors(self):
-        assert Predicate.index(3) == Predicate(PredicateKind.INDEX, 3)
-        assert Predicate.index(-1).n == -1
-        assert Predicate.all().n is None
-        assert Predicate.before(2).n == 2
-        assert Predicate.after(1).n == 1
-        assert Predicate.between().kind is PredicateKind.BETWEEN
-        assert Predicate.count().kind is PredicateKind.COUNT
+        assert Predicate(PredicateKind.INDEX, 3) == Predicate(PredicateKind.INDEX, 3)
+        assert Predicate(PredicateKind.INDEX, -1).n == -1
+        assert Predicate(PredicateKind.ALL).n is None
+        assert Predicate(PredicateKind.BEFORE, 2).n == 2
+        assert Predicate(PredicateKind.AFTER, 1).n == 1
+        assert Predicate(PredicateKind.BETWEEN).kind is PredicateKind.BETWEEN
+        assert Predicate(PredicateKind.COUNT).kind is PredicateKind.COUNT
 
     @pytest.mark.parametrize("n", [0, -2, -10])
     def test_index_rejects_bad_ordinals(self, n):
         with pytest.raises(ValueError):
-            Predicate.index(n)
+            Predicate(PredicateKind.INDEX, n)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_before_after_require_positive(self, n):
         with pytest.raises(ValueError):
-            Predicate.before(n)
+            Predicate(PredicateKind.BEFORE, n)
         with pytest.raises(ValueError):
-            Predicate.after(n)
+            Predicate(PredicateKind.AFTER, n)
 
     def test_no_ordinal_kinds_reject_ordinals(self):
         for kind in (PredicateKind.ALL, PredicateKind.BETWEEN, PredicateKind.COUNT):
@@ -88,60 +88,60 @@ class TestPredicate:
 
     def test_bool_is_not_an_ordinal(self):
         with pytest.raises(ValueError):
-            Predicate.index(True)
+            Predicate(PredicateKind.INDEX, True)
 
 
 class TestProcedureStep:
     def test_pattern_level_requires_regex(self):
         with pytest.raises(ValueError):
-            ProcedureStep(Level.PATTERN, Predicate.all())
+            ProcedureStep(Level.PATTERN, Predicate(PredicateKind.ALL))
 
     def test_other_levels_reject_regex(self):
         with pytest.raises(ValueError):
-            ProcedureStep(Level.WORD, Predicate.all(), "[a-z]+")
+            ProcedureStep(Level.WORD, Predicate(PredicateKind.ALL), "[a-z]+")
 
     def test_bad_regex_reports_compile_failure(self):
         with pytest.raises(ValueError, match="does not compile"):
-            ProcedureStep(Level.PATTERN, Predicate.all(), "[")
+            ProcedureStep(Level.PATTERN, Predicate(PredicateKind.ALL), "[")
 
     @pytest.mark.parametrize("regex", ["a{99999999999999}", "(" * 2_000], ids=["huge-repeat", "deep-nesting"])
     def test_regex_the_compiler_overflows_on(self, regex):
         # re.compile raises OverflowError and RecursionError on these
         with pytest.raises(ValueError, match="does not compile"):
-            ProcedureStep(Level.PATTERN, Predicate.all(), regex)
+            ProcedureStep(Level.PATTERN, Predicate(PredicateKind.ALL), regex)
 
     def test_escaped_slash_is_canonicalized(self):
-        s = ProcedureStep(Level.PATTERN, Predicate.all(), r"a\/b")
+        s = ProcedureStep(Level.PATTERN, Predicate(PredicateKind.ALL), r"a\/b")
         assert s.pattern == "a/b"
-        t = ProcedureStep(Level.PATTERN, Predicate.all(), r"\d+\/")
+        t = ProcedureStep(Level.PATTERN, Predicate(PredicateKind.ALL), r"\d+\/")
         assert t.pattern == r"\d+/"
 
     def test_compiled_regex_is_kept_but_not_compared(self):
-        s = ProcedureStep(Level.PATTERN, Predicate.all(), r"a\/b")
+        s = ProcedureStep(Level.PATTERN, Predicate(PredicateKind.ALL), r"a\/b")
         assert s.regex is not None and s.regex.pattern == "a/b"
-        assert ProcedureStep(Level.WORD, Predicate.all()).regex is None
+        assert ProcedureStep(Level.WORD, Predicate(PredicateKind.ALL)).regex is None
         assert "regex" not in repr(s)
         # a step whose regex was compiled elsewhere equals and hashes the same
-        other = ProcedureStep(Level.PATTERN, Predicate.all(), "a/b")
+        other = ProcedureStep(Level.PATTERN, Predicate(PredicateKind.ALL), "a/b")
         object.__setattr__(other, "regex", re.compile("a/b", re.IGNORECASE))
         assert other == s and hash(other) == hash(s)
 
     def test_compiled_regex_survives_pickling(self):
-        s = ProcedureStep(Level.PATTERN, Predicate.index(2), "[0-9]+")
+        s = ProcedureStep(Level.PATTERN, Predicate(PredicateKind.INDEX, 2), "[0-9]+")
         again = pickle.loads(pickle.dumps(s))
         assert again == s and again.regex == s.regex
 
 
 class TestRuleValue:
     def test_values(self):
-        assert Rule((step(Level.SENTENCE, Predicate.count()),), Relation.EQ, 0).value == 0
+        assert Rule((step(Level.SENTENCE, Predicate(PredicateKind.COUNT)),), Relation.EQ, 0).value == 0
         assert Rule((step(Level.SENTENCE),), Relation.CONTAIN, "x").value == "x"
 
     def test_rejections(self):
         with pytest.raises(ValueError):
-            Rule((step(Level.SENTENCE, Predicate.count()),), Relation.EQ, True)
+            Rule((step(Level.SENTENCE, Predicate(PredicateKind.COUNT)),), Relation.EQ, True)
         with pytest.raises(ValueError):
-            Rule((step(Level.SENTENCE, Predicate.count()),), Relation.EQ, -1)
+            Rule((step(Level.SENTENCE, Predicate(PredicateKind.COUNT)),), Relation.EQ, -1)
         with pytest.raises(ValueError):
             Rule((step(Level.SENTENCE),), Relation.CONTAIN, "")
         with pytest.raises(ValueError):
@@ -156,52 +156,67 @@ class TestCheckValidity:
     """Building a Rule checks it: an invalid one raises ValidityError with its codes."""
 
     def test_valid_rule_has_no_violations(self):
-        steps = (step(Level.PARAGRAPH, Predicate.index(2)), step(Level.SENTENCE, Predicate.count()))
+        steps = (
+            step(Level.PARAGRAPH, Predicate(PredicateKind.INDEX, 2)),
+            step(Level.SENTENCE, Predicate(PredicateKind.COUNT)),
+        )
         assert violations(steps, Relation.EQ, 3) == []
 
     def test_empty_procedure(self):
         assert violations((), Relation.EQ, 3) == [Violation.EMPTY_PROCEDURE]
 
     def test_numeric_relation_needs_count(self):
-        found = violations((step(Level.WORD, Predicate.index(1)),), Relation.GT, 5)
+        found = violations((step(Level.WORD, Predicate(PredicateKind.INDEX, 1)),), Relation.GT, 5)
         assert Violation.NUMERIC_WITHOUT_COUNT in found
 
     def test_text_relation_rejects_count(self):
-        found = violations((step(Level.WORD, Predicate.count()),), Relation.CONTAIN, "x")
+        found = violations((step(Level.WORD, Predicate(PredicateKind.COUNT)),), Relation.CONTAIN, "x")
         assert Violation.TEXT_WITH_COUNT in found
 
     def test_before_after_between_relation_limits(self):
-        before = violations((step(Level.WORD, Predicate.before(2)),), Relation.STARTSWITH, "x")
+        before = violations((step(Level.WORD, Predicate(PredicateKind.BEFORE, 2)),), Relation.STARTSWITH, "x")
         assert Violation.BEFORE_RELATION in before
-        after = violations((step(Level.WORD, Predicate.after(2)),), Relation.ENDSWITH, "x")
+        after = violations((step(Level.WORD, Predicate(PredicateKind.AFTER, 2)),), Relation.ENDSWITH, "x")
         assert Violation.AFTER_RELATION in after
-        between = violations((step(Level.WORD, Predicate.between()),), Relation.CONTAIN, "x")
+        between = violations((step(Level.WORD, Predicate(PredicateKind.BETWEEN)),), Relation.CONTAIN, "x")
         assert Violation.BETWEEN_RELATION in between
 
     def test_value_type_mismatch_both_directions(self):
-        numeric_with_text = violations((step(Level.WORD, Predicate.count()),), Relation.EQ, "x")
+        numeric_with_text = violations((step(Level.WORD, Predicate(PredicateKind.COUNT)),), Relation.EQ, "x")
         assert Violation.VALUE_TYPE_MISMATCH in numeric_with_text
-        text_with_int = violations((step(Level.WORD, Predicate.index(1)),), Relation.CONTAIN, 3)
+        text_with_int = violations((step(Level.WORD, Predicate(PredicateKind.INDEX, 1)),), Relation.CONTAIN, 3)
         assert Violation.VALUE_TYPE_MISMATCH in text_with_int
 
     def test_levels_must_strictly_descend(self):
-        upward = (step(Level.SENTENCE, Predicate.index(1)), step(Level.PARAGRAPH, Predicate.index(1)))
+        upward = (
+            step(Level.SENTENCE, Predicate(PredicateKind.INDEX, 1)),
+            step(Level.PARAGRAPH, Predicate(PredicateKind.INDEX, 1)),
+        )
         assert Violation.LEVEL_ORDER in violations(upward, Relation.CONTAIN, "x")
-        peer = (step(Level.LINE, Predicate.index(1)), step(Level.BULLET, Predicate.index(1)))
+        peer = (
+            step(Level.LINE, Predicate(PredicateKind.INDEX, 1)),
+            step(Level.BULLET, Predicate(PredicateKind.INDEX, 1)),
+        )
         assert Violation.LEVEL_ORDER in violations(peer, Relation.CONTAIN, "x")
 
     def test_answer_placement(self):
-        late = (step(Level.PARAGRAPH, Predicate.index(1)), step(Level.ANSWER))
+        late = (step(Level.PARAGRAPH, Predicate(PredicateKind.INDEX, 1)), step(Level.ANSWER))
         assert Violation.ANSWER_NOT_FIRST in violations(late, Relation.CONTAIN, "x")
-        selective = (step(Level.ANSWER, Predicate.index(1)),)
+        selective = (step(Level.ANSWER, Predicate(PredicateKind.INDEX, 1)),)
         assert Violation.ANSWER_PREDICATE in violations(selective, Relation.CONTAIN, "x")
 
     def test_count_only_terminal(self):
-        steps = (step(Level.PARAGRAPH, Predicate.count()), step(Level.SENTENCE, Predicate.count()))
+        steps = (
+            step(Level.PARAGRAPH, Predicate(PredicateKind.COUNT)),
+            step(Level.SENTENCE, Predicate(PredicateKind.COUNT)),
+        )
         assert Violation.COUNT_NOT_TERMINAL in violations(steps, Relation.EQ, 1)
 
     def test_multiple_violations_accumulate(self):
-        steps = (step(Level.SENTENCE, Predicate.index(1)), step(Level.PARAGRAPH, Predicate.index(1)))
+        steps = (
+            step(Level.SENTENCE, Predicate(PredicateKind.INDEX, 1)),
+            step(Level.PARAGRAPH, Predicate(PredicateKind.INDEX, 1)),
+        )
         with pytest.raises(ValidityError) as info:
             Rule(steps, Relation.EQ, "x")
         found = info.value.violations
@@ -211,7 +226,7 @@ class TestCheckValidity:
         )
 
     def test_repeated_calls_are_stable(self):
-        steps = (step(Level.WORD, Predicate.index(1)),)
+        steps = (step(Level.WORD, Predicate(PredicateKind.INDEX, 1)),)
         assert violations(steps, Relation.GT, 5) == violations(steps, Relation.GT, 5)
 
 
@@ -243,12 +258,12 @@ class TestAllowedRelations:
         for kind, relations in ALLOWED_RELATIONS.items():
             for relation in relations:
                 pred = {
-                    PredicateKind.INDEX: Predicate.index(1),
-                    PredicateKind.ALL: Predicate.all(),
-                    PredicateKind.BEFORE: Predicate.before(1),
-                    PredicateKind.AFTER: Predicate.after(1),
-                    PredicateKind.BETWEEN: Predicate.between(),
-                    PredicateKind.COUNT: Predicate.count(),
+                    PredicateKind.INDEX: Predicate(PredicateKind.INDEX, 1),
+                    PredicateKind.ALL: Predicate(PredicateKind.ALL),
+                    PredicateKind.BEFORE: Predicate(PredicateKind.BEFORE, 1),
+                    PredicateKind.AFTER: Predicate(PredicateKind.AFTER, 1),
+                    PredicateKind.BETWEEN: Predicate(PredicateKind.BETWEEN),
+                    PredicateKind.COUNT: Predicate(PredicateKind.COUNT),
                 }[kind]
                 value: int | str = 2 if relation.is_numerical else "x"
                 assert violations((ProcedureStep(Level.WORD, pred),), relation, value) == [], (kind, relation)
@@ -256,7 +271,7 @@ class TestAllowedRelations:
 
 class TestInstruction:
     def _rules(self):
-        return (Rule((step(Level.SENTENCE, Predicate.count()),), Relation.EQ, 3),)
+        return (Rule((step(Level.SENTENCE, Predicate(PredicateKind.COUNT)),), Relation.EQ, 3),)
 
     def test_round_fields(self):
         ins = Instruction("en-abc", "en", "p", self._rules(), "easy", 1, 1)

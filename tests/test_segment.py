@@ -271,7 +271,7 @@ class TestGaps:
         text = "one. two. three."
         assert holds('sentence% equal " "', text)
         step = parse_rule('sentence% equal " "').procedure[-1]
-        assert len(list(_select(step, _Splits("en"), text))) == len(split(text, Level.SENTENCE)) - 1
+        assert len(list(_select(step, _Splits("en"), " ", text))) == len(split(text, Level.SENTENCE)) - 1
 
     def test_no_gap_for_zero_or_one_element(self):
         # an empty selection fails even a rule every gap would satisfy

@@ -201,10 +201,10 @@ class TestRegistry:
         assert render_rule_sentence(parse_rule('line% equal "x"'), "en", registry) == 'Lines / "x".'
 
     def test_invalid_rule_rejected(self):
-        from lexcheck.rules import Level, Predicate, ProcedureStep, Relation, Violation
+        from lexcheck.rules import Level, Predicate, PredicateKind, ProcedureStep, Relation, Violation
 
         # an invalid rule never reaches render_rule_sentence: building it raises
-        bad = (ProcedureStep(Level.WORD, Predicate.index(1)),)
+        bad = (ProcedureStep(Level.WORD, Predicate(PredicateKind.INDEX, 1)),)
         assert violations(bad, Relation.EQ, 3) == [Violation.NUMERIC_WITHOUT_COUNT]
 
     def test_unknown_language_rejected(self):

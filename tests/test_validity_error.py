@@ -17,6 +17,7 @@ from lexcheck.report import score
 from lexcheck.rules import (
     Level,
     Predicate,
+    PredicateKind,
     ProcedureStep,
     Relation,
     Rule,
@@ -26,7 +27,10 @@ from lexcheck.rules import (
 from lexcheck.templates import render_prompt
 
 # a textual relation on a count, with an integer value: two violations
-STEPS = (ProcedureStep(Level.PARAGRAPH, Predicate.index(1)), ProcedureStep(Level.WORD, Predicate.count()))
+STEPS = (
+    ProcedureStep(Level.PARAGRAPH, Predicate(PredicateKind.INDEX, 1)),
+    ProcedureStep(Level.WORD, Predicate(PredicateKind.COUNT)),
+)
 SOURCE = "paragraph@1.word# contain 3"
 DATA = {
     "procedure": [
