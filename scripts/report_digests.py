@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Print the sha256 of every `lexcheck score` report for one pair of files.
+"""Print the sha256 of every `lexcheck score` report for one pair of files,
+and of the `lexcheck report` merges of its structured reports.
 
     python3 scripts/report_digests.py INSTRUCTIONS RESPONSES
 
 Scores the responses against the instructions seven times, through the
 same entry point as the command line: in each report format (structured,
 table, csv), with the relaxed pass and with --strict-only, and once more as
-a structured report with --jobs 2.  One line per report gives its settings
-and the sha256 of its bytes, so two source trees that print the same lines
-wrote the same reports.
+a structured report with --jobs 2.  Then merges the loose and the
+strict-only structured report with `lexcheck report`, once as a table and
+once as a structured report.  One line per output gives its settings and
+the sha256 of its bytes, so two source trees that print the same lines
+wrote the same reports and merges.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from lexcheck.cli import main as lexcheck
 from lexcheck.report import REPORT_FORMATS
 
 RUNS = [(fmt, strict, 1) for strict in (False, True) for fmt in REPORT_FORMATS] + [("structured", False, 2)]
+MERGES = ("table", "structured")
 
 
 def main() -> int:
@@ -31,17 +35,31 @@ def main() -> int:
     parser.add_argument("responses", help="response file (JSONL)")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "report"
         for fmt, strict, jobs in RUNS:
+            out = Path(tmp) / f"{fmt}-{strict}-{jobs}"
             argv = ["score", args.instructions, args.responses, "--format", fmt, "--jobs", str(jobs), "-o", str(out)]
             argv += ["--strict-only"] * strict
-            status = lexcheck(argv)
+            status = _digest(f"{fmt} {'strict-only' if strict else 'loose'} jobs={jobs}", argv, out)
             if status != 0:
-                print(f"lexcheck {' '.join(argv)} exited {status}", file=sys.stderr)
                 return status
-            label = f"{fmt} {'strict-only' if strict else 'loose'} jobs={jobs}"
-            print(f"{label}: {hashlib.sha256(out.read_bytes()).hexdigest()}")
+        structured = [str(Path(tmp) / f"structured-{strict}-1") for strict in (False, True)]
+        for fmt in MERGES:
+            out = Path(tmp) / f"merge-{fmt}"
+            status = _digest(f"merge {fmt}", ["report", *structured, "--format", fmt, "-o", str(out)], out)
+            if status != 0:
+                return status
     return 0
+
+
+def _digest(label: str, argv: list[str], out: Path) -> int:
+    """Run one lexcheck command and print `label` with the sha256 of what
+    it wrote to `out`; return its exit status."""
+    status = lexcheck(argv)
+    if status != 0:
+        print(f"lexcheck {' '.join(argv)} exited {status}", file=sys.stderr)
+    else:
+        print(f"{label}: {hashlib.sha256(out.read_bytes()).hexdigest()}")
+    return status
 
 
 if __name__ == "__main__":

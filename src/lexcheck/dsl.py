@@ -63,7 +63,7 @@ _NUM_RELATION_SYMBOLS = (
 )
 _RELATIONS = dict(_NUM_RELATION_SYMBOLS) | {r.value: r for r in Relation if not r.is_numerical}
 _RELATION_SYMBOL = {rel: sym for sym, rel in _RELATIONS.items()}
-_VALUE_ESCAPES = {'"': '"', "\\": "\\", "n": "\n"}
+_VALUE_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "r": "\r"}
 
 # Each token is matched whole at the current position.  Names are ASCII
 # letters and numbers ASCII digits; \s is exactly str.isspace.
@@ -159,7 +159,7 @@ def _parse_string(source: str, open_pos: int) -> tuple[str, int]:
             return value, pos + 1
         escaped = _VALUE_ESCAPES.get(source[pos + 1 : pos + 2])
         if escaped is None:
-            raise ParseError(pos, 'an escape among \\" \\\\ \\n')
+            raise ParseError(pos, 'an escape among \\" \\\\ \\n \\r')
         parts.append(escaped)
         pos += 2
 
@@ -195,7 +195,7 @@ def _escape_regex_body(body: str) -> str:
 
 
 def _escape_value(value: str) -> str:
-    escaped = value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    escaped = value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\r", "\\r")
     return f'"{escaped}"'
 
 

@@ -64,7 +64,7 @@ def _select(step: ProcedureStep, splits: _Splits, value: int | str, text: str) -
     if kind is PredicateKind.BETWEEN:
         elements, shift = splits.each(text, level, regex)
         return (text[left[2] - shift : right[1] - shift] for left, right in pairwise(elements))
-    elements, shift = splits.upto(text, level, regex, n) if n > 0 else splits[text, level, regex]
+    elements, _, shift = splits.upto(text, level, regex, n) if n > 0 else splits.whole(text, level, regex)
     if len(elements) < abs(n):  # n is a positive ordinal or -1
         return ()
     el = elements[n - 1 if n > 0 else -1]
@@ -112,19 +112,15 @@ def verify_rule(rule: Rule, full_text: str, language: str = "en") -> bool:
 
 
 class _Splits(dict):
-    """Elements by (text, level, compiled regex), each split on first use.
-
-    A complete value is a pair (elements, shift): each element's start and
-    end, less `shift`, are its span in the text.  A text split by itself has
-    shift 0.  Reading a key by item splits it to the end; `@-1` and the
-    base of a derived cut read so.
-    :meth:`upto` and :meth:`each` split only as far as a step reads: `@n`,
-    `!n`, `$n` and a `#` count (up to the rule's value + 1) through `upto`,
-    `@` and `%` through `each`, in growing runs, until the walk stops.  A key
-    they have begun but not finished is not in the dict but in `partial`,
-    as the elements made so far and the running splitter that makes the
-    rest (`segment._SPLITTERS`), so every read of a complete key stays one
-    dict hit.
+    """One entry per (text, level, compiled regex), begun on first use: a
+    list [elements, rest, shift] of the elements made so far, the running
+    splitter that makes the rest (`segment._SPLITTERS`) or None once the
+    split is complete, and the shift: each element's start and end, less
+    `shift`, are its span in the text.  A text split by itself has shift 0.
+    A step makes only as much of a split as it reads: `@n`, `!n`, `$n` and a
+    `#` count (up to the rule's value + 1) through :meth:`upto`, `@` and `%`
+    through :meth:`each`, in growing runs, until the walk stops; `@-1`
+    through :meth:`whole`.
     `cuts` maps a text to (base, a, b) when the text is ``base[a:b]``, with
     `a` at 0 or just after a newline and `b` at a newline or the end.  At a
     level in `_DERIVE` such a text's elements are derived from the base's
@@ -136,12 +132,11 @@ class _Splits(dict):
     (`chars`), by (text, level).
     """
 
-    __slots__ = ("language", "partial", "cuts", "joined")
+    __slots__ = ("language", "cuts", "joined")
 
     def __init__(self, language: str):
         super().__init__()
         self.language = language
-        self.partial: dict[tuple[str, Level, re.Pattern[str] | None], tuple[list[_Span], Iterator[_Span]]] = {}
         self.cuts: dict[str, tuple[str, int, int]] = {}
         self.joined: dict[tuple[str, Level], str] = {}
 
@@ -165,70 +160,53 @@ class _Splits(dict):
             self.joined[text, level] = found
         return found
 
-    def upto(self, text: str, level: Level, regex: re.Pattern[str] | None, n: int) -> _Shifted:
-        """`text`'s (elements, shift) at `level` with at least the first `n`
-        elements made, or all of them if there are fewer.
-
-        A key not yet complete, a cut too, is split lazily on its own, with
-        shift 0.
-        """
-        key = text, level, regex
-        found = self.get(key)
-        if found is not None:
-            return found
-        part = self.partial.pop(key, None)
-        if part is None:
-            part = [], _SPLITTERS[level](text, self.language, regex)
-        elements, rest = part
-        if len(elements) < n:
-            # islice takes no stop above sys.maxsize; no text has that many elements
-            elements.extend(islice(rest, min(n, sys.maxsize) - len(elements)))
-            if len(elements) < n:  # the split has ended
-                self[key] = found = elements, 0
-                return found
-        self.partial[key] = part
-        return elements, 0
+    def upto(self, text: str, level: Level, regex: re.Pattern[str] | None, n: int) -> _Entry:
+        """`text`'s entry at `level` with at least the first `n` elements
+        made, or all of them if there are fewer.  An entry begun here, a
+        cut's too, is split on its own, with shift 0."""
+        entry = self.get((text, level, regex))
+        if entry is None:
+            entry = self[text, level, regex] = [[], _SPLITTERS[level](text, self.language, regex), 0]
+        return _extend(entry, n)
 
     def each(self, text: str, level: Level, regex: re.Pattern[str] | None) -> tuple[Iterable[_Span], int]:
         """`text`'s elements at `level` with their shift, made as they are
         read: `_RUN` of them first, through :meth:`upto`, then at each
         further run `_RUN` times as many as are made.  A split that is
         complete, or ends within the first run, is its own list."""
-        found = self.upto(text, level, regex, _RUN)
-        if (text, level, regex) in self:
-            return found
-        return chain.from_iterable(self._runs(text, level, regex, found[0])), 0
+        entry = self.upto(text, level, regex, _RUN)
+        return (entry[0], entry[2]) if entry[1] is None else (chain.from_iterable(_runs(entry)), 0)
 
-    def _runs(
-        self, text: str, level: Level, regex: re.Pattern[str] | None, elements: list[_Span]
-    ) -> Iterator[list[_Span]]:
+    def whole(self, text: str, level: Level, regex: re.Pattern[str] | None) -> _Entry:
+        """`text`'s complete entry at `level`: a cut with no entry yet is
+        derived at a level in `_DERIVE`, any other entry split to the end."""
+        if text in self.cuts and level in _DERIVE and (text, level, regex) not in self:
+            base, a, b = self.cuts[text]
+            elements, _, _ = self.whole(base, level, None)  # a base is never a cut: shift 0
+            elements, shift = _DERIVE[level](_inside(elements, a, b), a, text, level, self.language)
+            self[text, level, regex] = [elements, None, shift]
+        return self.upto(text, level, regex, sys.maxsize)
+
+
+def _extend(entry: _Entry, n: int) -> _Entry:
+    """`entry` with at least its first `n` elements made, or all of them if
+    there are fewer."""
+    elements, rest, _ = entry
+    if rest is not None and len(elements) < n:
+        # islice takes no stop above sys.maxsize; no text has that many elements
+        elements.extend(islice(rest, min(n, sys.maxsize) - len(elements)))
+        if len(elements) < n:  # the split has ended
+            entry[1] = None
+    return entry
+
+
+def _runs(entry: _Entry) -> Iterator[list[_Span]]:
+    """The runs `_Splits.each` reads of an unfinished `entry`: the elements
+    made so far, then `_RUN` times as many at each run."""
+    elements, done = entry[0], 0
+    while done < len(_extend(entry, _RUN * done)[0]):
+        yield elements[done:]
         done = len(elements)
-        yield elements[:done]
-        while True:
-            want = _RUN * done
-            elements, _ = self.upto(text, level, regex, want)
-            yield elements[done:]
-            if len(elements) < want:  # the split has ended
-                return
-            done = len(elements)
-
-    def __missing__(self, key: tuple[str, Level, re.Pattern[str] | None]) -> _Shifted:
-        text, level, regex = key
-        part = self.partial.pop(key, None)
-        cut = self.cuts.get(text)
-        derive = _DERIVE.get(level) if cut else None
-        if part is not None:
-            elements, rest = part
-            elements.extend(rest)
-            found = elements, 0
-        elif derive is None:
-            found = _split(text, level, self.language, regex), 0
-        else:
-            base, a, b = cut
-            elements, _ = self[base, level, None]  # a base is never a cut: shift 0
-            found = derive(_inside(elements, a, b), a, text, level, self.language)
-        self[key] = found
-        return found
 
 
 #: How many elements `_Splits.each` makes in its first run, and the factor
@@ -240,8 +218,9 @@ _RUN = 8
 _CONTENT = operator.itemgetter(0)
 _START = operator.itemgetter(1)
 _END = operator.itemgetter(2)
-# One cached split: the elements and the shift to subtract from their spans.
+# A cut's derived elements and the shift to subtract from their spans.
 _Shifted = tuple[list[_Span], int]
+_Entry = list  # [elements, rest, shift], as `_Splits` holds it
 
 
 def _inside(elements: list[_Span], a: int, b: int) -> list[_Span]:
@@ -286,7 +265,8 @@ def _edges_resplit(inside: list[_Span], shift: int, text: str, level: Level, lan
 #: from its base's complete split: a prefix of the base may end before the
 #: cut does, and its last element may still change at the cut's end.  A
 #: lazy read (`_Splits.upto`, `_Splits.each`) splits the cut on its own,
-#: which gives the same elements with shift 0.
+#: which gives the same elements with shift 0, and a later whole read
+#: (`_Splits.whole`) finishes that split instead of deriving one.
 _DERIVE = {
     Level.LINE: _kept,
     Level.BULLET: _kept,

@@ -18,9 +18,9 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from .engine import verify_instruction
+from .engine import _LOOSE_REWRITES, verify_instruction
 from .records import DataError, build, read_instructions, read_json, read_responses
-from .rules import DIFFICULTIES, Instruction
+from .rules import DIFFICULTIES, LANGUAGES, Instruction
 
 
 @dataclass(frozen=True)
@@ -230,9 +230,10 @@ def _unique(what: str, keys: Iterable[Any]) -> set[Any]:
 def report_from_dict(data: dict[str, Any]) -> EvalReport:
     """Read back `report_to_dict` output; a missing key, a value of the
     wrong type, a repeated cell, verdict id or unscored id, an id both
-    scored and unscored, or a single-run report whose slices are not the
-    aggregate of its rows raises ValueError.  A merged report averages its
-    runs, so its slices cannot be recomputed from the rows it keeps."""
+    scored and unscored, a verdict row that `score` could not write, or a
+    single-run report whose slices are not the aggregate of its rows raises
+    ValueError.  A merged report averages its runs, so its slices cannot be
+    recomputed from the rows it keeps."""
     if "cells" in data:
         entries = data["cells"]
         if type(entries) is not list or any(type(entry) is not dict for entry in entries):
@@ -247,6 +248,14 @@ def report_from_dict(data: dict[str, Any]) -> EvalReport:
     for rid in _unique("unscored id", report.unscored):
         if rid in scored:
             raise ValueError(f"duplicate id in verdicts and unscored: {rid!r}")
+    for row in report.verdicts:
+        if not (
+            row.language in LANGUAGES and row.difficulty in DIFFICULTIES
+            and row.depth >= 1 and row.count == len(row.rule_passes) >= 1
+            and row.strict == all(row.rule_passes) and not (row.strict and row.loose is False)
+            and (row.loose_variant in _LOOSE_REWRITES if row.loose else row.loose_variant is None)
+        ):
+            raise ValueError(f"verdict {row.id!r} contradicts itself")
     if report.runs == 1:
         recomputed = aggregate(report.verdicts, report.unscored)
         for name in ("overall", *_SECTIONS):

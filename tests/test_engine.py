@@ -534,9 +534,9 @@ def _rewrite_splits(text: str, language: str) -> dict:
     return made[0]
 
 
-def _positions(found: tuple[list, int]) -> list:
-    """A cached (elements, shift) mapped back to spans in its own text."""
-    elements, shift = found
+def _positions(entry: list) -> list:
+    """A cache entry's elements mapped back to spans in its own text."""
+    elements, _, shift = entry
     return [(content, start - shift, end - shift) for content, start, end in elements]
 
 
@@ -549,7 +549,7 @@ def _check_derived_splits(text: str, language: str) -> None:
     assert drops - bases <= set(splits.cuts)
     for rewrite in set(variants.values()):
         for level in _PLAIN_LEVELS:
-            assert _positions(splits[rewrite, level, None]) == split(rewrite, level, language), (rewrite, level)
+            assert _positions(splits.whole(rewrite, level, None)) == split(rewrite, level, language), (rewrite, level)
 
 
 @pytest.mark.parametrize("language", ["en", "zh"])
@@ -617,10 +617,10 @@ def test_drop_first_cut_shares_the_base_elements():
     rewrite = dict(_variants(text))["drop-first-line"]
     base, a, b = splits.cuts[rewrite]
     assert base == text and a > 0
-    elements, shift = splits[rewrite, Level.WORD, None]
-    base_elements, _ = splits[base, Level.WORD, None]
+    elements, rest, shift = splits.whole(rewrite, Level.WORD, None)
+    base_elements, _, _ = splits.whole(base, Level.WORD, None)
     inside = [el for el in base_elements if a <= el[1] and el[2] <= b]
-    assert shift == a and len(elements) == len(inside) >= 8
+    assert rest is None and shift == a and len(elements) == len(inside) >= 8
     # the cut holds the base's own tuples, not shifted copies
     assert all(el is base_el for el, base_el in zip(elements, inside))
 
@@ -634,11 +634,12 @@ _LEVEL_PATTERNS = tuple((level, None) for level in _PLAIN_LEVELS) + tuple(
 
 def _check_prefix_reads(text: str, language: str, ordinals: list[int]) -> None:
     """Prefix reads of the response and of every rewrite equal the full
-    split's first elements, and a split made lazily holds no more elements
-    than the largest ordinal read so far; a full read afterwards equals one
-    full split.  The cuts are read before their bases, after prefix reads
-    of their bases, and after their bases are complete; a prefix read
-    splits each cut on its own."""
+    split's first elements, and an unfinished entry holds exactly the most
+    elements read so far; a whole read afterwards equals one full split.
+    The cuts are read before their bases, after prefix reads of their
+    bases, and after their bases are complete; a prefix read splits each
+    cut on its own, and a whole read finishes that split (shift 0, the same
+    list) instead of deriving one."""
     for first in ("cuts", "base prefixes", "bases"):
         splits = _Splits(language)
         texts = [text]
@@ -655,22 +656,25 @@ def _check_prefix_reads(text: str, language: str, ordinals: list[int]) -> None:
                 if first == "base prefixes":
                     splits.upto(base, level, regex, ordinals[0])
                 elif first == "bases":
-                    splits[base, level, regex]
+                    splits.whole(base, level, regex)
+            made = {}
             for rewrite in [*splits.cuts, *bases]:
                 full = split(rewrite, level, language, source)
                 key = rewrite, level, regex
                 most = 0
                 for n in ordinals:
                     most = max(most, n)
-                    elements, shift = splits.upto(rewrite, level, regex, n)
-                    assert _positions((elements[:n], shift)) == full[:n], (rewrite, level, n)
-                    assert (key in splits) != (key in splits.partial), (rewrite, level, n)
-                    if key in splits.partial:
+                    entry = splits.upto(rewrite, level, regex, n)
+                    elements, rest, shift = entry
+                    assert _positions((elements[:n], rest, shift)) == full[:n], (rewrite, level, n)
+                    assert splits[key] is entry and made.setdefault(key, elements) is elements, (rewrite, level, n)
+                    if rest is not None:
                         assert len(elements) == most, (rewrite, level, n)
             for rewrite in texts:
                 key = rewrite, level, regex
-                assert _positions(splits[key]) == split(rewrite, level, language, source), (rewrite, level)
-                assert key not in splits.partial
+                entry = splits.whole(*key)
+                assert _positions(entry) == split(rewrite, level, language, source), (rewrite, level)
+                assert entry[0] is made[key] and entry[1:] == [None, 0], (rewrite, level)
 
 
 _ORDINALS = st.lists(st.integers(1, 40) | st.just(sys.maxsize + 1), min_size=1, max_size=4)
@@ -1020,16 +1024,15 @@ def test_capped_counts_decide_as_full_counts_at_their_edges(stems, gap):
                 rule = parse_rule(f"{level}# {symbol} {v}")
                 expected = compare(c, v)
                 assert brute_verify(rule, text, "en") == expected, rule
-                # a prefix read of all c first: a partial entry, longer than
-                # value + 1 where v + 1 < c, which the count reads
+                # a prefix read of all c first: an unfinished entry, longer
+                # than value + 1 where v + 1 < c, which the count reads
                 splits = _Splits("en")
-                splits.upto(*key, c)
-                assert key in splits.partial
+                assert splits.upto(*key, c)[1] is not None
                 assert engine._holds(rule, text, splits) == expected, rule
                 # the capped count first, then a full read of the same key
                 splits = _Splits("en")
                 assert engine._holds(rule, text, splits) == expected, rule
                 if c > v:  # v + 1 made, and the end of the split not seen
-                    assert len(splits.partial[key][0]) == v + 1, rule
-                assert splits[key] == (elements, 0), rule
+                    assert len(splits[key][0]) == v + 1 and splits[key][1] is not None, rule
+                assert splits.whole(*key) == [elements, None, 0], rule
                 assert engine._holds(rule, text, splits) == expected, rule

@@ -273,14 +273,44 @@ class TestStructuredRoundTrip:
             load_report(path)
         assert str(info.value) == f"{path}: bad report structure: {message}"
 
+    #: edits that make a verdict row no `score` run could write, applied to
+    #: a row that passes every rule and so passes strictly and as identity
+    ROW_EDITS = {
+        "language": lambda r: {"language": "fr"},
+        "difficulty": lambda r: {"difficulty": "extreme"},
+        "depth": lambda r: {"depth": 0},
+        "count": lambda r: {"count": r["count"] + 1},
+        "no-rules": lambda r: {"count": 0, "rule_passes": []},
+        "strict-with-a-failed-rule": lambda r: {"rule_passes": [False] + r["rule_passes"][1:]},
+        "not-strict-with-every-rule": lambda r: {"strict": False},
+        "strict-but-not-loose": lambda r: {"loose": False, "loose_variant": None},
+        "unknown-variant": lambda r: {"loose_variant": "bogus"},
+        "loose-without-variant": lambda r: {"loose_variant": None},
+        "variant-without-loose": lambda r: {
+            "strict": False, "loose": False, "rule_passes": [False] * r["count"]},
+        "strict-only-variant": lambda r: {"loose": None},
+        "every-contradiction": lambda r: {
+            "language": "fr", "depth": -3, "count": 0, "rule_passes": [True, False, True, True],
+            "strict": True, "loose": False, "loose_variant": "bogus"},
+    }
+
     @pytest.mark.parametrize(
-        "case", ["cell", "verdict", "scored-and-unscored", "unscored", "overall", "by-language", "cell-strict"]
+        "case",
+        ["cell", "verdict", "scored-and-unscored", "unscored", "overall", "by-language", "cell-strict", *ROW_EDITS],
     )
     def test_self_contradicting_report_rejected(self, small_eval, tmp_path, case):
         instructions, responses = small_eval
         data = report_to_dict(score(instructions, responses))
         cell, row = data["cells"][-1], data["verdicts"][-1]
-        if case == "cell":
+        if case in self.ROW_EDITS:
+            # the edited row's slices are recomputed, so only the row itself
+            # gives the contradiction away
+            row.update(strict=True, loose=True, loose_variant="identity", rule_passes=[True] * row["count"])
+            row.update(self.ROW_EDITS[case](row))
+            rows = [InstructionVerdict(**dict(r, rule_passes=tuple(r["rule_passes"]))) for r in data["verdicts"]]
+            data = report_to_dict(aggregate(rows, data["unscored"]))
+            message = f"verdict {row['id']!r} contradicts itself"
+        elif case == "cell":
             data["cells"].append(dict(cell, n=1, strict=0.0))
             message = f"duplicate cell (depth, count): ({cell['depth']}, {cell['count']})"
         elif case == "verdict":

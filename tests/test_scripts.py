@@ -58,19 +58,23 @@ def test_build_benchmark_writes_the_full_datasets(tmp_path, hash_seed):
 
 
 def test_report_digests_prints_one_digest_per_report(tmp_path):
-    """Seven reports, each named by its settings; the loose and strict-only
-    structured reports differ, and --jobs 2 writes the jobs=1 bytes."""
+    """Seven reports and two merges, each named by its settings; the loose
+    and strict-only structured reports differ, --jobs 2 writes the jobs=1
+    bytes, and every line is the same under two string-hash seeds."""
     instructions = generate_dataset(GenConfig(seed=5, language="en", easy=4, medium=4, hard=4))
     rng = random.Random(5)
     write_instructions(tmp_path / "ins.jsonl", instructions)
     write_responses(tmp_path / "res.jsonl", [{"id": ins.id, "response": make_text(rng, "en")} for ins in instructions])
-    done = _run("report_digests.py", "ins.jsonl", "res.jsonl", cwd=tmp_path)
-    assert done.returncode == 0, done.stderr
-    digests = dict(line.split(": ") for line in done.stdout.splitlines())
+    runs = [_run("report_digests.py", "ins.jsonl", "res.jsonl", cwd=tmp_path, PYTHONHASHSEED=seed) for seed in "01"]
+    for done in runs:
+        assert done.returncode == 0, done.stderr
+    assert runs[0].stdout == runs[1].stdout
+    digests = dict(line.split(": ") for line in runs[0].stdout.splitlines())
     assert list(digests) == [
         f"{fmt} {mode} jobs=1" for mode in ("loose", "strict-only") for fmt in ("structured", "table", "csv")
-    ] + ["structured loose jobs=2"]
+    ] + ["structured loose jobs=2", "merge table", "merge structured"]
     assert all(len(d) == 64 for d in digests.values())
     assert digests["structured loose jobs=2"] == digests["structured loose jobs=1"]
     assert digests["structured loose jobs=1"] != digests["structured strict-only jobs=1"]
+    assert len(set(digests.values())) == len(digests) - 1  # only --jobs 2 repeats a digest
     assert set(os.listdir(tmp_path)) == {"ins.jsonl", "res.jsonl"}  # the reports went to a temporary directory
