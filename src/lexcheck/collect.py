@@ -169,8 +169,6 @@ def _request_with_retries(
         try:
             text = _post_once(opener, config, key, instruction.prompt)
             return text, time.monotonic() - started
-        except _Permanent:
-            raise
         # URLError and socket timeouts are OSErrors; a reply cut short or
         # without a status line raises an HTTPException
         except (_Transient, OSError, HTTPException) as exc:
@@ -248,25 +246,25 @@ def collect(
     pending = [i for i in instructions if i.id not in done]
 
     opener = urllib.request.build_opener(_NoRedirect)  # reads the proxy variables once per run
-    write_lock = threading.Lock()
     errors: list[tuple[str, str]] = []
-
-    def fetch(instruction: Instruction) -> None:
+    # worker threads only send requests; this thread records every outcome
+    with open(output_path, "a", encoding="utf-8") as journal:
+        pool = ThreadPoolExecutor(max_workers=config.max_in_flight)
         try:
-            text, latency = _request_with_retries(opener, config, key, instruction)
-        except RuntimeError as exc:
-            with write_lock:
-                errors.append((instruction.id, str(exc)))
-            return
-        record = {"id": instruction.id, "response": text, "latency_s": round(latency, 4)}
-        with write_lock:
-            with open(output_path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
-
-    with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
-        futures = [pool.submit(fetch, instruction) for instruction in pending]
-        for future in as_completed(futures):
-            future.result()
+            futures = {pool.submit(_request_with_retries, opener, config, key, i): i.id for i in pending}
+            for future in as_completed(futures):
+                id_ = futures.pop(future)  # a kept future would hold its response until the run ends
+                try:
+                    text, latency = future.result()
+                except RuntimeError as exc:
+                    errors.append((id_, str(exc)))
+                    continue
+                record = {"id": id_, "response": text, "latency_s": round(latency, 4)}
+                journal.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+                journal.flush()
+        finally:
+            # an interrupt or a failed write cancels every request not yet sent
+            pool.shutdown(cancel_futures=True)
 
     _write_errors(output_path.with_name(output_path.name + ".errors.jsonl"), errors)
     return CollectResult(

@@ -21,6 +21,7 @@ import functools
 import inspect
 import json
 import math
+import re
 import sys
 import types
 import typing
@@ -189,6 +190,9 @@ def _finite_float(source: str) -> float:
 # turns a number like 1e999 into inf; one decoder built once refuses them
 # and keeps the C scanner
 _DECODER = json.JSONDecoder(parse_float=_finite_float, parse_constant=_refuse_constant)
+# a `\u` escape of a surrogate: a lone one decodes, but to a string that no
+# UTF-8 file can hold (RFC 8259 section 8.2)
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 def decode_json(text: str) -> Any:
@@ -196,11 +200,16 @@ def decode_json(text: str) -> Any:
     try:
         if text.startswith("\ufeff"):  # as `json.loads` checks before it decodes
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-        return _DECODER.decode(text)
+        value = _DECODER.decode(text)
+        if _SURROGATE_ESCAPE.search(text):
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+        return value
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON ({exc.msg})") from exc
     except _NonFinite:
         raise
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"string with a lone surrogate ({ascii(exc.object[exc.start])})") from exc
     except ValueError as exc:  # an integer with more digits than int() converts
         raise ValueError(f"integer of more than {sys.get_int_max_str_digits()} digits") from exc
     except RecursionError as exc:

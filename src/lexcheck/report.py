@@ -99,10 +99,16 @@ def _summary(cls: type, rows: Sequence[InstructionVerdict]) -> Any:
     return cls(len(rows), *(_mean([getattr(r, f.name) for r in rows]) for f in fields(cls)[1:]))
 
 
-def _merged(stats: Sequence[Any]) -> Any:
-    """Field-by-field mean of stats of one type; None values are skipped."""
-    cls = type(stats[0])
-    return cls(*(_mean([getattr(s, f.name) for s in stats]) for f in fields(cls)))
+def _merged(stats: Sequence[tuple[Any, int]]) -> Any:
+    """Field-by-field mean of (stats, runs) pairs of one stats type, each
+    weighted by the runs it averages; None values are skipped."""
+    cls = type(stats[0][0])
+    means = []
+    for f in fields(cls):
+        present = [(getattr(s, f.name), runs) for s, runs in stats if getattr(s, f.name) is not None]
+        total = sum(runs for _, runs in present)
+        means.append(sum(value * runs for value, runs in present) / total if present else None)
+    return cls(*means)
 
 
 def aggregate(rows: Sequence[InstructionVerdict], unscored: Sequence[str] = ()) -> EvalReport:
@@ -168,7 +174,8 @@ def heatmap(report: EvalReport) -> list[tuple[int, int, float, float]]:
 
 
 def merge(reports: Sequence[EvalReport]) -> EvalReport:
-    """Equal-weight average of several runs, slice by slice.
+    """Average of several runs, slice by slice, each input weighted by the
+    runs it averages.
 
     Per-instruction verdict rows survive only if identical in every input;
     merging identical reports therefore reproduces them unchanged.
@@ -179,7 +186,7 @@ def merge(reports: Sequence[EvalReport]) -> EvalReport:
         return reports[0]
     sections = {}
     for name in _SECTIONS:
-        groups = _group(item for r in reports for item in getattr(r, name).items())
+        groups = _group((key, (stats, r.runs)) for r in reports for key, stats in getattr(r, name).items())
         sections[name] = {key: _merged(group) for key, group in groups.items()}
     first = reports[0]
     others = [set(r.verdicts) for r in reports[1:]]
@@ -189,7 +196,7 @@ def merge(reports: Sequence[EvalReport]) -> EvalReport:
     else:
         unscored = tuple(sorted({u for r in reports for u in r.unscored}))
     return EvalReport(
-        overall=_merged([r.overall for r in reports]),
+        overall=_merged([(r.overall, r.runs) for r in reports]),
         **sections,
         verdicts=verdicts,
         unscored=unscored,

@@ -461,6 +461,15 @@ class TestScore:
         expected = f"error: {res_path}: responses reference unknown instruction ids: ['en-ghost']\n"
         assert capsys.readouterr().err == expected
 
+    def test_lone_surrogate_escape_is_data_error(self, scoring_files, tmp_path, capsys):
+        # "\ud800" is legal JSON, but its string cannot be written as UTF-8
+        ins_path, res_path = scoring_files
+        res_path.write_text('{"id": "en-aaa", "response": "x \\ud800 y"}\n', encoding="utf-8")
+        out = tmp_path / "out.json"
+        assert main(["score", str(ins_path), str(res_path), "-o", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {res_path}:1: string with a lone surrogate ('\\ud800')\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("which", ["instructions", "responses"])
     def test_non_utf8_input_is_data_error(self, scoring_files, capsys, which):
         path = scoring_files[("instructions", "responses").index(which)]
@@ -579,7 +588,7 @@ def good_inputs(tmp_path, monkeypatch):
 
 
 class TestDocumentReaders:
-    """Each JSON document the CLI reads fails to load in the same seven ways,
+    """Each JSON document the CLI reads fails to load in the same eight ways,
     reported as `<path>: <reason>` with its kind of file's exit code."""
 
     # content of the document (None: nothing at its path) -> reason
@@ -592,6 +601,7 @@ class TestDocumentReaders:
         "deep": (DEEP.encode(), "JSON nested too deeply"),
         "nan": (b'{"seed": NaN}', "non-finite number NaN"),
         "overflow": (b'{"seed": -1e999}', "number -1e999 is beyond the float range"),
+        "lone-surrogate": (b'{"model": "\\ud800"}', "string with a lone surrogate ('\\ud800')"),
         "list": (b"[1, 2]", "not a JSON object but list"),
     }
     # command line for a document at `doc` -> (argv, exit code, message prefix)

@@ -33,6 +33,7 @@ _BAD_BODIES = {
     "UTF16 body": b"\xff\xfe" + _completion("hi").decode("ascii").encode("utf-16-le"),
     "NOCHOICES": b'{"error": "none"}',
     "NONSTRING": _completion(5),
+    "SURROGATE": _completion("x \ud800 y"),  # a lone surrogate escape: no UTF-8 journal holds it
 }
 
 
@@ -56,6 +57,8 @@ class _StubHandler(BaseHTTPRequestHandler):
             )
             seen = self.server.counts.get(prompt, 0)
             self.server.counts[prompt] = seen + 1
+        if "SLOW" in prompt:  # a reply that takes a while, as a model's does
+            self.server.stop.wait(0.2)
         if "PERMFAIL" in prompt:
             self._reply(404, b"gone")
             return
@@ -365,6 +368,24 @@ class TestCollect:
         with pytest.raises(KeyboardInterrupt):
             collect(ins_path, config, out_path)
         assert errors_path.read_bytes() == old
+
+    def test_interrupted_run_sends_no_further_request(self, stub_server, config, tmp_path, monkeypatch):
+        ins_path = tmp_path / "ins.jsonl"
+        make_instructions(ins_path, [f"SLOW task {k}." for k in range(20)])
+        real = collect_module._request_with_retries
+        calls = []
+
+        def interrupted_first(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(collect_module, "_request_with_retries", interrupted_first)
+        with pytest.raises(KeyboardInterrupt):
+            collect(ins_path, config, tmp_path / "out.jsonl")
+        # only the requests already in flight went out; the queued ones were cancelled
+        assert len(stub_server.requests) <= config.max_in_flight
 
     def test_transient_errors_retried_to_success(self, stub_server, config, tmp_path):
         ins_path = tmp_path / "ins.jsonl"

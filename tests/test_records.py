@@ -358,6 +358,16 @@ class TestResponseFiles:
             read_responses(path)
         assert str(info.value) == f"{path}:2: id field must be a string, not {json.loads(value)!r}"
 
+    @pytest.mark.parametrize(
+        "escaped, text",
+        [("\\ud83d\\ude00", "\U0001f600"), ("\\\\ud800", "\\ud800")],
+        ids=["surrogate-pair", "escaped-backslash"],
+    )
+    def test_surrogate_escapes_that_make_a_writable_string(self, tmp_path, escaped, text):
+        path = tmp_path / "res.jsonl"
+        path.write_text(f'{{"id": "a", "response": "{escaped}"}}\n', encoding="utf-8")
+        assert read_responses(path) == {"a": text}
+
     def test_extra_fields_tolerated(self, tmp_path):
         path = tmp_path / "res.jsonl"
         path.write_text('{"id": "a", "response": "x", "model": "m"}\n', encoding="utf-8")

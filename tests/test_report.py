@@ -172,6 +172,16 @@ class TestMerge:
         assert merged.verdicts == ()
         assert merged.runs == 2
 
+    def test_merged_report_counts_its_runs(self):
+        a = aggregate([row("x", strict=True, loose=True, variant="identity", passes=(True,)),
+                       row("y", strict=True, loose=True, variant="identity", passes=(True,))])
+        b = aggregate([row("x"), row("y")])
+        c = aggregate([row("x"), row("y")])
+        nested, flat = merge([merge([a, b]), c]), merge([a, b, c])
+        assert flat.overall.strict == 1 / 3
+        assert nested.runs == flat.runs == 3
+        assert (nested.overall, nested.by_language, nested.cells) == (flat.overall, flat.by_language, flat.cells)
+
     def test_slice_present_in_one_run_only(self):
         a = aggregate([row("x", language="en", strict=True, loose=True, variant="identity")])
         b = aggregate([row("y", language="zh", strict=False, loose=False)])
