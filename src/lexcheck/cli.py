@@ -5,7 +5,7 @@ runs straight through and lets a failure propagate; `main` alone turns it
 into one `error: ` line on stderr and an exit code: 0 success, 1 a usage or
 configuration error or an unwritable output, 2 a data error (an input file
 that cannot be opened, decoded or validated, or a bad rule expression),
-3 partial collection.
+3 partial collection, 130 an interrupt (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_PARTIAL = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as shells report it
 
 
 class _ConfigError(Exception):
@@ -212,6 +213,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # an output that cannot be written
         _err(f"{exc.filename}: cannot write ({exc.strerror})" if exc.filename else str(exc))
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        _err("interrupted")
+        return EXIT_INTERRUPTED
 
 
 def entrypoint() -> None:

@@ -3,14 +3,15 @@
 Instruction files hold one JSON object per line with the fields id, language,
 prompt, rules, difficulty, depth and count; rules may be structured objects or
 one-line rule expressions.  Response files pair ids with response texts.
-Loaders validate as they read and report the offending line on failure.
-Every file is opened, read and decoded here, and stdin read and decoded
-(`read_text`, `read_stdin`, `read_json`, `decode_json`), so each way an
-input can fail to open or decode is worded here, as a `DataError` naming
-the path (`<stdin>` for stdin).  `build` is the one way a JSON object
-becomes a dataclass: instruction records and their rules, reports and
-configs are all checked against their dataclasses' own fields, at every
-depth.
+Loaders validate as they read and report the first offending line,
+whatever is wrong with it.  Every file and stdin is read here as bytes and
+decoded as UTF-8 by one function, `_decode`, so a line ends at `\n` only,
+whichever way the bytes come in (`read_text`, `read_stdin`, `read_json`,
+`decode_json`), and each way an input can fail to open or decode is worded
+here, as a `DataError` naming the path (`<stdin>` for stdin).  `build` is
+the one way a JSON object becomes a dataclass: instruction records and
+their rules, reports and configs are all checked against their
+dataclasses' own fields, at every depth.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import sys
 import types
 import typing
 from pathlib import Path
-from typing import Any, Iterable, TextIO, TypeVar
+from typing import Any, BinaryIO, Iterable, TypeVar
 
 from .dsl import parse_rule
 from .grading import grade_difficulty
@@ -216,28 +217,35 @@ def decode_json(text: str) -> Any:
         raise ValueError("JSON nested too deeply") from exc
 
 
-def _open(path: str | Path) -> TextIO:
-    """A UTF-8 text file opened for reading; DataError naming the path if it
+def _open(path: str | Path) -> BinaryIO:
+    """A file opened for reading its bytes; DataError naming the path if it
     cannot be opened."""
     try:
-        return open(path, encoding="utf-8")
+        return open(path, "rb")
     except OSError as exc:
         raise DataError(f"cannot open ({exc.strerror or exc})", path) from exc
 
 
-def read_text(path: str | Path) -> str:
-    """The text of a UTF-8 file; DataError if it cannot be opened or its
-    bytes are not UTF-8."""
+def _decode(data: bytes, path: str | Path, line: int | None = None) -> str:
+    """`data` decoded as UTF-8; DataError naming the path, and the line of a
+    JSONL file if given, if it is not UTF-8."""
     try:
-        with _open(path) as fh:
-            return fh.read()
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise DataError(f"not valid UTF-8 (byte {exc.start})", path) from exc
+        reason = "not valid UTF-8" if line is not None else f"not valid UTF-8 (byte {exc.start})"
+        raise DataError(reason, path, line) from exc
+
+
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file, its line ends as they are; DataError if it
+    cannot be opened or its bytes are not UTF-8."""
+    with _open(path) as fh:
+        return _decode(fh.read(), path)
 
 
 def read_stdin() -> str:
-    """The text of stdin, decoded as UTF-8 like a file but with its newlines
-    as they are; DataError worded as `read_text`'s, for `<stdin>`.
+    """The text of stdin, read as `read_text` reads a file; DataError worded
+    as `read_text`'s, for `<stdin>`.
 
     A text stream with no bytes beneath it (an ``io.StringIO`` put in
     stdin's place by a program that calls the command line in process)
@@ -246,10 +254,7 @@ def read_stdin() -> str:
     binary = getattr(sys.stdin, "buffer", None)
     if binary is None:
         return sys.stdin.read()
-    try:
-        return binary.read().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"not valid UTF-8 (byte {exc.start})", "<stdin>") from exc
+    return _decode(binary.read(), "<stdin>")
 
 
 def read_json(path: str | Path) -> dict[str, Any]:
@@ -279,32 +284,19 @@ def read_config(cls: type[T], path: str | Path, **overrides: Any) -> T:
 
 
 def _iter_jsonl(path: str | Path) -> Iterable[tuple[int, dict[str, Any]]]:
+    # a line ends at b"\n", which no multi-byte UTF-8 sequence contains
     with _open(path) as fh:
-        try:
-            for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    data = decode_json(line)
-                except ValueError as exc:
-                    raise DataError(str(exc), path, lineno) from exc
-                if not isinstance(data, dict):
-                    raise DataError("record is not a JSON object", path, lineno)
-                yield lineno, data
-        except UnicodeDecodeError as exc:
-            raise DataError("not valid UTF-8", path, _undecodable_line(path)) from exc
-
-
-def _undecodable_line(path: str | Path) -> int | None:
-    """Number of the first line that is not valid UTF-8, counted as reading counts it."""
-    # undecodable bytes become lone surrogates, which valid UTF-8 never yields
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, 1):
+        for lineno, raw in enumerate(fh, 1):
+            line = _decode(raw, path, lineno)
+            if not line.strip():
+                continue
             try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                return lineno
-    return None
+                data = decode_json(line)
+            except ValueError as exc:
+                raise DataError(str(exc), path, lineno) from exc
+            if not isinstance(data, dict):
+                raise DataError("record is not a JSON object", path, lineno)
+            yield lineno, data
 
 
 def read_instructions(path: str | Path) -> list[Instruction]:

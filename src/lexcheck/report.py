@@ -158,7 +158,8 @@ def score(
     pairs = [(i, responses[i.id], loose) for i in instructions if i.id in responses]
     unscored = [i.id for i in instructions if i.id not in responses]
     if jobs > 1 and len(pairs) > 1:
-        with multiprocessing.Pool(jobs) as pool:
+        # a Pool starts every worker it is given at once
+        with multiprocessing.Pool(min(jobs, len(pairs))) as pool:
             rows = pool.map(_verdict_row, pairs, chunksize=64)
     else:
         rows = [_verdict_row(p) for p in pairs]

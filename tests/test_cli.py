@@ -15,7 +15,7 @@ import pytest
 
 import lexcheck
 from helpers import build_instruction, write_responses
-from lexcheck.cli import EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
+from lexcheck.cli import EXIT_DATA, EXIT_INTERRUPTED, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
 from lexcheck.collect import CollectResult
 from lexcheck.dsl import format_rule, parse_rule
 from lexcheck.records import write_instructions
@@ -283,8 +283,8 @@ class TestRender:
 
     @pytest.mark.parametrize("separator", ["\u2028", "\u0085", "\r"])
     def test_value_holding_a_unicode_line_separator_is_one_rule(self, tmp_path, capsys, separator):
-        """`format_rule` writes a `\\r` as its escape, since a file is read
-        with universal newlines, and the other separators raw."""
+        """A line ends at `\\n` only, so each separator stays inside its
+        value; `format_rule` writes a `\\r` as its escape, the others raw."""
         rule = parse_rule(f'word@ contain "a{separator}b"')
         rules = tmp_path / "rules.txt"
         rules.write_text(format_rule(rule) + "\nword# = 2\n", encoding="utf-8")
@@ -292,6 +292,18 @@ class TestRender:
         out = capsys.readouterr().out
         assert f"a{separator}b".replace("\r", "\\r") in out
         assert "\n2. " in out and "\n3. " not in out
+
+    def test_raw_carriage_return_in_a_value_reads_alike_from_file_and_stdin(self, tmp_path, monkeypatch, capsys):
+        data = b'word@ contain "a\rb"\nword# = 2\n'
+        rules = tmp_path / "rules.txt"
+        rules.write_bytes(data)
+        assert main(["render", str(rules)]) == EXIT_OK
+        from_file = capsys.readouterr().out
+        feed_stdin(monkeypatch, data)
+        assert main(["render"]) == EXIT_OK
+        assert capsys.readouterr().out == from_file
+        assert "a\\rb" in from_file
+        assert "\n2. " in from_file and "\n3. " not in from_file
 
     def test_crlf_rules_file_and_stdin(self, tmp_path, monkeypatch, capsys):
         rules = tmp_path / "rules.txt"
@@ -452,6 +464,14 @@ class TestScore:
         out = tmp_path / "no" / "r.json"
         assert main(["score", *map(str, scoring_files), "-o", str(out)]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {out}: cannot write (No such file or directory)\n"
+
+    def test_interrupt_is_one_error_line(self, scoring_files, monkeypatch, capsys):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("lexcheck.cli.score", interrupted)
+        assert main(["score", *map(str, scoring_files)]) == EXIT_INTERRUPTED == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
 
     def test_unknown_response_id_names_the_responses_file(self, scoring_files, capsys):
         ins_path, res_path = scoring_files

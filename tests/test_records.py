@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from dataclasses import dataclass
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import write_responses
 from lexcheck.dsl import parse_rule
@@ -19,6 +22,8 @@ from lexcheck.records import (
     read_config,
     read_instructions,
     read_responses,
+    read_stdin,
+    read_text,
     rule_to_dict,
     write_instructions,
 )
@@ -319,6 +324,19 @@ class TestResponseFiles:
         assert info.value.line == 300
         assert str(info.value) == f"{path}:300: not valid UTF-8"
 
+    def test_first_bad_line_is_named_whatever_is_wrong(self, tmp_path):
+        path = tmp_path / "res.jsonl"
+        path.write_bytes(b'{broken\n{"id": "a", "response": "\xff"}\n')
+        with pytest.raises(DataError) as info:
+            read_responses(path)
+        assert str(info.value) == f"{path}:1: malformed JSON (Expecting property name enclosed in double quotes)"
+
+    def test_carriage_return_between_tokens_is_whitespace(self, tmp_path):
+        # RFC 8259 section 2; a line ends at "\n" only
+        path = tmp_path / "res.jsonl"
+        path.write_bytes(b'{"id": "a",\r"response": "x"}\n')
+        assert read_responses(path) == {"a": "x"}
+
     def test_round_trip(self, tmp_path):
         path = tmp_path / "res.jsonl"
         write_responses(path, [
@@ -372,6 +390,32 @@ class TestResponseFiles:
         path = tmp_path / "res.jsonl"
         path.write_text('{"id": "a", "response": "x", "model": "m"}\n', encoding="utf-8")
         assert read_responses(path) == {"a": "x"}
+
+
+# bytes rich in line ends, partial UTF-8 sequences and invalid bytes
+_PIECES = st.sampled_from([b"\r", b"\n", b"\r\n", b" ", b"a", "二".encode("utf-8"), b"\xe4\xba", b"\xff"])
+
+
+class TestTextReaders:
+    @staticmethod
+    def outcome(read, source):
+        """The text `read` returns, or its DataError's reason after the path."""
+        try:
+            return "text", read()
+        except DataError as exc:
+            assert exc.path == str(source)
+            return "error", str(exc).removeprefix(f"{source}: ")
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.binary(max_size=64) | st.lists(_PIECES, max_size=24).map(b"".join))
+    def test_file_and_stdin_read_alike(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("text") / "in.txt"
+        path.write_bytes(data)
+        from_file = self.outcome(lambda: read_text(path), path)
+        with mock.patch("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")):
+            assert self.outcome(read_stdin, "<stdin>") == from_file
+        if from_file[0] == "text":
+            assert from_file[1].encode("utf-8") == data
 
 
 class TestDataError:

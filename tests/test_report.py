@@ -129,6 +129,30 @@ class TestScore:
         instructions, responses = small_eval
         assert score(instructions, responses, jobs=4) == score(instructions, responses, jobs=1)
 
+    def test_no_more_workers_than_instructions(self, small_eval, monkeypatch):
+        class InProcessPool:
+            """Records the worker count asked for and maps in this process."""
+
+            def __init__(self, processes):
+                asked.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, items, chunksize=1):
+                return list(map(func, items))
+
+        instructions, responses = small_eval
+        instructions = instructions[:3]
+        responses = {i.id: responses[i.id] for i in instructions}
+        asked = []
+        monkeypatch.setattr("lexcheck.report.multiprocessing.Pool", InProcessPool)
+        assert score(instructions, responses, jobs=10**6) == score(instructions, responses, jobs=1)
+        assert asked == [3]
+
     def test_verdict_order_follows_instructions(self, small_eval):
         instructions, responses = small_eval
         report = score(instructions, responses, jobs=4)
