@@ -16,9 +16,10 @@ import os
 import threading
 import time
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from http.client import HTTPException
+from itertools import islice
 from pathlib import Path
 from urllib.error import HTTPError
 from urllib.parse import urlsplit
@@ -62,6 +63,9 @@ class EndpointConfig:
             raise ConfigError(f"base_url {self.base_url!r}: {exc}") from exc
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ConfigError(f"base_url must be an http:// or https:// URL with a host, not {self.base_url!r}")
+        if "?" in self.base_url or "#" in self.base_url:
+            # "/chat/completions" is appended to the whole string
+            raise ConfigError(f"base_url must hold no query or fragment ('?' or '#'), not {self.base_url!r}")
         for name in ("temperature", "top_p", "timeout_s", "retry_backoff_s"):
             value = getattr(self, name)
             if isinstance(value, float) and not math.isfinite(value):
@@ -232,7 +236,8 @@ def collect(
 ) -> CollectResult:
     """Request a response for every instruction that the journal lacks.
 
-    At most ``config.max_in_flight`` requests are outstanding at once.  Each
+    At most ``config.max_in_flight`` requests are submitted and not yet
+    recorded at once, so an interrupt leaves no queue for workers.  Each
     output record carries the measured request latency; failures go to
     ``<output>.errors.jsonl``, written when the run ends, and leave the run
     with a partial result.
@@ -251,17 +256,27 @@ def collect(
     with open(output_path, "a", encoding="utf-8") as journal:
         pool = ThreadPoolExecutor(max_workers=config.max_in_flight)
         try:
-            futures = {pool.submit(_request_with_retries, opener, config, key, i): i.id for i in pending}
-            for future in as_completed(futures):
-                id_ = futures.pop(future)  # a kept future would hold its response until the run ends
-                try:
-                    text, latency = future.result()
-                except RuntimeError as exc:
-                    errors.append((id_, str(exc)))
-                    continue
-                record = {"id": id_, "response": text, "latency_s": round(latency, 4)}
-                journal.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
-                journal.flush()
+            # the next request is submitted only once an outcome is recorded
+            unsent = iter(pending)
+            futures = {}
+
+            def send(n: int) -> None:
+                for i in islice(unsent, n):
+                    futures[pool.submit(_request_with_retries, opener, config, key, i)] = i.id
+
+            send(config.max_in_flight)
+            while futures:
+                for future in wait(futures, return_when=FIRST_COMPLETED).done:
+                    id_ = futures.pop(future)  # a kept future would hold its response until the run ends
+                    try:
+                        text, latency = future.result()
+                    except RuntimeError as exc:
+                        errors.append((id_, str(exc)))
+                    else:
+                        record = {"id": id_, "response": text, "latency_s": round(latency, 4)}
+                        journal.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+                        journal.flush()
+                    send(1)
         finally:
             # an interrupt or a failed write cancels every request not yet sent
             pool.shutdown(cancel_futures=True)

@@ -11,7 +11,9 @@ whichever way the bytes come in (`read_text`, `read_stdin`, `read_json`,
 here, as a `DataError` naming the path (`<stdin>` for stdin).  `build` is
 the one way a JSON object becomes a dataclass: instruction records and
 their rules, reports and configs are all checked against their
-dataclasses' own fields, at every depth.
+dataclasses' own fields, at every depth, and by the dataclasses' own
+validation, so an instruction record's difficulty, depth and count are
+checked by `Instruction` itself.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from pathlib import Path
 from typing import Any, BinaryIO, Iterable, TypeVar
 
 from .dsl import parse_rule
-from .grading import grade_difficulty
 from .rules import Instruction, Rule
 
 T = TypeVar("T")
@@ -158,18 +159,6 @@ def instruction_to_dict(instruction: Instruction) -> dict[str, Any]:
     out = {name: getattr(instruction, name) for name in _INSTRUCTION_FIELDS}
     out["rules"] = [rule_to_dict(r) for r in instruction.rules]
     return out
-
-
-def instruction_from_dict(data: dict[str, Any]) -> Instruction:
-    """The instruction a record holds; its difficulty must be the one its
-    rules grade to."""
-    instruction = build(Instruction, data)
-    graded = grade_difficulty(instruction.rules).grade
-    if graded != instruction.difficulty:
-        raise ValueError(
-            f"difficulty {instruction.difficulty!r} does not match the rules (graded {graded!r})"
-        )
-    return instruction
 
 
 class _NonFinite(ValueError):
@@ -304,7 +293,7 @@ def read_instructions(path: str | Path) -> list[Instruction]:
     ids: set[str] = set()
     for lineno, data in _iter_jsonl(path):
         try:
-            instruction = instruction_from_dict(data)
+            instruction = build(Instruction, data)
         except ValueError as exc:
             raise DataError(f"bad instruction record: {exc}", path, lineno) from exc
         if instruction.id in ids:

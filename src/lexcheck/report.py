@@ -241,7 +241,9 @@ def report_from_dict(data: dict[str, Any]) -> EvalReport:
     scored and unscored, a verdict row that `score` could not write, or a
     single-run report whose slices are not the aggregate of its rows raises
     ValueError.  A merged report averages its runs, so its slices cannot be
-    recomputed from the rows it keeps."""
+    recomputed from the rows it keeps; they are refused only where no run
+    could have written them: an unknown language or difficulty, a cell's
+    depth or count below 1, an `n` below 0, or an accuracy outside [0, 1]."""
     if "cells" in data:
         entries = data["cells"]
         if type(entries) is not list or any(type(entry) is not dict for entry in entries):
@@ -269,6 +271,23 @@ def report_from_dict(data: dict[str, Any]) -> EvalReport:
         for name in ("overall", *_SECTIONS):
             if getattr(report, name) != getattr(recomputed, name):
                 raise ValueError(f"{name} does not match the verdict rows of a single-run report")
+    # a merged report's slices are read as written, but no run could write these
+    for name, known in (("by_language", LANGUAGES), ("by_difficulty", DIFFICULTIES)):
+        for key in getattr(report, name):
+            if key not in known:
+                raise ValueError(f"unknown {name} key {key!r}")
+    for key in report.cells:
+        if min(key) < 1:
+            raise ValueError(f"cell (depth, count) below 1: {key!r}")
+    slices = [("overall", report.overall)]
+    slices += [(f"{name} {key!r}", stats) for name in _SECTIONS for key, stats in getattr(report, name).items()]
+    for where, stats in slices:
+        if stats.n < 0:
+            raise ValueError(f"{where} n {stats.n} is below 0")
+        for f in fields(stats)[1:]:
+            value = getattr(stats, f.name)
+            if value is not None and not 0 <= value <= 1:
+                raise ValueError(f"{where} {f.name} {value} is outside [0, 1]")
     return report
 
 

@@ -6,7 +6,9 @@ selected elements against.  Rules are plain immutable data and valid by
 construction: building a ``Rule`` checks the semantic constraints between its
 steps, relation and value once, and raises one ``ValidityError`` carrying a
 stable list of violation codes when any is broken.  No other function checks a
-rule again.
+rule again.  An ``Instruction`` is valid by construction too: its ``depth``,
+``count`` and ``difficulty`` must be what its rules give, so every instruction
+that can be built, in Python or from a file, can be written and read back.
 """
 
 from __future__ import annotations
@@ -344,3 +346,10 @@ class Instruction:
             raise ValueError(f"depth {self.depth} does not match procedures (expected {derived_depth})")
         if self.count != len(self.rules):
             raise ValueError(f"count {self.count} does not match number of rules ({len(self.rules)})")
+        graded = grade_difficulty(self.rules).grade
+        if self.difficulty != graded:
+            raise ValueError(f"difficulty {self.difficulty!r} does not match the rules (graded {graded!r})")
+
+
+# grading imports this module, so its one name is taken here, once the names it reads exist
+from .grading import grade_difficulty  # noqa: E402

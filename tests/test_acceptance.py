@@ -22,7 +22,7 @@ from lexcheck.dsl import format_rule, parse_rule
 from lexcheck.engine import verify_rule
 from lexcheck.generate import GenConfig, generate_dataset
 from lexcheck.records import (
-    instruction_from_dict,
+    build,
     instruction_to_dict,
     write_instructions,
 )
@@ -35,6 +35,7 @@ from lexcheck.report import (
     score,
 )
 from lexcheck.rules import (
+    Instruction,
     Level,
     Predicate,
     PredicateKind,
@@ -219,7 +220,7 @@ def test_a5_round_trips(sampled_rules, all_instructions, scored):
     assert checked == 10_000
     for ins in all_instructions:
         encoded = json.loads(json.dumps(instruction_to_dict(ins), ensure_ascii=False))
-        assert instruction_from_dict(encoded) == ins
+        assert build(Instruction, encoded) == ins
     report, _ = scored
     encoded = json.loads(json.dumps(report_to_dict(report)))
     assert report_from_dict(encoded) == report

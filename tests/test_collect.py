@@ -252,6 +252,13 @@ class TestEndpointConfig:
             EndpointConfig(base_url=base_url, model="m", credential_env="E")
         assert str(info.value) == f"base_url holds a space, control or non-ASCII character: {base_url!r}"
 
+    @pytest.mark.parametrize("base_url", ["http://x/v1?api-version=2", "http://x/v1?", "http://x/v1#x", "http://x/v1#"])
+    def test_base_url_with_query_or_fragment(self, base_url):
+        # "/chat/completions" would be appended after the query, or dropped with the fragment
+        with pytest.raises(ConfigError) as info:
+            EndpointConfig(base_url=base_url, model="m", credential_env="E")
+        assert str(info.value) == f"base_url must hold no query or fragment ('?' or '#'), not {base_url!r}"
+
     @pytest.mark.parametrize("base_url", ["http://127.0.0.1:8000/v1", "https://api.example.com", "HTTPS://[::1]:443/"])
     def test_base_url_accepted(self, base_url):
         assert EndpointConfig(base_url=base_url, model="m", credential_env="E").base_url == base_url
@@ -386,6 +393,32 @@ class TestCollect:
             collect(ins_path, config, tmp_path / "out.jsonl")
         # only the requests already in flight went out; the queued ones were cancelled
         assert len(stub_server.requests) <= config.max_in_flight
+
+    def test_interrupt_leaves_no_queue_for_workers(self, config, tmp_path, monkeypatch):
+        """Each request beyond the first max_in_flight is sent only after an
+        outcome is recorded, so workers that reply at once cannot drain a
+        queue while the interrupt travels to the calling thread."""
+        ins_path = tmp_path / "ins.jsonl"
+        make_instructions(ins_path, [f"Task {k}." for k in range(20)])
+        lock = threading.Lock()
+        for run in range(20):
+            callers = []
+
+            def interrupted_first(*_args):
+                with lock:
+                    callers.append(threading.get_ident())
+                    first = len(callers) == 1
+                if first:
+                    raise KeyboardInterrupt
+                return "done", 0.0
+
+            monkeypatch.setattr(collect_module, "_request_with_retries", interrupted_first)
+            out_path = tmp_path / f"out-{run}.jsonl"
+            with pytest.raises(KeyboardInterrupt):
+                collect(ins_path, config, out_path)
+            written = len(out_path.read_bytes().splitlines())
+            assert len(callers) <= config.max_in_flight + written, run
+            assert len(set(callers)) <= config.max_in_flight == 2
 
     def test_transient_errors_retried_to_success(self, stub_server, config, tmp_path):
         ins_path = tmp_path / "ins.jsonl"

@@ -11,13 +11,12 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import write_responses
+from helpers import sample_rules, write_responses
 from lexcheck.dsl import parse_rule
 from lexcheck.generate import GenConfig, generate_dataset
 from lexcheck.records import (
     DataError,
     build,
-    instruction_from_dict,
     instruction_to_dict,
     read_config,
     read_instructions,
@@ -27,7 +26,7 @@ from lexcheck.records import (
     rule_to_dict,
     write_instructions,
 )
-from lexcheck.rules import Instruction, Predicate, PredicateKind, Rule
+from lexcheck.rules import DIFFICULTIES, Instruction, Predicate, PredicateKind, Rule
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +146,7 @@ class TestRuleCodec:
 
     def test_dsl_string_accepted(self):
         rules = parse_rule("sentence# = 3"), parse_rule('word@1 startswith "A"')
-        data = {"id": "x", "language": "en", "prompt": "p", "difficulty": "easy", "depth": 1, "count": 2}
+        data = {"id": "x", "language": "en", "prompt": "p", "difficulty": "medium", "depth": 1, "count": 2}
         data["rules"] = ["sentence# = 3", rule_to_dict(rules[1])]
         assert build(Instruction, data).rules == rules
 
@@ -162,7 +161,7 @@ class TestRuleCodec:
 class TestInstructionCodec:
     def test_round_trip(self, dataset):
         for ins in dataset:
-            assert instruction_from_dict(instruction_to_dict(ins)) == ins
+            assert build(Instruction, instruction_to_dict(ins)) == ins
 
     def test_difficulty_regraded_on_load(self, dataset):
         data = instruction_to_dict(dataset[0])
@@ -170,7 +169,7 @@ class TestInstructionCodec:
         data["difficulty"] = "hard"
         data["id"] = "zh-tampered"
         with pytest.raises(ValueError, match="does not match the rules"):
-            instruction_from_dict(data)
+            build(Instruction, data)
 
 
 class TestInstructionFiles:
@@ -178,6 +177,22 @@ class TestInstructionFiles:
         path = tmp_path / "ins.jsonl"
         write_instructions(path, dataset)
         assert read_instructions(path) == list(dataset)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["en", "zh"]), st.integers(1, 4))
+    def test_every_instruction_that_builds_reads_back(self, tmp_path_factory, seed, language, n):
+        rules = tuple(sample_rules(language, seed, n))
+        depth = max(len(r.procedure) for r in rules)
+        built = []
+        for difficulty in DIFFICULTIES:
+            try:
+                built.append(Instruction(f"{language}-{difficulty}", language, "p", rules, difficulty, depth, n))
+            except ValueError:
+                continue
+        assert len(built) == 1  # the one label the rules grade to
+        path = tmp_path_factory.mktemp("ins") / "ins.jsonl"
+        write_instructions(path, built)
+        assert read_instructions(path) == built
 
     def test_cjk_written_verbatim(self, dataset, tmp_path):
         path = tmp_path / "ins.jsonl"

@@ -384,6 +384,38 @@ class TestStructuredRoundTrip:
         assert clone == merged
         assert clone.runs == 2
 
+    #: edits that give a merged report a slice no run could write, each with
+    #: the reason it is refused for
+    MERGED_EDITS = {
+        "language": (lambda d: d["by_language"].update(fr=d["by_language"]["en"]), "unknown by_language key 'fr'"),
+        "difficulty": (
+            lambda d: d["by_difficulty"].update(bogus=d["overall"]), "unknown by_difficulty key 'bogus'"),
+        "cell-depth": (lambda d: d["cells"].append({"depth": 0, "count": 1, "n": 1, "strict": 0.5}),
+                       "cell (depth, count) below 1: (0, 1)"),
+        "cell-count": (lambda d: d["cells"].append({"depth": 2, "count": -3, "n": 1, "strict": 0.5}),
+                       "cell (depth, count) below 1: (2, -3)"),
+        "overall-n": (lambda d: d["overall"].update(n=-1), "overall n -1 is below 0"),
+        "cell-n": (lambda d: d["cells"][0].update(n=-0.5), "cells (1, 1) n -0.5 is below 0"),
+        "overall-strict": (lambda d: d["overall"].update(strict=2.0), "overall strict 2.0 is outside [0, 1]"),
+        "language-loose": (
+            lambda d: d["by_language"]["en"].update(loose=-0.25), "by_language 'en' loose -0.25 is outside [0, 1]"),
+        "cell-strict": (lambda d: d["cells"][0].update(strict=7.5), "cells (1, 1) strict 7.5 is outside [0, 1]"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MERGED_EDITS))
+    def test_impossible_merged_slice_rejected(self, small_eval, tmp_path, case):
+        instructions, responses = small_eval
+        merged = merge([score(instructions, responses), score(instructions, {rid: "Other." for rid in responses})])
+        data = report_to_dict(merged)
+        assert data["cells"][0]["depth"] == data["cells"][0]["count"] == 1
+        edit, message = self.MERGED_EDITS[case]
+        edit(data)
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            load_report(path)
+        assert str(info.value) == f"{path}: bad report structure: {message}"
+
 
 class TestCsv:
     def test_unscored_rows_marked(self, small_eval):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import sample_rules, violations
+from lexcheck.dsl import parse_rule
 from lexcheck.rules import (
     ALLOWED_RELATIONS,
     Instruction,
@@ -292,6 +293,11 @@ class TestInstruction:
             Instruction("x", "en", "p", self._rules(), "easy", 2, 1)
         with pytest.raises(ValueError):
             Instruction("x", "en", "p", self._rules(), "easy", 1, 2)
+
+    def test_difficulty_must_be_the_graded_one(self):
+        with pytest.raises(ValueError) as info:
+            Instruction("x", "en", "p", (parse_rule("word# >= 2"),), "hard", 1, 1)
+        assert str(info.value) == "difficulty 'hard' does not match the rules (graded 'easy')"
 
 
 @settings(max_examples=50, deadline=None)
