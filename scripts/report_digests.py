@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Print the sha256 of every `lexcheck score` report for one pair of files,
-and of the `lexcheck report` merges of its structured reports.
+of the `lexcheck report` merges of its structured reports, and of the
+instruction file after a round trip.
 
     python3 scripts/report_digests.py INSTRUCTIONS RESPONSES
 
@@ -9,9 +10,11 @@ same entry point as the command line: in each report format (structured,
 table, csv), with the relaxed pass and with --strict-only, and once more as
 a structured report with --jobs 2.  Then merges the loose and the
 strict-only structured report with `lexcheck report`, once as a table and
-once as a structured report.  One line per output gives its settings and
-the sha256 of its bytes, so two source trees that print the same lines
-wrote the same reports and merges.
+once as a structured report.  Last, reads the instructions with
+`read_instructions` and writes them back with `write_instructions`.  One
+line per output gives its settings and the sha256 of its bytes, so two
+source trees that print the same lines wrote the same reports and merges,
+and parse, check and grade the instructions alike.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import tempfile
 from pathlib import Path
 
 from lexcheck.cli import main as lexcheck
+from lexcheck.records import read_instructions, write_instructions
 from lexcheck.report import REPORT_FORMATS
 
 RUNS = [(fmt, strict, 1) for strict in (False, True) for fmt in REPORT_FORMATS] + [("structured", False, 2)]
@@ -48,6 +52,9 @@ def main() -> int:
             status = _digest(f"merge {fmt}", ["report", *structured, "--format", fmt, "-o", str(out)], out)
             if status != 0:
                 return status
+        out = Path(tmp) / "instructions.jsonl"
+        write_instructions(out, read_instructions(args.instructions))
+        print(f"instructions round trip: {hashlib.sha256(out.read_bytes()).hexdigest()}")
     return 0
 
 

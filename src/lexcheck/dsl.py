@@ -13,7 +13,8 @@ to their ordinal, so ``@2`` is a single token)::
 ``@N`` selects the N-th element (``@-1`` the last, bare ``@`` all of them),
 ``!N``/``$N`` select the raw text before/after element N, ``%`` the text
 between consecutive elements, and ``#`` counts elements.  String values escape
-``\\"``, ``\\\\`` and ``\\n``; regex bodies end at the first unescaped ``/)``.
+``\\"``, ``\\\\``, ``\\n`` and ``\\r``; regex bodies end at the first unescaped
+``/)``.
 """
 
 from __future__ import annotations
@@ -73,8 +74,19 @@ _DOT = re.compile(r"\s*\.")
 # a regex body runs to the first "/)" that is not part of an escape pair
 _REGEX_BODY = re.compile(r"(?:[^\\/]|\\.|/(?!\)))*/\)", re.DOTALL)
 _PREDICATE = re.compile(r"@(-?[0-9]*)|!([0-9]+)|\$(-?[0-9]*)|%|#")
-_RELATION = re.compile(r"\s*(" + "|".join(re.escape(sym) for sym, _ in _NUM_RELATION_SYMBOLS) + r"|[A-Za-z]*)")
+# a relation and the whitespace after it, up to the value
+_RELATION = re.compile(r"\s*(" + "|".join(re.escape(sym) for sym, _ in _NUM_RELATION_SYMBOLS) + r"|[A-Za-z]*)\s*")
 _DIGITS = re.compile(r"[0-9]+")
+# a level name (as `_LEVEL` reads it) and the predicate right after it (as
+# `_PREDICATE` reads it): all that `_parse_step` reads of a step at any level
+# but pattern, whose regex body follows
+_STEP_TOKEN = re.compile(r"\s*([A-Za-z]*(?:" + _PREDICATE.pattern + ")?)")
+# the text of each step token parsed lately -> `shared_step`'s arguments for
+# it, emptied when it holds as many as `shared_step` keeps.  It holds no
+# step, so a step parsed after `shared_step.cache_clear()` is still the one
+# `shared_step` returns.
+_STEP_ARGS: dict[str, tuple[Level, PredicateKind, int | None]] = {}
+_STEP_ARGS_LIMIT = shared_step.cache_info().maxsize
 _STRING_RUN = re.compile(r'[^"\\]*')
 
 
@@ -88,6 +100,10 @@ def _integer(digits: str, pos: int, what: str) -> int:
 
 
 def _parse_step(source: str, pos: int) -> tuple[ProcedureStep, int]:
+    token = _STEP_TOKEN.match(source, pos)
+    known = _STEP_ARGS.get(token[1])
+    if known is not None:
+        return shared_step(*known), token.end()
     name = _LEVEL.match(source, pos)
     level = _LEVEL_NAMES.get(name[1])
     if level is None:
@@ -95,6 +111,9 @@ def _parse_step(source: str, pos: int) -> tuple[ProcedureStep, int]:
     pos = name.end()
     if level is not Level.PATTERN:
         kind, n, pos = _parse_predicate(source, pos)
+        if len(_STEP_ARGS) == _STEP_ARGS_LIMIT:
+            _STEP_ARGS.clear()
+        _STEP_ARGS[token[1]] = (level, kind, n)
         return shared_step(level, kind, n), pos
     if not source.startswith("(/", pos):
         raise ParseError(pos, '"(/" opening the regex')
@@ -134,7 +153,6 @@ def _parse_predicate(source: str, pos: int) -> tuple[PredicateKind, int | None, 
 
 
 def _parse_value(source: str, pos: int) -> tuple[int | str, int]:
-    pos = _SPACE.match(source, pos).end()
     if source.startswith('"', pos):
         return _parse_string(source, pos)
     digits = _DIGITS.match(source, pos)
@@ -180,9 +198,10 @@ def parse_rule(source: str) -> Rule:
     if rel is None:
         raise ParseError(relation.start(1), "a relation")
     value, pos = _parse_value(source, relation.end())
-    pos = _SPACE.match(source, pos).end()
     if pos != len(source):
-        raise ParseError(pos, "end of expression")
+        pos = _SPACE.match(source, pos).end()
+        if pos != len(source):
+            raise ParseError(pos, "end of expression")
     return Rule(tuple(steps), rel, value)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .rules import Level, Predicate, PredicateKind, Relation, Rule
+from .rules import Level, PredicateKind, Relation, Rule
 
 PREDICATE_WEIGHTS = {
     PredicateKind.ALL: 1,
@@ -43,31 +43,32 @@ MEDIUM_MAX = 5.0
 EXTRA_CONSTRAINT_MULTIPLIER = 0.25
 
 
-def _predicate_weight(pred: Predicate) -> int:
-    if pred.kind is PredicateKind.INDEX:
-        # a plain positional pick is free; "the last one" needs a backward look
-        return 1 if pred.n == -1 else 0
-    return PREDICATE_WEIGHTS[pred.kind]
-
-
-def _value_weight(rule: Rule) -> int:
-    weight = 0
-    if isinstance(rule.value, str):
-        length = len(rule.value)
-        if length > 5:
-            weight = 2
-        elif length >= 2:
-            weight = 1
-    if any(step.level is Level.PATTERN for step in rule.procedure):
-        weight += 1
-    return weight
+# an enum member read through its class costs an enum type attribute lookup;
+# the per-step loop below reads these names instead
+_INDEX, _PATTERN = PredicateKind.INDEX, Level.PATTERN
 
 
 def score_rule(rule: Rule) -> float:
     """Per-rule score: depth + predicate load + relation strictness + value size."""
-    depth = len(rule.procedure) - 1
-    preds = sum(_predicate_weight(step.predicate) for step in rule.procedure)
-    return float(depth + preds + RELATION_WEIGHTS[rule.relation] + _value_weight(rule))
+    weight = len(rule.procedure) - 1 + RELATION_WEIGHTS[rule.relation]
+    pattern = 0
+    for step in rule.procedure:
+        predicate = step.predicate
+        if predicate.kind is _INDEX:
+            # a plain positional pick is free; "the last one" needs a backward look
+            if predicate.n == -1:
+                weight += 1
+        else:
+            weight += PREDICATE_WEIGHTS[predicate.kind]
+        if step.level is _PATTERN:
+            pattern = 1
+    if isinstance(rule.value, str):
+        length = len(rule.value)
+        if length > 5:
+            weight += 2
+        elif length >= 2:
+            weight += 1
+    return float(weight + pattern)
 
 
 @dataclass(frozen=True)
@@ -86,13 +87,22 @@ def grade_difficulty(rules: Iterable[Rule]) -> DifficultyScore:
     rules = tuple(rules)
     if not rules:
         raise ValueError("difficulty grading needs at least one rule")
-    scores = tuple(score_rule(r) for r in rules)
-    multiplier = 1.0 + EXTRA_CONSTRAINT_MULTIPLIER * (len(rules) - 1)
-    total = sum(scores) * multiplier
+    scores = tuple(map(score_rule, rules))
+    return DifficultyScore(scores, *_graded(sum(scores), len(scores)))
+
+
+def difficulty_grade(rules: tuple[Rule, ...]) -> str:
+    """``grade_difficulty(rules).grade`` of a nonempty tuple of rules, with
+    no DifficultyScore built: `Instruction` checks it for every record."""
+    return _graded(sum(map(score_rule, rules)), len(rules))[2]
+
+
+def _graded(score_sum: float, count: int) -> tuple[float, float, str]:
+    """(multiplier, total, grade) of `count` rules whose scores sum to `score_sum`."""
+    multiplier = 1.0 + EXTRA_CONSTRAINT_MULTIPLIER * (count - 1)
+    total = score_sum * multiplier
     if total <= EASY_MAX:
-        grade = "easy"
-    elif total <= MEDIUM_MAX:
-        grade = "medium"
-    else:
-        grade = "hard"
-    return DifficultyScore(scores, multiplier, total, grade)
+        return multiplier, total, "easy"
+    if total <= MEDIUM_MAX:
+        return multiplier, total, "medium"
+    return multiplier, total, "hard"

@@ -277,7 +277,7 @@ def _iter_jsonl(path: str | Path) -> Iterable[tuple[int, dict[str, Any]]]:
     with _open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = _decode(raw, path, lineno)
-            if not line.strip():
+            if line.isspace():  # no line read from a file is empty
                 continue
             try:
                 data = decode_json(line)

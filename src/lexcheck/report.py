@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
+import math
 import multiprocessing
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -96,7 +97,7 @@ def _mean(values: Sequence[float | None]) -> float | None:
 def _summary(cls: type, rows: Sequence[InstructionVerdict]) -> Any:
     """`cls` stats over verdict rows: their count, then the mean of each row
     field that `cls` names."""
-    return cls(len(rows), *(_mean([getattr(r, f.name) for r in rows]) for f in fields(cls)[1:]))
+    return cls(len(rows), *[_mean(list(map(attrgetter(f.name), rows))) for f in fields(cls)[1:]])
 
 
 def _merged(stats: Sequence[tuple[Any, int]]) -> Any:
@@ -115,7 +116,7 @@ def aggregate(rows: Sequence[InstructionVerdict], unscored: Sequence[str] = ()) 
     """Build a report from verdict rows; every aggregate is recomputed here."""
     sections = {}
     for name, (cls, key_of) in _SECTIONS.items():
-        groups = _group((key_of(r), r) for r in rows)
+        groups = _group(zip(map(key_of, rows), rows))
         sections[name] = {key: _summary(cls, group) for key, group in groups.items()}
     return EvalReport(
         overall=_summary(SliceStats, rows), **sections, verdicts=tuple(rows), unscored=tuple(unscored)
@@ -126,15 +127,15 @@ def _verdict_row(args: tuple[Instruction, str, bool]) -> InstructionVerdict:
     instruction, response, loose = args
     verdict = verify_instruction(instruction, response, loose=loose)
     return InstructionVerdict(
-        id=instruction.id,
-        language=instruction.language,
-        difficulty=instruction.difficulty,
-        depth=instruction.depth,
-        count=instruction.count,
-        strict=verdict.strict_pass,
-        loose=verdict.loose_pass,
-        loose_variant=verdict.loose_variant,
-        rule_passes=tuple(ok for _, ok in verdict.rule_results),
+        instruction.id,
+        instruction.language,
+        instruction.difficulty,
+        instruction.depth,
+        instruction.count,
+        verdict.strict_pass,
+        verdict.loose_pass,
+        verdict.loose_variant,
+        tuple([ok for _, ok in verdict.rule_results]),
     )
 
 
@@ -378,7 +379,42 @@ def render_csv(report: EvalReport) -> str:
 
 
 def _render_structured(report: EvalReport) -> str:
-    return json.dumps(report_to_dict(report), ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+    return _json_text(report_to_dict(report), "\n") + "\n"
+
+
+def _json_text(value: Any, indent: str) -> str:
+    """`value` as ``json.dumps(value, ensure_ascii=False, sort_keys=True,
+    indent=2)`` writes it, where `indent` is the newline and indentation its
+    text begins under.  Dict keys are strings.  Each object or array is one
+    `join` of its entries, and strings go through json's C string encoder;
+    `json.dumps` with an indent runs json's pure-Python encoder instead."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if math.isinf(value):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        entries = [f"{encode_basestring(key)}: {_json_text(item, inner)}" for key, item in sorted(value.items())]
+        return f"{{{inner}{(',' + inner).join(entries)}{indent}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return f"[{inner}{(',' + inner).join([_json_text(item, inner) for item in value])}{indent}]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 _RENDERERS = {"structured": _render_structured, "table": render_table, "csv": render_csv}

@@ -52,13 +52,14 @@ LEVEL_RANK = {
 }
 
 
+#: LEVEL_RANK with the pattern level finer than every other: a regex step
+#: may follow any other level, and nothing is finer than a regex match.
+_DESCENT_RANK = {**LEVEL_RANK, Level.PATTERN: max(LEVEL_RANK.values()) + 1}
+
+
 def descends(outer: Level, inner: Level) -> bool:
     """True when a step at `inner` may directly follow a step at `outer`."""
-    if outer is Level.PATTERN:
-        return False  # nothing is finer than a regex match
-    if inner is Level.PATTERN:
-        return True  # a regex step may follow any other level
-    return LEVEL_RANK[inner] > LEVEL_RANK[outer]
+    return _DESCENT_RANK[inner] > _DESCENT_RANK[outer]
 
 
 class PredicateKind(str, enum.Enum):
@@ -226,14 +227,15 @@ class Rule:
     def __post_init__(self) -> None:
         if not isinstance(self.procedure, tuple):
             object.__setattr__(self, "procedure", tuple(self.procedure))
-        if isinstance(self.value, bool):
-            raise ValueError("rule value must be an integer or string, not a boolean")
-        if isinstance(self.value, int):
-            if self.value < 0:
-                raise ValueError("integer rule value must be >= 0")
-        elif isinstance(self.value, str):
-            if not self.value:
+        value = self.value
+        if isinstance(value, str):
+            if not value:
                 raise ValueError("text rule value must be a nonempty string")
+        elif isinstance(value, bool):
+            raise ValueError("rule value must be an integer or string, not a boolean")
+        elif isinstance(value, int):
+            if value < 0:
+                raise ValueError("integer rule value must be >= 0")
         else:
             raise ValueError("rule value must be an integer or string")
         violations = _violations(self)
@@ -266,17 +268,23 @@ _PAIRING_VIOLATION = {
 }
 
 
+# An enum member read through its class goes through the enum type's
+# attribute lookup, several times slower than a module name; the per-rule
+# check reads these names.
+_ANSWER, _ALL, _COUNT = Level.ANSWER, PredicateKind.ALL, PredicateKind.COUNT
+
+
 def _violations(rule: Rule) -> list[Violation]:
     """Every violation code that applies to the rule being built, in a fixed
-    order; empty when it is valid."""
+    order; empty when it is valid.  The steps are read in one loop."""
     steps = rule.procedure
     if not steps:
         return [Violation.EMPTY_PROCEDURE]
     found: list[Violation] = []
     kind = steps[-1].predicate.kind
-    counting = kind is PredicateKind.COUNT
+    counting = kind is _COUNT
 
-    numerical = rule.relation.is_numerical
+    numerical = rule.relation in _NUMERICAL_RELATIONS
     if numerical:
         if not counting:
             found.append(Violation.NUMERIC_WITHOUT_COUNT)
@@ -288,20 +296,23 @@ def _violations(rule: Rule) -> list[Violation]:
     if numerical != isinstance(rule.value, int):
         found.append(Violation.VALUE_TYPE_MISMATCH)
 
-    if any(s.predicate.kind is PredicateKind.COUNT for s in steps[:-1]):
+    first = steps[0]
+    count_early = answer_late = disordered = False
+    outer, outer_rank = first, _DESCENT_RANK[first.level]
+    for step in steps[1:]:
+        count_early = count_early or outer.predicate.kind is _COUNT
+        answer_late = answer_late or step.level is _ANSWER
+        rank = _DESCENT_RANK[step.level]
+        disordered = disordered or rank <= outer_rank
+        outer, outer_rank = step, rank
+    if count_early:
         found.append(Violation.COUNT_NOT_TERMINAL)
-
-    for i, step in enumerate(steps):
-        if step.level is Level.ANSWER:
-            if i > 0:
-                found.append(Violation.ANSWER_NOT_FIRST)
-                break
-            if step.predicate.kind is not PredicateKind.ALL:
-                found.append(Violation.ANSWER_PREDICATE)
-
-    if any(not descends(a.level, b.level) for a, b in zip(steps, steps[1:])):
+    if first.level is _ANSWER and first.predicate.kind is not _ALL:
+        found.append(Violation.ANSWER_PREDICATE)
+    if answer_late:
+        found.append(Violation.ANSWER_NOT_FIRST)
+    if disordered:
         found.append(Violation.LEVEL_ORDER)
-
     return found
 
 
@@ -341,15 +352,15 @@ class Instruction:
         if not self.rules:
             raise ValueError("instruction requires at least one rule")
         # depth and count are derivable; stored copies must agree
-        derived_depth = max(len(r.procedure) for r in self.rules)
+        derived_depth = max([len(r.procedure) for r in self.rules])
         if self.depth != derived_depth:
             raise ValueError(f"depth {self.depth} does not match procedures (expected {derived_depth})")
         if self.count != len(self.rules):
             raise ValueError(f"count {self.count} does not match number of rules ({len(self.rules)})")
-        graded = grade_difficulty(self.rules).grade
+        graded = difficulty_grade(self.rules)
         if self.difficulty != graded:
             raise ValueError(f"difficulty {self.difficulty!r} does not match the rules (graded {graded!r})")
 
 
 # grading imports this module, so its one name is taken here, once the names it reads exist
-from .grading import grade_difficulty  # noqa: E402
+from .grading import difficulty_grade  # noqa: E402

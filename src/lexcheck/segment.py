@@ -22,7 +22,10 @@ from .rules import Level, check_regex, require_language
 # only at a line or token start, so every scan is linear.  On str patterns \s
 # is exactly str.isspace, and [^\S\n] is \s without the newline.  "." stops
 # only at "\n", so \r, \x0b, \x85 and \u2028 stay inside a line.
-_PARAGRAPH_BREAK = re.compile(r"\n{2,}")
+# A paragraph break matches as \n{2,} would; written with a literal first
+# character, it lets `re` skip ahead to each newline instead of trying a
+# match at every position.
+_PARAGRAPH_BREAK = re.compile(r"\n\n+")
 _LINE = re.compile(r"[^\n]+")
 # a line whose content after indentation is a list marker, then whitespace;
 # group 1 is the content after the marker

@@ -495,6 +495,28 @@ def test_loose_pass_matches_oracle_on_hostile_text(seed, length, shape, language
     assert verdict.loose_pass is (expected is not None)
 
 
+# Hand cases: on a drop-line rewrite a `line@-1` rule, checked first,
+# derives the cut's lines from its base's, with a nonzero shift, and a
+# `line!n`, `line%` or `line$n` rule then reads them.  Each case gives the
+# rules, the response and the loose variant that passes.
+_SHIFTED_READ_CASES = (
+    (('line@-1 equal "**end**"', 'line!2 notcontain "*"'), "*a\nb\n**end**", "drop-first-line"),
+    (('line@-1 equal "end"', 'line% equal "\\n"'), "*a\n\nb\nc\n**end**", "strip-asterisks+drop-first-line"),
+    (
+        ('line@-1 equal "**end**"', 'line$1 contain "end"', 'word@1 notcontain "a"'),
+        "*a\nb\n**end**",
+        "drop-first-line",
+    ),
+)
+
+
+@pytest.mark.parametrize("rule_texts, text, variant", _SHIFTED_READ_CASES)
+def test_loose_pass_reads_shifted_lines_as_the_oracle(rule_texts, text, variant):
+    rules = tuple(parse_rule(t) for t in rule_texts)
+    verdict = verify_instruction(build_instruction("x", "en", "p", rules), text)
+    assert brute_loose_variant(rules, text, "en") == verdict.loose_variant == variant
+
+
 # Every level but the regex one: a drop-line rewrite's split is derived from
 # its base's at all of them but `answer`.
 _PLAIN_LEVELS = tuple(level for level in Level if level is not Level.PATTERN)
@@ -590,6 +612,9 @@ def _check_shifted_refine(text: str, language: str) -> None:
     `_verdict` built, derived splits and shifts included, as through a fresh
     cache."""
     splits = _rewrite_splits(text, language)
+    for cut in list(splits.cuts):  # derive every cut's splits, with their shift
+        for level in _PLAIN_LEVELS:
+            splits.whole(cut, level, None)
     fresh = _Splits(language)
     for rewrite in {t for _, t in _variants(text)}:
         for level in _PLAIN_LEVELS:

@@ -12,6 +12,7 @@ from lexcheck.grading import (
     EXTRA_CONSTRAINT_MULTIPLIER,
     MEDIUM_MAX,
     DifficultyScore,
+    difficulty_grade,
     grade_difficulty,
     score_rule,
 )
@@ -130,3 +131,10 @@ def test_single_rule_grade_matches_thresholds(seed):
         assert grade == "medium"
     else:
         assert grade == "hard"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["en", "zh"]), st.integers(1, 5))
+def test_difficulty_grade_is_the_graded_one(seed, language, count):
+    rules = tuple(sample_rules(language, seed, count))
+    assert difficulty_grade(rules) == grade_difficulty(rules).grade

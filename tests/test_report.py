@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import write_responses
 from lexcheck.engine import verify_instruction
@@ -17,6 +19,7 @@ from lexcheck.report import (
     EvalReport,
     InstructionVerdict,
     SliceStats,
+    _json_text,
     aggregate,
     heatmap,
     load_report,
@@ -481,3 +484,30 @@ class TestRenderReport:
         assert render_report(report, "csv").startswith("id,language")
         with pytest.raises(ValueError, match="unknown report format"):
             render_report(report, "yaml")
+
+
+# Report-shaped JSON values: text with non-ASCII and control characters,
+# finite and non-finite floats, ints past 64 bits, bools and None, in empty
+# and nested lists, tuples and objects.
+_JSON_SCALARS = (
+    st.text(st.characters(codec="utf-8"))
+    | st.sampled_from(["", "\x00\x1f\x7f", '"\\/\n\r\t\b\f', "\u2028\u2029", "中文", "é😀"])
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1])
+    | st.integers(-(2**200), 2**200)
+    | st.booleans()
+    | st.none()
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(st.characters(codec="utf-8"), max_size=6), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_structured_writer_writes_what_json_dumps_does(value):
+    assert _json_text(value, "\n") == json.dumps(value, ensure_ascii=False, sort_keys=True, indent=2)

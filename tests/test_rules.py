@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import sample_rules, violations
-from lexcheck.dsl import parse_rule
+from lexcheck import dsl
+from lexcheck.dsl import ParseError, parse_rule
 from lexcheck.rules import (
     ALLOWED_RELATIONS,
     Instruction,
@@ -22,6 +23,7 @@ from lexcheck.rules import (
     ValidityError,
     Violation,
     descends,
+    shared_step,
 )
 
 
@@ -268,6 +270,49 @@ class TestAllowedRelations:
                 }[kind]
                 value: int | str = 2 if relation.is_numerical else "x"
                 assert violations((ProcedureStep(Level.WORD, pred),), relation, value) == [], (kind, relation)
+
+
+class TestStepSharing:
+    """The parser resolves a step token it has read before (`sentence@2`,
+    `word#`) by a lookup, which must keep every step shared and every error
+    as it was."""
+
+    def test_steps_stay_shared_after_cache_clear(self):
+        source = 'paragraph@2.sentence$1 contain "a"'
+        parse_rule(source)  # its step tokens are now known
+        shared_step.cache_clear()
+        procedure = parse_rule(source).procedure
+        assert procedure[0] is shared_step(Level.PARAGRAPH, PredicateKind.INDEX, 2)
+        assert procedure[1] is shared_step(Level.SENTENCE, PredicateKind.AFTER, 1)
+
+    @pytest.mark.parametrize(
+        "source, pos, expected",
+        [
+            ('word@0 contain "a"', 5, "a nonzero ordinal (element numbering starts at 1)"),
+            ("  sentence@-2# = 1", 11, "-1 (the only negative ordinal)"),
+            ('words@1 contain "a"', 0, "a level name"),
+            ('word@1x contain "a"', 6, "a relation"),
+            ('line!0 contain "a"', 5, "a positive ordinal"),
+            ('word@1.pattern@1 contain "a"', 14, '"(/" opening the regex'),
+        ],
+    )
+    def test_malformed_step_fails_alike_each_time(self, source, pos, expected):
+        parse_rule('word@1 contain "a"')  # a known token, a prefix of some sources
+        for _ in range(2):
+            with pytest.raises(ParseError) as info:
+                parse_rule(source)
+            assert (info.value.pos, info.value.expected) == (pos, expected)
+
+    def test_lookup_is_bounded_as_shared_step_is(self):
+        limit = shared_step.cache_info().maxsize
+        assert limit == 1024
+        try:
+            for n in range(1, 2 * limit):
+                rule = parse_rule(f'word@{n} contain "a"')
+                assert len(dsl._STEP_ARGS) <= limit
+                assert rule.procedure[0] is shared_step(Level.WORD, PredicateKind.INDEX, n)
+        finally:
+            dsl._STEP_ARGS.clear()
 
 
 class TestInstruction:
