@@ -64,12 +64,14 @@ _NUM_RELATION_SYMBOLS = (
 )
 _RELATIONS = dict(_NUM_RELATION_SYMBOLS) | {r.value: r for r in Relation if not r.is_numerical}
 _RELATION_SYMBOL = {rel: sym for sym, rel in _RELATIONS.items()}
+# a string value's escapes: the character after the backslash -> the one it stands for
 _VALUE_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "r": "\r"}
+_BAD_ESCAPE = "an escape among " + " ".join("\\" + code for code in _VALUE_ESCAPES)
+_ESCAPE_TABLE = str.maketrans({char: "\\" + code for code, char in _VALUE_ESCAPES.items()})
 
 # Each token is matched whole at the current position.  Names are ASCII
 # letters and numbers ASCII digits; \s is exactly str.isspace.
 _SPACE = re.compile(r"\s*")
-_LEVEL = re.compile(r"\s*([A-Za-z]*)")
 _DOT = re.compile(r"\s*\.")
 # a regex body runs to the first "/)" that is not part of an escape pair
 _REGEX_BODY = re.compile(r"(?:[^\\/]|\\.|/(?!\)))*/\)", re.DOTALL)
@@ -77,10 +79,10 @@ _PREDICATE = re.compile(r"@(-?[0-9]*)|!([0-9]+)|\$(-?[0-9]*)|%|#")
 # a relation and the whitespace after it, up to the value
 _RELATION = re.compile(r"\s*(" + "|".join(re.escape(sym) for sym, _ in _NUM_RELATION_SYMBOLS) + r"|[A-Za-z]*)\s*")
 _DIGITS = re.compile(r"[0-9]+")
-# a level name (as `_LEVEL` reads it) and the predicate right after it (as
-# `_PREDICATE` reads it): all that `_parse_step` reads of a step at any level
-# but pattern, whose regex body follows
-_STEP_TOKEN = re.compile(r"\s*([A-Za-z]*(?:" + _PREDICATE.pattern + ")?)")
+# a level name (group 2) and the predicate right after it (as `_PREDICATE`
+# reads it): all that `_parse_step` reads of a step at any level but pattern,
+# whose regex body follows
+_STEP_TOKEN = re.compile(r"\s*(([A-Za-z]*)(?:" + _PREDICATE.pattern + ")?)")
 # the text of each step token parsed lately -> `shared_step`'s arguments for
 # it, emptied when it holds as many as `shared_step` keeps.  It holds no
 # step, so a step parsed after `shared_step.cache_clear()` is still the one
@@ -104,11 +106,10 @@ def _parse_step(source: str, pos: int) -> tuple[ProcedureStep, int]:
     known = _STEP_ARGS.get(token[1])
     if known is not None:
         return shared_step(*known), token.end()
-    name = _LEVEL.match(source, pos)
-    level = _LEVEL_NAMES.get(name[1])
+    level = _LEVEL_NAMES.get(token[2])
     if level is None:
-        raise ParseError(name.start(1), "a level name")
-    pos = name.end()
+        raise ParseError(token.start(2), "a level name")
+    pos = token.end(2)
     if level is not Level.PATTERN:
         kind, n, pos = _parse_predicate(source, pos)
         if len(_STEP_ARGS) == _STEP_ARGS_LIMIT:
@@ -177,7 +178,7 @@ def _parse_string(source: str, open_pos: int) -> tuple[str, int]:
             return value, pos + 1
         escaped = _VALUE_ESCAPES.get(source[pos + 1 : pos + 2])
         if escaped is None:
-            raise ParseError(pos, 'an escape among \\" \\\\ \\n \\r')
+            raise ParseError(pos, _BAD_ESCAPE)
         parts.append(escaped)
         pos += 2
 
@@ -214,8 +215,7 @@ def _escape_regex_body(body: str) -> str:
 
 
 def _escape_value(value: str) -> str:
-    escaped = value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\r", "\\r")
-    return f'"{escaped}"'
+    return f'"{value.translate(_ESCAPE_TABLE)}"'
 
 
 _PREDICATE_SYMBOL = {

@@ -29,7 +29,7 @@ from .rules import (
     Rule,
     require_language,
 )
-from .segment import _SPLITTERS, CHAR_LEVEL_TESTS, _chars, _Span, _split
+from .segment import _SPLITTERS, CHAR_LEVEL_TESTS, _chars, _Span
 
 def _select(step: ProcedureStep, splits: _Splits, value: int | str, text: str) -> Iterable[str | int]:
     """What one step observes in `text`, in order, made as it is read: the
@@ -247,11 +247,12 @@ def _edges_resplit(inside: list[_Span], shift: int, text: str, level: Level, lan
     whole break before the second element, the tail the whole break after
     the second-to-last.
     """
+    splitter = _SPLITTERS[level]
     if len(inside) < 3:
-        return _split(text, level, language, None), 0
-    head = _split(text[: inside[1][1] - shift], level, language, None)
+        return list(splitter(text, language, None)), 0
+    head = splitter(text[: inside[1][1] - shift], language, None)
     q = inside[-2][2]
-    tail = _split(text[q - shift :], level, language, None)
+    tail = splitter(text[q - shift :], language, None)
     return (
         [(content, start + shift, end + shift) for content, start, end in head]
         + inside[1:-1]
@@ -298,16 +299,16 @@ def _holds(rule: Rule, full_text: str, splits: _Splits) -> bool:
 
 
 #: The relaxed rewrites in the order they are tried: id -> (strip asterisks,
-#: lines dropped from the start, lines dropped from the end).
+#: drop the first line, drop the last line).
 _LOOSE_REWRITES = {
-    "identity": (False, 0, 0),
-    "strip-asterisks": (True, 0, 0),
-    "drop-first-line": (False, 1, 0),
-    "drop-last-line": (False, 0, 1),
-    "drop-first-last-lines": (False, 1, 1),
-    "strip-asterisks+drop-first-line": (True, 1, 0),
-    "strip-asterisks+drop-last-line": (True, 0, 1),
-    "strip-asterisks+drop-first-last-lines": (True, 1, 1),
+    "identity": (False, False, False),
+    "strip-asterisks": (True, False, False),
+    "drop-first-line": (False, True, False),
+    "drop-last-line": (False, False, True),
+    "drop-first-last-lines": (False, True, True),
+    "strip-asterisks+drop-first-line": (True, True, False),
+    "strip-asterisks+drop-last-line": (True, False, True),
+    "strip-asterisks+drop-first-last-lines": (True, True, True),
 }
 
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import random
+from collections import Counter
 from dataclasses import dataclass
 
-from .dsl import format_rule
 from .grading import grade_difficulty
 from .rules import (
     ALLOWED_RELATIONS,
@@ -211,7 +211,7 @@ def _ancestors(language: str, terminal: Level) -> tuple[tuple[int, ...], dict[in
     text: a single character holds none, and nothing may follow a regex step."""
     by_rank: dict[int, tuple[Level, ...]] = {}
     for lv in _SAMPLED_LEVELS[language]:
-        if lv not in CHAR_LEVEL_TESTS and lv is not Level.PATTERN and descends(lv, terminal):
+        if lv not in CHAR_LEVEL_TESTS and descends(lv, terminal):
             by_rank[LEVEL_RANK[lv]] = by_rank.get(LEVEL_RANK[lv], ()) + (lv,)
     return tuple(sorted(by_rank)), by_rank
 
@@ -365,13 +365,13 @@ def generate_dataset(
     """Emit the requested number of instructions per difficulty bucket.
 
     Buckets are filled in easy/medium/hard order by rejection sampling.  No two
-    instructions in one dataset share the same multiset of rules.  A slot that
-    stays unfillable for ATTEMPTS_PER_SLOT draws raises BucketError with the
-    shortfall.
+    instructions in one dataset share the same multiset of rules, compared by
+    value.  A slot that stays unfillable for ATTEMPTS_PER_SLOT draws raises
+    BucketError with the shortfall.
     """
     rng = random.Random(config.seed)
     wanted = {"easy": config.easy, "medium": config.medium, "hard": config.hard}
-    seen: set[tuple[str, ...]] = set()
+    seen: set[frozenset[tuple[Rule, int]]] = set()
     out: list[Instruction] = []
     for grade in DIFFICULTIES:
         filled = 0
@@ -381,7 +381,7 @@ def generate_dataset(
                 rules = tuple(sample_rule(config, rng) for _ in range(k))
                 if grade_difficulty(rules).grade != grade:
                     continue
-                key = tuple(sorted(format_rule(r) for r in rules))
+                key = frozenset(Counter(rules).items())
                 if key in seen:
                     continue
                 seen.add(key)

@@ -13,6 +13,7 @@ import csv
 import io
 import math
 import multiprocessing
+import os
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring
 from operator import attrgetter
@@ -146,7 +147,8 @@ def score(
     loose: bool = True,
 ) -> EvalReport:
     """Score a response set; identical inputs yield identical reports for any
-    worker count."""
+    worker count.  At most `jobs` worker processes run, and no more than there
+    are CPUs or scored instructions."""
     if isinstance(instructions, (str, Path)):
         instructions = read_instructions(instructions)
     source = responses if isinstance(responses, (str, Path)) else None
@@ -158,9 +160,10 @@ def score(
         raise DataError(f"responses reference unknown instruction ids: {sorted(unknown)[:5]}", source)
     pairs = [(i, responses[i.id], loose) for i in instructions if i.id in responses]
     unscored = [i.id for i in instructions if i.id not in responses]
-    if jobs > 1 and len(pairs) > 1:
-        # a Pool starts every worker it is given at once
-        with multiprocessing.Pool(min(jobs, len(pairs))) as pool:
+    # a Pool starts every worker it is given at once
+    workers = min(jobs, len(pairs), os.cpu_count() or 1)
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             rows = pool.map(_verdict_row, pairs, chunksize=64)
     else:
         rows = [_verdict_row(p) for p in pairs]

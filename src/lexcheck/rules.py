@@ -38,7 +38,9 @@ class Level(str, enum.Enum):
 
 
 # Granularity ranks.  line/bullet and character/letter/punc share a rank and are
-# mutually incomparable, so neither may follow the other in a procedure.
+# mutually incomparable, so neither may follow the other in a procedure.  The
+# pattern level is finer than every other: a regex step may follow any other
+# level, and nothing is finer than a regex match.
 LEVEL_RANK = {
     Level.ANSWER: 0,
     Level.PARAGRAPH: 1,
@@ -49,17 +51,13 @@ LEVEL_RANK = {
     Level.CHARACTER: 5,
     Level.LETTER: 5,
     Level.PUNC: 5,
+    Level.PATTERN: 6,
 }
-
-
-#: LEVEL_RANK with the pattern level finer than every other: a regex step
-#: may follow any other level, and nothing is finer than a regex match.
-_DESCENT_RANK = {**LEVEL_RANK, Level.PATTERN: max(LEVEL_RANK.values()) + 1}
 
 
 def descends(outer: Level, inner: Level) -> bool:
     """True when a step at `inner` may directly follow a step at `outer`."""
-    return _DESCENT_RANK[inner] > _DESCENT_RANK[outer]
+    return LEVEL_RANK[inner] > LEVEL_RANK[outer]
 
 
 class PredicateKind(str, enum.Enum):
@@ -298,11 +296,11 @@ def _violations(rule: Rule) -> list[Violation]:
 
     first = steps[0]
     count_early = answer_late = disordered = False
-    outer, outer_rank = first, _DESCENT_RANK[first.level]
+    outer, outer_rank = first, LEVEL_RANK[first.level]
     for step in steps[1:]:
         count_early = count_early or outer.predicate.kind is _COUNT
         answer_late = answer_late or step.level is _ANSWER
-        rank = _DESCENT_RANK[step.level]
+        rank = LEVEL_RANK[step.level]
         disordered = disordered or rank <= outer_rank
         outer, outer_rank = step, rank
     if count_early:

@@ -88,7 +88,10 @@ CHAR_LEVEL_TESTS = {
 
 # The splitters, one per level (`_SPLITTERS`): each is a generator that makes
 # a text's elements left to right, as they are read, from (text, language,
-# regex), and reads only what its level needs.
+# regex), and reads only what its level needs.  A splitter checks neither
+# `language` nor `regex`: callers validate the language once, and every
+# procedure step carries a compiled regex (`ProcedureStep.regex`) exactly
+# when its level needs one.
 
 
 def _answer(text: str, language: str, regex: re.Pattern[str] | None) -> Iterator[_Span]:
@@ -181,7 +184,7 @@ _SPLITTERS = {
 def _chars(text: str, level: Level) -> str:
     """The contents of `text`'s elements at a single-character level
     (character, letter or punc), joined in order: every element is one
-    character, so this is ``"".join(el[0] for el in _split(...))`` without
+    character, so this is ``"".join(el[0] for el in split(...))`` without
     a tuple per element."""
     if level is Level.PUNC:
         return "".join(filter(is_punct_char, _PUNCT_CANDIDATE.findall(text)))
@@ -199,15 +202,4 @@ def split(text: str, level: Level, language: str = "en", pattern: str | None = N
     if (pattern is None) == (level is Level.PATTERN):
         raise ValueError("a regex is required for the pattern level and only there")
     require_language(language)
-    return _split(text, level, language, None if pattern is None else check_regex(pattern))
-
-
-def _split(text: str, level: Level, language: str, regex: re.Pattern[str] | None) -> list[_Span]:
-    """:func:`split` without its checks, on a compiled regex: all that the
-    level's splitter makes.
-
-    Neither `language` nor `regex` is checked: callers validate the
-    language once, and every procedure step carries a compiled regex
-    (`ProcedureStep.regex`) exactly when its level needs one.
-    """
-    return list(_SPLITTERS[level](text, language, regex))
+    return list(_SPLITTERS[level](text, language, None if pattern is None else check_regex(pattern)))

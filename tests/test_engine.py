@@ -29,6 +29,7 @@ from lexcheck.rules import (
     PredicateKind,
     ProcedureStep,
     Relation,
+    Rule,
     Violation,
     check_regex,
 )
@@ -1061,3 +1062,84 @@ def test_capped_counts_decide_as_full_counts_at_their_edges(stems, gap):
                     assert len(splits[key][0]) == v + 1 and splits[key][1] is not None, rule
                 assert splits.whole(*key) == [elements, None, 0], rule
                 assert engine._holds(rule, text, splits) == expected, rule
+
+
+# How many copies of one unit the work test's responses are made of.
+_WORK_COPIES = (1, 2, 4, 8)
+# Per doubling of the text, the most its counted work may grow by.  The
+# response is k copies of one unit, so a rule walked the same way at every
+# k costs a*k + b in a linear engine, for fixed a and b: the work added by
+# a doubling is exactly twice the work added by the one before.  A sum of
+# such costs grows by at most 2 per doubling while the b's sum to 0 or
+# more, as they do here: many rules stop at a fixed element, so their cost
+# is all b.  A quadratic term grows by 4 per doubling; once it is an eighth
+# of the work, a doubling grows the work by more than 2.25.
+_WORK_GROWTH = 2.25
+
+
+def _grid_rules() -> list:
+    from test_rule_grid import CASES, VALUES, expected_codes, grid_steps
+
+    return [
+        Rule(grid_steps(kind), Relation(relation), VALUES[vtype])
+        for kind, relation, vtype in CASES
+        if not expected_codes(kind, relation, VALUES[vtype])
+    ]
+
+
+def test_verdict_work_grows_linearly_with_the_text(monkeypatch):
+    """For the rule grid and sampled rules, `_verdict` with the loose search
+    on k = 1, 2, 4 and 8 copies of a hostile unit (en and zh; plain,
+    asterisk-heavy and many-line) makes elements, scans characters and
+    calls `_select` in a count linear in k: per doubling, the total over
+    all rules grows by at most `_WORK_GROWTH`, and so does the work each
+    doubling adds for a rule whose verdict is the same at every k (a
+    changed verdict may walk another way, a fixed amount more).  The work
+    is one running total of the elements the splitters make, the characters
+    `_chars` scans and the `_select` calls."""
+    work = [0]
+
+    def counted(splitter):
+        def splits(text, language, regex):
+            for element in splitter(text, language, regex):
+                work[0] += 1
+                yield element
+
+        return splits
+
+    # engine reads segment's own table, so one patch serves both modules
+    for level, splitter in list(engine._SPLITTERS.items()):
+        monkeypatch.setitem(engine._SPLITTERS, level, counted(splitter))
+    chars, select = engine._chars, engine._select
+
+    def counted_chars(text, level):
+        work[0] += len(text)
+        return chars(text, level)
+
+    def counted_select(*args):
+        work[0] += 1
+        return select(*args)
+
+    monkeypatch.setattr(engine, "_chars", counted_chars)
+    monkeypatch.setattr(engine, "_select", counted_select)
+    grid = _grid_rules()
+    assert len(grid) == 26  # every allowed (terminal kind, relation) pair
+    for language in ("en", "zh"):
+        rules = grid + [rule for seed in range(2) for rule in sample_rules(language, seed, 100)]
+        for shape, pieces in _LOOSE_SHAPES.items():
+            unit = _hostile_text(7, 2000, pieces)
+            totals = [0] * len(_WORK_COPIES)
+            for rule in rules:
+                counts, verdicts = [], set()
+                for k in _WORK_COPIES:
+                    work[0] = 0
+                    verdict = engine._verdict((rule,), unit * k, language, True)
+                    counts.append(work[0])
+                    verdicts.add((verdict.strict_pass, verdict.loose_variant))
+                totals = [t + c for t, c in zip(totals, counts)]
+                if len(verdicts) == 1:
+                    added = [b - a for a, b in zip(counts, counts[1:])]
+                    for before, after in zip(added, added[1:]):
+                        assert after <= _WORK_GROWTH * before, (language, shape, rule, counts)
+            for small, large in zip(totals, totals[1:]):
+                assert large <= _WORK_GROWTH * small, (language, shape, totals)

@@ -26,7 +26,7 @@ from lexcheck.generate import (
 )
 from lexcheck.grading import grade_difficulty
 from lexcheck.records import read_config, write_instructions
-from lexcheck.rules import Level, PredicateKind, Rule
+from lexcheck.rules import Level, PredicateKind, ProcedureStep, Rule
 
 
 class TestGenConfig:
@@ -208,6 +208,28 @@ class TestGenerateDataset:
         dataset = generate_dataset(config)
         keys = {tuple(sorted(format_rule(r) for r in i.rules)) for i in dataset}
         assert len(keys) == len(dataset)
+
+    def test_a_repeated_rule_multiset_is_rejected(self, monkeypatch):
+        """A candidate whose rules equal an accepted instruction's, drawn in
+        swapped order and as new objects, is not emitted: the check compares
+        rules by value and ignores their order."""
+        config = GenConfig(seed=5, language="en", hard=2, max_constraints=2)  # every hard draw has 2 rules
+        first, second = generate_dataset(config)
+        a, b = first.rules
+        assert a != b
+
+        def rebuilt(rule):
+            steps = tuple(ProcedureStep(s.level, s.predicate, s.pattern) for s in rule.procedure)
+            return Rule(steps, rule.relation, rule.value)
+
+        repeat = (rebuilt(b), rebuilt(a))
+        assert repeat == (b, a) and repeat[0] is not b and repeat[0].procedure[0] is not b.procedure[0]
+        assert grade_difficulty(repeat).grade == "hard"
+        draws = iter((a, b) + repeat + second.rules)
+        monkeypatch.setattr("lexcheck.generate.sample_rule", lambda config, rng: next(draws))
+        dataset = generate_dataset(config)
+        assert [i.rules for i in dataset] == [(a, b), second.rules]
+        assert next(draws, None) is None  # the repeat was drawn, and refused
 
     def test_prompts_are_rendered(self):
         config = GenConfig(seed=2, language="en", easy=2)

@@ -132,10 +132,13 @@ class TestScore:
         instructions, responses = small_eval
         assert score(instructions, responses, jobs=4) == score(instructions, responses, jobs=1)
 
-    def test_no_more_workers_than_instructions(self, small_eval, monkeypatch):
-        class InProcessPool:
-            """Records the worker count asked for and maps in this process."""
+    @staticmethod
+    def _workers_asked(small_eval, monkeypatch, cpus):
+        """The worker counts `score` asks a Pool for when scoring three
+        instructions with `--jobs` 10**6 on a machine reporting `cpus` CPUs;
+        the Pool maps in this process, so no test starts a worker."""
 
+        class InProcessPool:
             def __init__(self, processes):
                 asked.append(processes)
 
@@ -153,8 +156,16 @@ class TestScore:
         responses = {i.id: responses[i.id] for i in instructions}
         asked = []
         monkeypatch.setattr("lexcheck.report.multiprocessing.Pool", InProcessPool)
+        monkeypatch.setattr("lexcheck.report.os.cpu_count", lambda: cpus)
         assert score(instructions, responses, jobs=10**6) == score(instructions, responses, jobs=1)
-        assert asked == [3]
+        return asked
+
+    def test_no_more_workers_than_instructions(self, small_eval, monkeypatch):
+        assert self._workers_asked(small_eval, monkeypatch, cpus=64) == [3]
+
+    @pytest.mark.parametrize("cpus, asked", [(2, [2]), (1, []), (None, [])])
+    def test_no_more_workers_than_cpus(self, small_eval, monkeypatch, cpus, asked):
+        assert self._workers_asked(small_eval, monkeypatch, cpus) == asked
 
     def test_verdict_order_follows_instructions(self, small_eval):
         instructions, responses = small_eval
