@@ -3,26 +3,31 @@
 The output file doubles as the resume journal: records are appended as they
 arrive, one write per line, and a rerun only requests the ids that are not
 already present.  A last line cut off by a killed run is mended on resume.
-Failures are retried with exponential backoff, then recorded without
-stopping the run; the sidecar errors file is replaced at the end of a run,
-so an interrupted run leaves the previous one's in place.
+Each request in flight holds one HTTP connection for its attempts and
+hands it to the next request, so a run opens about as many connections as
+it has requests in flight.  Failures are retried with exponential backoff,
+then recorded without stopping the run; the sidecar errors file is
+replaced at the end of a run, so an interrupted run leaves the previous
+one's in place.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import os
+import socket
 import threading
 import time
-import urllib.request
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from http.client import HTTPException
+from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from itertools import islice
 from pathlib import Path
-from urllib.error import HTTPError
-from urllib.parse import urlsplit
+from typing import Callable
+from urllib.parse import unquote, urlsplit
+from urllib.request import getproxies, proxy_bypass
 
 import requests  # noqa: F401  (read only by bench/spans.py Tracer.install)
 
@@ -33,6 +38,7 @@ from .rules import Instruction
 TRANSIENT_STATUS = frozenset({429, 500, 502, 503, 504})
 MAX_ATTEMPTS = 3
 _MEND_BLOCK = 1 << 16  # bytes read at a time when looking for a torn tail's start
+_QUICKACK = getattr(socket, "TCP_QUICKACK", None)  # Linux only
 
 
 class ConfigError(ValueError):
@@ -63,6 +69,9 @@ class EndpointConfig:
             raise ConfigError(f"base_url {self.base_url!r}: {exc}") from exc
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ConfigError(f"base_url must be an http:// or https:// URL with a host, not {self.base_url!r}")
+        if "@" in url.netloc:
+            # http.client would drop it unsent; the key comes from credential_env
+            raise ConfigError("base_url must hold no user info ('user@' or 'user:password@' before the host)")
         if "?" in self.base_url or "#" in self.base_url:
             # "/chat/completions" is appended to the whole string
             raise ConfigError(f"base_url must hold no query or fragment ('?' or '#'), not {self.base_url!r}")
@@ -104,56 +113,113 @@ class CollectResult:
         return bool(self.failed)
 
 
-def _post_once(opener: urllib.request.OpenerDirector, config: EndpointConfig, key: str, prompt: str) -> str:
-    payload = {
-        "model": config.model,
-        "messages": [{"role": "user", "content": prompt}],
-        "temperature": config.temperature,
-        "top_p": config.top_p,
-        "max_tokens": config.max_tokens,
+@dataclass(frozen=True)
+class _Route:
+    """How every attempt of one run reaches the endpoint."""
+
+    connection: Callable[[], HTTPConnection]  # a new one, opened on its first request
+    target: str  # the request line's target
+    headers: dict[str, str]
+
+
+def _route(config: EndpointConfig, key: str) -> _Route:
+    """The route to `config`'s endpoint, through the proxy that the
+    environment names for its scheme unless its host is exempt."""
+    url = urlsplit(config.base_url)
+    full = config.base_url.rstrip("/") + "/chat/completions"
+    headers = {
+        "Content-Type": "application/json",
+        "Authorization": f"Bearer {key}",
+        "User-Agent": f"lexcheck/{__version__}",
     }
-    request = urllib.request.Request(
-        config.base_url.rstrip("/") + "/chat/completions",
-        data=json.dumps(payload).encode("utf-8"),
-        headers={
-            "Content-Type": "application/json",
-            "Authorization": f"Bearer {key}",
-            "User-Agent": f"lexcheck/{__version__}",
-        },
-    )
+    tls = url.scheme == "https"
+    proxy = getproxies().get(url.scheme)
+    if not proxy or proxy_bypass(url.netloc):
+        kind = HTTPSConnection if tls else HTTPConnection
+        return _Route(lambda: kind(url.netloc, timeout=config.timeout_s), urlsplit(full).path, headers)
+    # a proxy is given as a URL or as a bare "[user:password@]host[:port]"
+    proxy_url = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+    userinfo, _, hostport = proxy_url.netloc.rpartition("@")
+    user, _, password = userinfo.partition(":")
+    proxy_headers = {}
+    if user and password:
+        pair = f"{unquote(user)}:{unquote(password)}".encode("utf-8")
+        proxy_headers["Proxy-Authorization"] = "Basic " + base64.b64encode(pair).decode("ascii")
+    if tls:  # a CONNECT tunnel, so TLS runs from here to the endpoint's host
+
+        def tunnel() -> HTTPConnection:
+            connection = HTTPSConnection(hostport, timeout=config.timeout_s)
+            connection.set_tunnel(url.netloc, headers=proxy_headers)
+            return connection
+
+        return _Route(tunnel, urlsplit(full).path, headers)
+    kind = HTTPSConnection if proxy_url.scheme == "https" else HTTPConnection
+    return _Route(lambda: kind(hostport, timeout=config.timeout_s), full, headers | proxy_headers)
+
+
+class _Connections:
+    """The run's connections to the endpoint, kept alive between requests.
+
+    A request takes one for all its attempts and gives it back after, so
+    no more are made than requests are ever in flight at once.  Leaving the
+    ``with`` block closes them; it is left after every worker has finished.
+    """
+
+    def __init__(self, route: _Route) -> None:
+        self._new = route.connection
+        self._idle: list[HTTPConnection] = []
+
+    def take(self) -> HTTPConnection:
+        try:
+            return self._idle.pop()
+        except IndexError:
+            return self._new()
+
+    def give(self, connection: HTTPConnection) -> None:
+        self._idle.append(connection)
+
+    def __enter__(self) -> _Connections:
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        for connection in self._idle:
+            connection.close()
+
+
+def _post_once(connection: HTTPConnection, route: _Route, body: bytes) -> str:
+    """One attempt.  The connection is closed, to be opened again by the
+    next attempt, unless its reply was read to the end and keeps it open,
+    so a late or unread reply is never read as a later request's."""
     try:
-        with opener.open(request, timeout=config.timeout_s) as response:
-            if response.status != 200:  # another 2xx: only 200 carries a completion
-                raise _Permanent(f"HTTP {response.status}: {_excerpt(response)}")
-            body = response.read()
-    except HTTPError as exc:
-        with exc:
-            if exc.code in TRANSIENT_STATUS:
-                raise _Transient(f"HTTP {exc.code}") from None
-            raise _Permanent(f"HTTP {exc.code}: {_excerpt(exc)}") from None
+        connection.request("POST", route.target, body, route.headers)
+        if _QUICKACK is not None:
+            # ack the reply's first segment at once: a server that sends its
+            # headers and body in two writes with Nagle on waits for that ack
+            connection.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
+        with connection.getresponse() as response:
+            status = response.status
+            # an error reply is read as far as its excerpt: the first 200
+            # characters, which 800 bytes hold in UTF-8
+            data = response.read() if status == 200 else response.read(800)
+            read_to_end = response.isclosed()
+    except BaseException:  # a timeout too; re-raised
+        connection.close()
+        raise
+    # http.client itself closes a connection whose reply ends it
+    # (Connection: close, or HTTP/1.0 without keep-alive)
+    if not read_to_end:
+        connection.close()
+    if status in TRANSIENT_STATUS:
+        raise _Transient(f"HTTP {status}")
+    if status != 200:  # another 2xx: only 200 carries a completion
+        raise _Permanent(f"HTTP {status}: {data.decode('utf-8', 'replace')[:200]}")
     try:
-        content = decode_json(body.decode("utf-8"))["choices"][0]["message"]["content"]
+        content = decode_json(data.decode("utf-8"))["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         raise _Permanent(f"unexpected response body: {exc!r}") from exc
     if not isinstance(content, str):
         raise _Permanent("response content is not a string")
     return content
-
-
-def _excerpt(response) -> str:
-    """The first 200 characters of a reply's body; 800 bytes hold them in UTF-8."""
-    return response.read(800).decode("utf-8", "replace")[:200]
-
-
-class _NoRedirect(urllib.request.HTTPRedirectHandler):
-    """Follow no redirect, so a 3xx reply raises HTTPError and is permanent.
-
-    urllib would re-send every header to the Location, the bearer token
-    included, whatever host or scheme (``ftp:`` too) it names.
-    """
-
-    def redirect_request(self, req, fp, code, msg, headers, newurl):
-        return None
 
 
 class _Transient(RuntimeError):
@@ -165,20 +231,32 @@ class _Permanent(RuntimeError):
 
 
 def _request_with_retries(
-    opener: urllib.request.OpenerDirector, config: EndpointConfig, key: str, instruction: Instruction
+    connections: _Connections, route: _Route, config: EndpointConfig, instruction: Instruction
 ) -> tuple[str, float]:
+    payload = {
+        "model": config.model,
+        "messages": [{"role": "user", "content": instruction.prompt}],
+        "temperature": config.temperature,
+        "top_p": config.top_p,
+        "max_tokens": config.max_tokens,
+    }
+    body = json.dumps(payload).encode("utf-8")
     last_error: Exception | None = None
-    for attempt in range(MAX_ATTEMPTS):
-        started = time.monotonic()
-        try:
-            text = _post_once(opener, config, key, instruction.prompt)
-            return text, time.monotonic() - started
-        # URLError and socket timeouts are OSErrors; a reply cut short or
-        # without a status line raises an HTTPException
-        except (_Transient, OSError, HTTPException) as exc:
-            last_error = exc
-            if attempt < MAX_ATTEMPTS - 1:
-                time.sleep(config.retry_backoff_s * (2**attempt))
+    connection = connections.take()
+    try:
+        for attempt in range(MAX_ATTEMPTS):
+            started = time.monotonic()
+            try:
+                text = _post_once(connection, route, body)
+                return text, time.monotonic() - started
+            # socket errors and timeouts are OSErrors; a reply cut short or
+            # without a status line raises an HTTPException
+            except (_Transient, OSError, HTTPException) as exc:
+                last_error = exc
+                if attempt < MAX_ATTEMPTS - 1:
+                    time.sleep(config.retry_backoff_s * (2**attempt))
+    finally:
+        connections.give(connection)
     raise RuntimeError(f"gave up after {MAX_ATTEMPTS} attempts: {last_error}")
 
 
@@ -250,10 +328,10 @@ def collect(
     done = set(read_responses(output_path))
     pending = [i for i in instructions if i.id not in done]
 
-    opener = urllib.request.build_opener(_NoRedirect)  # reads the proxy variables once per run
+    route = _route(config, key)  # reads the proxy variables once per run
     errors: list[tuple[str, str]] = []
     # worker threads only send requests; this thread records every outcome
-    with open(output_path, "a", encoding="utf-8") as journal:
+    with _Connections(route) as connections, open(output_path, "a", encoding="utf-8") as journal:
         pool = ThreadPoolExecutor(max_workers=config.max_in_flight)
         try:
             # the next request is submitted only once an outcome is recorded
@@ -262,7 +340,7 @@ def collect(
 
             def send(n: int) -> None:
                 for i in islice(unsent, n):
-                    futures[pool.submit(_request_with_retries, opener, config, key, i)] = i.id
+                    futures[pool.submit(_request_with_retries, connections, route, config, i)] = i.id
 
             send(config.max_in_flight)
             while futures:

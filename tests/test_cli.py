@@ -786,6 +786,17 @@ class TestCollectCommand:
         )
         assert not (tmp_path / "o").exists()
 
+    def test_base_url_with_user_info(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("LEX_CLI_KEY", "k")
+        config = self.write_endpoint(tmp_path, base_url="http://user:pw@127.0.0.1:1/v1")
+        ins_path = tmp_path / "ins.jsonl"
+        write_instructions(ins_path, [build_instruction("en-x", "en", "Hi.", (parse_rule("word# >= 0"),))])
+        assert main(["collect", str(ins_path), str(config), "-o", str(tmp_path / "o")]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: endpoint config: base_url must hold no user info ('user@' or 'user:password@' before the host)\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_credential_with_a_line_break(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LEX_CLI_KEY", "k\nX-Injected: 1")
         config = self.write_endpoint(tmp_path)

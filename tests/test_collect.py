@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import base64
 import dataclasses
+import gc
 import json
 import math
 import os
+import socket
+import socketserver
+import ssl
 import threading
+import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -73,9 +79,24 @@ class _StubHandler(BaseHTTPRequestHandler):
         if "FLAKY" in prompt and seen < MAX_ATTEMPTS - 1:
             self._reply(500, b"boom")
             return
+        if "SPILL" in prompt:  # an error body longer than its excerpt, ending in a whole reply
+            forged = _completion("forged")
+            head = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(forged)
+            self._reply(404, b"x" * 1000 + head + forged)
+            return
+        if "BYE" in prompt:  # the reply ends its connection
+            body = _completion(f"echo:{prompt}")
+            self.send_response(200)
+            self.send_header("Connection", "close")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+            return
         if "RATELIMIT" in prompt:
             self._reply(429, b"slow down")
             return
+        if "LATE" in prompt:  # a reply that comes after a 0.2 s client timeout
+            self.server.stop.wait(0.4)
         if "STALL" in prompt:  # no reply within the client's timeout
             self.server.stop.wait(5)
             return
@@ -115,9 +136,42 @@ class _StubHandler(BaseHTTPRequestHandler):
         pass
 
 
-def _serve():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
+class _KeepAliveHandler(_StubHandler):
+    """The stub over HTTP/1.1, which keeps each connection open for the
+    client's next request; it counts the connections it serves."""
+
+    protocol_version = "HTTP/1.1"
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
+
+class _DropHandler(_KeepAliveHandler):
+    """Closes each connection after one reply, without ``Connection: close``,
+    as a server does whose idle timeout has passed."""
+
+    def _reply(self, *args, **kwargs):
+        super()._reply(*args, **kwargs)
+        self.close_connection = True
+
+
+# a certificate for 127.0.0.1 alone, valid from 2000 to 2100, made with OpenSSL 3.5:
+#   openssl req -x509 -newkey rsa:2048 -nodes -keyout key.pem -out cert.pem \
+#     -not_before 20000101000000Z -not_after 21000101000000Z \
+#     -subj "/CN=127.0.0.1" -addext "subjectAltName=IP:127.0.0.1"
+_TLS = Path(__file__).parent / "tls"
+
+
+def _serve(handler=_StubHandler, tls=False):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    if tls:
+        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        context.load_cert_chain(_TLS / "cert.pem", _TLS / "key.pem")
+        server.socket = context.wrap_socket(server.socket, server_side=True)
     server.lock = threading.Lock()
+    server.connections = 0
     server.requests = []
     server.counts = {}
     server.stop = threading.Event()
@@ -133,6 +187,66 @@ def _serve():
 
 stub_server = pytest.fixture(_serve)
 other_server = pytest.fixture(_serve)
+
+
+@pytest.fixture()
+def keepalive_server():
+    yield from _serve(_KeepAliveHandler)
+
+
+@pytest.fixture()
+def drop_server():
+    yield from _serve(_DropHandler)
+
+
+@pytest.fixture()
+def tls_server():
+    yield from _serve(_KeepAliveHandler, tls=True)
+
+
+class _TunnelHandler(socketserver.StreamRequestHandler):
+    """A CONNECT proxy: records each request's head lines, then relays bytes
+    both ways between the client and the host it names."""
+
+    def handle(self):
+        head = []
+        while (line := self.rfile.readline()) not in (b"\r\n", b""):
+            head.append(line.decode("latin-1").rstrip("\r\n"))
+        self.server.heads.append(head)
+        host, port = head[0].split()[1].rsplit(":", 1)
+        with socket.create_connection((host, int(port))) as upstream:
+            self.wfile.write(b"HTTP/1.1 200 Connection established\r\n\r\n")
+            back = threading.Thread(target=_pipe, args=(upstream, self.connection), daemon=True)
+            back.start()
+            _pipe(self.connection, upstream)
+            back.join(timeout=5)
+
+
+def _pipe(source, sink):
+    try:
+        while data := source.recv(1 << 16):
+            sink.sendall(data)
+        sink.shutdown(socket.SHUT_WR)
+    except OSError:  # the other side is gone
+        pass
+
+
+@pytest.fixture()
+def tunnel_proxy():
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _TunnelHandler)
+    server.daemon_threads = True
+    server.heads = []
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+
+
+def _at(config, server, scheme="http"):
+    """`config` with its base_url at `server`."""
+    return dataclasses.replace(config, base_url=f"{scheme}://127.0.0.1:{server.server_address[1]}/v1")
 
 
 @pytest.fixture()
@@ -273,6 +387,13 @@ class TestEndpointConfig:
         with pytest.raises(ConfigError) as info:
             EndpointConfig(base_url=base_url, model="m", credential_env="E")
         assert str(info.value) == f"base_url must hold no query or fragment ('?' or '#'), not {base_url!r}"
+
+    @pytest.mark.parametrize("base_url", ["http://user:pw@host/v1", "http://user@host/v1", "https://:pw@host:8443"])
+    def test_base_url_with_user_info(self, base_url):
+        # the key comes only from credential_env, and a password is not echoed
+        with pytest.raises(ConfigError) as info:
+            EndpointConfig(base_url=base_url, model="m", credential_env="E")
+        assert str(info.value) == "base_url must hold no user info ('user@' or 'user:password@' before the host)"
 
     @pytest.mark.parametrize("base_url", ["http://127.0.0.1:8000/v1", "https://api.example.com", "HTTPS://[::1]:443/"])
     def test_base_url_accepted(self, base_url):
@@ -582,6 +703,117 @@ class TestCollect:
         assert result.failed == ("en-0000",)
 
 
+class TestKeepAlive:
+    def test_one_connection_per_request_in_flight(self, keepalive_server, config, tmp_path):
+        ins_path = tmp_path / "ins.jsonl"
+        out_path = tmp_path / "out.jsonl"
+        make_instructions(ins_path, [f"Task {k}." for k in range(18)] + ["FLAKY once.", "PERMFAIL here."])
+        result = collect(ins_path, _at(config, keepalive_server), out_path)
+        assert result.failed == ("en-0019",)
+        assert len(read_responses(out_path)) == 19
+        assert len(keepalive_server.requests) == 18 + MAX_ATTEMPTS + 1
+        # error replies read to their end leave their connection open too
+        assert 1 <= keepalive_server.connections <= config.max_in_flight == 2
+
+    def test_late_reply_is_never_read_as_the_next_ones(self, keepalive_server, config, tmp_path):
+        config = dataclasses.replace(_at(config, keepalive_server), timeout_s=0.2, max_in_flight=1)
+        ins_path = tmp_path / "ins.jsonl"
+        out_path = tmp_path / "out.jsonl"
+        make_instructions(ins_path, ["LATE", "Fine."])
+        result = collect(ins_path, config, out_path)
+        assert result == CollectResult(requested=2, completed=1, skipped=0, failed=("en-0000",))
+        assert read_responses(out_path) == {"en-0001": "echo:Fine."}
+        assert keepalive_server.counts == {"LATE": MAX_ATTEMPTS, "Fine.": 1}
+        assert keepalive_server.connections == MAX_ATTEMPTS + 1  # each timeout closed one
+
+    def test_error_reply_unread_past_its_excerpt_closes_the_connection(self, keepalive_server, config, tmp_path):
+        config = dataclasses.replace(_at(config, keepalive_server), max_in_flight=1)
+        ins_path = tmp_path / "ins.jsonl"
+        out_path = tmp_path / "out.jsonl"
+        make_instructions(ins_path, ["SPILL", "Fine."])
+        result = collect(ins_path, config, out_path)
+        assert result.failed == ("en-0000",)
+        assert read_responses(out_path) == {"en-0001": "echo:Fine."}  # not the reply the body held
+        assert keepalive_server.counts == {"SPILL": 1, "Fine.": 1}
+        assert keepalive_server.connections == 2
+        errors_path = tmp_path / "out.jsonl.errors.jsonl"
+        [error] = [json.loads(l) for l in errors_path.read_text().splitlines()]
+        assert error["error"] == "HTTP 404: " + "x" * 200
+
+    def test_connection_close_reply_ends_the_connection(self, keepalive_server, config, tmp_path):
+        config = dataclasses.replace(_at(config, keepalive_server), max_in_flight=1)
+        ins_path = tmp_path / "ins.jsonl"
+        out_path = tmp_path / "out.jsonl"
+        make_instructions(ins_path, ["BYE one.", "BYE two.", "Fine."])
+        assert not collect(ins_path, config, out_path).partial
+        assert read_responses(out_path)["en-0002"] == "echo:Fine."
+        assert keepalive_server.counts == {"BYE one.": 1, "BYE two.": 1, "Fine.": 1}
+        assert keepalive_server.connections == 3
+
+    def test_connection_the_server_dropped_is_retried(self, drop_server, config, tmp_path):
+        ins_path = tmp_path / "ins.jsonl"
+        out_path = tmp_path / "out.jsonl"
+        prompts = [f"Task {k}." for k in range(10)]
+        make_instructions(ins_path, prompts)
+        assert not collect(ins_path, _at(config, drop_server), out_path).partial
+        assert sorted(read_responses(out_path).values()) == sorted(f"echo:{p}" for p in prompts)
+        assert drop_server.connections == 10  # one per reply: a stale one was never answered
+
+    @pytest.mark.parametrize("interrupted", [False, True])
+    def test_no_socket_left_open(self, keepalive_server, config, tmp_path, monkeypatch, interrupted):
+        ins_path = tmp_path / "ins.jsonl"
+        make_instructions(ins_path, [f"Task {k}." for k in range(12)])
+        real = collect_module._request_with_retries
+        calls = []  # holds no argument, so nothing here keeps a connection alive
+
+        def interrupted_sixth(*args):
+            calls.append(None)
+            if len(calls) == 6:
+                raise KeyboardInterrupt
+            return real(*args)
+
+        if interrupted:
+            monkeypatch.setattr(collect_module, "_request_with_retries", interrupted_sixth)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            try:
+                collect(ins_path, _at(config, keepalive_server), tmp_path / "out.jsonl")
+            except KeyboardInterrupt:
+                assert interrupted
+            else:
+                assert not interrupted
+            gc.collect()
+        assert keepalive_server.connections >= 1
+        assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+class TestTLS:
+    def test_verified_against_ssl_cert_file(self, tls_server, config, tmp_path, monkeypatch):
+        monkeypatch.setenv("SSL_CERT_FILE", str(_TLS / "cert.pem"))
+        ins_path = tmp_path / "ins.jsonl"
+        out_path = tmp_path / "out.jsonl"
+        make_instructions(ins_path, [f"Task {k}." for k in range(8)])
+        assert not collect(ins_path, _at(config, tls_server, "https"), out_path).partial
+        assert read_responses(out_path)["en-0007"] == "echo:Task 7."
+        assert tls_server.requests[0]["auth"] == "Bearer secret-token"
+        assert 1 <= tls_server.connections <= config.max_in_flight
+
+    def test_unknown_certificate_is_refused(self, tls_server, config, tmp_path, monkeypatch):
+        monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+        monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+        ins_path = tmp_path / "ins.jsonl"
+        out_path = tmp_path / "out.jsonl"
+        make_instructions(ins_path, ["One.", "Two."])
+        result = collect(ins_path, _at(config, tls_server, "https"), out_path)
+        assert result.failed == ("en-0000", "en-0001")
+        assert tls_server.requests == []
+        errors_path = tmp_path / "out.jsonl.errors.jsonl"
+        for line in errors_path.read_text().splitlines():
+            error = json.loads(line)["error"]
+            assert error.startswith(f"gave up after {MAX_ATTEMPTS} attempts: ")
+            assert "CERTIFICATE_VERIFY_FAILED" in error
+
+
 class TestProxy:
     def test_http_endpoint_is_reached_through_the_proxy(self, proxy_env, other_server, config, tmp_path):
         proxy_env.setenv("HTTP_PROXY", f"http://127.0.0.1:{other_server.server_address[1]}")
@@ -607,6 +839,25 @@ class TestProxy:
         [request] = other_server.requests
         assert request["proxy_auth"] == "Basic " + base64.b64encode(b"user:p@ss").decode("ascii")
         assert request["auth"] == "Bearer secret-token"
+
+    def test_https_endpoint_is_reached_through_a_connect_tunnel(
+        self, proxy_env, tunnel_proxy, tls_server, config, tmp_path
+    ):
+        proxy_env.setenv("HTTPS_PROXY", f"http://user:pw@127.0.0.1:{tunnel_proxy.server_address[1]}")
+        proxy_env.setenv("SSL_CERT_FILE", str(_TLS / "cert.pem"))
+        ins_path = tmp_path / "ins.jsonl"
+        out_path = tmp_path / "out.jsonl"
+        make_instructions(ins_path, ["Tunnelled.", "Again."])
+        assert not collect(ins_path, _at(config, tls_server, "https"), out_path).partial
+        assert read_responses(out_path) == {"en-0000": "echo:Tunnelled.", "en-0001": "echo:Again."}
+        assert 1 <= len(tunnel_proxy.heads) == tls_server.connections <= config.max_in_flight
+        request_line, *lines = tunnel_proxy.heads[0]
+        assert request_line.startswith(f"CONNECT 127.0.0.1:{tls_server.server_address[1]} HTTP/1.")
+        fields = {name.lower(): value for name, _, value in (line.partition(": ") for line in lines)}
+        assert fields["proxy-authorization"] == "Basic " + base64.b64encode(b"user:pw").decode("ascii")
+        assert "authorization" not in fields  # the bearer header travels inside TLS only
+        assert [r["path"] for r in tls_server.requests] == ["/v1/chat/completions"] * 2
+        assert tls_server.requests[0]["auth"] == "Bearer secret-token"
 
     def test_no_proxy_host_is_reached_directly(self, proxy_env, stub_server, other_server, config, tmp_path):
         proxy_env.setenv("HTTP_PROXY", f"http://127.0.0.1:{other_server.server_address[1]}")
