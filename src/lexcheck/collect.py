@@ -157,35 +157,6 @@ def _route(config: EndpointConfig, key: str) -> _Route:
     return _Route(lambda: kind(hostport, timeout=config.timeout_s), full, headers | proxy_headers)
 
 
-class _Connections:
-    """The run's connections to the endpoint, kept alive between requests.
-
-    A request takes one for all its attempts and gives it back after, so
-    no more are made than requests are ever in flight at once.  Leaving the
-    ``with`` block closes them; it is left after every worker has finished.
-    """
-
-    def __init__(self, route: _Route) -> None:
-        self._new = route.connection
-        self._idle: list[HTTPConnection] = []
-
-    def take(self) -> HTTPConnection:
-        try:
-            return self._idle.pop()
-        except IndexError:
-            return self._new()
-
-    def give(self, connection: HTTPConnection) -> None:
-        self._idle.append(connection)
-
-    def __enter__(self) -> _Connections:
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        for connection in self._idle:
-            connection.close()
-
-
 def _post_once(connection: HTTPConnection, route: _Route, body: bytes) -> str:
     """One attempt.  The connection is closed, to be opened again by the
     next attempt, unless its reply was read to the end and keeps it open,
@@ -231,8 +202,10 @@ class _Permanent(RuntimeError):
 
 
 def _request_with_retries(
-    connections: _Connections, route: _Route, config: EndpointConfig, instruction: Instruction
+    idle: list[HTTPConnection], route: _Route, config: EndpointConfig, instruction: Instruction
 ) -> tuple[str, float]:
+    """Send `instruction` over an idle connection of the run, or a new one,
+    and hand the connection back for the next request."""
     payload = {
         "model": config.model,
         "messages": [{"role": "user", "content": instruction.prompt}],
@@ -242,11 +215,16 @@ def _request_with_retries(
     }
     body = json.dumps(payload).encode("utf-8")
     last_error: Exception | None = None
-    connection = connections.take()
+    try:
+        connection: HTTPConnection | None = idle.pop()
+    except IndexError:
+        connection = None
     try:
         for attempt in range(MAX_ATTEMPTS):
             started = time.monotonic()
             try:
+                if connection is None:  # made in the attempt: a proxy's bad port fails it
+                    connection = route.connection()
                 text = _post_once(connection, route, body)
                 return text, time.monotonic() - started
             # socket errors and timeouts are OSErrors; a reply cut short or
@@ -256,7 +234,8 @@ def _request_with_retries(
                 if attempt < MAX_ATTEMPTS - 1:
                     time.sleep(config.retry_backoff_s * (2**attempt))
     finally:
-        connections.give(connection)
+        if connection is not None:
+            idle.append(connection)
     raise RuntimeError(f"gave up after {MAX_ATTEMPTS} attempts: {last_error}")
 
 
@@ -331,7 +310,9 @@ def collect(
     route = _route(config, key)  # reads the proxy variables once per run
     errors: list[tuple[str, str]] = []
     # worker threads only send requests; this thread records every outcome
-    with _Connections(route) as connections, open(output_path, "a", encoding="utf-8") as journal:
+    # at most max_in_flight: a request holds one from its first attempt to its last
+    idle: list[HTTPConnection] = []
+    with open(output_path, "a", encoding="utf-8") as journal:
         pool = ThreadPoolExecutor(max_workers=config.max_in_flight)
         try:
             # the next request is submitted only once an outcome is recorded
@@ -340,7 +321,7 @@ def collect(
 
             def send(n: int) -> None:
                 for i in islice(unsent, n):
-                    futures[pool.submit(_request_with_retries, connections, route, config, i)] = i.id
+                    futures[pool.submit(_request_with_retries, idle, route, config, i)] = i.id
 
             send(config.max_in_flight)
             while futures:
@@ -358,6 +339,8 @@ def collect(
         finally:
             # an interrupt or a failed write cancels every request not yet sent
             pool.shutdown(cancel_futures=True)
+            for connection in idle:  # every worker has handed its connection back
+                connection.close()
 
     _write_errors(output_path.with_name(output_path.name + ".errors.jsonl"), errors)
     return CollectResult(

@@ -859,6 +859,18 @@ class TestProxy:
         assert [r["path"] for r in tls_server.requests] == ["/v1/chat/completions"] * 2
         assert tls_server.requests[0]["auth"] == "Bearer secret-token"
 
+    def test_proxy_with_a_bad_port_fails_each_attempt(self, proxy_env, config, tmp_path):
+        proxy_env.setenv("HTTP_PROXY", "http://127.0.0.1:abc")
+        config = dataclasses.replace(config, base_url="http://model.invalid/v1")
+        ins_path = tmp_path / "ins.jsonl"
+        out_path = tmp_path / "out.jsonl"
+        make_instructions(ins_path, ["One.", "Two."])
+        assert collect(ins_path, config, out_path).failed == ("en-0000", "en-0001")
+        errors_path = tmp_path / "out.jsonl.errors.jsonl"
+        assert {json.loads(l)["error"] for l in errors_path.read_text().splitlines()} == {
+            f"gave up after {MAX_ATTEMPTS} attempts: nonnumeric port: 'abc'"
+        }
+
     def test_no_proxy_host_is_reached_directly(self, proxy_env, stub_server, other_server, config, tmp_path):
         proxy_env.setenv("HTTP_PROXY", f"http://127.0.0.1:{other_server.server_address[1]}")
         proxy_env.setenv("NO_PROXY", "127.0.0.1")
