@@ -3,27 +3,30 @@
 The output file doubles as the resume journal: records are appended as they
 arrive, one write per line, and a rerun only requests the ids that are not
 already present.  A last line cut off by a killed run is mended on resume.
-Each request in flight holds one HTTP connection for its attempts and
-hands it to the next request, so a run opens about as many connections as
-it has requests in flight.  Failures are retried with exponential backoff,
-then recorded without stopping the run; the sidecar errors file is
-replaced at the end of a run, so an interrupted run leaves the previous
-one's in place.
+One loop on the calling thread keeps up to `max_in_flight` requests in
+flight.  Each is held by a slot that owns one kept-alive HTTP connection:
+the slot sends the request, the loop waits on a selector until the reply
+begins, reads it to its end and records the outcome, and the slot sends
+the next request.  Failures are retried after an exponential backoff, kept
+as a timer, then recorded without stopping the run; the sidecar errors
+file is replaced at the end of a run, so an interrupted run leaves the
+previous one's in place.
 """
 
 from __future__ import annotations
 
 import base64
+import heapq
 import json
 import math
 import os
+import selectors
 import socket
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from http.client import HTTPConnection, HTTPException, HTTPSConnection
-from itertools import islice
+from itertools import count
 from pathlib import Path
 from typing import Callable
 from urllib.parse import unquote, urlsplit
@@ -39,6 +42,9 @@ TRANSIENT_STATUS = frozenset({429, 500, 502, 503, 504})
 MAX_ATTEMPTS = 3
 _MEND_BLOCK = 1 << 16  # bytes read at a time when looking for a torn tail's start
 _QUICKACK = getattr(socket, "TCP_QUICKACK", None)  # Linux only
+# the longest single wait on the selector, in seconds: epoll refuses one of
+# more than about 24.8 days, and a wait that ends early only loops again
+_LONGEST_WAIT = 86_400.0
 
 
 class ConfigError(ValueError):
@@ -84,8 +90,8 @@ class EndpointConfig:
                 raise ConfigError(f"{name} must be > 0, not {getattr(self, name)}")
         if self.retry_backoff_s < 0:
             raise ConfigError(f"retry_backoff_s must be >= 0, not {self.retry_backoff_s}")
-        # a socket timeout or a sleep longer than the platform's clock can
-        # hold raises OverflowError; the longest sleep is the last backoff
+        # a socket timeout longer than the platform's clock can hold raises
+        # OverflowError; the longest wait, the last backoff, is held to it too
         if self.timeout_s > threading.TIMEOUT_MAX:
             raise ConfigError(f"timeout_s must be <= {threading.TIMEOUT_MAX}, not {self.timeout_s}")
         if self.retry_backoff_s * 2 ** (MAX_ATTEMPTS - 2) > threading.TIMEOUT_MAX:
@@ -157,16 +163,38 @@ def _route(config: EndpointConfig, key: str) -> _Route:
     return _Route(lambda: kind(hostport, timeout=config.timeout_s), full, headers | proxy_headers)
 
 
-def _post_once(connection: HTTPConnection, route: _Route, body: bytes) -> str:
-    """One attempt.  The connection is closed, to be opened again by the
-    next attempt, unless its reply was read to the end and keeps it open,
-    so a late or unread reply is never read as a later request's."""
+def _body(config: EndpointConfig, instruction: Instruction) -> bytes:
+    payload = {
+        "model": config.model,
+        "messages": [{"role": "user", "content": instruction.prompt}],
+        "temperature": config.temperature,
+        "top_p": config.top_p,
+        "max_tokens": config.max_tokens,
+    }
+    return json.dumps(payload).encode("utf-8")
+
+
+def _send(connection: HTTPConnection, route: _Route, body: bytes) -> None:
+    """Send one attempt's request, opening `connection` first if it is
+    closed; the connection is closed if that fails."""
     try:
         connection.request("POST", route.target, body, route.headers)
         if _QUICKACK is not None:
             # ack the reply's first segment at once: a server that sends its
             # headers and body in two writes with Nagle on waits for that ack
             connection.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
+    except BaseException:  # a timeout too; re-raised
+        connection.close()
+        raise
+
+
+def _read_reply(connection: HTTPConnection) -> str:
+    """The completion in the reply to the request just sent on
+    `connection`, read to its end.  The connection is closed, to be opened
+    again by the next attempt, unless its reply was read to the end and
+    keeps it open, so a late or unread reply is never read as a later
+    request's."""
+    try:
         with connection.getresponse() as response:
             status = response.status
             # an error reply is read as far as its excerpt: the first 200
@@ -201,42 +229,14 @@ class _Permanent(RuntimeError):
     pass
 
 
-def _request_with_retries(
-    idle: list[HTTPConnection], route: _Route, config: EndpointConfig, instruction: Instruction
-) -> tuple[str, float]:
-    """Send `instruction` over an idle connection of the run, or a new one,
-    and hand the connection back for the next request."""
-    payload = {
-        "model": config.model,
-        "messages": [{"role": "user", "content": instruction.prompt}],
-        "temperature": config.temperature,
-        "top_p": config.top_p,
-        "max_tokens": config.max_tokens,
-    }
-    body = json.dumps(payload).encode("utf-8")
-    last_error: Exception | None = None
-    try:
-        connection: HTTPConnection | None = idle.pop()
-    except IndexError:
-        connection = None
-    try:
-        for attempt in range(MAX_ATTEMPTS):
-            started = time.monotonic()
-            try:
-                if connection is None:  # made in the attempt: a proxy's bad port fails it
-                    connection = route.connection()
-                text = _post_once(connection, route, body)
-                return text, time.monotonic() - started
-            # socket errors and timeouts are OSErrors; a reply cut short or
-            # without a status line raises an HTTPException
-            except (_Transient, OSError, HTTPException) as exc:
-                last_error = exc
-                if attempt < MAX_ATTEMPTS - 1:
-                    time.sleep(config.retry_backoff_s * (2**attempt))
-    finally:
-        if connection is not None:
-            idle.append(connection)
-    raise RuntimeError(f"gave up after {MAX_ATTEMPTS} attempts: {last_error}")
+class _Slot:
+    """One request in flight: its id, body and attempt number, and the
+    connection that carries its attempts and then the next request's."""
+
+    __slots__ = ("connection", "id", "body", "attempt", "started", "deadline")
+
+    def __init__(self) -> None:
+        self.connection: HTTPConnection | None = None
 
 
 def _mend_journal(path: Path) -> None:
@@ -294,8 +294,8 @@ def collect(
     """Request a response for every instruction that the journal lacks.
 
     At most ``config.max_in_flight`` requests are submitted and not yet
-    recorded at once, so an interrupt leaves no queue for workers.  Each
-    output record carries the measured request latency; failures go to
+    recorded at once, so an interrupt leaves none queued.  Each output
+    record carries the measured request latency; failures go to
     ``<output>.errors.jsonl``, written when the run ends, and leave the run
     with a partial result.
     """
@@ -309,43 +309,87 @@ def collect(
 
     route = _route(config, key)  # reads the proxy variables once per run
     errors: list[tuple[str, str]] = []
-    # worker threads only send requests; this thread records every outcome
-    # at most max_in_flight: a request holds one from its first attempt to its last
-    idle: list[HTTPConnection] = []
-    with open(output_path, "a", encoding="utf-8") as journal:
-        pool = ThreadPoolExecutor(max_workers=config.max_in_flight)
+    unsent = iter(pending)
+    # (when, order, slot) for each slot waiting out a retry's backoff
+    backoffs: list[tuple[float, int, _Slot]] = []
+    order = count()
+    slots = [_Slot() for _ in range(min(config.max_in_flight, len(pending)))]
+    with open(output_path, "a", encoding="utf-8") as journal, selectors.DefaultSelector() as selector:
+        # the slots whose request is sent and whose reply has not begun
+        waiting = selector.get_map()
+
+        def take(slot: _Slot) -> None:
+            """Send the next request not yet sent, if any, in `slot`."""
+            instruction = next(unsent, None)
+            if instruction is not None:
+                slot.id, slot.body, slot.attempt = instruction.id, _body(config, instruction), 1
+                send(slot)
+
+        def send(slot: _Slot) -> None:
+            """Start the slot's attempt; its reply is read once it begins."""
+            slot.started = time.monotonic()
+            try:
+                if slot.connection is None:  # made in the attempt: a proxy's bad port fails it
+                    slot.connection = route.connection()
+                _send(slot.connection, route, slot.body)
+            except (OSError, HTTPException) as exc:
+                failed(slot, exc)
+            else:
+                slot.deadline = time.monotonic() + config.timeout_s
+                selector.register(slot.connection.sock, selectors.EVENT_READ, slot)
+
+        def failed(slot: _Slot, exc: Exception) -> None:
+            """Retry the slot's request after its backoff, or record its failure."""
+            if isinstance(exc, _Permanent):
+                errors.append((slot.id, str(exc)))
+            elif slot.attempt < MAX_ATTEMPTS:
+                when = time.monotonic() + config.retry_backoff_s * 2 ** (slot.attempt - 1)
+                heapq.heappush(backoffs, (when, next(order), slot))
+                slot.attempt += 1
+                return
+            else:
+                errors.append((slot.id, f"gave up after {MAX_ATTEMPTS} attempts: {exc}"))
+            take(slot)
+
         try:
-            # the next request is submitted only once an outcome is recorded
-            unsent = iter(pending)
-            futures = {}
-
-            def send(n: int) -> None:
-                for i in islice(unsent, n):
-                    futures[pool.submit(_request_with_retries, idle, route, config, i)] = i.id
-
-            send(config.max_in_flight)
-            while futures:
-                for future in wait(futures, return_when=FIRST_COMPLETED).done:
-                    id_ = futures.pop(future)  # a kept future would hold its response until the run ends
+            for slot in slots:
+                take(slot)
+            while waiting or backoffs:
+                wake = min((k.data.deadline for k in waiting.values()), default=math.inf)
+                if backoffs:
+                    wake = min(wake, backoffs[0][0])
+                for k, _ in selector.select(min(max(wake - time.monotonic(), 0), _LONGEST_WAIT)):
+                    slot = k.data
+                    selector.unregister(k.fileobj)
                     try:
-                        text, latency = future.result()
-                    except RuntimeError as exc:
-                        errors.append((id_, str(exc)))
-                    else:
-                        record = {"id": id_, "response": text, "latency_s": round(latency, 4)}
-                        journal.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
-                        journal.flush()
-                    send(1)
+                        text = _read_reply(slot.connection)
+                    # socket errors and timeouts are OSErrors; a reply cut
+                    # short or without a status line raises an HTTPException
+                    except (_Transient, _Permanent, OSError, HTTPException) as exc:
+                        failed(slot, exc)
+                        continue
+                    latency = time.monotonic() - slot.started
+                    record = {"id": slot.id, "response": text, "latency_s": round(latency, 4)}
+                    journal.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+                    journal.flush()
+                    take(slot)
+                now = time.monotonic()
+                for k in [k for k in waiting.values() if k.data.deadline <= now]:
+                    selector.unregister(k.fileobj)
+                    k.data.connection.close()
+                    failed(k.data, TimeoutError("timed out"))  # as a socket's own timeout reads
+                while backoffs and backoffs[0][0] <= now:
+                    send(heapq.heappop(backoffs)[2])
         finally:
-            # an interrupt or a failed write cancels every request not yet sent
-            pool.shutdown(cancel_futures=True)
-            for connection in idle:  # every worker has handed its connection back
-                connection.close()
+            # an interrupt or a failed write ends every request in flight
+            for slot in slots:
+                if slot.connection is not None:
+                    slot.connection.close()
 
     _write_errors(output_path.with_name(output_path.name + ".errors.jsonl"), errors)
     return CollectResult(
         requested=len(pending),
         completed=len(pending) - len(errors),
-        skipped=len(done),
+        skipped=len(instructions) - len(pending),
         failed=tuple(sorted(id_ for id_, _ in errors)),
     )

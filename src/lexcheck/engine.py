@@ -52,31 +52,40 @@ def _select(step: ProcedureStep, splits: _Splits, value: int | str, text: str) -
     level, regex = step.level, step.regex
     if level in CHAR_LEVEL_TESTS and kind in _CONTENT_KINDS:
         chars = splits.chars(text, level)
-        if kind is PredicateKind.COUNT:
+        if kind is _COUNT:
             return (len(chars),)
-        if kind is PredicateKind.ALL:
+        if kind is _ALL:
             return chars
         return chars[n - 1 : n] if n > 0 else chars[-1:]
-    if kind is PredicateKind.COUNT:
+    if kind is _COUNT:
         return (len(splits.upto(text, level, regex, value + 1)[0]),)
-    if kind is PredicateKind.ALL:
+    if kind is _ALL:
         return map(_CONTENT, splits.each(text, level, regex)[0])
-    if kind is PredicateKind.BETWEEN:
+    if kind is _BETWEEN:
         elements, shift = splits.each(text, level, regex)
         return (text[left[2] - shift : right[1] - shift] for left, right in pairwise(elements))
     elements, _, shift = splits.upto(text, level, regex, n) if n > 0 else splits.whole(text, level, regex)
     if len(elements) < abs(n):  # n is a positive ordinal or -1
         return ()
     el = elements[n - 1 if n > 0 else -1]
-    if kind is PredicateKind.INDEX:
+    if kind is _INDEX:
         return (el[0],)
-    if kind is PredicateKind.BEFORE:
+    if kind is _BEFORE:
         return (text[: el[1] - shift],)
     return (text[el[2] - shift :],)  # AFTER
 
 
+# the predicate kinds `_select` tests, as module names: a name is read in
+# a few ns, an enum member as a class attribute in over 100
+_COUNT, _ALL, _BETWEEN, _INDEX, _BEFORE = (
+    PredicateKind.COUNT,
+    PredicateKind.ALL,
+    PredicateKind.BETWEEN,
+    PredicateKind.INDEX,
+    PredicateKind.BEFORE,
+)
 #: The predicate kinds that read only elements' contents.
-_CONTENT_KINDS = frozenset({PredicateKind.COUNT, PredicateKind.ALL, PredicateKind.INDEX})
+_CONTENT_KINDS = frozenset({_COUNT, _ALL, _INDEX})
 
 
 #: relation -> test(observed, value): a count against an integer, or a

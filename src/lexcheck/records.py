@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Any, BinaryIO, Iterable, TypeVar
 
 from .dsl import parse_rule
-from .rules import Instruction, Rule
+from .rules import Instruction, ProcedureStep, Rule, shared_step
 
 T = TypeVar("T")
 
@@ -124,11 +124,44 @@ def _readers(hint: Any) -> _Table:
         if hint is Rule:
             # parse_rule is looked up per call, so a wrapper put in its place is used
             readers[str] = lambda v: parse_rule(v)
+        elif hint is ProcedureStep:
+            readers[dict] = _read_step
         return readers
     if isinstance(hint, enum.EnumMeta):
         members = _Table(hint._value2member_map_)
         return _Table.fromkeys({type(value) for value in members}, members.__getitem__)
     return _Table.fromkeys((int, float) if hint is float else (hint,))
+
+
+# the raw JSON values of each structured step read lately -> `shared_step`'s
+# arguments for it, emptied when it holds as many as `shared_step` keeps.
+# As `dsl._STEP_ARGS` does, it holds no step.  `n`'s type is part of the key,
+# since `1`, `1.0` and `true` are equal keys and only `1` is an ordinal.
+_STEP_ARGS: dict[tuple[Any, ...], tuple[Any, ...]] = {}
+_STEP_ARGS_LIMIT = shared_step.cache_info().maxsize
+
+
+def _read_step(data: dict[str, Any]) -> ProcedureStep:
+    """`build(ProcedureStep, data)`, the one object `shared_step` keeps for
+    it; a step not read lately is built, so each error reads as `build`'s."""
+    predicate = data.get("predicate")
+    if type(predicate) is not dict:
+        return build(ProcedureStep, data)
+    n = predicate.get("n")
+    key = (data.get("level"), predicate.get("kind"), n, type(n), data.get("pattern"))
+    try:
+        args = _STEP_ARGS.get(key)
+    except TypeError:  # an unhashable value, which no field takes
+        return build(ProcedureStep, data)
+    if args is None:
+        step = build(ProcedureStep, data)
+        if len(_STEP_ARGS) == _STEP_ARGS_LIMIT:
+            _STEP_ARGS.clear()
+        args = (step.level, step.predicate.kind, step.predicate.n)
+        if step.pattern is not None:  # shared_step keys on the arguments as given
+            args += (step.pattern,)
+        _STEP_ARGS[key] = args
+    return shared_step(*args)
 
 
 def _each(readers: _Table, values: Iterable[Any]) -> tuple[Any, ...]:

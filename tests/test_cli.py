@@ -703,7 +703,7 @@ class TestCollectCommand:
     def test_unwritable_output_fails_before_any_request(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LEX_CLI_KEY", "k")
         sent = []
-        monkeypatch.setattr("lexcheck.collect._post_once", lambda *args: sent.append(args) or "hi")
+        monkeypatch.setattr("lexcheck.collect._send", lambda *args: sent.append(args))
         config = self.write_endpoint(tmp_path)
         ins_path = tmp_path / "ins.jsonl"
         rules = (parse_rule("word# >= 0"),)
@@ -828,6 +828,17 @@ class TestCollectCommand:
         assert main(argv) == EXIT_USAGE
         assert "argument --jobs: must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_already_present_counts_only_the_instructions(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("LEX_CLI_KEY", "k")
+        config = self.write_endpoint(tmp_path)
+        ins_path = tmp_path / "ins.jsonl"
+        rules = (parse_rule("word# >= 0"),)
+        write_instructions(ins_path, [build_instruction(f"en-{k}", "en", "Hi.", rules) for k in range(2)])
+        out = tmp_path / "o"
+        out.write_text("".join(json.dumps({"id": i, "response": "r"}) + "\n" for i in ("en-0", "en-1", "x")))
+        assert main(["collect", str(ins_path), str(config), "-o", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == "collected 0/0 responses (2 already present, 0 failed)\n"
 
     def test_partial_collection_exit_code(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LEX_CLI_KEY", "k")

@@ -8,9 +8,11 @@ import gc
 import json
 import math
 import os
+import selectors
 import socket
 import socketserver
 import ssl
+import sys
 import threading
 import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -164,8 +166,16 @@ class _DropHandler(_KeepAliveHandler):
 _TLS = Path(__file__).parent / "tls"
 
 
+class _Server(ThreadingHTTPServer):
+    def handle_error(self, request, client_address):
+        # a client that hangs up before its reply is written, as an
+        # interrupted or timed-out run does, is no error of the server's
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+
 def _serve(handler=_StubHandler, tls=False):
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    server = _Server(("127.0.0.1", 0), handler)
     if tls:
         context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
         context.load_cert_chain(_TLS / "cert.pem", _TLS / "key.pem")
@@ -507,7 +517,7 @@ class TestCollect:
         def interrupted(*_args):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(collect_module, "_request_with_retries", interrupted)
+        monkeypatch.setattr(collect_module, "_read_reply", interrupted)
         with pytest.raises(KeyboardInterrupt):
             collect(ins_path, config, out_path)
         assert errors_path.read_bytes() == old
@@ -515,7 +525,7 @@ class TestCollect:
     def test_interrupted_run_sends_no_further_request(self, stub_server, config, tmp_path, monkeypatch):
         ins_path = tmp_path / "ins.jsonl"
         make_instructions(ins_path, [f"SLOW task {k}." for k in range(20)])
-        real = collect_module._request_with_retries
+        real = collect_module._read_reply
         calls = []
 
         def interrupted_first(*args):
@@ -524,7 +534,7 @@ class TestCollect:
                 raise KeyboardInterrupt
             return real(*args)
 
-        monkeypatch.setattr(collect_module, "_request_with_retries", interrupted_first)
+        monkeypatch.setattr(collect_module, "_read_reply", interrupted_first)
         with pytest.raises(KeyboardInterrupt):
             collect(ins_path, config, tmp_path / "out.jsonl")
         # only the requests already in flight went out; the queued ones were cancelled
@@ -532,8 +542,8 @@ class TestCollect:
 
     def test_interrupt_leaves_no_queue_for_workers(self, config, tmp_path, monkeypatch):
         """Each request beyond the first max_in_flight is sent only after an
-        outcome is recorded, so workers that reply at once cannot drain a
-        queue while the interrupt travels to the calling thread."""
+        outcome is recorded, so replies that arrive at once cannot drain a
+        queue before the interrupt ends the run."""
         ins_path = tmp_path / "ins.jsonl"
         make_instructions(ins_path, [f"Task {k}." for k in range(20)])
         lock = threading.Lock()
@@ -546,15 +556,58 @@ class TestCollect:
                     first = len(callers) == 1
                 if first:
                     raise KeyboardInterrupt
-                return "done", 0.0
+                return "done"
 
-            monkeypatch.setattr(collect_module, "_request_with_retries", interrupted_first)
+            monkeypatch.setattr(collect_module, "_read_reply", interrupted_first)
             out_path = tmp_path / f"out-{run}.jsonl"
             with pytest.raises(KeyboardInterrupt):
                 collect(ins_path, config, out_path)
             written = len(out_path.read_bytes().splitlines())
             assert len(callers) <= config.max_in_flight + written, run
             assert len(set(callers)) <= config.max_in_flight == 2
+
+    def test_skipped_counts_only_the_instructions_in_the_journal(self, stub_server, config, tmp_path):
+        ins_path = tmp_path / "ins.jsonl"
+        out_path = tmp_path / "out.jsonl"
+        make_instructions(ins_path, ["One.", "Two."])
+        out_path.write_text(
+            "".join(json.dumps({"id": id_, "response": "kept"}) + "\n" for id_ in ("en-0000", "en-0001", "other")),
+            encoding="utf-8",
+        )
+        assert collect(ins_path, config, out_path) == CollectResult(requested=0, completed=0, skipped=2, failed=())
+        assert stub_server.requests == []
+
+    def test_starts_no_thread(self, stub_server, config, tmp_path, monkeypatch):
+        caller = threading.get_ident()
+        starters = []  # the thread that started each thread; the stub starts one per connection
+        start = threading.Thread.start
+
+        def recorded_start(thread):
+            starters.append(threading.get_ident())
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recorded_start)
+        ins_path = tmp_path / "ins.jsonl"
+        make_instructions(ins_path, [f"Task {k}." for k in range(6)] + ["FLAKY once.", "PERMFAIL here."])
+        result = collect(ins_path, config, tmp_path / "out.jsonl")
+        assert result == CollectResult(requested=8, completed=7, skipped=0, failed=("en-0007",))
+        assert len(starters) == len(stub_server.requests) == 6 + MAX_ATTEMPTS + 1
+        assert caller not in starters
+
+    def test_slow_reply_holds_back_no_other_id(self, stub_server, config, tmp_path):
+        ins_path = tmp_path / "ins.jsonl"
+        out_path = tmp_path / "out.jsonl"
+        make_instructions(ins_path, ["SLOW task."] + [f"Fast {k}." for k in range(4)])
+        assert not collect(ins_path, config, out_path).partial
+        ids = [json.loads(line)["id"] for line in out_path.read_text(encoding="utf-8").splitlines()]
+        assert ids == [f"en-{k:04d}" for k in (1, 2, 3, 4, 0)]  # the slow one is recorded last
+
+    def test_huge_timeout_is_waited_in_parts(self, stub_server, config, tmp_path):
+        # one wait on the selector may not be this long; it is cut to _LONGEST_WAIT
+        config.timeout_s = 1e7
+        ins_path = tmp_path / "ins.jsonl"
+        make_instructions(ins_path, ["One.", "Two."])
+        assert not collect(ins_path, config, tmp_path / "out.jsonl").partial
 
     def test_transient_errors_retried_to_success(self, stub_server, config, tmp_path):
         ins_path = tmp_path / "ins.jsonl"
@@ -726,6 +779,21 @@ class TestKeepAlive:
         assert keepalive_server.counts == {"LATE": MAX_ATTEMPTS, "Fine.": 1}
         assert keepalive_server.connections == MAX_ATTEMPTS + 1  # each timeout closed one
 
+    def test_late_reply_times_out_only_its_own_slot(self, keepalive_server, config, tmp_path):
+        config = dataclasses.replace(_at(config, keepalive_server), timeout_s=0.2)
+        ins_path = tmp_path / "ins.jsonl"
+        out_path = tmp_path / "out.jsonl"
+        fine = [f"Fine {k}." for k in range(8)]
+        make_instructions(ins_path, ["LATE", *fine])
+        result = collect(ins_path, config, out_path)
+        assert result == CollectResult(requested=9, completed=8, skipped=0, failed=("en-0000",))
+        assert read_responses(out_path) == {f"en-{k + 1:04d}": f"echo:{p}" for k, p in enumerate(fine)}
+        assert keepalive_server.counts == {"LATE": MAX_ATTEMPTS, **dict.fromkeys(fine, 1)}
+        errors_path = tmp_path / "out.jsonl.errors.jsonl"
+        assert [json.loads(l) for l in errors_path.read_text().splitlines()] == [
+            {"id": "en-0000", "error": f"gave up after {MAX_ATTEMPTS} attempts: timed out"}
+        ]
+
     def test_error_reply_unread_past_its_excerpt_closes_the_connection(self, keepalive_server, config, tmp_path):
         config = dataclasses.replace(_at(config, keepalive_server), max_in_flight=1)
         ins_path = tmp_path / "ins.jsonl"
@@ -763,7 +831,7 @@ class TestKeepAlive:
     def test_no_socket_left_open(self, keepalive_server, config, tmp_path, monkeypatch, interrupted):
         ins_path = tmp_path / "ins.jsonl"
         make_instructions(ins_path, [f"Task {k}." for k in range(12)])
-        real = collect_module._request_with_retries
+        real = collect_module._read_reply
         calls = []  # holds no argument, so nothing here keeps a connection alive
 
         def interrupted_sixth(*args):
@@ -773,7 +841,7 @@ class TestKeepAlive:
             return real(*args)
 
         if interrupted:
-            monkeypatch.setattr(collect_module, "_request_with_retries", interrupted_sixth)
+            monkeypatch.setattr(collect_module, "_read_reply", interrupted_sixth)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
             try:
@@ -785,6 +853,43 @@ class TestKeepAlive:
             gc.collect()
         assert keepalive_server.connections >= 1
         assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    @pytest.mark.parametrize("interrupted", [False, True])
+    def test_selector_closed(self, keepalive_server, config, tmp_path, monkeypatch, interrupted):
+        # an unclosed epoll object, unlike a socket, raises no ResourceWarning
+        made = []
+
+        class Selector(selectors.DefaultSelector):
+            def __init__(self):
+                super().__init__()
+                self.closed = False
+                made.append(self)
+
+            def close(self):
+                self.closed = True
+                super().close()
+
+        real = collect_module._read_reply
+        calls = []
+
+        def interrupted_third(connection):
+            calls.append(None)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return real(connection)
+
+        monkeypatch.setattr(selectors, "DefaultSelector", Selector)
+        if interrupted:
+            monkeypatch.setattr(collect_module, "_read_reply", interrupted_third)
+        ins_path = tmp_path / "ins.jsonl"
+        make_instructions(ins_path, [f"Task {k}." for k in range(6)])
+        try:
+            collect(ins_path, _at(config, keepalive_server), tmp_path / "out.jsonl")
+        except KeyboardInterrupt:
+            assert interrupted
+        else:
+            assert not interrupted
+        assert [selector.closed for selector in made] == [True]
 
 
 class TestTLS:

@@ -11,8 +11,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import sample_rules, write_responses
-from lexcheck.dsl import parse_rule
+from helpers import build_instruction, sample_rules, write_responses
+from lexcheck.dsl import format_rule, parse_rule
+from lexcheck import records
 from lexcheck.generate import GenConfig, generate_dataset
 from lexcheck.records import (
     DataError,
@@ -26,7 +27,7 @@ from lexcheck.records import (
     rule_to_dict,
     write_instructions,
 )
-from lexcheck.rules import DIFFICULTIES, Instruction, Predicate, PredicateKind, Rule
+from lexcheck.rules import DIFFICULTIES, Instruction, Level, Predicate, PredicateKind, Rule, shared_step
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +194,58 @@ class TestInstructionFiles:
         path = tmp_path_factory.mktemp("ins") / "ins.jsonl"
         write_instructions(path, built)
         assert read_instructions(path) == built
+
+    def test_structured_steps_are_the_expressions_steps(self, dataset, tmp_path):
+        structured = tmp_path / "structured.jsonl"
+        expressions = tmp_path / "expressions.jsonl"
+        write_instructions(structured, dataset)
+        with open(expressions, "w", encoding="utf-8") as fh:
+            for instruction in dataset:
+                data = instruction_to_dict(instruction)
+                data["rules"] = [format_rule(rule) for rule in instruction.rules]
+                fh.write(json.dumps(data, ensure_ascii=False) + "\n")
+
+        def steps(path):
+            return [step for i in read_instructions(path) for rule in i.rules for step in rule.procedure]
+
+        written = steps(expressions)
+        assert any(step.pattern is not None for step in written)
+        for read in (steps(structured), steps(structured)):  # the second read hits the memo
+            assert read == written
+            assert all(a is b for a, b in zip(read, written))
+
+    def test_step_memo_is_bounded(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(records, "_STEP_ARGS", {})
+        monkeypatch.setattr(records, "_STEP_ARGS_LIMIT", 4)
+        path = tmp_path / "ins.jsonl"
+        write_instructions(
+            path,
+            [build_instruction(f"en-{n}", "en", "p", (parse_rule(f'word@{n} contain "a"'),)) for n in range(1, 11)],
+        )
+        for _ in range(2):
+            steps = [i.rules[0].procedure[0] for i in read_instructions(path)]
+            assert len(records._STEP_ARGS) <= 4
+            assert all(s is shared_step(Level.WORD, PredicateKind.INDEX, n) for n, s in enumerate(steps, 1))
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"n": True}, "n must be int | None, not True"),
+            ({"n": 1.0}, "n must be int | None, not 1.0"),
+            ({"level": ["word"]}, "level must be Level, not ['word']"),
+        ],
+    )
+    def test_step_equal_to_one_read_before_is_still_checked(self, tmp_path, change, message):
+        instruction = build_instruction("en-0", "en", "p", (parse_rule('word@1 contain "a"'),))
+        good = instruction_to_dict(instruction)
+        bad = instruction_to_dict(instruction)
+        step = bad["rules"][0]["procedure"][0] = dict(bad["rules"][0]["procedure"][0])
+        step.update(change) if "level" in change else step.update(predicate={"kind": "index", **change})
+        path = tmp_path / "ins.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            read_instructions(path)
+        assert str(info.value) == f"{path}:2: bad instruction record: {message}"
 
     def test_cjk_written_verbatim(self, dataset, tmp_path):
         path = tmp_path / "ins.jsonl"
