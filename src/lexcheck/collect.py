@@ -4,19 +4,20 @@ The output file doubles as the resume journal: records are appended as they
 arrive, one write per line, and a rerun only requests the ids that are not
 already present.  A last line cut off by a killed run is mended on resume.
 One loop on the calling thread keeps up to `max_in_flight` requests in
-flight.  Each is held by a slot that owns one kept-alive HTTP connection:
-the slot sends the request, the loop waits on a selector until the reply
-begins, reads it to its end and records the outcome, and the slot sends
-the next request.  Failures are retried after an exponential backoff, kept
-as a timer, then recorded without stopping the run; the sidecar errors
-file is replaced at the end of a run, so an interrupted run leaves the
-previous one's in place.
+flight.  Each is held by a slot that owns one kept-alive HTTP connection
+and is idle, waiting for its reply to begin (until its deadline), or
+waiting out a backoff; the loop keeps one due time per slot.  The slot
+sends the request, the loop waits on a selector until the reply begins or
+a slot is due, reads the reply to its end and records the outcome, and
+the slot sends the next request.  Failures are retried after an
+exponential backoff, then recorded without stopping the run; the sidecar
+errors file is replaced at the end of a run, so an interrupted run leaves
+the previous one's in place.
 """
 
 from __future__ import annotations
 
 import base64
-import heapq
 import json
 import math
 import os
@@ -26,7 +27,6 @@ import threading
 import time
 from dataclasses import dataclass
 from http.client import HTTPConnection, HTTPException, HTTPSConnection
-from itertools import count
 from pathlib import Path
 from typing import Callable
 from urllib.parse import unquote, urlsplit
@@ -91,7 +91,8 @@ class EndpointConfig:
         if self.retry_backoff_s < 0:
             raise ConfigError(f"retry_backoff_s must be >= 0, not {self.retry_backoff_s}")
         # a socket timeout longer than the platform's clock can hold raises
-        # OverflowError; the longest wait, the last backoff, is held to it too
+        # OverflowError; the last backoff is held to it too, which keeps
+        # every slot's due time finite (math.inf marks an idle slot)
         if self.timeout_s > threading.TIMEOUT_MAX:
             raise ConfigError(f"timeout_s must be <= {threading.TIMEOUT_MAX}, not {self.timeout_s}")
         if self.retry_backoff_s * 2 ** (MAX_ATTEMPTS - 2) > threading.TIMEOUT_MAX:
@@ -176,34 +177,26 @@ def _body(config: EndpointConfig, instruction: Instruction) -> bytes:
 
 def _send(connection: HTTPConnection, route: _Route, body: bytes) -> None:
     """Send one attempt's request, opening `connection` first if it is
-    closed; the connection is closed if that fails."""
-    try:
-        connection.request("POST", route.target, body, route.headers)
-        if _QUICKACK is not None:
-            # ack the reply's first segment at once: a server that sends its
-            # headers and body in two writes with Nagle on waits for that ack
-            connection.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
-    except BaseException:  # a timeout too; re-raised
-        connection.close()
-        raise
+    closed."""
+    connection.request("POST", route.target, body, route.headers)
+    if _QUICKACK is not None:
+        # ack the reply's first segment at once: a server that sends its
+        # headers and body in two writes with Nagle on waits for that ack
+        connection.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
 
 
 def _read_reply(connection: HTTPConnection) -> str:
     """The completion in the reply to the request just sent on
     `connection`, read to its end.  The connection is closed, to be opened
     again by the next attempt, unless its reply was read to the end and
-    keeps it open, so a late or unread reply is never read as a later
-    request's."""
-    try:
-        with connection.getresponse() as response:
-            status = response.status
-            # an error reply is read as far as its excerpt: the first 200
-            # characters, which 800 bytes hold in UTF-8
-            data = response.read() if status == 200 else response.read(800)
-            read_to_end = response.isclosed()
-    except BaseException:  # a timeout too; re-raised
-        connection.close()
-        raise
+    keeps it open, so an unread reply is never read as a later request's;
+    the caller closes it after an exception."""
+    with connection.getresponse() as response:
+        status = response.status
+        # an error reply is read as far as its excerpt: the first 200
+        # characters, which 800 bytes hold in UTF-8
+        data = response.read() if status == 200 else response.read(800)
+        read_to_end = response.isclosed()
     # http.client itself closes a connection whose reply ends it
     # (Connection: close, or HTTP/1.0 without keep-alive)
     if not read_to_end:
@@ -230,10 +223,13 @@ class _Permanent(RuntimeError):
 
 
 class _Slot:
-    """One request in flight: its id, body and attempt number, and the
-    connection that carries its attempts and then the next request's."""
+    """One request in flight: its id, body and attempt number, the
+    connection that carries its attempts and then the next request's, and
+    when the loop next acts on it (`due`): its reply's deadline while it
+    `waits` on the selector, the end of its backoff, or math.inf while it is
+    idle."""
 
-    __slots__ = ("connection", "id", "body", "attempt", "started", "deadline")
+    __slots__ = ("connection", "id", "body", "attempt", "started", "due", "waits", "reused")
 
     def __init__(self) -> None:
         self.connection: HTTPConnection | None = None
@@ -310,24 +306,22 @@ def collect(
     route = _route(config, key)  # reads the proxy variables once per run
     errors: list[tuple[str, str]] = []
     unsent = iter(pending)
-    # (when, order, slot) for each slot waiting out a retry's backoff
-    backoffs: list[tuple[float, int, _Slot]] = []
-    order = count()
     slots = [_Slot() for _ in range(min(config.max_in_flight, len(pending)))]
     with open(output_path, "a", encoding="utf-8") as journal, selectors.DefaultSelector() as selector:
-        # the slots whose request is sent and whose reply has not begun
-        waiting = selector.get_map()
 
         def take(slot: _Slot) -> None:
             """Send the next request not yet sent, if any, in `slot`."""
             instruction = next(unsent, None)
-            if instruction is not None:
+            if instruction is None:
+                slot.due = math.inf
+            else:
                 slot.id, slot.body, slot.attempt = instruction.id, _body(config, instruction), 1
                 send(slot)
 
         def send(slot: _Slot) -> None:
             """Start the slot's attempt; its reply is read once it begins."""
             slot.started = time.monotonic()
+            slot.reused = slot.connection is not None and slot.connection.sock is not None
             try:
                 if slot.connection is None:  # made in the attempt: a proxy's bad port fails it
                     slot.connection = route.connection()
@@ -335,16 +329,24 @@ def collect(
             except (OSError, HTTPException) as exc:
                 failed(slot, exc)
             else:
-                slot.deadline = time.monotonic() + config.timeout_s
+                slot.due = time.monotonic() + config.timeout_s
+                slot.waits = True
                 selector.register(slot.connection.sock, selectors.EVENT_READ, slot)
 
         def failed(slot: _Slot, exc: Exception) -> None:
-            """Retry the slot's request after its backoff, or record its failure."""
+            """Send the slot's request again, at once or after its backoff,
+            or record its failure; a transport error, a reply cut short and
+            a timeout close the slot's connection."""
+            if slot.connection is not None and not isinstance(exc, (_Transient, _Permanent)):
+                slot.connection.close()
             if isinstance(exc, _Permanent):
                 errors.append((slot.id, str(exc)))
+            elif slot.reused and isinstance(exc, (BrokenPipeError, ConnectionResetError)):
+                send(slot)  # dropped while idle: again on a new connection, uncounted
+                return
             elif slot.attempt < MAX_ATTEMPTS:
-                when = time.monotonic() + config.retry_backoff_s * 2 ** (slot.attempt - 1)
-                heapq.heappush(backoffs, (when, next(order), slot))
+                slot.due = time.monotonic() + config.retry_backoff_s * 2 ** (slot.attempt - 1)
+                slot.waits = False
                 slot.attempt += 1
                 return
             else:
@@ -354,10 +356,7 @@ def collect(
         try:
             for slot in slots:
                 take(slot)
-            while waiting or backoffs:
-                wake = min((k.data.deadline for k in waiting.values()), default=math.inf)
-                if backoffs:
-                    wake = min(wake, backoffs[0][0])
+            while (wake := min((slot.due for slot in slots), default=math.inf)) < math.inf:
                 for k, _ in selector.select(min(max(wake - time.monotonic(), 0), _LONGEST_WAIT)):
                     slot = k.data
                     selector.unregister(k.fileobj)
@@ -374,12 +373,12 @@ def collect(
                     journal.flush()
                     take(slot)
                 now = time.monotonic()
-                for k in [k for k in waiting.values() if k.data.deadline <= now]:
-                    selector.unregister(k.fileobj)
-                    k.data.connection.close()
-                    failed(k.data, TimeoutError("timed out"))  # as a socket's own timeout reads
-                while backoffs and backoffs[0][0] <= now:
-                    send(heapq.heappop(backoffs)[2])
+                for slot in slots:
+                    if slot.due <= now and slot.waits:  # no reply began before its deadline
+                        selector.unregister(slot.connection.sock)
+                        failed(slot, TimeoutError("timed out"))  # as a socket's own timeout reads
+                    elif slot.due <= now:  # its backoff is over
+                        send(slot)
         finally:
             # an interrupt or a failed write ends every request in flight
             for slot in slots:

@@ -738,8 +738,9 @@ class TestCollectCommand:
     @pytest.mark.parametrize("name", ["timeout_s", "retry_backoff_s"])
     @pytest.mark.parametrize("value", [1e300, 10**400], ids=["float", "401-digit-int"])
     def test_value_beyond_the_platform_clock(self, tmp_path, monkeypatch, capsys, name, value):
-        """A finite value too large for a socket timeout or a sleep is refused
-        where the config enters, not raised as OverflowError mid-run."""
+        """A finite value too large for a socket timeout, or a backoff that
+        could double past every finite due time, is refused where the config
+        enters, not raised as OverflowError mid-run."""
         monkeypatch.setenv("LEX_CLI_KEY", "k")
         config = self.write_endpoint(tmp_path, **{name: value})
         ins_path = tmp_path / "ins.jsonl"

@@ -602,6 +602,25 @@ class TestCollect:
         ids = [json.loads(line)["id"] for line in out_path.read_text(encoding="utf-8").splitlines()]
         assert ids == [f"en-{k:04d}" for k in (1, 2, 3, 4, 0)]  # the slow one is recorded last
 
+    def test_backoff_holds_back_no_other_id(self, stub_server, config, tmp_path):
+        config.retry_backoff_s = 0.3
+        ins_path = tmp_path / "ins.jsonl"
+        out_path = tmp_path / "out.jsonl"
+        make_instructions(ins_path, ["FLAKY once."] + [f"Fast {k}." for k in range(4)])
+        assert not collect(ins_path, config, out_path).partial
+        ids = [json.loads(line)["id"] for line in out_path.read_text(encoding="utf-8").splitlines()]
+        assert ids == [f"en-{k:04d}" for k in (1, 2, 3, 4, 0)]  # the flaky one is recorded last
+        assert stub_server.counts["FLAKY once."] == MAX_ATTEMPTS
+
+    def test_backoffs_that_end_together_are_both_sent(self, stub_server, config, tmp_path):
+        config.retry_backoff_s = 0
+        ins_path = tmp_path / "ins.jsonl"
+        out_path = tmp_path / "out.jsonl"
+        make_instructions(ins_path, ["FLAKY one.", "FLAKY two."])
+        assert not collect(ins_path, config, out_path).partial
+        assert read_responses(out_path) == {"en-0000": "echo:FLAKY one.", "en-0001": "echo:FLAKY two."}
+        assert stub_server.counts == {"FLAKY one.": MAX_ATTEMPTS, "FLAKY two.": MAX_ATTEMPTS}
+
     def test_huge_timeout_is_waited_in_parts(self, stub_server, config, tmp_path):
         # one wait on the selector may not be this long; it is cut to _LONGEST_WAIT
         config.timeout_s = 1e7
@@ -826,6 +845,19 @@ class TestKeepAlive:
         assert not collect(ins_path, _at(config, drop_server), out_path).partial
         assert sorted(read_responses(out_path).values()) == sorted(f"echo:{p}" for p in prompts)
         assert drop_server.connections == 10  # one per reply: a stale one was never answered
+
+    def test_connection_the_server_dropped_is_sent_again_uncounted(self, drop_server, config, tmp_path, monkeypatch):
+        # a reused connection the server closed while idle fails before any
+        # reply byte; its request goes again at once on a new one
+        monkeypatch.setattr(collect_module, "MAX_ATTEMPTS", 1)
+        ins_path = tmp_path / "ins.jsonl"
+        out_path = tmp_path / "out.jsonl"
+        prompts = [f"Task {k}." for k in range(10)]
+        make_instructions(ins_path, prompts)
+        result = collect(ins_path, _at(config, drop_server), out_path)
+        assert result == CollectResult(requested=10, completed=10, skipped=0, failed=())
+        assert read_responses(out_path) == {f"en-{k:04d}": f"echo:{p}" for k, p in enumerate(prompts)}
+        assert drop_server.connections == 10
 
     @pytest.mark.parametrize("interrupted", [False, True])
     def test_no_socket_left_open(self, keepalive_server, config, tmp_path, monkeypatch, interrupted):
