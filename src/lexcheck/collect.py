@@ -12,7 +12,8 @@ a slot is due, reads the reply to its end and records the outcome, and
 the slot sends the next request.  Failures are retried after an
 exponential backoff, then recorded without stopping the run; the sidecar
 errors file is replaced at the end of a run, so an interrupted run leaves
-the previous one's in place.
+the previous one's in place.  The HTTP stack is imported by the first
+`collect`, so no other command loads it.
 """
 
 from __future__ import annotations
@@ -21,22 +22,20 @@ import base64
 import json
 import math
 import os
-import selectors
 import socket
 import threading
 import time
 from dataclasses import dataclass
-from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Any, Callable
 from urllib.parse import unquote, urlsplit
-from urllib.request import getproxies, proxy_bypass
-
-import requests  # noqa: F401  (read only by bench/spans.py Tracer.install)
 
 from . import __version__
 from .records import decode_json, read_instructions, read_responses
 from .rules import Instruction
+
+if TYPE_CHECKING:
+    from http.client import HTTPConnection
 
 TRANSIENT_STATUS = frozenset({429, 500, 502, 503, 504})
 MAX_ATTEMPTS = 3
@@ -45,6 +44,20 @@ _QUICKACK = getattr(socket, "TCP_QUICKACK", None)  # Linux only
 # the longest single wait on the selector, in seconds: epoll refuses one of
 # more than about 24.8 days, and a wait that ends early only loops again
 _LONGEST_WAIT = 86_400.0
+
+
+class _Requests:
+    """Stands in for the `requests` module, which lexcheck never calls:
+    bench/spans.py's tracer reads `collect.requests.post` by name, and only
+    that read imports the real module, so no command loads it."""
+
+    def __getattr__(self, name: str) -> Any:
+        import requests
+
+        return getattr(requests, name)
+
+
+requests = _Requests()
 
 
 class ConfigError(ValueError):
@@ -132,6 +145,9 @@ class _Route:
 def _route(config: EndpointConfig, key: str) -> _Route:
     """The route to `config`'s endpoint, through the proxy that the
     environment names for its scheme unless its host is exempt."""
+    from http.client import HTTPConnection, HTTPSConnection
+    from urllib.request import getproxies, proxy_bypass
+
     url = urlsplit(config.base_url)
     full = config.base_url.rstrip("/") + "/chat/completions"
     headers = {
@@ -295,6 +311,9 @@ def collect(
     ``<output>.errors.jsonl``, written when the run ends, and leave the run
     with a partial result.
     """
+    import selectors
+    from http.client import HTTPException
+
     key = config.credential()
     instructions = read_instructions(instructions_path)
     output_path = Path(output_path)

@@ -9,7 +9,6 @@ requested difficulty buckets; identical configs reproduce identical bytes.
 from __future__ import annotations
 
 import functools
-import hashlib
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -354,6 +353,8 @@ def _propose_constraint_count(grade: str, config: GenConfig, rng: random.Random)
 
 
 def stable_id(language: str, seed: int, index: int) -> str:
+    import hashlib  # loads OpenSSL's libcrypto, which only generate needs
+
     digest = hashlib.sha256(f"{seed}:{index}".encode("utf-8")).hexdigest()[:12]
     return f"{language}-{digest}"
 

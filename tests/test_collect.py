@@ -438,6 +438,16 @@ class TestCollect:
             record = json.loads(line)
             assert record["latency_s"] >= 0.0
 
+    def test_collects_without_requests(self, stub_server, config, tmp_path, monkeypatch):
+        monkeypatch.setitem(sys.modules, "requests", None)  # any import of it raises ImportError
+        ins_path = tmp_path / "ins.jsonl"
+        instructions = make_instructions(ins_path, ["Alpha task.", "Beta task.", "Gamma task."])
+        result = collect(ins_path, config, tmp_path / "out.jsonl")
+        assert result == CollectResult(requested=3, completed=3, skipped=0, failed=())
+        assert set(read_responses(tmp_path / "out.jsonl")) == {i.id for i in instructions}
+        with pytest.raises(ImportError):  # only a read of the stand-in's names imports it
+            collect_module.requests.post
+
     def test_request_shape(self, stub_server, config, tmp_path):
         ins_path = tmp_path / "ins.jsonl"
         make_instructions(ins_path, ["Solo task."])
