@@ -5,12 +5,13 @@ instruction file after a round trip.
 
     python3 scripts/report_digests.py INSTRUCTIONS RESPONSES
 
-Scores the responses against the instructions seven times, through the
+Scores the responses against the instructions eight times, through the
 same entry point as the command line: in each report format (structured,
-table, csv), with the relaxed pass and with --strict-only, and once more as
-a structured report with --jobs 2.  Then merges the loose and the
-strict-only structured report with `lexcheck report`, once as a table and
-once as a structured report.  Last, reads the instructions with
+table, csv), with the relaxed pass and with --strict-only, all with
+--jobs 1, and twice more as a structured report: with --jobs 2, and
+without --jobs, which scores in one process per CPU.  Then merges the
+loose and the strict-only structured report with `lexcheck report`, once
+as a table and once as a structured report.  Last, reads the instructions with
 `read_instructions` and writes them back with `write_instructions`.  One
 line per output gives its settings and the sha256 of its bytes, so two
 source trees that print the same lines wrote the same reports and merges,
@@ -29,7 +30,9 @@ from lexcheck.cli import main as lexcheck
 from lexcheck.records import read_instructions, write_instructions
 from lexcheck.report import REPORT_FORMATS
 
-RUNS = [(fmt, strict, 1) for strict in (False, True) for fmt in REPORT_FORMATS] + [("structured", False, 2)]
+# (format, strict-only, --jobs), where "default" leaves --jobs out
+RUNS = [(fmt, strict, "1") for strict in (False, True) for fmt in REPORT_FORMATS]
+RUNS += [("structured", False, "2"), ("structured", False, "default")]
 MERGES = ("table", "structured")
 
 
@@ -41,8 +44,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for fmt, strict, jobs in RUNS:
             out = Path(tmp) / f"{fmt}-{strict}-{jobs}"
-            argv = ["score", args.instructions, args.responses, "--format", fmt, "--jobs", str(jobs), "-o", str(out)]
-            argv += ["--strict-only"] * strict
+            argv = ["score", args.instructions, args.responses, "--format", fmt, "-o", str(out)]
+            argv += ["--strict-only"] * strict + ["--jobs", jobs] * (jobs != "default")
             status = _digest(f"{fmt} {'strict-only' if strict else 'loose'} jobs={jobs}", argv, out)
             if status != 0:
                 return status

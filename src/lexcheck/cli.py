@@ -23,6 +23,7 @@ from .generate import BucketError, GenConfig, LexiconError, generate_dataset
 from .records import DataError, read_config, read_stdin, read_text, write_instructions
 from .report import (
     REPORT_FORMATS,
+    _cpus,
     load_report,
     merge,
     render_report,
@@ -128,7 +129,8 @@ def cmd_collect(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    report = score(args.instructions, args.responses, jobs=args.jobs, loose=not args.strict_only)
+    jobs = args.jobs or _cpus()  # one process per CPU unless --jobs says otherwise
+    report = score(args.instructions, args.responses, jobs=jobs, loose=not args.strict_only)
     _write_output(render_report(report, args.format), args.output)
     return EXIT_OK
 
@@ -177,7 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="score responses against instructions")
     p.add_argument("instructions", help="instruction file (JSONL)")
     p.add_argument("responses", help="response file (JSONL)")
-    p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (default 1)")
+    p.add_argument(
+        "--jobs", type=_positive_int, help="scoring processes, this one included (default: one per CPU)"
+    )
     p.add_argument("--strict-only", action="store_true", help="skip the relaxed pass")
     p.add_argument("--format", choices=REPORT_FORMATS, default="structured")
     p.add_argument("-o", "--output", help="write the report here instead of stdout")

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import csv
 import io
+import marshal
 import math
-import multiprocessing
 import os
+import threading
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NoReturn, Sequence
 
 from .engine import _LOOSE_REWRITES, verify_instruction
 from .records import DataError, build, read_instructions, read_json, read_responses
@@ -124,20 +125,97 @@ def aggregate(rows: Sequence[InstructionVerdict], unscored: Sequence[str] = ()) 
     )
 
 
-def _verdict_row(args: tuple[Instruction, str, bool]) -> InstructionVerdict:
-    instruction, response, loose = args
-    verdict = verify_instruction(instruction, response, loose=loose)
-    return InstructionVerdict(
-        instruction.id,
-        instruction.language,
-        instruction.difficulty,
-        instruction.depth,
-        instruction.count,
-        verdict.strict_pass,
-        verdict.loose_pass,
-        verdict.loose_variant,
-        tuple([ok for _, ok in verdict.rule_results]),
-    )
+#: (instruction, response) pairs per chunk of `score`; process k mod
+#: workers scores chunk k
+_CHUNK = 32
+
+_Chunks = Sequence[Sequence[tuple[Instruction, str]]]
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _outcomes(chunks: _Chunks, loose: bool) -> list[list[tuple]]:
+    """Per chunk, the (strict, loose, loose_variant, rule_passes) outcome of
+    each (instruction, response) pair: plain values that `marshal` sends."""
+    shares = []
+    for chunk in chunks:
+        share = []
+        for instruction, response in chunk:
+            verdict = verify_instruction(instruction, response, loose=loose)
+            share.append((
+                verdict.strict_pass, verdict.loose_pass, verdict.loose_variant,
+                tuple([ok for _, ok in verdict.rule_results]),
+            ))
+        shares.append(share)
+    return shares
+
+
+def _child(chunks: _Chunks, loose: bool, out: int, inherited: list[int]) -> NoReturn:
+    """Score `chunks` in a forked child, write the marshalled `_outcomes` to
+    the pipe end `out` and exit, with status 1 on any failure.  It closes the
+    read ends it `inherited`, so a write to a pipe whose reader is gone
+    fails rather than waits.  Only `os._exit` leaves: no `finally` of the
+    caller runs here, and no stdio buffer it holds is flushed twice."""
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        with open(out, "wb") as pipe:
+            pipe.write(marshal.dumps(_outcomes(chunks, loose)))
+        status = 0
+    except Exception:
+        import traceback
+
+        os.write(2, traceback.format_exc().encode("utf-8", "replace"))
+    finally:
+        os._exit(status)
+
+
+def _forked_outcomes(chunks: _Chunks, workers: int, loose: bool) -> list[list[list[tuple]]]:
+    """For each k below `workers`, the `_outcomes` of chunks k, k + workers,
+    ...: the calling process scores k = 0 and a forked child each other k.
+    A child that exits non-zero raises RuntimeError.  On any exception every
+    child not yet reaped is killed and reaped, and every pipe end is closed."""
+    pids: list[int] = []
+    pipes: list[int] = []  # read ends, one per child not yet read
+    try:
+        for k in range(1, workers):
+            read_end, write_end = os.pipe()
+            pipes.append(read_end)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(chunks[k::workers], loose, write_end, pipes)
+            finally:
+                os.close(write_end)
+            pids.append(pid)
+        shares = [_outcomes(chunks[0::workers], loose)]
+        while pids:
+            with open(pipes[0], "rb") as pipe:
+                del pipes[0]  # the file object closes it now
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+            pid = pids.pop(0)
+            if status != 0:
+                raise RuntimeError(f"scoring process {pid} exited with status {status}")
+            shares.append(marshal.loads(data))
+        return shares
+    except BaseException:
+        import signal
+
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
+        raise
+    finally:
+        for fd in pipes:
+            os.close(fd)
 
 
 def score(
@@ -147,8 +225,13 @@ def score(
     loose: bool = True,
 ) -> EvalReport:
     """Score a response set; identical inputs yield identical reports for any
-    worker count.  At most `jobs` worker processes run, and no more than there
-    are CPUs or scored instructions."""
+    `jobs`.
+
+    `jobs` counts processes, this one included.  The scored pairs are cut
+    into chunks of `_CHUNK`, and forked children score a share of them: no
+    more processes run than `jobs`, chunks or CPUs.  This process scores
+    alone where the platform has no `os.fork` or it runs more than one
+    thread, since a forked child copies only the thread that forked."""
     if isinstance(instructions, (str, Path)):
         instructions = read_instructions(instructions)
     source = responses if isinstance(responses, (str, Path)) else None
@@ -158,15 +241,18 @@ def score(
     unknown = [rid for rid in responses if rid not in known]
     if unknown:
         raise DataError(f"responses reference unknown instruction ids: {sorted(unknown)[:5]}", source)
-    pairs = [(i, responses[i.id], loose) for i in instructions if i.id in responses]
+    pairs = [(i, responses[i.id]) for i in instructions if i.id in responses]
     unscored = [i.id for i in instructions if i.id not in responses]
-    # a Pool starts every worker it is given at once
-    workers = min(jobs, len(pairs), os.cpu_count() or 1)
-    if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            rows = pool.map(_verdict_row, pairs, chunksize=64)
-    else:
-        rows = [_verdict_row(p) for p in pairs]
+    chunks = [pairs[k : k + _CHUNK] for k in range(0, len(pairs), _CHUNK)]
+    workers = min(jobs, len(chunks), _cpus())
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        workers = 1
+    shares = _forked_outcomes(chunks, workers, loose)
+    outcomes = [outcome for k in range(len(chunks)) for outcome in shares[k % workers][k // workers]]
+    rows = [
+        InstructionVerdict(i.id, i.language, i.difficulty, i.depth, i.count, *outcome)
+        for (i, _), outcome in zip(pairs, outcomes)
+    ]
     return aggregate(rows, unscored)
 
 

@@ -10,6 +10,7 @@ reproducibility.
 from __future__ import annotations
 
 import json
+import os
 import random
 from pathlib import Path
 from typing import Any, Iterable
@@ -128,3 +129,20 @@ def write_responses(path: str | Path, responses: Iterable[dict[str, Any]]) -> No
     with open(path, "w", encoding="utf-8") as fh:
         for record in responses:
             fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+
+
+def count_forks(monkeypatch, cpus: int | None) -> list[int]:
+    """Make `lexcheck.report` see `cpus` CPUs, as `os.cpu_count` reports
+    them (None included), and wrap its `os.fork` to count calls: the list
+    returned gets one entry per fork, in the calling process."""
+    forks: list[int] = []
+    fork = os.fork
+
+    def counting_fork() -> int:
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr("lexcheck.report.os.fork", counting_fork)
+    monkeypatch.delattr("lexcheck.report.os.sched_getaffinity", raising=False)
+    monkeypatch.setattr("lexcheck.report.os.cpu_count", lambda: cpus)
+    return forks

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -14,10 +15,11 @@ from pathlib import Path
 import pytest
 
 import lexcheck
-from helpers import build_instruction, write_responses
+from helpers import build_instruction, count_forks, make_text, write_responses
 from lexcheck.cli import EXIT_DATA, EXIT_INTERRUPTED, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
 from lexcheck.collect import CollectResult
 from lexcheck.dsl import format_rule, parse_rule
+from lexcheck.generate import GenConfig, generate_dataset
 from lexcheck.records import write_instructions
 
 
@@ -392,12 +394,21 @@ class TestScore:
         data = json.loads(capsys.readouterr().out)
         assert data["overall"]["loose"] is None
 
-    def test_jobs_flag_matches_serial(self, scoring_files, capsys):
-        ins_path, res_path = scoring_files
-        assert main(["score", str(ins_path), str(res_path)]) == EXIT_OK
-        serial = capsys.readouterr().out
-        assert main(["score", str(ins_path), str(res_path), "--jobs", "2"]) == EXIT_OK
-        assert capsys.readouterr().out == serial
+    def test_jobs_flag_matches_serial(self, tmp_path, monkeypatch, capsys):
+        """36 instructions are two chunks: on 2 CPUs, --jobs 2 and leaving
+        out --jobs each fork one child and write the --jobs 1 report."""
+        instructions = generate_dataset(GenConfig(seed=33, language="en", easy=12, medium=12, hard=12))
+        rng = random.Random(33)
+        ins_path, res_path = tmp_path / "ins.jsonl", tmp_path / "res.jsonl"
+        write_instructions(ins_path, instructions)
+        write_responses(res_path, [{"id": ins.id, "response": make_text(rng)} for ins in instructions])
+        forks = count_forks(monkeypatch, 2)
+        reports = []
+        for jobs in (["--jobs", "1"], ["--jobs", "2"], []):
+            assert main(["score", str(ins_path), str(res_path), *jobs]) == EXIT_OK
+            reports.append((capsys.readouterr().out, len(forks)))
+        serial = reports[0][0]
+        assert reports == [(serial, 0), (serial, 1), (serial, 2)]
 
     @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
     def test_jobs_below_one_rejected(self, scoring_files, capsys, jobs):

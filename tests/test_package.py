@@ -33,8 +33,11 @@ def test_split_is_the_segment_splitter():
 
 
 # modules that only `collect` (the HTTP stack) or `generate` (hashlib, which
-# loads OpenSSL's libcrypto) use, and `requests`, which no command calls
-_LOADED_ON_DEMAND = ("requests", "urllib3", "http.client", "ssl", "email", "hashlib")
+# loads OpenSSL's libcrypto) use, and `requests`, `multiprocessing` and
+# `pickle`, which no command calls (`score` forks and sends marshal data)
+_LOADED_ON_DEMAND = (
+    "requests", "urllib3", "http.client", "ssl", "email", "hashlib", "multiprocessing", "pickle",
+)
 
 _FRESH_RUN = """
 import json, sys

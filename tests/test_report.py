@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import random
 import re
+import threading
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import write_responses
+from helpers import count_forks, make_text, write_responses
 from lexcheck.engine import verify_instruction
 from lexcheck.generate import GenConfig, generate_dataset
 from lexcheck.records import DataError, write_instructions
@@ -19,6 +22,7 @@ from lexcheck.report import (
     EvalReport,
     InstructionVerdict,
     SliceStats,
+    _CHUNK,
     _json_text,
     aggregate,
     heatmap,
@@ -56,6 +60,14 @@ def small_eval():
     for k, ins in enumerate(instructions):
         responses[ins.id] = ["Short one.", "A line.\nAnother line.", "好。\n\n- 第二行。"][k % 3]
     return instructions, responses
+
+
+@pytest.fixture(scope="module")
+def two_chunk_eval():
+    """36 instructions, one more chunk than `score` cuts from 32."""
+    instructions = generate_dataset(GenConfig(seed=33, language="en", easy=12, medium=12, hard=12))
+    rng = random.Random(33)
+    return instructions, {ins.id: make_text(rng, "en") for ins in instructions}
 
 
 class TestAggregate:
@@ -128,44 +140,97 @@ class TestScore:
         assert report.overall.loose is None
         assert all(v.loose is None for v in report.verdicts)
 
-    def test_parallel_equals_serial(self, small_eval):
-        instructions, responses = small_eval
-        assert score(instructions, responses, jobs=4) == score(instructions, responses, jobs=1)
+    def test_parallel_equals_serial(self, small_eval, two_chunk_eval):
+        for instructions, responses in (small_eval, two_chunk_eval):
+            assert score(instructions, responses, jobs=4) == score(instructions, responses, jobs=1)
 
     @staticmethod
-    def _workers_asked(small_eval, monkeypatch, cpus):
-        """The worker counts `score` asks a Pool for when scoring three
-        instructions with `--jobs` 10**6 on a machine reporting `cpus` CPUs;
-        the Pool maps in this process, so no test starts a worker."""
-
-        class InProcessPool:
-            def __init__(self, processes):
-                asked.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, func, items, chunksize=1):
-                return list(map(func, items))
-
-        instructions, responses = small_eval
-        instructions = instructions[:3]
-        responses = {i.id: responses[i.id] for i in instructions}
-        asked = []
-        monkeypatch.setattr("lexcheck.report.multiprocessing.Pool", InProcessPool)
-        monkeypatch.setattr("lexcheck.report.os.cpu_count", lambda: cpus)
+    def _forks(eval_set, monkeypatch, cpus):
+        """The forks `score` makes scoring `eval_set` with `jobs` 10**6 on a
+        machine reporting `cpus` CPUs; its report is the serial one."""
+        instructions, responses = eval_set
+        forks = count_forks(monkeypatch, cpus)
         assert score(instructions, responses, jobs=10**6) == score(instructions, responses, jobs=1)
-        return asked
+        return len(forks)
 
-    def test_no_more_workers_than_instructions(self, small_eval, monkeypatch):
-        assert self._workers_asked(small_eval, monkeypatch, cpus=64) == [3]
+    def test_no_more_workers_than_chunks(self, small_eval, two_chunk_eval, monkeypatch):
+        assert self._forks(small_eval, monkeypatch, cpus=64) == 0
+        assert self._forks(two_chunk_eval, monkeypatch, cpus=64) == 1
 
-    @pytest.mark.parametrize("cpus, asked", [(2, [2]), (1, []), (None, [])])
-    def test_no_more_workers_than_cpus(self, small_eval, monkeypatch, cpus, asked):
-        assert self._workers_asked(small_eval, monkeypatch, cpus) == asked
+    @pytest.mark.parametrize("cpus, forks", [(2, 1), (1, 0), (None, 0)])
+    def test_no_more_workers_than_cpus(self, two_chunk_eval, monkeypatch, cpus, forks):
+        assert self._forks(two_chunk_eval, monkeypatch, cpus) == forks
+
+    @pytest.mark.parametrize("allowed, forks", [(2, 1), (1, 0)])
+    def test_cpus_are_those_the_process_may_run_on(self, two_chunk_eval, monkeypatch, allowed, forks):
+        instructions, responses = two_chunk_eval
+        counted = count_forks(monkeypatch, 64)
+        monkeypatch.setattr("lexcheck.report.os.sched_getaffinity", lambda pid: set(range(allowed)), raising=False)
+        assert score(instructions, responses, jobs=64) == score(instructions, responses, jobs=1)
+        assert len(counted) == forks
+
+    def test_jobs_defaults_to_one_process(self, two_chunk_eval, monkeypatch):
+        instructions, responses = two_chunk_eval
+        forks = count_forks(monkeypatch, 2)
+        score(instructions, responses)
+        assert forks == []
+
+    def test_a_second_thread_keeps_scoring_in_this_process(self, two_chunk_eval, monkeypatch):
+        instructions, responses = two_chunk_eval
+        serial = score(instructions, responses, jobs=1)
+        forks = count_forks(monkeypatch, 2)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            report = score(instructions, responses, jobs=2)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+        assert report == serial
+
+    @pytest.mark.parametrize(
+        "position, raised, expected, match",
+        [
+            (_CHUNK, ValueError, RuntimeError, "exited with status 1"),
+            (0, ValueError, ValueError, "doomed"),
+            (0, KeyboardInterrupt, KeyboardInterrupt, "doomed"),
+        ],
+        ids=["child", "parent", "parent-interrupted"],
+    )
+    def test_a_failure_leaves_no_process_or_pipe(
+        self, two_chunk_eval, monkeypatch, position, raised, expected, match
+    ):
+        """Chunk 0 is this process's share and chunk 1 the child's.  A child
+        that fails exits with status 1, which `score` raises as an error;
+        any failure here kills and reaps the child and closes every pipe.
+        The child's last pair takes a minute, so a child left to finish
+        would hold up the reaping."""
+        instructions, responses = two_chunk_eval
+        doomed = instructions[position].id
+        slow = instructions[-1].id
+
+        def verify(instruction, response, loose=True):
+            if instruction.id == doomed:
+                raise raised("doomed")
+            if instruction.id == slow:
+                time.sleep(60)
+            return verify_instruction(instruction, response, loose=loose)
+
+        monkeypatch.setattr("lexcheck.report.verify_instruction", verify)
+        forks = count_forks(monkeypatch, 2)
+        fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else set()
+        started = time.monotonic()
+        with pytest.raises(expected, match=match):
+            score(instructions, responses, jobs=2)
+        assert time.monotonic() - started < 30
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        if fds:
+            assert set(os.listdir("/proc/self/fd")) == fds
 
     def test_verdict_order_follows_instructions(self, small_eval):
         instructions, responses = small_eval

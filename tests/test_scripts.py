@@ -58,12 +58,13 @@ def test_build_benchmark_writes_the_full_datasets(tmp_path, hash_seed):
 
 
 def test_report_digests_prints_one_digest_per_report(tmp_path):
-    """Seven reports, two merges and the instructions' round trip, each named
+    """Eight reports, two merges and the instructions' round trip, each named
     by its settings; the loose and strict-only structured reports differ,
-    --jobs 2 writes the jobs=1 bytes, a file `write_instructions` wrote comes
-    back byte for byte, and every line is the same under two string-hash
-    seeds."""
-    instructions = generate_dataset(GenConfig(seed=5, language="en", easy=4, medium=4, hard=4))
+    --jobs 2 and the default --jobs write the jobs=1 bytes, a file
+    `write_instructions` wrote comes back byte for byte, and every line is
+    the same under two string-hash seeds."""
+    # 99 instructions are 4 chunks of `score`: up to 4 processes score them
+    instructions = generate_dataset(GenConfig(seed=5, language="en", easy=33, medium=33, hard=33))
     rng = random.Random(5)
     write_instructions(tmp_path / "ins.jsonl", instructions)
     write_responses(tmp_path / "res.jsonl", [{"id": ins.id, "response": make_text(rng, "en")} for ins in instructions])
@@ -74,10 +75,14 @@ def test_report_digests_prints_one_digest_per_report(tmp_path):
     digests = dict(line.split(": ") for line in runs[0].stdout.splitlines())
     assert list(digests) == [
         f"{fmt} {mode} jobs=1" for mode in ("loose", "strict-only") for fmt in ("structured", "table", "csv")
-    ] + ["structured loose jobs=2", "merge table", "merge structured", "instructions round trip"]
+    ] + [
+        "structured loose jobs=2", "structured loose jobs=default",
+        "merge table", "merge structured", "instructions round trip",
+    ]
     assert all(len(d) == 64 for d in digests.values())
     assert digests["structured loose jobs=2"] == digests["structured loose jobs=1"]
+    assert digests["structured loose jobs=default"] == digests["structured loose jobs=1"]
     assert digests["structured loose jobs=1"] != digests["structured strict-only jobs=1"]
     assert digests["instructions round trip"] == hashlib.sha256((tmp_path / "ins.jsonl").read_bytes()).hexdigest()
-    assert len(set(digests.values())) == len(digests) - 1  # only --jobs 2 repeats a digest
+    assert len(set(digests.values())) == len(digests) - 2  # only the other --jobs repeat a digest
     assert set(os.listdir(tmp_path)) == {"ins.jsonl", "res.jsonl"}  # the reports went to a temporary directory
