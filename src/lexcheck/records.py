@@ -305,26 +305,46 @@ def read_config(cls: type[T], path: str | Path, **overrides: Any) -> T:
     return build(cls, data)
 
 
-def _iter_jsonl(path: str | Path) -> Iterable[tuple[int, dict[str, Any]]]:
-    # a line ends at b"\n", which no multi-byte UTF-8 sequence contains
+def read_lines(path: str | Path) -> list[bytes]:
+    """The lines of a file as bytes, each with the `\n` that ends it, as
+    iterating the open file yields them; DataError naming the path if it
+    cannot be opened."""
     with _open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = _decode(raw, path, lineno)
-            if line.isspace():  # no line read from a file is empty
-                continue
-            try:
-                data = decode_json(line)
-            except ValueError as exc:
-                raise DataError(str(exc), path, lineno) from exc
-            if not isinstance(data, dict):
-                raise DataError("record is not a JSON object", path, lineno)
-            yield lineno, data
+        return fh.readlines()
 
 
-def read_instructions(path: str | Path) -> list[Instruction]:
+def _iter_jsonl(
+    path: str | Path, lines: Iterable[tuple[int, bytes]] | None = None
+) -> Iterable[tuple[int, dict[str, Any]]]:
+    """(number, JSON object) of each line of the JSONL file at `path` that is
+    not blank, or of each of `lines`, (number, bytes) of lines read from it
+    already; DataError naming the path and line of the first that fails."""
+    if lines is None:
+        # a line ends at b"\n", which no multi-byte UTF-8 sequence contains
+        with _open(path) as fh:
+            yield from _iter_jsonl(path, enumerate(fh, 1))
+        return
+    for lineno, raw in lines:
+        line = _decode(raw, path, lineno)
+        if line.isspace():  # no line read from a file is empty
+            continue
+        try:
+            data = decode_json(line)
+        except ValueError as exc:
+            raise DataError(str(exc), path, lineno) from exc
+        if not isinstance(data, dict):
+            raise DataError("record is not a JSON object", path, lineno)
+        yield lineno, data
+
+
+def read_instructions(path: str | Path, lines: Iterable[tuple[int, bytes]] | None = None) -> list[Instruction]:
+    """The instructions in the JSONL file at `path`, or in `lines` of it:
+    (number, bytes) pairs of lines that `read_lines` read.  DataError names
+    the path and line of the first line that fails to read or repeats an
+    id read before it."""
     out: list[Instruction] = []
     ids: set[str] = set()
-    for lineno, data in _iter_jsonl(path):
+    for lineno, data in _iter_jsonl(path, lines):
         try:
             instruction = build(Instruction, data)
         except ValueError as exc:

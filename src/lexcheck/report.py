@@ -19,10 +19,10 @@ from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Iterable, NoReturn, Sequence
+from typing import Any, Callable, Iterable, NoReturn, Sequence
 
 from .engine import _LOOSE_REWRITES, verify_instruction
-from .records import DataError, build, read_instructions, read_json, read_responses
+from .records import DataError, build, read_instructions, read_json, read_lines, read_responses
 from .rules import DIFFICULTIES, LANGUAGES, Instruction
 
 
@@ -125,11 +125,9 @@ def aggregate(rows: Sequence[InstructionVerdict], unscored: Sequence[str] = ()) 
     )
 
 
-#: (instruction, response) pairs per chunk of `score`; process k mod
-#: workers scores chunk k
+#: instruction lines (or instructions) per chunk of `score`; process k mod
+#: workers reads and scores chunk k
 _CHUNK = 32
-
-_Chunks = Sequence[Sequence[tuple[Instruction, str]]]
 
 
 def _cpus() -> int:
@@ -139,34 +137,49 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _outcomes(chunks: _Chunks, loose: bool) -> list[list[tuple]]:
-    """Per chunk, the (strict, loose, loose_variant, rule_passes) outcome of
-    each (instruction, response) pair: plain values that `marshal` sends."""
+def _rows(
+    path: str | Path | None, items: Sequence, chunks: range, responses: dict[str, str], loose: bool
+) -> list[list[tuple]]:
+    """Per chunk k of `items` in `chunks`, a row for each instruction in it:
+    its (id, language, difficulty, depth, count), then, if it has a
+    response, its (strict, loose, loose_variant, rule_passes) outcome; plain
+    values that `marshal` sends.  `items` are the lines of the instruction
+    file at `path`, read here a chunk at a time, or instructions if `path`
+    is None.  The list ends before the first chunk that fails to read."""
     shares = []
-    for chunk in chunks:
-        share = []
-        for instruction, response in chunk:
-            verdict = verify_instruction(instruction, response, loose=loose)
-            share.append((
-                verdict.strict_pass, verdict.loose_pass, verdict.loose_variant,
-                tuple([ok for _, ok in verdict.rule_results]),
-            ))
-        shares.append(share)
+    for k in chunks:
+        chunk = items[k * _CHUNK : (k + 1) * _CHUNK]
+        if path is not None:
+            try:
+                chunk = read_instructions(path, enumerate(chunk, k * _CHUNK + 1))
+            except DataError:
+                break
+        rows = []
+        for i in chunk:
+            row = (i.id, i.language, i.difficulty, i.depth, i.count)
+            if i.id in responses:
+                verdict = verify_instruction(i, responses[i.id], loose=loose)
+                row += (
+                    verdict.strict_pass, verdict.loose_pass, verdict.loose_variant,
+                    tuple([ok for _, ok in verdict.rule_results]),
+                )
+            rows.append(row)
+        shares.append(rows)
     return shares
 
 
-def _child(chunks: _Chunks, loose: bool, out: int, inherited: list[int]) -> NoReturn:
-    """Score `chunks` in a forked child, write the marshalled `_outcomes` to
-    the pipe end `out` and exit, with status 1 on any failure.  It closes the
-    read ends it `inherited`, so a write to a pipe whose reader is gone
-    fails rather than waits.  Only `os._exit` leaves: no `finally` of the
-    caller runs here, and no stdio buffer it holds is flushed twice."""
+def _child(share: Callable[[int], Any], k: int, out: int, inherited: list[int]) -> NoReturn:
+    """Write the marshalled `share(k)` to the pipe end `out` in a forked
+    child and exit, with status 1 on any failure.  It closes the read ends
+    it `inherited`, so a write to a pipe whose reader is gone fails rather
+    than waits.  Only `os._exit` leaves: no `finally` of the caller runs
+    here, and no stdio buffer it holds is flushed twice."""
     status = 1
     try:
         for fd in inherited:
             os.close(fd)
         with open(out, "wb") as pipe:
-            pipe.write(marshal.dumps(_outcomes(chunks, loose)))
+            pipe.write(marshal.dumps(share(k)))
         status = 0
     except Exception:
         import traceback
@@ -176,11 +189,12 @@ def _child(chunks: _Chunks, loose: bool, out: int, inherited: list[int]) -> NoRe
         os._exit(status)
 
 
-def _forked_outcomes(chunks: _Chunks, workers: int, loose: bool) -> list[list[list[tuple]]]:
-    """For each k below `workers`, the `_outcomes` of chunks k, k + workers,
-    ...: the calling process scores k = 0 and a forked child each other k.
-    A child that exits non-zero raises RuntimeError.  On any exception every
-    child not yet reaped is killed and reaped, and every pipe end is closed."""
+def _forked(share: Callable[[int], Any], workers: int) -> list:
+    """`share(k)` for each k below `workers`: the calling process computes
+    k = 0 and a forked child each other k, which sends it back with
+    `marshal`.  A child that exits non-zero raises RuntimeError.  On any
+    exception every child not yet reaped is killed and reaped, and every
+    pipe end is closed."""
     pids: list[int] = []
     pipes: list[int] = []  # read ends, one per child not yet read
     try:
@@ -190,11 +204,11 @@ def _forked_outcomes(chunks: _Chunks, workers: int, loose: bool) -> list[list[li
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _child(chunks[k::workers], loose, write_end, pipes)
+                    _child(share, k, write_end, pipes)
             finally:
                 os.close(write_end)
             pids.append(pid)
-        shares = [_outcomes(chunks[0::workers], loose)]
+        shares = [share(0)]
         while pids:
             with open(pipes[0], "rb") as pipe:
                 del pipes[0]  # the file object closes it now
@@ -218,41 +232,65 @@ def _forked_outcomes(chunks: _Chunks, workers: int, loose: bool) -> list[list[li
             os.close(fd)
 
 
+def _reread(path: str | Path, lines: Sequence[bytes], end: int) -> NoReturn:
+    """Raise the error of the first bad line of the instruction file at
+    `path` among its first `end` `lines`, where a scoring process found
+    one, by reading them in this process as `read_instructions` reads the
+    whole file: its text, line and cause are the same for any `jobs`."""
+    read_instructions(path, enumerate(lines[:end], 1))
+    raise RuntimeError(f"{path}: a scoring process failed to read lines 1-{end}, which read here")
+
+
 def score(
     instructions: str | Path | Sequence[Instruction],
     responses: str | Path | dict[str, str],
     jobs: int = 1,
     loose: bool = True,
 ) -> EvalReport:
-    """Score a response set; identical inputs yield identical reports for any
-    `jobs`.
+    """Score a response set; identical inputs yield identical reports, and
+    identical errors, for any `jobs`.
 
-    `jobs` counts processes, this one included.  The scored pairs are cut
-    into chunks of `_CHUNK`, and forked children score a share of them: no
-    more processes run than `jobs`, chunks or CPUs.  This process scores
-    alone where the platform has no `os.fork` or it runs more than one
-    thread, since a forked child copies only the thread that forked."""
-    if isinstance(instructions, (str, Path)):
-        instructions = read_instructions(instructions)
+    `jobs` counts processes, this one included.  The instructions, or the
+    lines of their file, are cut into chunks of `_CHUNK`, and forked
+    children read and score a share of them: no more processes run than
+    `jobs`, chunks or CPUs.  This process scores alone where the platform
+    has no `os.fork` or it runs more than one thread, since a forked child
+    copies only the thread that forked.  A response that is not a string
+    raises TypeError before anything is scored."""
+    path = instructions if isinstance(instructions, (str, Path)) else None
+    items = read_lines(path) if path is not None else instructions
     source = responses if isinstance(responses, (str, Path)) else None
-    if source is not None:
-        responses = read_responses(source)
-    known = {i.id for i in instructions}
-    unknown = [rid for rid in responses if rid not in known]
-    if unknown:
-        raise DataError(f"responses reference unknown instruction ids: {sorted(unknown)[:5]}", source)
-    pairs = [(i, responses[i.id]) for i in instructions if i.id in responses]
-    unscored = [i.id for i in instructions if i.id not in responses]
-    chunks = [pairs[k : k + _CHUNK] for k in range(0, len(pairs), _CHUNK)]
-    workers = min(jobs, len(chunks), _cpus())
+    try:
+        if source is not None:
+            responses = read_responses(source)
+        for rid, text in responses.items():
+            if not isinstance(text, str):
+                raise TypeError(f"response {rid!r} is {type(text).__name__}, not a string")
+    except (DataError, TypeError):
+        if path is not None:  # the instruction file is read first, so its error comes first
+            read_instructions(path, enumerate(items, 1))
+        raise
+    count = math.ceil(len(items) / _CHUNK)
+    workers = min(jobs, count, _cpus())
     if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         workers = 1
-    shares = _forked_outcomes(chunks, workers, loose)
-    outcomes = [outcome for k in range(len(chunks)) for outcome in shares[k % workers][k // workers]]
-    rows = [
-        InstructionVerdict(i.id, i.language, i.difficulty, i.depth, i.count, *outcome)
-        for (i, _), outcome in zip(pairs, outcomes)
-    ]
+    shares = _forked(lambda k: _rows(path, items, range(k, count, workers), responses, loose), workers)
+    rows, unscored, ids = [], [], set()
+    for k in range(count):
+        share = shares[k % workers]
+        if k // workers >= len(share):  # its lines failed to read
+            _reread(path, items, (k + 1) * _CHUNK)
+        for row in share[k // workers]:
+            if path is not None and row[0] in ids:
+                _reread(path, items, (k + 1) * _CHUNK)
+            ids.add(row[0])
+            if len(row) > 5:
+                rows.append(InstructionVerdict(*row))
+            else:
+                unscored.append(row[0])
+    unknown = [rid for rid in responses if rid not in ids]
+    if unknown:
+        raise DataError(f"responses reference unknown instruction ids: {sorted(unknown)[:5]}", source)
     return aggregate(rows, unscored)
 
 

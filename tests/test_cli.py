@@ -509,6 +509,72 @@ class TestScore:
         assert f"{path}:2: not valid UTF-8" in capsys.readouterr().err
 
 
+class TestScoreErrorsOnAnyJobs:
+    """On 2 CPUs `score --jobs 2` forks one child for a file of 36 lines,
+    which reads lines 33-64.  A bad line there, or a bad line before it in
+    the command's own chunk, fails with the one stderr line of --jobs 1."""
+
+    # kind of bad line -> (its bytes, given line 1's, the start of its reason)
+    BAD_LINES = {
+        "not-utf8": (lambda first: b'{"id": "\xff"}\n', "not valid UTF-8"),
+        "malformed": (lambda first: first[:20] + b"\n", "malformed JSON ("),
+        "not-object": (lambda first: b"[1, 2]\n", "record is not a JSON object"),
+        "bad-record": (lambda first: b'{"id": "x"}\n', "bad instruction record: missing required keys: "),
+        "repeated-id": (lambda first: first, "duplicate instruction id "),
+    }
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        instructions = generate_dataset(GenConfig(seed=33, language="en", easy=12, medium=12, hard=12))
+        rng = random.Random(33)
+        ins_path, res_path = tmp_path / "ins.jsonl", tmp_path / "res.jsonl"
+        write_instructions(ins_path, instructions)
+        write_responses(res_path, [{"id": ins.id, "response": make_text(rng)} for ins in instructions])
+        return ins_path, res_path
+
+    @staticmethod
+    def failure(monkeypatch, capsys, files, lines: dict[int, bytes], forks: int = 1) -> str:
+        """The stderr of `score` on `files` with `lines` (number -> bytes) put
+        in the instruction file's place, the same for --jobs 1 and 2."""
+        ins_path, res_path = files
+        text = ins_path.read_bytes().splitlines(keepends=True)
+        for lineno, raw in lines.items():
+            text[lineno - 1] = raw
+        ins_path.write_bytes(b"".join(text))
+        counted = count_forks(monkeypatch, 2)
+        errors = []
+        for jobs in ("1", "2"):
+            assert main(["score", str(ins_path), str(res_path), "--jobs", jobs]) == EXIT_DATA
+            errors.append(capsys.readouterr().err)
+        assert len(counted) == forks
+        assert errors[0] == errors[1] and errors[0].count("\n") == 1
+        return errors[0]
+
+    @pytest.mark.parametrize("earlier", [False, True], ids=["alone", "after-an-earlier-one"])
+    @pytest.mark.parametrize("kind", sorted(BAD_LINES))
+    def test_bad_line_in_the_childs_chunk(self, files, monkeypatch, capsys, kind, earlier):
+        first = files[0].read_bytes().splitlines(keepends=True)[0]
+        make, reason = self.BAD_LINES[kind]
+        lines = {35: make(first)}
+        if earlier:  # the next kind, in the command's own chunk
+            kinds = sorted(self.BAD_LINES)
+            make, reason = self.BAD_LINES[kinds[(kinds.index(kind) + 1) % len(kinds)]]
+            lines[10] = make(first)
+        err = self.failure(monkeypatch, capsys, files, lines)
+        assert err.startswith(f"error: {files[0]}:{10 if earlier else 35}: {reason}")
+
+    def test_both_files_bad(self, files, monkeypatch, capsys):
+        """The instruction file's error comes first, and nothing forks."""
+        files[1].write_bytes(files[1].read_bytes() + b"[1, 2]\n")
+        err = self.failure(monkeypatch, capsys, files, {35: b"[1, 2]\n"}, forks=0)
+        assert err == f"error: {files[0]}:35: record is not a JSON object\n"
+
+    def test_ideographic_space_line_is_blank(self, files, monkeypatch, capsys):
+        lines = {34: "\u3000\n".encode(), 36: b'{"id": "x"}\n'}
+        err = self.failure(monkeypatch, capsys, files, lines)
+        assert err.startswith(f"error: {files[0]}:36: bad instruction record: ")
+
+
 class TestReport:
     def make_report(self, scoring_files, tmp_path, name):
         ins_path, res_path = scoring_files

@@ -232,6 +232,33 @@ class TestScore:
         if fds:
             assert set(os.listdir("/proc/self/fd")) == fds
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_response_that_is_not_a_string_is_refused_before_scoring(self, two_chunk_eval, monkeypatch, jobs):
+        instructions, responses = two_chunk_eval
+        rid = instructions[-1].id
+        monkeypatch.setattr("lexcheck.report.verify_instruction", lambda *args, **kwargs: pytest.fail("scored"))
+        forks = count_forks(monkeypatch, 2)
+        with pytest.raises(TypeError, match=f"^response {rid!r} is NoneType, not a string$"):
+            score(instructions, {**responses, rid: None}, jobs=jobs)
+        assert forks == []
+
+    def test_path_inputs_read_in_two_processes(self, two_chunk_eval, tmp_path, monkeypatch):
+        """The file's lines are cut into chunks, a blank line of U+3000 in
+        the child's among them, and unscored ids fall in both."""
+        instructions, responses = two_chunk_eval
+        partial = {rid: text for k, (rid, text) in enumerate(responses.items()) if k % 5}
+        ins_path = tmp_path / "ins.jsonl"
+        res_path = tmp_path / "res.jsonl"
+        write_instructions(ins_path, instructions)
+        lines = ins_path.read_bytes().splitlines(keepends=True)
+        ins_path.write_bytes(b"".join(lines[:34] + ["\u3000\n".encode()] + lines[34:]))
+        write_responses(res_path, [{"id": k, "response": v} for k, v in partial.items()])
+        forks = count_forks(monkeypatch, 2)
+        report = score(ins_path, res_path, jobs=2)
+        assert len(forks) == 1
+        assert report == score(instructions, partial)
+        assert len(report.unscored) == 8 and len(report.verdicts) == 28
+
     def test_verdict_order_follows_instructions(self, small_eval):
         instructions, responses = small_eval
         report = score(instructions, responses, jobs=4)
